@@ -56,6 +56,7 @@ from .elements import (
     reversed_focus_train,
     reversed_young_train,
     run_train,
+    run_train_batch,
     shg,
     train_from_dict,
     train_from_json,
@@ -131,7 +132,8 @@ __all__ = [
     "mixed_reconstruction", "norm_factor", "pair_overlap", "pinhole_intensity",
     "point_source", "power", "random_coeff", "random_mode",
     "reversed_focus_train", "reversed_intensity_conditional",
-    "reversed_intensity_single", "reversed_young_train", "run_train", "shg",
+    "reversed_intensity_single", "reversed_young_train", "run_train",
+    "run_train_batch", "shg",
     "sinc", "somb", "spdc_initial", "spot_axial", "spot_lateral",
     "spot_offaxis_two_photon", "time_reversal_audit", "train_from_dict",
     "train_from_json", "train_to_dict", "train_to_json", "two_f_with_offset",

@@ -29,7 +29,12 @@ from .analytic import (
 )
 from .config import ExperimentConfig, load_config
 from .config import validate as validate_config
-from .elements import reversed_focus_train, reversed_young_train, run_train
+from .elements import (
+    reversed_focus_train,
+    reversed_young_train,
+    run_train,
+    run_train_batch,
+)
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -115,21 +120,15 @@ def _run_young(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
         det = Grid1D(g.n, p.f * p.wavelength / (g.n * g.dx))
         train = reversed_young_train(p.f, p.x1, cfg.L1, cfg.L2,
                                      slit_width=cfg.slit_width)
-        cache: Dict[int, float] = {}
-        snapped, vals = [], []
         for xi in x:
             if not det.contains(xi):
                 raise DomainError(
                     f"sweep point {xi!r} m is outside the reversed-train "
                     f"source grid (half-width {det.n * det.dx / 2:.3e} m)")
-            idx = det.index_of(xi)
-            if idx not in cache:
-                src = point_source(det, det.coords[idx], 1.0, p.wavelength)
-                cache[idx] = run_train(src, train)
-            snapped.append(det.coords[idx])
-            vals.append(cache[idx])
-        x = np.array(snapped)
-        columns["reversed"] = np.array(vals)
+        idx = np.array([det.index_of(xi) for xi in x])
+        sources, row = np.unique(idx, return_inverse=True)
+        x = det.coords[idx]
+        columns["reversed"] = run_train_batch(det, p.wavelength, sources, train)[row]
 
     columns = _normalize(columns, raw)
     _write_csv(out, ["x0_m"] + list(columns), zip(x, *columns.values()))

@@ -1,12 +1,15 @@
 """Experiment configuration: JSON schema, loading, and validation.
 
-All lengths in the config file are in meters. Validation never raises on a
-bad value; it returns a list of human-readable diagnostics naming the field,
-so a config can be checked as a whole before anything runs.
+All lengths in the config file are in meters. Loading rejects a value that
+is not a number of the right kind (a non-finite float, a non-integral count)
+with a ConfigurationError naming the field. Validation never raises on a bad
+value; it returns a list of human-readable diagnostics naming the field, so a
+config can be checked as a whole before anything runs.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -29,6 +32,22 @@ def _take(d: dict, context: str, required: Tuple[str, ...],
     return d
 
 
+def _finite(value, field: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{field}: must be finite, got {value!r}")
+    return x
+
+
+def _integer(value, field: str) -> int:
+    if isinstance(value, int):
+        return int(value)
+    x = _finite(value, field)
+    if not x.is_integer():
+        raise ConfigurationError(f"{field}: must be an integer, got {value!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One linear sweep axis: `count` points from `start` to `stop` (meters)."""
@@ -45,8 +64,9 @@ class SweepSpec:
         second = None
         if d.get("second") is not None:
             second = SweepSpec.from_dict(d["second"], context + ".second")
-        return SweepSpec(str(d["axis"]), float(d["start"]), float(d["stop"]),
-                         int(d["count"]), second)
+        return SweepSpec(str(d["axis"]), _finite(d["start"], context + ".start"),
+                         _finite(d["stop"], context + ".stop"),
+                         _integer(d["count"], context + ".count"), second)
 
 
 @dataclass(frozen=True)
@@ -59,7 +79,7 @@ class GridSpec:
     @staticmethod
     def from_dict(d: dict) -> "GridSpec":
         _take(d, "grid", ("n", "dx"))
-        return GridSpec(int(d["n"]), float(d["dx"]))
+        return GridSpec(_integer(d["n"], "grid.n"), _finite(d["dx"], "grid.dx"))
 
 
 @dataclass(frozen=True)
@@ -72,7 +92,8 @@ class AuditSpec:
     @staticmethod
     def from_dict(d: dict) -> "AuditSpec":
         _take(d, "audit", ("n_modes", "trials"))
-        return AuditSpec(int(d["n_modes"]), int(d["trials"]))
+        return AuditSpec(_integer(d["n_modes"], "audit.n_modes"),
+                         _integer(d["trials"], "audit.trials"))
 
 
 @dataclass(frozen=True)
@@ -100,18 +121,18 @@ class ExperimentConfig:
                "sweep", "grid", "audit", "seed", "output"))
 
         def num(key):
-            return None if d.get(key) is None else float(d[key])
+            return None if d.get(key) is None else _finite(d[key], key)
 
         return ExperimentConfig(
             experiment=str(d["experiment"]),
             mode=str(d["mode"]),
             wavelength=num("wavelength"), f=num("f"), D=num("D"),
             x1=num("x1"), slit_width=num("slit_width"),
-            L1=num("L1"), L2=num("L2"), z0=float(d.get("z0", 0.0)),
+            L1=num("L1"), L2=num("L2"), z0=_finite(d.get("z0", 0.0), "z0"),
             sweep=None if d.get("sweep") is None else SweepSpec.from_dict(d["sweep"]),
             grid=None if d.get("grid") is None else GridSpec.from_dict(d["grid"]),
             audit=None if d.get("audit") is None else AuditSpec.from_dict(d["audit"]),
-            seed=int(d.get("seed", 0)),
+            seed=_integer(d.get("seed", 0), "seed"),
             output=None if d.get("output") is None else str(d["output"]),
         )
 

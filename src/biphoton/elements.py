@@ -19,7 +19,7 @@ from .errors import (
     SamplingError,
     UnsupportedElementError,
 )
-from .grid import Grid1D, Grid2D, SampledField, unitary_fourier
+from .grid import Grid1D, Grid2D, SampledField, _spectral_axis, unitary_fourier
 
 
 # ---------------------------------------------------------------- element types
@@ -173,6 +173,19 @@ def _fourier_relay(field: SampledField, dist: float) -> SampledField:
                       field.wavelength)
 
 
+def _relay_along(amp: np.ndarray, grid: Grid1D, dist: float, wavelength: float,
+                 axis: int) -> tuple:
+    """The 1-D :func:`_fourier_relay` applied along one axis of ``amp``.
+
+    Every other axis is a batch axis; each 1-D slice goes through the same
+    arithmetic as the field path. Returns ``(amp_out, grid_out)``.
+    """
+    scale = dist * wavelength / (2 * np.pi)
+    out, dk = _spectral_axis(amp, grid.n, grid.dx, grid.center, axis, inverse=False)
+    out /= np.sqrt(scale)
+    return out, Grid1D(grid.n, dk * scale, 0.0)
+
+
 def apply_fourier_lens(field: SampledField, f: float) -> SampledField:
     """Transform from front to back focal plane of an ideal lens.
 
@@ -265,8 +278,13 @@ def apply_double_slit(field: SampledField, x1: float,
     """
     if not isinstance(field.grid, Grid1D):
         raise UnsupportedElementError("double slit acts on 1-D fields only")
+    return SampledField(field.grid, field.wavelength,
+                        field.amp * _double_slit_mask(field.grid, x1, slit_width))
+
+
+def _double_slit_mask(g: Grid1D, x1: float, slit_width: Optional[float]) -> np.ndarray:
+    """0/1 transmission of the double slit on the samples of ``g``."""
     DoubleSlit(x1, slit_width)  # parameter validation
-    g = field.grid
     mask = np.zeros(g.n)
     if slit_width is None:
         for pos in (x1, -x1):
@@ -277,7 +295,7 @@ def apply_double_slit(field: SampledField, x1: float,
         x = g.coords
         mask[np.abs(x - x1) <= slit_width / 2] = 1.0
         mask[np.abs(x + x1) <= slit_width / 2] = 1.0
-    return SampledField(g, field.wavelength, field.amp * mask)
+    return mask
 
 
 def apply_circular_aperture(field: SampledField, D: float) -> SampledField:
@@ -335,19 +353,34 @@ def pinhole_intensity(field: SampledField, radius: float = 0.0) -> float:
 
     radius 0 reads the single sample nearest the origin as ``|E(0)|^2``;
     a finite radius integrates ``|amp|^2 * cell`` over samples within it.
+
+    Raises
+    ------
+    DomainError
+        If the origin lies outside the field's grid.
     """
+    return float(_pinhole_readout(field.amp, field.grid, radius))
+
+
+def _pinhole_readout(amp: np.ndarray, grid, radius: float) -> np.ndarray:
+    """Pinhole reading over the trailing grid axes of ``amp``; leading axes batch."""
     if radius < 0:
         raise ConfigurationError(f"pinhole radius must be >= 0, got {radius}")
-    origin = 0.0 if isinstance(field.grid, Grid1D) else (0.0, 0.0)
+    origin = 0.0 if isinstance(grid, Grid1D) else (0.0, 0.0)
+    if not grid.contains(origin):
+        raise DomainError("pinhole at the origin lies outside the grid")
     if radius == 0.0:
-        if not field.grid.contains(origin):
-            return 0.0
-        return float(np.abs(field.amp[field.grid.index_of(origin)]) ** 2)
-    if isinstance(field.grid, Grid1D):
-        sel = np.abs(field.grid.coords) <= radius
+        idx = grid.index_of(origin)
+        picked = amp[(...,) + (idx if isinstance(idx, tuple) else (idx,))]
+        # Scalar ``** 2`` (libm pow) and array squaring can differ in the
+        # last bit; squaring each sample as a scalar keeps a batched reading
+        # equal to the single-field one.
+        return np.array([np.abs(z) ** 2 for z in picked.flat]).reshape(picked.shape)
+    if isinstance(grid, Grid1D):
+        sel = np.abs(grid.coords) <= radius
     else:
-        sel = field.grid.radius_sq() <= radius ** 2
-    return float(np.sum(np.abs(field.amp[sel]) ** 2) * field.grid.cell)
+        sel = grid.radius_sq() <= radius ** 2
+    return np.sum(np.abs(amp[..., sel]) ** 2, axis=-1) * grid.cell
 
 
 # ---------------------------------------------------------------- trains
@@ -379,6 +412,51 @@ def run_train(source: SampledField, train: OpticalTrain):
     for element in train.elements:
         out = apply_element(out, element)
     return out
+
+
+def run_train_batch(grid: Grid1D, wavelength: float, indices,
+                    train: OpticalTrain) -> np.ndarray:
+    """Pinhole readings of unit-power point sources on the samples ``indices``.
+
+    All sources run through the 1-D ``train`` as one ``(len(indices), n)``
+    array, each element acting along the last axis with the arithmetic of
+    the field path, so entry i equals ``run_train(point_source(grid,
+    grid.coords[indices[i]], 1.0, wavelength), train)``. The train may hold
+    relays, a double slit and SHG, and must end in a PinholeSample.
+
+    Raises
+    ------
+    DomainError
+        If an index is not a sample of ``grid`` or the pinhole misses the
+        final grid.
+    UnsupportedElementError
+        For an element without a batched 1-D form.
+    """
+    if not wavelength > 0:
+        raise ConfigurationError(f"wavelength must be > 0, got {wavelength}")
+    if not train.elements or not isinstance(train.elements[-1], PinholeSample):
+        raise ConfigurationError("a batched train must end in a PinholeSample")
+    indices = np.asarray(indices, dtype=np.intp)
+    if indices.ndim != 1 or np.any((indices < 0) | (indices >= grid.n)):
+        raise DomainError(f"source indices must be a 1-D list within [0, {grid.n})")
+    amp = np.zeros((len(indices), grid.n), dtype=np.complex128)
+    amp[np.arange(len(indices)), indices] = np.sqrt(1.0 / grid.cell)
+    for element in train.elements[:-1]:
+        if isinstance(element, FourierLens):
+            amp, grid = _relay_along(amp, grid, element.f, wavelength, axis=-1)
+        elif isinstance(element, FreeSpaceFourier):
+            amp, grid = _relay_along(amp, grid, element.L, wavelength, axis=-1)
+        elif isinstance(element, DoubleSlit):
+            amp *= _double_slit_mask(grid, element.x1, element.slit_width)
+        elif isinstance(element, SHG):
+            np.square(amp, out=amp)
+            wavelength = wavelength / 2
+        else:
+            raise UnsupportedElementError(
+                f"no batched 1-D form for {type(element).__name__}")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("field amplitudes must be finite (no NaN/Inf)")
+    return _pinhole_readout(amp, grid, train.elements[-1].radius)
 
 
 def reversed_young_train(f: float, x1: float, L1: float, L2: float, *,

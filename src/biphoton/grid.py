@@ -193,8 +193,11 @@ def _spectral_axis(amp: np.ndarray, n: int, d: float, center: float, axis: int,
         spec = np.fft.fftshift(np.fft.ifft(amp, axis=axis, norm="ortho"), axes=axis)
     shape = [1] * amp.ndim
     shape[axis] = n
-    out = spec * phase.reshape(shape) * np.sqrt(d / dk)
-    return out, dk
+    # fftshift returned a fresh array, so scaling it in place is safe and
+    # saves two array-sized temporaries.
+    spec *= phase.reshape(shape)
+    spec *= np.sqrt(d / dk)
+    return spec, dk
 
 
 def unitary_fourier(f: SampledField) -> SampledField:

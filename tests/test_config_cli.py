@@ -231,6 +231,33 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     assert "x1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("doc,field", [
+    (young_doc(sweep={"axis": "x0", "start": -4e-5, "stop": float("inf"), "count": 21}),
+     "sweep.stop"),
+    (young_doc(sweep={"axis": "x0", "start": -4e-5, "stop": 4e-5, "count": 2.9}),
+     "sweep.count"),
+    (young_doc(wavelength=float("nan")), "wavelength"),
+    (young_doc("forward", grid={"n": 512.5, "dx": 2e-5}), "grid.n"),
+    ({"experiment": "modes-audit", "mode": "forward",
+      "audit": {"n_modes": 4, "trials": 50.5}}, "audit.trials"),
+])
+def test_main_rejects_nonfinite_and_nonintegral(tmp_path, monkeypatch, capsys,
+                                                command, doc, field):
+    # Infinity used to run and write a NaN CSV; 2.9 used to become 2.
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, "bad.json", doc)
+    assert main([command, "--config", path]) == 2
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_integral_floats_are_accepted(tmp_path):
+    doc = young_doc(sweep={"axis": "x0", "start": -4e-5, "stop": 4e-5, "count": 21.0})
+    cfg = load_config(write_config(tmp_path, "a.json", doc))
+    assert cfg.sweep.count == 21 and isinstance(cfg.sweep.count, int)
+
+
 def test_main_missing_file_exit_2(capsys):
     assert main(["simulate", "--config", "/none/such.json"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -28,6 +28,7 @@ from biphoton.elements import (
     reversed_focus_train,
     reversed_young_train,
     run_train,
+    run_train_batch,
     shg,
     train_from_dict,
     train_from_json,
@@ -383,6 +384,16 @@ def test_pinhole_zero_field():
     f = SampledField(Grid1D(n=16, dx=1e-5), WL, np.zeros(16))
     assert pinhole_intensity(f, 0.0) == 0.0
     assert pinhole_intensity(f, 1.0) == 0.0
+
+
+def test_pinhole_off_grid_origin_raises():
+    g = Grid1D(n=16, dx=1e-5, center=1.0)
+    f = random_field(g, seed=17)
+    for radius in (0.0, 1e-4):
+        with pytest.raises(DomainError):
+            pinhole_intensity(f, radius)
+        with pytest.raises(DomainError):
+            run_train_batch(g, WL, [0, 5], OpticalTrain((PinholeSample(radius),)))
 
 
 def test_pinhole_radius_covering_grid_gives_power():

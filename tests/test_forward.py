@@ -11,15 +11,25 @@ from biphoton.elements import (
     FourierLens,
     FreeSpaceFourier,
     Magnifier,
+    OpticalTrain,
     PinholeSample,
     SHG,
     TwoFWithOffset,
     apply_fourier_lens,
     free_space_fourier,
     magnify,
+    reversed_young_train,
+    run_train,
+    run_train_batch,
     two_f_with_offset,
 )
-from biphoton.errors import GridMismatchError, SamplingError, UnsupportedElementError
+from biphoton.errors import (
+    ConfigurationError,
+    DomainError,
+    GridMismatchError,
+    SamplingError,
+    UnsupportedElementError,
+)
 from biphoton.forward import (
     SingleParticleKernel,
     TwoPhotonAmplitude,
@@ -30,7 +40,7 @@ from biphoton.forward import (
     kernel_of,
     spdc_initial,
 )
-from biphoton.grid import Grid1D, SampledField
+from biphoton.grid import Grid1D, SampledField, point_source
 
 WL = 780e-9
 F = 50e-3
@@ -247,6 +257,23 @@ def test_forward_young_doubling_x1_halves_period():
     assert abs(t1 - 2 * t2) < det1.dx
 
 
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("finite_slits", [False, True])
+def test_forward_young_matches_dense_kernel_chain(n, finite_slits):
+    # The axis-wise FFT relay against the O(n^3) K psi K^T oracle.
+    dx = 1e-5
+    g = Grid1D(n, dx)
+    p = YoungParams(x1=(n // 32) * dx, f=F, wavelength=WL)  # 8 samples per fringe
+    slit_width = p.x1 if finite_slits else None
+    det, curve = forward_young(p, g, slit_width)
+    state = spdc_initial(g)
+    state = evolve(state, kernel_of(DoubleSlit(p.x1, slit_width), g, WL))
+    state = evolve(state, kernel_of(FourierLens(p.f), g, WL))
+    dense = coincidence_diagonal(state)
+    assert det == state.grid
+    assert np.abs(curve - dense / dense.max()).max() <= 1e-13
+
+
 def test_forward_young_rejects_unresolved_fringe():
     dx = 1e-5
     g = Grid1D(256, dx)
@@ -290,9 +317,6 @@ def test_equivalence_does_not_depend_on_relay_lengths():
 def test_unnormalized_curves_match_up_to_single_constant():
     # Least-squares constant between raw coincidence rate and raw pinhole
     # intensity, over random slit separations and two unrelated grids.
-    from biphoton.elements import reversed_young_train, run_train
-    from biphoton.grid import point_source
-
     rng = np.random.default_rng(20240817)
     for n, dx in [(256, 1.1e-5), (384, 0.7e-5)]:
         g = Grid1D(n, dx)
@@ -309,3 +333,39 @@ def test_unnormalized_curves_match_up_to_single_constant():
                 for x0 in det.coords])
             c = np.dot(rate, inten) / np.dot(rate, rate)
             assert np.abs(inten - c * rate).max() <= 1e-6 * inten.max()
+
+
+@pytest.mark.parametrize("slit_cells,radius,shg,L1,L2", [
+    (None, 0.0, True, 0.25, 0.5),
+    (4, 0.0, True, 0.25, 0.5),
+    (None, 3e-4, True, 0.25, 0.5),
+    (4, 2e-4, True, 0.8, 0.15),
+    (None, 0.0, False, 0.8, 0.15),
+    (4, 0.0, False, 0.25, 0.5),
+])
+def test_batched_sweep_equals_looped_trains(slit_cells, radius, shg, L1, L2):
+    # Same arithmetic row by row, so the batch must agree bit for bit.
+    p, g = young_setup(n=256, x1_cells=8)
+    det = Grid1D(g.n, p.f * p.wavelength / (g.n * g.dx))
+    slit_width = None if slit_cells is None else slit_cells * g.dx
+    train = reversed_young_train(p.f, p.x1, L1, L2, slit_width=slit_width,
+                                 second_harmonic=shg, pinhole_radius=radius)
+    looped = np.array([run_train(point_source(det, x0, 1.0, WL), train)
+                       for x0 in det.coords])
+    batched = run_train_batch(det, WL, np.arange(det.n), train)
+    np.testing.assert_array_equal(batched, looped)
+    assert looped.max() > 0
+    # a subset in any order, with repeats, reads the same rows
+    idx = np.array([200, 3, 3, 128, 0])
+    np.testing.assert_array_equal(run_train_batch(det, WL, idx, train), looped[idx])
+
+
+def test_batched_train_rejects_what_it_cannot_run():
+    g = Grid1D(32, 1e-5)
+    with pytest.raises(UnsupportedElementError):
+        run_train_batch(g, WL, [0], OpticalTrain((Magnifier(2.0), PinholeSample())))
+    with pytest.raises(ConfigurationError):
+        run_train_batch(g, WL, [0], OpticalTrain((FourierLens(F),)))
+    for bad in ([-1], [32], [[0, 1]]):
+        with pytest.raises(DomainError):
+            run_train_batch(g, WL, bad, OpticalTrain((PinholeSample(),)))
