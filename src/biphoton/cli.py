@@ -32,7 +32,7 @@ from .config import validate as validate_config
 from .elements import (
     reversed_focus_train,
     reversed_young_train,
-    run_train,
+    run_train,  # noqa: F401  (re-exported: callers look it up here)
     run_train_batch,
 )
 from .errors import (
@@ -43,7 +43,7 @@ from .errors import (
     ShapeError,
 )
 from .forward import forward_vs_reversed_young, young_coincidence_at
-from .grid import Grid1D, Grid2D, point_source
+from .grid import Grid1D, Grid2D, point_source  # noqa: F401  (re-exported)
 from .modes import time_reversal_audit
 
 
@@ -162,15 +162,34 @@ def _run_young(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
 # ------------------------------------------------------------------- focus
 
 
-def _focus_reversed_point(cfg: ExperimentConfig, p: FocusParams, grid: Grid2D,
-                          r0: float, z0: float) -> float:
-    if not grid.contains((r0, 0.0)):
-        raise DomainError(
-            f"lateral offset {r0!r} m is outside the source grid")
-    iy, ix = grid.index_of((r0, 0.0))
-    pos = (grid.xs[ix], grid.ys[iy])
-    train = reversed_focus_train(p.f, p.D, z0, cfg.L1, cfg.L2)
-    return run_train(point_source(grid, pos, 1.0, p.wavelength), train)
+def _snap_to_sources(grid: Grid2D, points) -> tuple:
+    """Move each (r0, z0) point's r0 onto the nearest source sample.
+
+    Returns the snapped points and the ``(iy, ix)`` source index of each.
+    """
+    snapped, indices = [], []
+    for r0, z0 in points:
+        if not grid.contains((r0, 0.0)):
+            raise DomainError(
+                f"lateral offset {r0!r} m is outside the source grid")
+        iy, ix = grid.index_of((r0, 0.0))
+        snapped.append((float(grid.xs[ix]), z0))
+        indices.append((iy, ix))
+    return snapped, indices
+
+
+def _focus_reversed(cfg: ExperimentConfig, p: FocusParams, grid: Grid2D,
+                    points, indices) -> np.ndarray:
+    """Reversed-train reading at each point: one batched run per distinct z0."""
+    z0s = np.array([z0 for _, z0 in points])
+    indices = np.array(indices)
+    out = np.empty(len(points))
+    for z0 in np.unique(z0s):
+        rows = np.flatnonzero(z0s == z0)
+        sources, row = np.unique(indices[rows], axis=0, return_inverse=True)
+        train = reversed_focus_train(p.f, p.D, float(z0), cfg.L1, cfg.L2)
+        out[rows] = run_train_batch(grid, p.wavelength, sources, train)[row.ravel()]
+    return out
 
 
 def _run_focus(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
@@ -180,10 +199,6 @@ def _run_focus(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
     if cfg.sweep.second is not None:
         second = np.linspace(cfg.sweep.second.start, cfg.sweep.second.stop,
                              cfg.sweep.second.count)
-
-    grid = None
-    if cfg.mode in ("reversed", "compare"):
-        grid = Grid2D(cfg.grid.n, cfg.grid.n, cfg.grid.dx, cfg.grid.dx)
 
     def lattice():
         # (r0, z0) per output row; first axis is the slow (outer) one
@@ -197,6 +212,13 @@ def _run_focus(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
                     yield (a, b) if cfg.sweep.axis == "r0" else (b, a)
 
     points = list(lattice())
+    if cfg.mode in ("reversed", "compare"):
+        grid = Grid2D(cfg.grid.n, cfg.grid.n, cfg.grid.dx, cfg.grid.dx)
+        # every column is evaluated at the source sample the train runs from
+        points, indices = _snap_to_sources(grid, points)
+    if second is None:
+        coords = np.array([pt[0] if cfg.sweep.axis == "r0" else pt[1]
+                           for pt in points])
     columns: Dict[str, List[float]] = {}
     if cfg.mode in ("analytic", "compare"):
         columns["two_photon"] = [spot_offaxis_two_photon(r, z, p)
@@ -204,23 +226,20 @@ def _run_focus(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
         if second is None:
             # closed-form classical references exist on the axes only
             if cfg.sweep.axis == "r0" and cfg.z0 == 0.0:
-                columns["classical"] = list(spot_lateral(first, p, "classical"))
+                columns["classical"] = list(spot_lateral(coords, p, "classical"))
             elif cfg.sweep.axis == "z0":
                 columns["classical"] = [spot_axial(z, p, "classical")
                                         for _, z in points]
     if cfg.mode in ("reversed", "compare"):
-        columns["reversed"] = [_focus_reversed_point(cfg, p, grid, r, z)
-                               for r, z in points]
+        columns["reversed"] = _focus_reversed(cfg, p, grid, points, indices)
 
     columns = {k: np.asarray(v, dtype=float) for k, v in columns.items()}
     columns = _normalize(columns, raw)
     if second is None:
         coord_name = "r0_m" if cfg.sweep.axis == "r0" else "z0_m"
-        coords = first
         _write_csv(out, [coord_name] + list(columns),
                    zip(coords, *columns.values()))
     else:
-        coords = None
         _write_csv(out, ["r0_m", "z0_m"] + list(columns),
                    (tuple(pt) + row for pt, row in
                     zip(points, zip(*columns.values()))))

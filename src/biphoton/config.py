@@ -17,6 +17,9 @@ from .errors import ConfigurationError
 
 EXPERIMENTS = ("young", "focus", "modes-audit")
 MODES = ("forward", "reversed", "analytic", "compare")
+# Ceiling on the largest single array a run may allocate, checked by
+# ``validate`` so an oversized grid exits before anything is allocated.
+MAX_ARRAY_BYTES = 4 * 2 ** 30
 
 
 def _take(d: dict, context: str, required: Tuple[str, ...],
@@ -171,6 +174,19 @@ def _check_axis(diags: List[str], sweep: SweepSpec, allowed: Tuple[str, ...],
         diags.append(f"{prefix}.stop: must exceed {prefix}.start")
 
 
+def _largest_array_bytes(cfg: ExperimentConfig) -> int:
+    """Size of the largest complex128 array a grid run of ``cfg`` allocates.
+
+    The focus field, and the young pair state of ``compare``, are n x n; the
+    young forward and reversed sweeps hold one n-sample row per sweep point.
+    """
+    n = cfg.grid.n
+    rows = n if cfg.experiment == "focus" else cfg.sweep.count
+    if cfg.mode == "compare":
+        rows = max(rows, n)
+    return 16 * n * rows
+
+
 def validate(cfg: ExperimentConfig) -> List[str]:
     """All violated invariants, one string per problem; empty means runnable."""
     diags: List[str] = []
@@ -233,4 +249,9 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                 if spec is not None and spec.axis == "z0" and cfg.f is not None:
                     if max(abs(spec.start), abs(spec.stop)) >= cfg.f:
                         diags.append(f"{prefix}: |z0| values must stay below f")
+    if needs_grid and not diags:
+        size = _largest_array_bytes(cfg)
+        if size > MAX_ARRAY_BYTES:
+            diags.append(f"grid.n: {cfg.grid.n} needs a {size / 2 ** 30:.3g} GiB "
+                         f"array, above the {MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB limit")
     return diags

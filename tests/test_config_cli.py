@@ -95,6 +95,8 @@ def test_load_config_missing_file():
     (focus_doc(z0=0.06), "z0"),
     (young_doc(mode="reversed"), "grid"),
     (young_doc(x1=None), "x1"),
+    (focus_doc("compare", L1=0.25, L2=0.5, grid={"n": 65536, "dx": 1e-6}), "grid.n"),
+    (young_doc("compare", grid={"n": 32768, "dx": 2e-5}), "grid.n"),
 ])
 def test_validate_flags_field(doc, needle):
     doc = dict(doc)
@@ -106,6 +108,9 @@ def test_validate_flags_field(doc, needle):
 
 def test_validate_ok_is_empty():
     assert validate(ExperimentConfig.from_dict(focus_doc())) == []
+    # a forward young sweep holds one row per point, not the n x n pair state
+    big_n = young_doc("forward", grid={"n": 65536, "dx": 2e-5})
+    assert validate(ExperimentConfig.from_dict(big_n)) == []
 
 
 # --------------------------------------------------------------- CSV shape
@@ -192,6 +197,25 @@ def test_focus_compare_runs_trains(tmp_path, monkeypatch):
     assert set(rows.dtype.names) == {"r0_m", "two_photon", "classical", "reversed"}
 
 
+def test_focus_compare_snaps_r0_once(tmp_path, monkeypatch):
+    # 1 um steps on a 2 um source grid: the rows at r0 = +-1, +-3 um used to
+    # read the train at a neighbouring sample while the CSV and the analytic
+    # columns kept the requested r0 (max deviation 0.686).
+    monkeypatch.chdir(tmp_path)
+    grid = {"n": 256, "dx": 2e-6}
+    on_grid = run(ExperimentConfig.from_dict(
+        focus_doc("compare", L1=0.25, L2=0.5, grid=grid)), out="five.csv")
+    doc = focus_doc("compare", L1=0.25, L2=0.5, grid=grid,
+                    sweep={"axis": "r0", "start": -4e-6, "stop": 4e-6, "count": 9})
+    summary = run(ExperimentConfig.from_dict(doc), out="nine.csv")
+    assert on_grid["max_deviation"] <= 3.6e-5
+    assert summary["max_deviation"] == on_grid["max_deviation"]
+    rows = np.genfromtxt(tmp_path / "nine.csv", delimiter=",", names=True)
+    steps = rows["r0_m"] / 2e-6
+    np.testing.assert_allclose(steps, np.round(steps), atol=1e-9)
+    assert set(np.round(steps)) == {-2, -1, 0, 1, 2}
+
+
 def test_audit_experiment_writes_report(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     doc = {"experiment": "modes-audit", "mode": "forward",
@@ -256,6 +280,18 @@ def test_integral_floats_are_accepted(tmp_path):
     doc = young_doc(sweep={"axis": "x0", "start": -4e-5, "stop": 4e-5, "count": 21.0})
     cfg = load_config(write_config(tmp_path, "a.json", doc))
     assert cfg.sweep.count == 21 and isinstance(cfg.sweep.count, int)
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_main_rejects_grid_above_memory_ceiling(tmp_path, monkeypatch, capsys, command):
+    # a 65536^2 focus field is 64 GiB; validate used to print "ok"
+    monkeypatch.chdir(tmp_path)
+    doc = focus_doc("compare", L1=0.25, L2=0.5, grid={"n": 65536, "dx": 1e-6})
+    path = write_config(tmp_path, "big.json", doc)
+    assert main([command, "--config", path]) == 2
+    out = capsys.readouterr()
+    assert "GiB" in out.out + out.err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_main_missing_file_exit_2(capsys):

@@ -472,6 +472,48 @@ def test_reversed_young_without_shg_has_classical_period():
                                expected / expected.max(), atol=1e-10)
 
 
+FOCUS_SOURCES = [(64, 64), (64, 67), (64, 60), (66, 64), (61, 65)]
+
+
+@pytest.mark.parametrize("z,second_harmonic,radius,L1,L2,center", [
+    (0.0, True, 0.0, 0.25, 0.5, (0.0, 0.0)),
+    (2e-5, True, 0.0, 0.7, 1.1, (0.0, 0.0)),
+    (-3e-5, True, 0.0, 0.25, 0.5, (3e-6, -2e-6)),
+    (2e-5, False, 0.0, 0.25, 0.5, (0.0, 0.0)),
+    (-2e-5, True, 1.013e-3, 0.25, 0.5, (0.0, 0.0)),
+    (2e-5, False, 1.013e-3, 0.7, 1.1, (1e-6, 5e-6)),
+])
+def test_run_train_batch_2d_matches_looped_trains(z, second_harmonic, radius,
+                                                  L1, L2, center):
+    # The fused focus sweep against the field path, in raw readings
+    g = Grid2D(nx=128, ny=128, dx=1e-6, dy=1e-6, center=center)
+    train = reversed_focus_train(F, 12.7e-3, z, L1, L2, pinhole_radius=radius,
+                                 second_harmonic=second_harmonic)
+    got = run_train_batch(g, WL, FOCUS_SOURCES, train)
+    want = np.array([run_train(point_source(g, (g.xs[ix], g.ys[iy]), 1.0, WL), train)
+                     for iy, ix in FOCUS_SOURCES])
+    assert len(set(want)) == len(want)
+    assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+def test_run_train_batch_2d_guards():
+    g = Grid2D(nx=128, ny=128, dx=1e-6, dy=1e-6)
+    aliasing = reversed_focus_train(F, 12.7e-3, 1e-3, 0.25, 0.5)
+    with pytest.raises(SamplingError):
+        run_train(point_source(g, (0.0, 0.0), 1.0, WL), aliasing)
+    with pytest.raises(SamplingError):
+        run_train_batch(g, WL, [(64, 64)], aliasing)
+    train = reversed_focus_train(F, 12.7e-3, 2e-5, 0.25, 0.5)
+    for bad in ([(64, 128)], [(-1, 64)], [(128, 0)], [64, 64]):
+        with pytest.raises(DomainError):
+            run_train_batch(g, WL, bad, train)
+    forward_chirp = OpticalTrain((TwoFWithOffset(F, 2e-5),) + train.elements[1:])
+    for other in (reversed_young_train(F, 0.5e-3, L1=0.7, L2=1.1), forward_chirp,
+                  OpticalTrain(train.elements[:3] + train.elements[4:])):
+        with pytest.raises(UnsupportedElementError):
+            run_train_batch(g, WL, [(64, 64)], other)
+
+
 def test_train_json_round_trip():
     trains = [
         reversed_young_train(F, 0.5e-3, L1=0.7, L2=1.1, slit_width=60e-6),
