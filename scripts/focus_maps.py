@@ -90,9 +90,10 @@ def main() -> int:
     args = parser.parse_args()
 
     out = args.out or f"focus_{args.preset}.csv"
-    run(build_config(args), raw=args.raw, out=out)
+    summary = run(build_config(args), raw=args.raw, out=out)
     maybe_plot(out, args.preset, args.plot)
-    return 0
+    # compare: exit 3 like `biphoton simulate` when the deviation is too large
+    return 3 if summary.get("passed") is False else 0
 
 
 if __name__ == "__main__":

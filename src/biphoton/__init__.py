@@ -14,6 +14,7 @@ from .analytic import (
     DeltaComb,
     FocusParams,
     YoungParams,
+    disk_transform_table,
     focus_stage_field,
     fwhm,
     sinc,
@@ -125,7 +126,8 @@ __all__ = [
     "TwoPhotonAmplitude", "TwoPhotonCoeff", "UnsupportedElementError",
     "YoungParams", "apply_circular_aperture", "apply_double_slit",
     "apply_element", "apply_fourier_lens", "coincidence_diagonal",
-    "element_from_dict", "element_to_dict", "evolve", "focus_stage_field",
+    "disk_transform_table", "element_from_dict", "element_to_dict", "evolve",
+    "focus_stage_field",
     "forward_prob_general", "forward_prob_single", "forward_vs_reversed_young",
     "forward_young", "free_space_fourier", "fwhm", "inner_product",
     "inverse_unitary_fourier", "kernel_of", "load_config", "magnify",

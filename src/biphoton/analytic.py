@@ -115,6 +115,10 @@ def spot_axial(z0, p: FocusParams, kind: str):
 # ---------------------------------------------------------------- disk integral
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# Quadrature nodes per matrix-product block in disk_transform_table; a fixed
+# size bounds the block arrays at a few (rows + cols) * _TABLE_BLOCK floats,
+# whatever the number of panels.
+_TABLE_BLOCK = 128
 
 
 def uniform_disk_transform(b: float, c: float, R: float, *, rtol: float = 1e-9,
@@ -153,21 +157,97 @@ def uniform_disk_transform(b: float, c: float, R: float, *, rtol: float = 1e-9,
         f"within {max_panels} panels (b={b:.3g}, c={c:.3g}, R={R:.3g})")
 
 
-def spot_offaxis_two_photon(r0: float, z0: float, p: FocusParams, *,
-                            rtol: float = 1e-9, atol: float = 1e-9) -> float:
+def disk_transform_table(b, c, R: float, *, rtol: float = 1e-9, atol: float = 1e-9,
+                         max_panels: int = 65536) -> np.ndarray:
+    """``uniform_disk_transform`` at every pair (b[i], c[k]), as one table.
+
+    Returns the complex (len(b), len(c)) array of J. Each entry follows the
+    scalar rule: panels double from 256 and an entry is accepted at the
+    first level where it agrees with the previous one to atol + rtol*|J|.
+    The integrand separates, w t J0(b R t) depending only on b and
+    exp(-i c R^2 t^2) only on c, so one level of the pending rows and
+    columns is two real matrix products over the shared nodes, taken in
+    blocks of ``_TABLE_BLOCK`` nodes. Only rows and columns that still
+    hold a pending entry are evaluated at the next level.
+
+    Raises
+    ------
+    QuadratureError
+        If an entry is still pending after the ``max_panels`` level.
+    """
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    beta, gamma = b * R, c * R * R
+    J = np.empty((b.size, c.size), dtype=complex)
+    pending = np.ones(J.shape, dtype=bool)
+    prev = None
+    panels = 256
+    while panels <= max_panels and pending.any():
+        rows = np.flatnonzero(pending.any(axis=1))
+        cols = np.flatnonzero(pending.any(axis=0))
+        block = np.ix_(rows, cols)
+        val = _disk_panel_sums(beta[rows], gamma[cols], panels)
+        if prev is None:
+            prev = np.empty(J.shape, dtype=complex)
+        else:
+            done = pending[block] & (np.abs(val - prev[block])
+                                     <= atol + rtol * np.abs(val))
+            J[block] = np.where(done, val, J[block])
+            pending[block] &= ~done
+        prev[block] = val
+        panels *= 2
+    if pending.any():
+        i, k = np.argwhere(pending)[0]
+        raise QuadratureError(
+            f"disk transform did not converge below {atol:.1e}+{rtol:.1e}*|J| "
+            f"within {max_panels} panels (b={b[i]:.3g}, c={c[k]:.3g}, R={R:.3g})")
+    return J
+
+
+def _disk_panel_sums(beta: np.ndarray, gamma: np.ndarray, panels: int) -> np.ndarray:
+    """Composite Gauss-Legendre J on ``panels`` panels at every (beta, gamma) pair."""
+    half = 0.5 / panels
+    step = _TABLE_BLOCK // _GL_NODES.size          # panels per block
+    re = np.zeros((beta.size, gamma.size))
+    im = np.zeros((beta.size, gamma.size))
+    for first in range(0, panels, step):
+        centers = (2 * np.arange(first, min(first + step, panels)) + 1) * half
+        t = centers[:, None] + half * _GL_NODES[None, :]
+        weight = (2 * half * _GL_WEIGHTS * t).ravel()
+        radial = weight * j0(np.multiply.outer(beta, t.ravel()))
+        phase = np.multiply.outer((t * t).ravel(), gamma)
+        re += radial @ np.cos(phase)
+        im -= radial @ np.sin(phase, out=phase)
+    return re + 1j * im
+
+
+def spot_offaxis_two_photon(r0, z0, p: FocusParams, *, rtol: float = 1e-9,
+                            atol: float = 1e-9):
     """Pair-detection probability at lateral r0, axial z0 near the focus.
 
     (f+z0)^4 |J|^2 with the disk transform J taken at b = 4 pi|r0|/(f wl),
     c = 2 pi z0/(f^2 wl), R = D/2. Scaled so the on-axis focal value is f^4:
     r0 = 0 recovers spot_axial and z0 = 0 recovers f^4 * spot_lateral, both
     for the pair case.
+
+    ``r0`` and ``z0`` are scalars or arrays of one shape; a scalar pair
+    returns a float. J comes from one ``disk_transform_table`` over the
+    distinct |r0| and the distinct z0, so a lattice or a cut costs one
+    table of exactly the points it needs.
     """
-    if abs(z0) >= p.f:
+    r0 = np.asarray(r0, dtype=float)
+    z0 = np.asarray(z0, dtype=float)
+    if r0.shape != z0.shape:
+        raise ShapeError(f"r0 and z0 must have one shape, got {r0.shape} and {z0.shape}")
+    if np.any(np.abs(z0) >= p.f):
         raise DomainError(f"axial offset must satisfy |z0| < f = {p.f}")
-    b = 4 * np.pi * abs(r0) / (p.f * p.wavelength)
-    c = 2 * np.pi * z0 / (p.f**2 * p.wavelength)
-    J = uniform_disk_transform(b, c, p.D / 2, rtol=rtol, atol=atol)
-    return float((p.f + z0) ** 4 * abs(J) ** 2)
+    r_vals, r_row = np.unique(np.abs(r0).ravel(), return_inverse=True)
+    z_vals, z_col = np.unique(z0.ravel(), return_inverse=True)
+    b = 4 * np.pi * r_vals / (p.f * p.wavelength)
+    c = 2 * np.pi * z_vals / (p.f**2 * p.wavelength)
+    J = disk_transform_table(b, c, p.D / 2, rtol=rtol, atol=atol)
+    val = (p.f + z0) ** 4 * np.abs(J[r_row, z_col].reshape(z0.shape)) ** 2
+    return float(val) if val.ndim == 0 else val
 
 
 # ---------------------------------------------------------------- width estimate

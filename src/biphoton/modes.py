@@ -9,6 +9,7 @@ proportionality on random instances.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -189,6 +190,11 @@ class AuditReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+# Trials drawn and contracted together in time_reversal_audit; a fixed size
+# keeps the chunk arrays (chunk x n x n complex) small.
+_AUDIT_CHUNK = 32
+
+
 def time_reversal_audit(n: int, trials: int, seed: int,
                         tolerance: float = 1e-9) -> AuditReport:
     """Check forward_prob_general == 4 k^2 * reversed_intensity_conditional.
@@ -196,21 +202,87 @@ def time_reversal_audit(n: int, trials: int, seed: int,
     Each trial draws an independent random coefficient matrix and two random
     final modes from a per-trial spawn of the seed, so the trial loop could
     run in any order (or in parallel) with identical results.
+
+    Trials run in chunks of ``_AUDIT_CHUNK``; trial i still draws from the
+    i-th child of ``SeedSequence(seed).spawn(trials)``. Its single draw of
+    2n^2 + 4n normals is the stream ``_coeff_from_rng`` and two
+    ``_mode_from_rng`` calls consume, and every step repeats their
+    arithmetic and their checks, so each trial's values are bit-identical
+    to the scalar functions.
     """
     if n < 1:
         raise ConfigurationError(f"mode count must be >= 1, got {n}")
     if trials < 1:
         raise ConfigurationError(f"trial count must be >= 1, got {trials}")
     max_dev = 0.0
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        fc = _coeff_from_rng(n, rng)
-        f1 = _mode_from_rng(n, rng)
-        f2 = _mode_from_rng(n, rng)
-        fwd = forward_prob_general(fc, f1, f2)
-        scaled = 4 * norm_factor(f1, f2) ** 2 * reversed_intensity_conditional(fc, f1, f2)
+    for fwd, scaled in _audit_values(n, trials, seed):
         denom = max(fwd, scaled)
         if denom > 0:
             max_dev = max(max_dev, abs(fwd - scaled) / denom)
     return AuditReport(n_modes=n, trials=trials, seed=seed,
                        max_ratio_dev=max_dev, tolerance=tolerance)
+
+
+def _audit_values(n: int, trials: int, seed: int):
+    """Yield (forward, 4 k^2 * reversed) of every audit trial, in trial order."""
+    # Successive spawn() calls continue one child sequence, so spawning per
+    # chunk gives the children of spawn(trials) without holding them all.
+    parent = np.random.SeedSequence(seed)
+    for start in range(0, trials, _AUDIT_CHUNK):
+        children = parent.spawn(min(_AUDIT_CHUNK, trials - start))
+        draws = np.stack([np.random.default_rng(child).normal(size=2 * n * n + 4 * n)
+                          for child in children])
+        fc, f1, f2 = _draw_chunk(draws, n)
+        overlap = _contract(f1.conj(), fc, f2.conj())
+        reverse = _contract(f1, fc.conj(), f2)
+        vdot = (f1.conj()[:, None, :] @ f2[:, :, None])[:, 0, 0]
+        # Scalar tail in Python floats: numpy squares float64 scalars with pow
+        # and arrays with x*x, so array arithmetic would move the last bit.
+        for ov, rv, vd in zip(overlap.tolist(), reverse.tolist(), vdot.tolist()):
+            k = 1 / math.sqrt(1 + abs(vd) ** 2)
+            yield 4 * k**2 * abs(ov) ** 2, 4 * k**2 * abs(rv) ** 2
+
+
+def _draw_chunk(draws: np.ndarray, n: int):
+    """Coefficient matrices and two final modes per row of raw normal draws.
+
+    Row layout: Re g, Im g (n x n each), then Re/Im of each mode vector.
+    Raises the ``ValueError`` of ``TwoPhotonCoeff`` or ``FinalMode`` for
+    the first trial that fails their checks.
+    """
+    m, nn = draws.shape[0], n * n
+    g = draws[:, :nn].reshape(m, n, n) + 1j * draws[:, nn:2 * nn].reshape(m, n, n)
+    g = (g + g.transpose(0, 2, 1)) / 2
+    fc = g / np.sqrt(2 * _sum_sq(g))[:, None, None]
+    v = draws[:, 2 * nn:].reshape(m, 4, n)
+    v = v[:, 0::2] + 1j * v[:, 1::2]
+    psi = v / np.sqrt(_norm_sq(v))[..., None]
+
+    if not np.array_equal(fc, fc.transpose(0, 2, 1)):
+        raise ValueError("pair coefficients must be exchange-symmetric (f == f.T)")
+    total = 2 * _sum_sq(fc)
+    bad = np.flatnonzero(np.abs(total - 1) > 1e-12)
+    if bad.size:
+        raise ValueError(f"2*sum|f|^2 = {total[bad[0]]!r}, expected 1 within 1e-12")
+    norm = np.sqrt(_norm_sq(psi))
+    bad = np.argwhere(np.abs(norm - 1) > 1e-12)
+    if bad.size:
+        raise ValueError(f"mode function norm {norm[tuple(bad[0])]!r} "
+                         "is not 1 within 1e-12")
+    return fc, psi[:, 0], psi[:, 1]
+
+
+def _sum_sq(f: np.ndarray) -> np.ndarray:
+    """sum |f|^2 of each matrix in a stack, summed as ``np.sum`` sums one matrix."""
+    return np.sum(np.abs(f.reshape(f.shape[0], -1)) ** 2, axis=1)
+
+
+def _norm_sq(v: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each vector in a stack, as ``np.linalg.norm`` forms it."""
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _contract(u: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u @ f @ w per trial, as stacked matmuls (the scalar path's gemv, then dot)."""
+    return (u[:, None, :] @ f @ w[:, :, None])[:, 0, 0]

@@ -13,6 +13,7 @@ from biphoton.analytic import (
     DeltaComb,
     FocusParams,
     YoungParams,
+    disk_transform_table,
     focus_stage_field,
     fwhm,
     sinc,
@@ -253,6 +254,65 @@ def test_spot_offaxis_reduces_on_axes():
 def test_spot_offaxis_domain():
     with pytest.raises(DomainError):
         spot_offaxis_two_photon(0.0, FP.f, FP)
+    with pytest.raises(DomainError):
+        spot_offaxis_two_photon(np.zeros(3), np.array([0.0, 1e-5, -FP.f]), FP)
+    with pytest.raises(ShapeError):
+        spot_offaxis_two_photon(np.zeros(3), np.zeros(2), FP)
+
+
+# Table oracle: z0 of +-45 mm and 20 mm need 1024-4096 panels, the rest 512.
+DEEP_R0 = np.array([0.0, 0.8, -0.8, 2.4, 30.0]) * 1e-6
+DEEP_Z0 = np.array([-45e-3, -20e-6, 0.0, 40e-6, 20e-3, 45e-3])
+
+
+def looped_spot(r0s, z0s):
+    """spot_offaxis_two_photon point by point through the scalar transform."""
+    return np.array([(FP.f + z0) ** 4 * abs(uniform_disk_transform(
+        4 * np.pi * abs(r0) / (FP.f * WL), 2 * np.pi * z0 / (FP.f**2 * WL), FP.D / 2)) ** 2
+        for r0, z0 in zip(r0s, z0s)])
+
+
+def test_disk_table_matches_looped_scalar_transform():
+    b = 4 * np.pi * np.abs(DEEP_R0) / (FP.f * WL)
+    c = 2 * np.pi * DEEP_Z0 / (FP.f**2 * WL)
+    R = FP.D / 2
+    with pytest.raises(QuadratureError):  # the lattice reaches past 512 panels
+        uniform_disk_transform(b[0], c[-1], R, max_panels=512)
+    table = disk_transform_table(b, c, R)
+    ref = np.array([[uniform_disk_transform(bi, ck, R) for ck in c] for bi in b])
+    assert table.shape == (b.size, c.size)
+    assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("r0s,z0s", [
+    tuple(np.meshgrid(DEEP_R0, DEEP_Z0, indexing="ij")),          # lattice
+    (np.linspace(-3e-6, 3e-6, 13), np.full(13, 30e-6)),          # r0 cut
+    (np.zeros(9), np.linspace(-45e-3, 45e-3, 9)),                # z0 cut
+])
+def test_spot_offaxis_arrays_match_looped_scalar_path(r0s, z0s):
+    got = spot_offaxis_two_photon(r0s, z0s, FP)
+    ref = looped_spot(r0s.ravel(), z0s.ravel()).reshape(r0s.shape)
+    assert got.shape == r0s.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * ref.max()
+
+
+def test_spot_offaxis_even_in_r0_and_scalar_in_scalar_out():
+    r0s = np.array([0.8e-6, -0.8e-6, 2.4e-6, -2.4e-6])
+    got = spot_offaxis_two_photon(r0s, np.full(4, 30e-6), FP)
+    assert got[0] == got[1] and got[2] == got[3]
+    one = spot_offaxis_two_photon(-2.4e-6, 30e-6, FP)
+    assert isinstance(one, float)
+    assert abs(one - got[2]) <= 1e-12 * got[2]
+
+
+def test_disk_table_non_convergence():
+    with pytest.raises(QuadratureError, match="65536 panels"):
+        disk_transform_table([0.0, 1.0], [0.0, 1e9], 1.0)
+    # an entry needing 1024 panels fails when the table stops at 512
+    c = 2 * np.pi * 20e-3 / (FP.f**2 * WL)
+    with pytest.raises(QuadratureError, match="512 panels"):
+        disk_transform_table([0.0], [0.0, c], FP.D / 2, max_panels=512)
+    assert disk_transform_table([0.0], [0.0, c], FP.D / 2, max_panels=1024).shape == (1, 2)
 
 
 # ---------------------------------------------------------------- width estimate

@@ -3,13 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import biphoton.cli as cli
 from biphoton.analytic import YoungParams, young_two_photon
-from biphoton.cli import main, run
+from biphoton.cli import FOCUS_COMPARE_TOL, main, run
 from biphoton.config import ExperimentConfig, load_config, validate
 from biphoton.errors import ConfigurationError
 from biphoton.forward import forward_vs_reversed_young
 from biphoton.grid import Grid1D
+from biphoton.modes import AuditReport
 
 WL = 7.8e-7
 F = 0.05
@@ -216,6 +220,67 @@ def test_focus_compare_snaps_r0_once(tmp_path, monkeypatch):
     assert set(np.round(steps)) == {-2, -1, 0, 1, 2}
 
 
+def test_focus_fwhm_uses_distinct_snapped_r0(tmp_path, monkeypatch):
+    # the 9-point cut snaps to 5 distinct samples, each twice or more; fwhm
+    # needs increasing coordinates and used to come out null for every column
+    monkeypatch.chdir(tmp_path)
+    grid = {"n": 256, "dx": 2e-6}
+    five = run(ExperimentConfig.from_dict(
+        focus_doc("compare", L1=0.25, L2=0.5, grid=grid)), out="five.csv")
+    doc = focus_doc("compare", L1=0.25, L2=0.5, grid=grid,
+                    sweep={"axis": "r0", "start": -4e-6, "stop": 4e-6, "count": 9})
+    nine = run(ExperimentConfig.from_dict(doc), out="nine.csv")
+    assert set(nine["fwhm_m"]) == {"two_photon", "classical", "reversed"}
+    assert all(v is not None for v in nine["fwhm_m"].values())
+    assert nine["fwhm_m"] == five["fwhm_m"]
+    assert nine["peak_position_m"] == five["peak_position_m"]
+
+
+def test_focus_compare_exits_3_above_tolerance(tmp_path, monkeypatch, capsys):
+    # an 8x8, 1 um grid deviates by 4.6e-2 and used to exit 0
+    monkeypatch.chdir(tmp_path)
+    doc = focus_doc("compare", L1=0.25, L2=0.5, grid={"n": 8, "dx": 1e-6},
+                    sweep={"axis": "r0", "start": -2e-6, "stop": 2e-6, "count": 5})
+    path = write_config(tmp_path, "coarse.json", doc)
+    assert main(["simulate", "--config", path, "--out", "c.csv"]) == 3
+    assert "tolerance" in capsys.readouterr().err
+    rows = np.genfromtxt(tmp_path / "c.csv", delimiter=",", names=True)
+    assert rows.size == 5
+    summary = json.loads((tmp_path / "c.summary.json").read_text(encoding="utf-8"))
+    assert summary["max_deviation"] > FOCUS_COMPARE_TOL
+    assert summary["tolerance"] == FOCUS_COMPARE_TOL and summary["passed"] is False
+
+
+def test_focus_compare_within_tolerance_exits_0(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc = focus_doc("compare", L1=0.25, L2=0.5, grid={"n": 256, "dx": 2e-6})
+    path = write_config(tmp_path, "fine.json", doc)
+    assert main(["simulate", "--config", path, "--out", "f.csv"]) == 0
+    summary = json.loads((tmp_path / "f.summary.json").read_text(encoding="utf-8"))
+    assert summary["max_deviation"] <= 3.6e-5 and summary["passed"] is True
+
+
+def failing_audit(n, trials, seed):
+    return AuditReport(n_modes=n, trials=trials, seed=seed, max_ratio_dev=1e-3,
+                       tolerance=1e-9)
+
+
+def test_failed_audit_exits_3_after_writing_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "time_reversal_audit", failing_audit)
+    doc = {"experiment": "modes-audit", "mode": "forward",
+           "audit": {"n_modes": 4, "trials": 50}, "seed": 3}
+    path = write_config(tmp_path, "aud.json", doc)
+    assert main(["simulate", "--config", path, "--out", "aud.out.json"]) == 3
+    assert "FAILED" in capsys.readouterr().out
+    report = json.loads((tmp_path / "aud.out.json").read_text(encoding="utf-8"))
+    assert report["passed"] is False and report["max_ratio_dev"] == 1e-3
+
+    assert main(["audit", "--n", "4", "--trials", "50", "--out", "rep.json"]) == 3
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+    assert json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))["passed"] is False
+
+
 def test_audit_experiment_writes_report(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     doc = {"experiment": "modes-audit", "mode": "forward",
@@ -315,3 +380,45 @@ def test_main_audit_stdout_json(tmp_path, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True and report["trials"] == 40
     assert json.loads((tmp_path / "rep.json").read_text(encoding="utf-8")) == report
+
+
+# ------------------------------------------------------------ CLI property
+
+
+@st.composite
+def focus_sweep(draw, axis):
+    # z0 ranges reach past f = 50 mm; count 1 and an empty span break the schema
+    bound, widest = (8e-6, 8e-6) if axis == "r0" else (0.055, 0.02)
+    start = draw(st.floats(-bound, bound))
+    return {"axis": axis, "start": start,
+            "stop": start + draw(st.floats(0.0, widest)),
+            "count": draw(st.integers(1, 6))}
+
+
+@st.composite
+def small_focus_docs(draw):
+    axis = draw(st.sampled_from(["r0", "z0"]))
+    sweep = draw(focus_sweep(axis))
+    if draw(st.booleans()):
+        sweep["second"] = draw(focus_sweep("z0" if axis == "r0" else "r0"))
+    mode = draw(st.sampled_from(["analytic", "compare"]))
+    doc = focus_doc(mode, sweep=sweep, z0=draw(st.sampled_from([0.0, 0.0, 2e-5, 0.05])))
+    if mode == "compare":
+        doc.update(L1=0.25, L2=0.5,
+                   grid={"n": draw(st.sampled_from([8, 16, 32])),
+                         "dx": draw(st.sampled_from([5e-7, 1e-6, 2e-6]))})
+    return doc
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=small_focus_docs())
+def test_focus_cli_exits_0_2_or_3_and_writes_finite_csv(tmp_path, doc):
+    path = write_config(tmp_path, "fuzz.json", doc)
+    out = tmp_path / "fuzz.csv"
+    out.unlink(missing_ok=True)
+    code = main(["simulate", "--config", path, "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        rows = np.genfromtxt(out, delimiter=",", skip_header=1, ndmin=2)
+        assert rows.size > 0 and np.all(np.isfinite(rows))

@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 
 from biphoton.errors import ConfigurationError
 from biphoton.modes import (
+    _AUDIT_CHUNK,
     AuditReport,
     FinalMode,
     MixtureWeights,
     TwoPhotonCoeff,
+    _audit_values,
+    _coeff_from_rng,
+    _draw_chunk,
+    _mode_from_rng,
     forward_prob_general,
     forward_prob_single,
     mixed_reconstruction,
@@ -301,3 +306,64 @@ def test_audit_deterministic_and_serializable():
     assert AuditReport(**{k: d[k] for k in
                           ("n_modes", "trials", "seed", "max_ratio_dev", "tolerance")
                           }).passed == d["passed"]
+
+
+# ------------------------------------------------------- chunked audit oracle
+
+
+def scalar_trials(n, trials, seed):
+    """Per-trial (coefficients, modes, forward, scaled reversed) via the scalar API."""
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        fc = _coeff_from_rng(n, rng)
+        f1 = _mode_from_rng(n, rng)
+        f2 = _mode_from_rng(n, rng)
+        fwd = forward_prob_general(fc, f1, f2)
+        scaled = 4 * norm_factor(f1, f2) ** 2 * reversed_intensity_conditional(fc, f1, f2)
+        out.append((fc, f1, f2, fwd, scaled))
+    return out
+
+
+def looped_audit(n, trials, seed, tolerance=1e-9):
+    """The one-trial-at-a-time audit the chunked one replaces."""
+    max_dev = 0.0
+    for _, _, _, fwd, scaled in scalar_trials(n, trials, seed):
+        denom = max(fwd, scaled)
+        if denom > 0:
+            max_dev = max(max_dev, abs(fwd - scaled) / denom)
+    return AuditReport(n_modes=n, trials=trials, seed=seed,
+                       max_ratio_dev=max_dev, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("n,seed", [(1, 3), (2, 8), (16, 21)])
+def test_chunk_draws_bit_identical_to_scalar_draws(n, seed):
+    children = np.random.SeedSequence(seed).spawn(5)
+    draws = np.stack([np.random.default_rng(c).normal(size=2 * n * n + 4 * n)
+                      for c in children])
+    fc, f1, f2 = _draw_chunk(draws, n)
+    for i, (coeff, m1, m2, _, _) in enumerate(scalar_trials(n, 5, seed)):
+        assert np.array_equal(fc[i], coeff.f)
+        assert np.array_equal(f1[i], m1.psi)
+        assert np.array_equal(f2[i], m2.psi)
+
+
+def test_chunk_rejects_draws_the_dataclasses_reject():
+    # all-zero draws normalize to NaN, which the symmetry check refuses
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="exchange-symmetric"):
+        _draw_chunk(np.zeros((2, 2 * 9 + 4 * 3)), 3)
+
+
+@pytest.mark.parametrize("n,trials,seed", [(1, 40, 2), (4, 2 * _AUDIT_CHUNK + 7, 11),
+                                           (16, 50, 42)])
+def test_chunked_values_match_scalar_functions(n, trials, seed):
+    got = list(_audit_values(n, trials, seed))
+    want = [(fwd, scaled) for *_, fwd, scaled in scalar_trials(n, trials, seed)]
+    assert len(got) == trials
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n,trials,seed", [(1, 1, 0), (1, 45, 6), (3, 1, 9),
+                                           (5, _AUDIT_CHUNK + 1, 13), (16, 70, 4)])
+def test_chunked_audit_report_equals_looped(n, trials, seed):
+    assert time_reversal_audit(n, trials, seed) == looped_audit(n, trials, seed)
