@@ -9,6 +9,7 @@ Layers, roughly bottom to top:
 - ``modes``: discrete-mode detection probabilities and the randomized audit
 - ``config`` / ``cli``: JSON experiment configs and the ``biphoton`` command
 """
+import types
 
 from .analytic import (
     DeltaComb,
@@ -115,31 +116,6 @@ from .modes import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport", "AuditSpec", "CircularAperture", "ConfigurationError",
-    "DeltaComb", "DomainError", "DoubleSlit", "EquivalenceReport",
-    "ExperimentConfig", "FinalMode", "FocusParams", "FourierLens",
-    "FreeSpaceFourier", "Grid1D", "Grid2D", "GridMismatchError", "GridSpec",
-    "Magnifier", "MixtureWeights", "OpticalTrain", "PinholeSample",
-    "QuadratureError", "SHG", "SampledField", "SamplingError", "ShapeError",
-    "SingleParticleKernel", "SweepSpec", "TwoFWithOffset",
-    "TwoPhotonAmplitude", "TwoPhotonCoeff", "UnsupportedElementError",
-    "YoungParams", "apply_circular_aperture", "apply_double_slit",
-    "apply_element", "apply_fourier_lens", "coincidence_diagonal",
-    "disk_transform_table", "element_from_dict", "element_to_dict", "evolve",
-    "focus_stage_field",
-    "forward_prob_general", "forward_prob_single", "forward_vs_reversed_young",
-    "forward_young", "free_space_fourier", "fwhm", "inner_product",
-    "inverse_unitary_fourier", "kernel_of", "load_config", "magnify",
-    "mixed_reconstruction", "norm_factor", "pair_overlap", "pinhole_intensity",
-    "point_source", "power", "random_coeff", "random_mode",
-    "reversed_focus_train", "reversed_intensity_conditional",
-    "reversed_intensity_single", "reversed_young_train", "run_train",
-    "run_train_batch", "shg",
-    "sinc", "somb", "spdc_initial", "spot_axial", "spot_lateral",
-    "spot_offaxis_two_photon", "time_reversal_audit", "train_from_dict",
-    "train_from_json", "train_to_dict", "train_to_json", "two_f_with_offset",
-    "uniform_disk_transform", "unitary_fourier", "validate",
-    "young_classical", "young_coincidence_at", "young_stage_field",
-    "young_two_photon",
-]
+# The public names are exactly what the imports above bind.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

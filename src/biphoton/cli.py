@@ -129,7 +129,7 @@ def _run_young(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
         for xi in x:
             if not det.contains(xi):
                 raise DomainError(
-                    f"sweep point {xi!r} m is outside the reversed-train "
+                    f"sweep point {float(xi)!r} m is outside the reversed-train "
                     f"source grid (half-width {det.n * det.dx / 2:.3e} m)")
         idx = np.array([det.index_of(xi) for xi in x])
         sources, row = np.unique(idx, return_inverse=True)
@@ -177,7 +177,7 @@ def _snap_to_sources(grid: Grid2D, points) -> tuple:
     for r0, z0 in points:
         if not grid.contains((r0, 0.0)):
             raise DomainError(
-                f"lateral offset {r0!r} m is outside the source grid")
+                f"lateral offset {float(r0)!r} m is outside the source grid")
         iy, ix = grid.index_of((r0, 0.0))
         snapped.append((float(grid.xs[ix]), z0))
         indices.append((iy, ix))

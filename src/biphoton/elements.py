@@ -3,7 +3,9 @@
 All spectral stages (lens in 2-f configuration, long free-space path) are
 far-field transforms with the kernel ``exp(-i 2 pi x y / (dist wl))``; no
 general Fresnel propagator is provided. Elements are small frozen dataclasses
-so trains are immutable, comparable, and JSON-serializable.
+so trains are immutable, comparable, and JSON-serializable. Each dataclass
+holds its element's parameter rules; one table maps the class to its JSON tag
+and its field function, and drives ``apply_element`` and the JSON form.
 
 ``run_train`` applies a train to one field and is the reference.
 ``run_train_batch`` reads the pinhole for many point sources at once: on a
@@ -15,7 +17,9 @@ of the sweep peak.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -32,29 +36,56 @@ from .grid import Grid, Grid1D, Grid2D, SampledField, _spectral_axis, unitary_fo
 # ---------------------------------------------------------------- element types
 
 @dataclass(frozen=True)
-class FourierLens:
+class _Element:
+    """Rule shared by every element, checked before the class's ``_validate``.
+
+    A field with a bool default holds a bool; every other field holds a
+    finite real number, or None where None is its default.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, bool):
+                kind, ok = "a bool", isinstance(value, bool)
+            else:
+                kind = "a finite real number"
+                ok = (value is None and f.default is None) or (
+                    isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value))
+            if not ok:
+                raise ConfigurationError(
+                    f"{type(self).__name__}.{f.name} must be {kind}, got {value!r}")
+        self._validate()
+
+    def _validate(self):
+        """Rules of one element class; none by default."""
+
+
+@dataclass(frozen=True)
+class FourierLens(_Element):
     """Ideal lens of focal length ``f`` used in 2-f configuration."""
 
     f: float
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.f > 0:
             raise ConfigurationError(f"focal length must be > 0, got {self.f}")
 
 
 @dataclass(frozen=True)
-class FreeSpaceFourier:
+class FreeSpaceFourier(_Element):
     """Far-field (Fraunhofer) free-space path of length ``L``."""
 
     L: float
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.L > 0:
             raise ConfigurationError(f"propagation distance must be > 0, got {self.L}")
 
 
 @dataclass(frozen=True)
-class TwoFWithOffset:
+class TwoFWithOffset(_Element):
     """2-f stage whose far plane is displaced ``z`` from the focal plane.
 
     The kernel is the focal-plane transform with an extra quadratic (chirp)
@@ -68,13 +99,13 @@ class TwoFWithOffset:
     z: float
     transpose: bool = False
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.f > 0:
             raise ConfigurationError(f"focal length must be > 0, got {self.f}")
 
 
 @dataclass(frozen=True)
-class DoubleSlit:
+class DoubleSlit(_Element):
     """Binary mask with openings centered at +-x1.
 
     ``slit_width=None`` means one grid cell at apply time: each slit passes
@@ -84,7 +115,7 @@ class DoubleSlit:
     x1: float
     slit_width: Optional[float] = None
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.x1 > 0:
             raise ConfigurationError(f"slit offset must be > 0, got {self.x1}")
         if self.slit_width is not None:
@@ -97,39 +128,39 @@ class DoubleSlit:
 
 
 @dataclass(frozen=True)
-class CircularAperture:
+class CircularAperture(_Element):
     """Hard circular stop of diameter ``D``: transmits |r| <= D/2."""
 
     D: float
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.D > 0:
             raise ConfigurationError(f"aperture diameter must be > 0, got {self.D}")
 
 
 @dataclass(frozen=True)
-class Magnifier:
+class Magnifier(_Element):
     """Imaging stage of magnification ``M`` (negative M inverts the image)."""
 
     M: float
 
-    def __post_init__(self):
+    def _validate(self):
         if self.M == 0:
             raise ConfigurationError("magnification must be nonzero")
 
 
 @dataclass(frozen=True)
-class SHG:
+class SHG(_Element):
     """Thin-crystal second-harmonic stage: squares the field pointwise."""
 
 
 @dataclass(frozen=True)
-class PinholeSample:
+class PinholeSample(_Element):
     """Terminal intensity pickup at the origin; radius 0 reads one sample."""
 
     radius: float = 0.0
 
-    def __post_init__(self):
+    def _validate(self):
         if self.radius < 0:
             raise ConfigurationError(f"pinhole radius must be >= 0, got {self.radius}")
 
@@ -209,8 +240,7 @@ def apply_fourier_lens(field: SampledField, f: float) -> SampledField:
         Field on the zero-centered conjugate grid with spacing
         ``f*wl/(n*dx_in)`` per axis. Power is preserved exactly.
     """
-    if not f > 0:
-        raise ConfigurationError(f"focal length must be > 0, got {f}")
+    FourierLens(f)  # parameter validation
     return _fourier_relay(field, f)
 
 
@@ -220,20 +250,17 @@ def free_space_fourier(field: SampledField, L: float) -> SampledField:
     Valid in the Fraunhofer regime only (long L); this package never needs
     the general Fresnel form.
     """
-    if not L > 0:
-        raise ConfigurationError(f"propagation distance must be > 0, got {L}")
+    FreeSpaceFourier(L)  # parameter validation
     return _fourier_relay(field, L)
 
 
-def _coord_sq(grid) -> np.ndarray:
-    if isinstance(grid, Grid1D):
-        return grid.coords ** 2
-    return grid.radius_sq()
+def _offset_chirp(grid, z: float, f: float, wl: float,
+                  r2: Optional[np.ndarray] = None) -> np.ndarray:
+    """Offset chirp ``exp(-i pi z r^2/(f^2 wl))`` on ``grid``; ``r2`` if already held.
 
-
-def _check_chirp_sampling(grid, z: float, f: float, wl: float) -> None:
-    # Largest per-sample increment of pi*z*r^2/(f^2 wl); beyond pi the chirp
-    # aliases and the z-sweep silently folds back.
+    Raises SamplingError where the phase advances by more than pi per
+    sample: beyond pi the chirp aliases and the z-sweep silently folds back.
+    """
     axes = [(np.abs(grid.coords).max(), grid.dx)] if isinstance(grid, Grid1D) else \
            [(np.abs(grid.xs).max(), grid.dx), (np.abs(grid.ys).max(), grid.dy)]
     for rmax, step in axes:
@@ -242,6 +269,9 @@ def _check_chirp_sampling(grid, z: float, f: float, wl: float) -> None:
             raise SamplingError(
                 f"chirp phase step {inc:.3f} rad/sample exceeds pi; "
                 f"refine the grid or reduce |z|={abs(z):.3g}")
+    if r2 is None:
+        r2 = grid.coords ** 2 if isinstance(grid, Grid1D) else grid.radius_sq()
+    return np.exp(-1j * np.pi * z * r2 / (f ** 2 * wl))
 
 
 def two_f_with_offset(field: SampledField, f: float, z: float,
@@ -260,18 +290,15 @@ def two_f_with_offset(field: SampledField, f: float, z: float,
         If the chirp phase advances by more than pi per sample anywhere
         on the chirped plane (aliasing).
     """
-    if not f > 0:
-        raise ConfigurationError(f"focal length must be > 0, got {f}")
+    TwoFWithOffset(f, z, transpose)  # parameter validation
     wl = field.wavelength
     factor = 1 + z / f
     if not transpose:
-        _check_chirp_sampling(field.grid, z, f, wl)
-        chirp = np.exp(-1j * np.pi * z * _coord_sq(field.grid) / (f ** 2 * wl))
+        chirp = _offset_chirp(field.grid, z, f, wl)
         out = _fourier_relay(SampledField(field.grid, wl, field.amp * chirp), f)
         return SampledField(out.grid, wl, out.amp * factor)
     out = _fourier_relay(field, f)
-    _check_chirp_sampling(out.grid, z, f, wl)
-    chirp = np.exp(-1j * np.pi * z * _coord_sq(out.grid) / (f ** 2 * wl))
+    chirp = _offset_chirp(out.grid, z, f, wl)
     return SampledField(out.grid, wl, out.amp * factor * chirp)
 
 
@@ -309,8 +336,7 @@ def apply_circular_aperture(field: SampledField, D: float) -> SampledField:
     """Hard circular stop on a 2-D field: zero outside |r| <= D/2."""
     if not isinstance(field.grid, Grid2D):
         raise UnsupportedElementError("circular aperture acts on 2-D fields only")
-    if not D > 0:
-        raise ConfigurationError(f"aperture diameter must be > 0, got {D}")
+    CircularAperture(D)  # parameter validation
     mask = field.grid.radius_sq() <= (D / 2) ** 2
     return SampledField(field.grid, field.wavelength, field.amp * mask)
 
@@ -329,8 +355,7 @@ def magnify(field: SampledField, M: float) -> SampledField:
     Implemented as grid metadata: spacings scale by |M|, the center moves to
     M*center, and negative M reverses sample order about the center sample.
     """
-    if M == 0:
-        raise ConfigurationError("magnification must be nonzero")
+    Magnifier(M)  # parameter validation
     a = abs(M)
     amp = field.amp
     if isinstance(field.grid, Grid1D):
@@ -371,8 +396,7 @@ def pinhole_intensity(field: SampledField, radius: float = 0.0) -> float:
 
 def _pinhole_readout(amp: np.ndarray, grid, radius: float) -> np.ndarray:
     """Pinhole reading over the trailing grid axes of ``amp``; leading axes batch."""
-    if radius < 0:
-        raise ConfigurationError(f"pinhole radius must be >= 0, got {radius}")
+    PinholeSample(radius)  # parameter validation
     origin = 0.0 if isinstance(grid, Grid1D) else (0.0, 0.0)
     if not grid.contains(origin):
         raise DomainError("pinhole at the origin lies outside the grid")
@@ -390,27 +414,39 @@ def _pinhole_readout(amp: np.ndarray, grid, radius: float) -> np.ndarray:
     return np.sum(np.abs(amp[..., sel]) ** 2, axis=-1) * grid.cell
 
 
+# ---------------------------------------------------------------- element table
+
+# Element class -> (JSON tag, field function). A field function takes the
+# field, then the element's dataclass fields in their declared order.
+_TABLE = {
+    FourierLens: ("fourier_lens", apply_fourier_lens),
+    FreeSpaceFourier: ("free_space", free_space_fourier),
+    TwoFWithOffset: ("two_f_offset", two_f_with_offset),
+    DoubleSlit: ("double_slit", apply_double_slit),
+    CircularAperture: ("circular_aperture", apply_circular_aperture),
+    Magnifier: ("magnifier", magnify),
+    SHG: ("shg", shg),
+    PinholeSample: ("pinhole", pinhole_intensity),
+}
+_TAGS = {cls: tag for cls, (tag, _) in _TABLE.items()}
+_CLASSES = {tag: cls for cls, tag in _TAGS.items()}
+# Elements that are one far-field relay over their one length
+_RELAYS = (FourierLens, FreeSpaceFourier)
+
+
+def _params(element: OpticalElement) -> dict:
+    """The element's dataclass fields, name -> value, in declared order."""
+    return {f.name: getattr(element, f.name) for f in fields(element)}
+
+
 # ---------------------------------------------------------------- trains
 
 def apply_element(field: SampledField, element: OpticalElement):
     """Apply one element; returns a field, or a float for PinholeSample."""
-    if isinstance(element, FourierLens):
-        return apply_fourier_lens(field, element.f)
-    if isinstance(element, FreeSpaceFourier):
-        return free_space_fourier(field, element.L)
-    if isinstance(element, TwoFWithOffset):
-        return two_f_with_offset(field, element.f, element.z, element.transpose)
-    if isinstance(element, DoubleSlit):
-        return apply_double_slit(field, element.x1, element.slit_width)
-    if isinstance(element, CircularAperture):
-        return apply_circular_aperture(field, element.D)
-    if isinstance(element, Magnifier):
-        return magnify(field, element.M)
-    if isinstance(element, SHG):
-        return shg(field)
-    if isinstance(element, PinholeSample):
-        return pinhole_intensity(field, element.radius)
-    raise UnsupportedElementError(f"unknown element {element!r}")
+    if type(element) not in _TABLE:
+        raise UnsupportedElementError(f"unknown element {element!r}")
+    _, apply = _TABLE[type(element)]
+    return apply(field, *_params(element).values())
 
 
 def run_train(source: SampledField, train: OpticalTrain):
@@ -468,10 +504,9 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
     amp = np.zeros((len(indices), grid.n), dtype=np.complex128)
     amp[np.arange(len(indices)), indices] = np.sqrt(1.0 / grid.cell)
     for element in train.elements[:-1]:
-        if isinstance(element, FourierLens):
-            amp, grid = _relay_along(amp, grid, element.f, wavelength, axis=-1)
-        elif isinstance(element, FreeSpaceFourier):
-            amp, grid = _relay_along(amp, grid, element.L, wavelength, axis=-1)
+        if isinstance(element, _RELAYS):
+            (dist,) = _params(element).values()
+            amp, grid = _relay_along(amp, grid, dist, wavelength, axis=-1)
         elif isinstance(element, DoubleSlit):
             amp *= _double_slit_mask(grid, element.x1, element.slit_width)
         elif isinstance(element, SHG):
@@ -546,10 +581,9 @@ def _run_focus_batch(grid: Grid2D, wavelength: float, indices,
 
     f, z, wl = opening.f, opening.z, wavelength
     pupil = _relay_grid(grid, f, wl)
-    _check_chirp_sampling(pupil, z, f, wl)
-    image = _relay_grid(_relay_grid(pupil, path1.L, wl), lens.f, wl)
     r2 = pupil.radius_sq()
-    weight = np.exp(-1j * np.pi * z * r2 / (f ** 2 * wl))
+    weight = _offset_chirp(pupil, z, f, wl, r2)
+    image = _relay_grid(_relay_grid(pupil, path1.L, wl), lens.f, wl)
     weight *= (1 + z / f) * (path1.L / lens.f)
     weight *= r2 <= (aperture.D / 2) ** 2
     del r2
@@ -623,60 +657,25 @@ def reversed_focus_train(f: float, D: float, z: float, L1: float, L2: float, *,
 
 # ---------------------------------------------------------------- serialization
 
-_TAGS = {
-    FourierLens: "fourier_lens",
-    FreeSpaceFourier: "free_space",
-    TwoFWithOffset: "two_f_offset",
-    DoubleSlit: "double_slit",
-    CircularAperture: "circular_aperture",
-    Magnifier: "magnifier",
-    SHG: "shg",
-    PinholeSample: "pinhole",
-}
-
-
 def element_to_dict(element: OpticalElement) -> dict:
-    tag = _TAGS.get(type(element))
-    if tag is None:
+    """``{"type": <tag>}`` followed by every dataclass field, in declared order."""
+    if type(element) not in _TAGS:
         raise UnsupportedElementError(f"unknown element {element!r}")
-    d = {"type": tag}
-    if isinstance(element, FourierLens):
-        d["f"] = element.f
-    elif isinstance(element, FreeSpaceFourier):
-        d["L"] = element.L
-    elif isinstance(element, TwoFWithOffset):
-        d.update(f=element.f, z=element.z, transpose=element.transpose)
-    elif isinstance(element, DoubleSlit):
-        d.update(x1=element.x1, slit_width=element.slit_width)
-    elif isinstance(element, CircularAperture):
-        d["D"] = element.D
-    elif isinstance(element, Magnifier):
-        d["M"] = element.M
-    elif isinstance(element, PinholeSample):
-        d["radius"] = element.radius
-    return d
+    return {"type": _TAGS[type(element)], **_params(element)}
 
 
 def element_from_dict(d: dict) -> OpticalElement:
-    builders = {
-        "fourier_lens": lambda p: FourierLens(p["f"]),
-        "free_space": lambda p: FreeSpaceFourier(p["L"]),
-        "two_f_offset": lambda p: TwoFWithOffset(p["f"], p["z"],
-                                                 p.get("transpose", False)),
-        "double_slit": lambda p: DoubleSlit(p["x1"], p.get("slit_width")),
-        "circular_aperture": lambda p: CircularAperture(p["D"]),
-        "magnifier": lambda p: Magnifier(p["M"]),
-        "shg": lambda p: SHG(),
-        "pinhole": lambda p: PinholeSample(p.get("radius", 0.0)),
-    }
+    """Inverse of :func:`element_to_dict`; a field with a default may be left out."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"train element must be a JSON object, got {d!r}")
+    tag = d.get("type")
+    cls = _CLASSES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ConfigurationError(f"unknown element type {tag!r}")
     try:
-        build = builders[d["type"]]
-    except KeyError as exc:
-        raise ConfigurationError(f"unknown element type {d.get('type')!r}") from exc
-    try:
-        return build(d)
-    except KeyError as exc:
-        raise ConfigurationError(f"element {d['type']!r} missing field {exc}") from exc
+        return cls(**{k: v for k, v in d.items() if k != "type"})
+    except TypeError as exc:  # the constructor's report of an unknown or missing key
+        raise ConfigurationError(f"element {tag!r}: {exc}") from exc
 
 
 def train_to_dict(train: OpticalTrain) -> dict:
@@ -684,7 +683,7 @@ def train_to_dict(train: OpticalTrain) -> dict:
 
 
 def train_from_dict(d: dict) -> OpticalTrain:
-    if "elements" not in d:
+    if not isinstance(d, dict) or not isinstance(d.get("elements"), list):
         raise ConfigurationError("train description needs an 'elements' list")
     return OpticalTrain(tuple(element_from_dict(e) for e in d["elements"]))
 

@@ -21,15 +21,15 @@ import numpy as np
 
 from .analytic import YoungParams
 from .elements import (
+    _RELAYS,
     DoubleSlit,
-    FourierLens,
-    FreeSpaceFourier,
     Magnifier,
     OpticalElement,
     TwoFWithOffset,
-    _check_chirp_sampling,
     _double_slit_mask,
     _flip_index,
+    _offset_chirp,
+    _params,
     _relay_along,
     reversed_young_train,
     run_train,  # noqa: F401  (re-exported: callers look it up here)
@@ -113,24 +113,18 @@ def kernel_of(element: OpticalElement, grid: Grid1D,
     elements (SHG, PinholeSample) and inherently 2-D ones have no 1-D
     matrix and are rejected.
     """
-    if isinstance(element, FourierLens):
-        grid_out, K = _relay_kernel(grid, element.f, wavelength)
-        return SingleParticleKernel(grid, grid_out, K)
-    if isinstance(element, FreeSpaceFourier):
-        grid_out, K = _relay_kernel(grid, element.L, wavelength)
+    if isinstance(element, _RELAYS):
+        (dist,) = _params(element).values()
+        grid_out, K = _relay_kernel(grid, dist, wavelength)
         return SingleParticleKernel(grid, grid_out, K)
     if isinstance(element, TwoFWithOffset):
         f, z = element.f, element.z
         factor = 1 + z / f
         grid_out, K = _relay_kernel(grid, f, wavelength)
         if not element.transpose:
-            _check_chirp_sampling(grid, z, f, wavelength)
-            chirp = np.exp(-1j * np.pi * z * grid.coords**2 / (f**2 * wavelength))
-            K = K * (factor * chirp)[None, :]
+            K = K * (factor * _offset_chirp(grid, z, f, wavelength))[None, :]
         else:
-            _check_chirp_sampling(grid_out, z, f, wavelength)
-            chirp = np.exp(-1j * np.pi * z * grid_out.coords**2 / (f**2 * wavelength))
-            K = (factor * chirp)[:, None] * K
+            K = (factor * _offset_chirp(grid_out, z, f, wavelength))[:, None] * K
         return SingleParticleKernel(grid, grid_out, K)
     if isinstance(element, DoubleSlit):
         mask = _double_slit_mask(grid, element.x1, element.slit_width)

@@ -359,6 +359,23 @@ def test_main_rejects_grid_above_memory_ceiling(tmp_path, monkeypatch, capsys, c
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("doc,message", [
+    (young_doc("reversed", sweep={"axis": "x0", "start": -1.0, "stop": 1.0, "count": 3}),
+     "sweep point -1.0 m"),
+    (focus_doc("compare", L1=0.25, L2=0.5, grid={"n": 4, "dx": 1e-6}),
+     "lateral offset -4e-06 m"),
+])
+def test_main_out_of_grid_message_prints_plain_floats(tmp_path, monkeypatch, capsys,
+                                                      doc, message):
+    # numpy scalars used to print as "np.float64(-1.0)"
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, "off.json", doc)
+    assert main(["simulate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "np.float64" not in err
+
+
 def test_main_missing_file_exit_2(capsys):
     assert main(["simulate", "--config", "/none/such.json"]) == 2
     assert "cannot read" in capsys.readouterr().err

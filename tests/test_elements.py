@@ -4,11 +4,15 @@ Spectral stages are checked against direct O(n^2) quadrature of the
 ``exp(-i 2 pi x y/(dist wl))`` kernel; the offset 2-f stage against the
 closed-form axial/lateral profiles of a uniformly lit disk.
 """
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import j1
 
+import biphoton.elements as elements
 from biphoton.elements import (
     CircularAperture,
     DoubleSlit,
@@ -22,6 +26,8 @@ from biphoton.elements import (
     apply_circular_aperture,
     apply_double_slit,
     apply_fourier_lens,
+    element_from_dict,
+    element_to_dict,
     free_space_fourier,
     magnify,
     pinhole_intensity,
@@ -539,3 +545,165 @@ def test_train_json_is_loadable_text():
     text = train_to_json(reversed_focus_train(F, 12.7e-3, z=0.0, L1=0.7, L2=1.1))
     assert '"two_f_offset"' in text
     assert '"transpose": true' in text
+
+
+# ---------------------------------------------------------------- element table
+
+# train_to_json text of every element type. Saved trains are read back by
+# tag and field name, so this text must stay byte for byte.
+GOLDEN_TRAIN_JSON = """{
+  "elements": [
+    {
+      "type": "fourier_lens",
+      "f": 0.05
+    },
+    {
+      "type": "double_slit",
+      "x1": 0.0005,
+      "slit_width": null
+    },
+    {
+      "type": "double_slit",
+      "x1": 0.0005,
+      "slit_width": 6e-05
+    },
+    {
+      "type": "free_space",
+      "L": 0.7
+    },
+    {
+      "type": "two_f_offset",
+      "f": 0.05,
+      "z": -2e-05,
+      "transpose": true
+    },
+    {
+      "type": "circular_aperture",
+      "D": 0.0127
+    },
+    {
+      "type": "magnifier",
+      "M": -2.0
+    },
+    {
+      "type": "shg"
+    },
+    {
+      "type": "pinhole",
+      "radius": 0.0
+    }
+  ]
+}"""
+
+EVERY_ELEMENT = (FourierLens(F), DoubleSlit(0.5e-3), DoubleSlit(0.5e-3, 60e-6),
+                 FreeSpaceFourier(0.7), TwoFWithOffset(F, -2e-5, transpose=True),
+                 CircularAperture(12.7e-3), Magnifier(-2.0), SHG(), PinholeSample())
+
+
+def test_train_json_text_is_pinned():
+    assert {type(e) for e in EVERY_ELEMENT} == set(elements._TAGS)
+    assert train_to_json(OpticalTrain(EVERY_ELEMENT)) == GOLDEN_TRAIN_JSON
+
+
+@pytest.mark.parametrize("element", [
+    FourierLens(F), FreeSpaceFourier(0.7), TwoFWithOffset(F, 2e-5),
+    TwoFWithOffset(F, -2e-5, transpose=True), DoubleSlit(0.5e-3),
+    DoubleSlit(0.5e-3, slit_width=60e-6), CircularAperture(12.7e-3),
+    Magnifier(-2.0), SHG(), PinholeSample(), PinholeSample(1e-4),
+], ids=repr)
+def test_element_dict_round_trip(element):
+    d = element_to_dict(element)
+    assert d["type"] == elements._TAGS[type(element)]
+    assert element_from_dict(d) == element
+
+
+def test_element_dict_optional_fields_default():
+    assert element_from_dict({"type": "double_slit", "x1": 1e-3}) == DoubleSlit(1e-3)
+    assert element_from_dict({"type": "pinhole"}) == PinholeSample(0.0)
+    assert element_from_dict({"type": "two_f_offset", "f": F, "z": 0.0}) == \
+        TwoFWithOffset(F, 0.0, transpose=False)
+
+
+@pytest.mark.parametrize("doc", [
+    {"elements": ["abc"]},
+    {"elements": 5},
+    {"elements": [{"type": "fourier_lens", "f": "abc"}]},
+    {"elements": [{"type": "pinhole", "radus": 1e-3}]},
+    {"elements": [{"type": "two_f_offset", "f": F, "z": 0.0, "transpose": "no"}]},
+    {"elements": [{"type": ["fourier_lens"], "f": F}]},
+    {"elements": [{"type": "fourier_lens", "f": True}]},
+    {"elements": [{"type": "double_slit", "x1": None}]},
+    ["elements"],
+], ids=repr)
+def test_train_from_dict_raises_configuration_error(doc):
+    # each of these used to raise TypeError or build a wrong element
+    with pytest.raises(ConfigurationError):
+        train_from_dict(doc)
+
+
+@pytest.mark.parametrize("cls,args", [
+    (FourierLens, (np.inf,)),
+    (FreeSpaceFourier, (np.nan,)),
+    (Magnifier, (np.nan,)),
+    (TwoFWithOffset, (F, np.nan)),
+    (TwoFWithOffset, (np.inf, 0.0)),
+    (DoubleSlit, (0.5e-3, np.inf)),
+    (PinholeSample, (np.nan,)),
+    (CircularAperture, (np.inf,)),
+])
+def test_elements_reject_nonfinite_parameters(cls, args):
+    with pytest.raises(ConfigurationError, match="finite"):
+        cls(*args)
+
+
+def test_train_json_rejects_infinity():
+    # FourierLens(inf) used to load and run to an all-zero field on a dx=inf grid
+    text = train_to_json(OpticalTrain((FourierLens(F),))).replace("0.05", "Infinity")
+    with pytest.raises(ConfigurationError, match="finite"):
+        train_from_json(text)
+
+
+def test_field_functions_share_the_element_rules():
+    f1 = random_field(Grid1D(n=64, dx=1e-5), seed=30)
+    f2 = random_field(Grid2D(nx=16, ny=16, dx=1e-5, dy=1e-5), seed=31)
+    calls = [
+        lambda: apply_fourier_lens(f1, np.inf),
+        lambda: free_space_fourier(f1, np.nan),
+        lambda: two_f_with_offset(f1, F, np.nan),
+        lambda: two_f_with_offset(f1, F, 0.0, transpose="no"),
+        lambda: apply_double_slit(f1, np.inf),
+        lambda: apply_circular_aperture(f2, np.inf),
+        lambda: magnify(f1, np.nan),
+        lambda: pinhole_intensity(f1, np.nan),
+        lambda: apply_fourier_lens(f1, -F),
+        lambda: magnify(f1, 0.0),
+        lambda: pinhole_intensity(f1, -1e-6),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError):
+            call()
+
+
+def test_benchmark_tracer_hooks_into_elements():
+    # The benchmark wraps these names from outside the package; a rename
+    # would otherwise surface only in its smoke run.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from tracer import Tracer
+    finally:
+        sys.path.pop(0)
+    original = elements.apply_element
+    assert all(isinstance(tag, str) for tag in elements._TAGS.values())
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert elements.apply_element is not original
+        out = run_train(point_source(Grid1D(n=64, dx=1e-5), 0.0, 1.0, WL),
+                        OpticalTrain((FourierLens(F), SHG(), PinholeSample())))
+        assert out > 0
+        assert {span[0] for span in tracer.spans} >= {
+            "elements.apply.fourier_lens", "elements.apply.shg",
+            "elements.apply.pinhole"}
+    finally:
+        tracer.uninstall()
+    assert elements.apply_element is original
