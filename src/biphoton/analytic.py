@@ -11,9 +11,23 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .errors import ConfigurationError, DomainError, QuadratureError, ShapeError
+
+
+# scipy.special is imported on the first Bessel call, not with the package:
+# the import takes about 0.3 s and the Young and reversed paths, the audit
+# and config validation never evaluate a Bessel function.
+def j0(x):
+    """Bessel function J0 (``scipy.special.j0``)."""
+    from scipy.special import j0 as _j0
+    return _j0(x)
+
+
+def j1(x):
+    """Bessel function J1 (``scipy.special.j1``)."""
+    from scipy.special import j1 as _j1
+    return _j1(x)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
 """Experiment configuration: JSON schema, loading, and validation.
 
 All lengths in the config file are in meters. Loading rejects a value that
-is not a number of the right kind (a non-finite float, a non-integral count)
-with a ConfigurationError naming the field. Validation never raises on a bad
-value; it returns a list of human-readable diagnostics naming the field, so a
-config can be checked as a whole before anything runs.
+is not a number of the right kind (a string, a bool, a list, a non-finite
+float, a non-integral count) with a ConfigurationError naming the field.
+Validation never raises on a bad value; it returns a list of human-readable
+diagnostics naming the field, so a config can be checked as a whole before
+anything runs.
 """
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -36,16 +38,21 @@ def _take(d: dict, context: str, required: Tuple[str, ...],
 
 
 def _finite(value, field: str) -> float:
-    x = float(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{field}: must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ConfigurationError(f"{field}: must be finite, got {value!r}")
     return x
 
 
 def _integer(value, field: str) -> int:
-    if isinstance(value, int):
-        return int(value)
     x = _finite(value, field)
+    if isinstance(value, int):
+        return value
     if not x.is_integer():
         raise ConfigurationError(f"{field}: must be an integer, got {value!r}")
     return int(x)
@@ -174,17 +181,18 @@ def _check_axis(diags: List[str], sweep: SweepSpec, allowed: Tuple[str, ...],
         diags.append(f"{prefix}.stop: must exceed {prefix}.start")
 
 
-def _largest_array_bytes(cfg: ExperimentConfig) -> int:
+def _largest_array_bytes(cfg: ExperimentConfig) -> float:
     """Size of the largest complex128 array a grid run of ``cfg`` allocates.
 
     The focus field, and the young pair state of ``compare``, are n x n; the
     young forward and reversed sweeps hold one n-sample row per sweep point.
+    A float, so a size beyond the float range reads inf instead of raising.
     """
     n = cfg.grid.n
     rows = n if cfg.experiment == "focus" else cfg.sweep.count
     if cfg.mode == "compare":
         rows = max(rows, n)
-    return 16 * n * rows
+    return 16.0 * n * rows
 
 
 def validate(cfg: ExperimentConfig) -> List[str]:

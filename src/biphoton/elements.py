@@ -16,11 +16,14 @@ of the sweep peak.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -191,37 +194,77 @@ class OpticalTrain:
 
 # ---------------------------------------------------------------- propagation
 
-def _relabeled(spec: SampledField, scale: float, wavelength: float) -> SampledField:
-    """Rescale a spectral-domain field's grid by ``scale`` meters per rad/m."""
-    if isinstance(spec.grid, Grid1D):
-        g = Grid1D(spec.grid.n, spec.grid.dx * scale, 0.0)
-        return SampledField(g, wavelength, spec.amp / np.sqrt(scale))
-    g = Grid2D(spec.grid.nx, spec.grid.ny, spec.grid.dx * scale,
-               spec.grid.dy * scale, (0.0, 0.0))
-    return SampledField(g, wavelength, spec.amp / scale)
-
-
 def _fourier_relay(field: SampledField, dist: float) -> SampledField:
     """Far-field transform to the plane at ``dist``: x_out = k * dist * wl / (2 pi).
 
     Output sample x picks up the input's spatial frequency 2 pi x/(dist wl);
     the grid rescale keeps power exact, so dx_out = dist*wl/(n*dx_in).
     """
-    return _relabeled(unitary_fourier(field), dist * field.wavelength / (2 * np.pi),
-                      field.wavelength)
+    wl = field.wavelength
+    if isinstance(field.grid, Grid1D):
+        amp, grid = _relay_along(field.amp, field.grid, dist, wl, axis=0)
+        return SampledField(grid, wl, amp)
+    scale = dist * wl / (2 * np.pi)
+    spec = unitary_fourier(field)
+    g = Grid2D(spec.grid.nx, spec.grid.ny, spec.grid.dx * scale,
+               spec.grid.dy * scale, (0.0, 0.0))
+    return SampledField(g, wl, spec.amp / scale)
 
 
 def _relay_along(amp: np.ndarray, grid: Grid1D, dist: float, wavelength: float,
-                 axis: int) -> tuple:
-    """The 1-D :func:`_fourier_relay` applied along one axis of ``amp``.
+                 axis: int, out: Optional[np.ndarray] = None) -> tuple:
+    """The 1-D far-field relay applied along one axis of ``amp``.
 
-    Every other axis is a batch axis; each 1-D slice goes through the same
-    arithmetic as the field path. Returns ``(amp_out, grid_out)``.
+    Every other axis is a batch axis. The 1-D field path runs through here
+    too, so each 1-D slice gets the same arithmetic as a single field.
+    Returns ``(amp_out, grid_out)``; ``out`` as in :func:`_spectral_axis`.
     """
     scale = dist * wavelength / (2 * np.pi)
-    out, dk = _spectral_axis(amp, grid.n, grid.dx, grid.center, axis, inverse=False)
-    out /= np.sqrt(scale)
+    out, dk = _spectral_axis(amp, grid.n, grid.dx, grid.center, axis, inverse=False,
+                             gain=1 / np.sqrt(scale), out=out)
     return out, Grid1D(grid.n, dk * scale, 0.0)
+
+
+# Rows per chunk of a batched 1-D run (and block size of the pair-state
+# symmetrization in ``forward``). At n=2048, 128 rows are 4 MiB of
+# complex128, so each stage of a chunk reads data the previous stage left in
+# cache instead of streaming a 64 MiB array; 64 to 256 rows time alike on a
+# 2-core host.
+_CHUNK_ROWS = 128
+
+
+def _workers() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=1)
+def _row_pool(pid: int, workers: int) -> ThreadPoolExecutor:
+    """The pool of :func:`_map_row_chunks`, made on first use and kept.
+
+    Threads made per call left each run's buffers in a new malloc arena,
+    which made peak RSS drift by 10% from run to run. The key holds the pid
+    because a pool's threads do not survive a fork; a forked child or a new
+    CPU count gets a new pool, and the evicted one's idle threads exit when
+    it is collected.
+    """
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+def _map_row_chunks(fn: Callable[[slice], object], n_rows: int) -> list:
+    """``[fn(rows) ...]`` over consecutive ``_CHUNK_ROWS``-row slices, in order.
+
+    The chunks run on a shared pool of one thread per usable CPU; numpy's
+    FFT and ufuncs release the GIL, so they run in parallel. ``fn`` must not
+    itself call this function. An exception in any chunk re-raises here.
+    Zero rows still make one empty chunk.
+    """
+    chunks = [slice(i, min(i + _CHUNK_ROWS, n_rows))
+              for i in range(0, max(n_rows, 1), _CHUNK_ROWS)]
+    return list(_row_pool(os.getpid(), _workers()).map(fn, chunks))
 
 
 def apply_fourier_lens(field: SampledField, f: float) -> SampledField:
@@ -469,11 +512,13 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
     Entry i stands for ``run_train(point_source(grid, <sample indices[i]>,
     1.0, wavelength), train)``.
 
-    On a :class:`Grid1D`, ``indices`` lists sample indices. All sources run
-    through the train as one ``(len(indices), n)`` array, each element acting
-    along the last axis with the arithmetic of the field path, so the result
-    is bit-identical to the looped trains. The train may hold relays, a
-    double slit and SHG, and must end in a PinholeSample.
+    On a :class:`Grid1D`, ``indices`` lists sample indices. The sources run
+    through the train as ``(rows, n)`` arrays of ``_CHUNK_ROWS`` rows, one
+    thread per usable CPU, each element acting along the last axis with the
+    arithmetic of the field path. Rows do not interact, so the result is
+    bit-identical to the looped trains for any chunking and thread count.
+    The train may hold relays, a double slit and SHG, and must end in a
+    PinholeSample.
 
     On a :class:`Grid2D`, ``indices`` lists ``(iy, ix)`` rows and the train
     must have the shape :func:`reversed_focus_train` builds (any ``z``, SHG
@@ -501,22 +546,28 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
     indices = np.asarray(indices, dtype=np.intp)
     if indices.ndim != 1 or np.any((indices < 0) | (indices >= grid.n)):
         raise DomainError(f"source indices must be a 1-D list within [0, {grid.n})")
-    amp = np.zeros((len(indices), grid.n), dtype=np.complex128)
-    amp[np.arange(len(indices)), indices] = np.sqrt(1.0 / grid.cell)
-    for element in train.elements[:-1]:
-        if isinstance(element, _RELAYS):
-            (dist,) = _params(element).values()
-            amp, grid = _relay_along(amp, grid, dist, wavelength, axis=-1)
-        elif isinstance(element, DoubleSlit):
-            amp *= _double_slit_mask(grid, element.x1, element.slit_width)
-        elif isinstance(element, SHG):
-            np.square(amp, out=amp)
-            wavelength = wavelength / 2
-        else:
-            raise UnsupportedElementError(
-                f"no batched 1-D form for {type(element).__name__}")
-        _check_finite(amp)
-    return _pinhole_readout(amp, grid, train.elements[-1].radius)
+
+    def run_chunk(rows: slice) -> np.ndarray:
+        src = indices[rows]
+        amp = np.zeros((len(src), grid.n), dtype=np.complex128)
+        amp[np.arange(len(src)), src] = np.sqrt(1.0 / grid.cell)
+        g, wl = grid, wavelength
+        for element in train.elements[:-1]:
+            if isinstance(element, _RELAYS):
+                (dist,) = _params(element).values()
+                amp, g = _relay_along(amp, g, dist, wl, axis=-1, out=amp)
+            elif isinstance(element, DoubleSlit):
+                amp *= _double_slit_mask(g, element.x1, element.slit_width)
+            elif isinstance(element, SHG):
+                np.square(amp, out=amp)
+                wl = wl / 2
+            else:
+                raise UnsupportedElementError(
+                    f"no batched 1-D form for {type(element).__name__}")
+            _check_finite(amp)
+        return _pinhole_readout(amp, g, train.elements[-1].radius)
+
+    return np.concatenate(_map_row_chunks(run_chunk, len(indices)))
 
 
 _FOCUS_TRAIN_KINDS = tuple(

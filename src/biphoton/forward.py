@@ -7,10 +7,16 @@ numerical counterpart of the classical pinhole-readout trains, used to check
 that both produce identical patterns.
 
 ``forward_young`` applies the far-field relay as an FFT along axis 0 and then
-axis 1 of psi, which equals ``K psi K^T`` at O(n^2 log n). The reversed side
-of ``forward_vs_reversed_young`` runs every source position as one batched
-train (``run_train_batch``). The dense ``kernel_of``/``evolve`` chain is the
-O(n^3) reference both are tested against.
+axis 1 of psi, which equals ``K psi K^T`` at O(n^2 log n). The slit-masked
+state is diagonal, so the axis-0 relay runs on the kept columns only (the
+FFT of a zero column is exactly zero); the axis-1 relay and the blocked
+``(a + a.T)/2`` symmetrization run in row chunks on one thread per usable
+CPU. The result is exactly symmetric by construction, so the state is built
+without the public constructor's copy and ``psi == psi.T`` compare. The
+reversed side of ``forward_vs_reversed_young`` runs every source position
+through the batched train (``run_train_batch``). The n x n pair state stays
+the forward side of that compare; the dense ``kernel_of``/``evolve`` chain is
+the O(n^3) reference both are tested against.
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ import numpy as np
 
 from .analytic import YoungParams
 from .elements import (
+    _CHUNK_ROWS,
     _RELAYS,
     DoubleSlit,
     Magnifier,
@@ -28,6 +35,7 @@ from .elements import (
     TwoFWithOffset,
     _double_slit_mask,
     _flip_index,
+    _map_row_chunks,
     _offset_chirp,
     _params,
     _relay_along,
@@ -57,15 +65,57 @@ class TwoPhotonAmplitude:
 
     def __post_init__(self):
         psi = np.array(self.psi, dtype=np.complex128)
-        n = self.grid.n
-        if psi.shape != (n, n):
-            raise GridMismatchError(f"psi shape {psi.shape} does not match grid ({n}, {n})")
-        if not np.all(np.isfinite(psi)):
-            raise ValueError("pair amplitudes must be finite")
+        _check_pair_amplitude(psi, self.grid)
         if not np.array_equal(psi, psi.T):
             raise ValueError("pair amplitude must be exchange-symmetric (psi == psi.T)")
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
+
+    @classmethod
+    def _symmetric(cls, grid: Grid1D, psi: np.ndarray) -> "TwoPhotonAmplitude":
+        """State from a complex128 ``psi`` that is symmetric by construction.
+
+        Keeps the shape and finiteness checks but skips the copy and the
+        ``psi == psi.T`` compare; ``psi`` is taken over and made read-only.
+        For internal results such as ``(a + a.T)/2``, which is exactly
+        symmetric in IEEE arithmetic; user input goes through the
+        constructor.
+        """
+        _check_pair_amplitude(psi, grid)
+        psi.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "grid", grid)
+        object.__setattr__(state, "psi", psi)
+        return state
+
+
+def _check_pair_amplitude(psi: np.ndarray, grid: Grid1D) -> None:
+    n = grid.n
+    if psi.shape != (n, n):
+        raise GridMismatchError(f"psi shape {psi.shape} does not match grid ({n}, {n})")
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("pair amplitudes must be finite")
+
+
+def _symmetrize(a: np.ndarray) -> None:
+    """``a <- (a + a.T)/2`` in place, in square blocks of ``_CHUNK_ROWS``.
+
+    Each pair of mirror blocks is read once and written with one sum and
+    its transpose, so the result is exactly symmetric and equals the
+    unblocked ``(a + a.T)/2`` bit for bit. Distinct pairs touch disjoint
+    blocks, so block rows run on parallel threads.
+    """
+    n = len(a)
+
+    def block_row(rows: slice) -> None:
+        for j in range(rows.start, n, _CHUNK_ROWS):
+            cols = slice(j, min(j + _CHUNK_ROWS, n))
+            s = a[rows, cols] + a[cols, rows].T
+            s /= 2
+            a[rows, cols] = s
+            a[cols, rows] = s.T
+
+    _map_row_chunks(block_row, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +217,9 @@ def forward_young(p: YoungParams, grid: Grid1D,
     position-correlated (the imaging stage ahead of the slits only rescales
     coordinates and is absorbed). Chain: correlated pairs -> slit mask ->
     focal-plane relay on each photon -> diagonal coincidence. The relay runs
-    as an FFT along each axis of psi, O(n^2 log n); ``kernel_of`` and
-    ``evolve`` give the same state densely.
+    as an FFT along each axis of psi, O(n^2 log n), on the columns the slits
+    keep and then in row chunks; ``kernel_of`` and ``evolve`` give the same
+    state densely.
 
     Returns
     -------
@@ -187,14 +238,24 @@ def forward_young(p: YoungParams, grid: Grid1D,
             f"only {samples_per_fringe:.2f} detection samples per fringe; "
             "need >= 8 (enlarge n*dx or reduce x1)")
     # spdc_initial after the diagonal slit kernel: mask^2 / dx = mask / dx
-    # on the diagonal, since the mask is 0/1
-    mask = _double_slit_mask(grid, p.x1, slit_width)
-    psi = np.diag((mask / grid.dx).astype(complex))
-    psi, det = _relay_along(psi, grid, p.f, p.wavelength, axis=0)
-    psi, _ = _relay_along(psi, grid, p.f, p.wavelength, axis=1)
-    psi = psi + psi.T
-    psi /= 2
-    state = TwoPhotonAmplitude(det, psi)
+    # on the diagonal, since the mask is 0/1. Its other columns are zero
+    # and the FFT of a zero column is exactly zero, so the axis-0 relay runs
+    # on the kept columns only.
+    n = grid.n
+    kept = np.flatnonzero(_double_slit_mask(grid, p.x1, slit_width))
+    cols = np.zeros((n, len(kept)), dtype=complex)
+    cols[kept, np.arange(len(kept))] = 1 / grid.dx
+    cols, det = _relay_along(cols, grid, p.f, p.wavelength, axis=0)
+    psi = np.zeros((n, n), dtype=complex)
+
+    def relay_rows(rows: slice) -> None:
+        block = psi[rows]
+        block[:, kept] = cols[rows]
+        _relay_along(block, grid, p.f, p.wavelength, axis=1, out=block)
+
+    _map_row_chunks(relay_rows, n)
+    _symmetrize(psi)
+    state = TwoPhotonAmplitude._symmetric(det, psi)
     curve = coincidence_diagonal(state)
     peak = curve.max()
     if peak == 0:

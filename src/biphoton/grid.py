@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -173,11 +173,19 @@ def inner_product(a: SampledField, b: SampledField) -> complex:
 
 
 def _spectral_axis(amp: np.ndarray, n: int, d: float, center: float, axis: int,
-                   inverse: bool) -> tuple:
-    """One axis of the unitary transform; returns (amp_out, d_out).
+                   inverse: bool, gain: float = 1.0,
+                   out: Optional[np.ndarray] = None) -> tuple:
+    """One axis of the unitary transform, times ``gain``; returns (amp_out, d_out).
 
     Forward kernel is ``exp(-i k x)`` with ``k_j = (j - n//2) dk``; the output
     grid is centered at 0. ``inverse`` applies the conjugate-transpose map.
+    The result is written to ``out`` when given: an array of ``amp``'s shape
+    and dtype, which may be ``amp`` itself (the FFT reads it first).
+
+    The ``fftshift`` and every scale factor are folded into one multiply by
+    an n-vector, written as two slice products, so the spectrum takes one
+    pass after the FFT. Every caller that must agree bit for bit with
+    another goes through this function with the same ``gain``.
     """
     c = n // 2
     dk = 2 * np.pi / (n * d)
@@ -187,17 +195,26 @@ def _spectral_axis(amp: np.ndarray, n: int, d: float, center: float, axis: int,
     # including the offset of the input grid center.
     if not inverse:
         phase = np.exp(-1j * k_out * center + 2j * np.pi * (j - c) * c / n)
-        spec = np.fft.fftshift(np.fft.fft(amp, axis=axis, norm="ortho"), axes=axis)
+        spec = np.fft.fft(amp, axis=axis, norm="ortho")
     else:
         phase = np.exp(1j * center * k_out - 2j * np.pi * (j - c) * c / n)
-        spec = np.fft.fftshift(np.fft.ifft(amp, axis=axis, norm="ortho"), axes=axis)
+        spec = np.fft.ifft(amp, axis=axis, norm="ortho")
+    phase *= np.sqrt(d / dk) * gain
     shape = [1] * amp.ndim
     shape[axis] = n
-    # fftshift returned a fresh array, so scaling it in place is safe and
-    # saves two array-sized temporaries.
-    spec *= phase.reshape(shape)
-    spec *= np.sqrt(d / dk)
-    return spec, dk
+    phase = phase.reshape(shape)
+    if out is None:
+        out = np.empty_like(spec)
+
+    def cut(a, lo, hi):
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(lo, hi)
+        return a[tuple(index)]
+
+    # out[k] = spec[(k - c) mod n] * phase[k], the fftshift as index arithmetic
+    np.multiply(cut(spec, n - c, n), cut(phase, 0, c), out=cut(out, 0, c))
+    np.multiply(cut(spec, 0, n - c), cut(phase, c, n), out=cut(out, c, n))
+    return out, dk
 
 
 def unitary_fourier(f: SampledField) -> SampledField:

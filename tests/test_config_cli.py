@@ -1,5 +1,9 @@
 """Config validation, CSV/JSON emission, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +352,50 @@ def test_integral_floats_are_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("doc,field", [
+    (young_doc(f="0.05"), "f"),
+    (young_doc(f=True), "f"),
+    (young_doc(f="abc"), "f"),
+    (young_doc(f=[1]), "f"),
+    (young_doc(f=10 ** 400), "f"),
+    (young_doc("forward", grid={"n": 10 ** 400, "dx": 2e-5}), "grid.n"),
+    (young_doc(sweep={"axis": "x0", "start": -4e-5, "stop": 4e-5, "count": True}),
+     "sweep.count"),
+])
+def test_main_rejects_non_numbers(tmp_path, monkeypatch, capsys, command, doc, field):
+    # "0.05" and true used to load as 0.05 and 1.0 and exit 0; "abc" and [1]
+    # gave a bare float() message naming no field.
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, "bad.json", doc)
+    assert main([command, "--config", path]) == 2
+    assert f": {field}: must be" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_import_and_validation_leave_scipy_unimported():
+    # scipy.special costs about 0.3 s to import and only the Bessel
+    # functions need it; importing the CLI and validating every shipped
+    # config must not load it.
+    root = Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import glob, sys",
+        "import biphoton.cli",
+        "from biphoton.config import load_config, validate",
+        "paths = sorted(glob.glob('configs/*.json'))",
+        "assert paths",
+        "for path in paths:",
+        "    assert validate(load_config(path)) == [], path",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
 def test_main_rejects_grid_above_memory_ceiling(tmp_path, monkeypatch, capsys, command):
     # a 65536^2 focus field is 64 GiB; validate used to print "ok"
     monkeypatch.chdir(tmp_path)
@@ -357,6 +405,13 @@ def test_main_rejects_grid_above_memory_ceiling(tmp_path, monkeypatch, capsys, c
     out = capsys.readouterr()
     assert "GiB" in out.out + out.err
     assert not list(tmp_path.glob("*.csv"))
+    # n = 10**300 is a valid float but its array size is not; this used to
+    # raise OverflowError while formatting the message
+    doc["grid"]["n"] = 10 ** 300
+    path = write_config(tmp_path, "huge.json", doc)
+    assert main([command, "--config", path]) == 2
+    out = capsys.readouterr()
+    assert "inf GiB" in out.out + out.err
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -1,9 +1,15 @@
 """Two-photon forward evolution and its agreement with the classical trains."""
+import multiprocessing
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biphoton.elements as elements
+import biphoton.forward as forward
 from biphoton.analytic import YoungParams, young_two_photon
 from biphoton.elements import (
     CircularAperture,
@@ -95,6 +101,56 @@ def test_nonfinite_amplitude_rejected():
     psi = np.full((3, 3), np.nan)
     with pytest.raises(ValueError, match="finite"):
         TwoPhotonAmplitude(Grid1D(3, 1.0), psi)
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_symmetrize_in_place_equals_unblocked_sum(monkeypatch, workers):
+    # n = 300 is not a multiple of the block size, so edge blocks are ragged;
+    # 8 threads with a short switch interval would expose a lost block write.
+    monkeypatch.setattr(elements, "_workers", lambda: workers)
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
+    expected = (a + a.T) / 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        forward._symmetrize(a)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(a, expected)
+    assert np.array_equal(a, a.T)
+
+
+def test_symmetric_path_keeps_shape_and_finiteness_checks():
+    g = Grid1D(3, 1.0)
+    psi = np.ones((3, 3), dtype=complex)
+    state = TwoPhotonAmplitude._symmetric(g, psi)
+    assert state.psi is psi and not psi.flags.writeable
+    with pytest.raises(GridMismatchError):
+        TwoPhotonAmplitude._symmetric(Grid1D(4, 1.0), np.ones((3, 3), dtype=complex))
+    with pytest.raises(ValueError, match="finite"):
+        TwoPhotonAmplitude._symmetric(g, np.full((3, 3), np.nan, dtype=complex))
+
+
+@pytest.mark.parametrize("slit_cells", [None, 12])
+def test_forward_young_state_is_exactly_symmetric(monkeypatch, slit_cells):
+    # The state skips the public psi == psi.T compare, so check it here on
+    # a grid of several row chunks; 12-cell slits keep 26 columns.
+    states = []
+    build = TwoPhotonAmplitude._symmetric
+
+    def spy(grid, psi):
+        states.append(build(grid, psi))
+        return states[-1]
+
+    monkeypatch.setattr(TwoPhotonAmplitude, "_symmetric", spy)
+    p, g = young_setup(n=2 * elements._CHUNK_ROWS + 44, x1_cells=8)
+    slit_width = None if slit_cells is None else slit_cells * g.dx
+    _, curve = forward_young(p, g, slit_width)
+    (state,) = states
+    assert np.array_equal(state.psi, state.psi.T)
+    np.testing.assert_array_equal(curve, coincidence_diagonal(state)
+                                  / coincidence_diagonal(state).max())
 
 
 def test_kernel_shape_must_match_grids():
@@ -366,6 +422,63 @@ def test_batched_train_rejects_what_it_cannot_run():
         run_train_batch(g, WL, [0], OpticalTrain((Magnifier(2.0), PinholeSample())))
     with pytest.raises(ConfigurationError):
         run_train_batch(g, WL, [0], OpticalTrain((FourierLens(F),)))
-    for bad in ([-1], [32], [[0, 1]]):
+    # the last case is off the grid in the last of several row chunks
+    for bad in ([-1], [32], [[0, 1]], [0] * (2 * elements._CHUNK_ROWS) + [32]):
         with pytest.raises(DomainError):
             run_train_batch(g, WL, bad, OpticalTrain((PinholeSample(),)))
+
+
+def young_sweep_setup(n, slit_cells=4):
+    p, g = young_setup(n=n, x1_cells=8)
+    det = Grid1D(g.n, p.f * p.wavelength / (g.n * g.dx))
+    train = reversed_young_train(p.f, p.x1, 0.25, 0.5, slit_width=slit_cells * g.dx)
+    looped = np.array([run_train(point_source(det, x0, 1.0, WL), train)
+                       for x0 in det.coords])
+    return det, train, looped
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_batch_is_bit_identical_across_chunks_and_workers(monkeypatch, workers):
+    # More sources than one chunk and not a multiple of it, in random order
+    # with repeats; any chunking and thread count gives the looped values,
+    # also with more threads than chunks and a short switch interval.
+    monkeypatch.setattr(elements, "_workers", lambda: workers)
+    det, train, looped = young_sweep_setup(n=256)
+    idx = np.random.default_rng(3).integers(0, det.n, 2 * elements._CHUNK_ROWS + 37)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        batched = run_train_batch(det, WL, idx, train)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(batched, looped[idx])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_batch_runs_in_a_forked_child_of_a_process_that_used_the_pool():
+    # Pool threads do not survive a fork; a child that reused the parent's
+    # pool would queue its chunks forever.
+    det, train, looped = young_sweep_setup(n=64)
+    idx = np.arange(det.n)
+    np.testing.assert_array_equal(run_train_batch(det, WL, idx, train), looped)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        child = pool.apply_async(run_train_batch, (det, WL, idx, train))
+        np.testing.assert_array_equal(child.get(timeout=60), looped)
+
+
+def test_batch_nonfinite_stage_in_one_chunk_raises(monkeypatch):
+    # A NaN injected after the first relay of the last, shorter chunk only.
+    relay = elements._relay_along
+    tail = elements._CHUNK_ROWS // 2
+
+    def poisoned(amp, *args, **kwargs):
+        out, grid = relay(amp, *args, **kwargs)
+        if len(out) == tail:
+            out[0, 0] = np.nan
+        return out, grid
+
+    det, train, _ = young_sweep_setup(n=64)
+    monkeypatch.setattr(elements, "_relay_along", poisoned)
+    idx = np.arange(2 * elements._CHUNK_ROWS + tail) % det.n
+    with pytest.raises(ValueError, match="field amplitudes must be finite"):
+        run_train_batch(det, WL, idx, train)

@@ -12,6 +12,7 @@ from biphoton.grid import (
     Grid1D,
     Grid2D,
     SampledField,
+    _spectral_axis,
     inner_product,
     inverse_unitary_fourier,
     point_source,
@@ -226,6 +227,25 @@ def test_transform_2d_separable():
     ox = unitary_fourier(SampledField(gx, WL, ax)).amp
     oy = unitary_fourier(SampledField(gy, WL, ay)).amp
     np.testing.assert_allclose(out2.amp, np.outer(oy, ox), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_spectral_axis_along_either_axis_with_gain_and_out(n, axis):
+    # Each slice along ``axis`` matches the brute-force sum times ``gain``,
+    # and writing the result over the input gives the same bits.
+    g = Grid1D(n=n, dx=0.4, center=0.9)
+    amp = random_field(Grid2D(nx=n, ny=n, dx=1.0, dy=1.0), seed=n + axis).amp
+    out, dk = _spectral_axis(amp, g.n, g.dx, g.center, axis, inverse=False, gain=2.5)
+    assert dk == pytest.approx(2 * np.pi / (n * g.dx))
+    for i in range(n):
+        line = amp[:, i] if axis == 0 else amp[i]
+        got = out[:, i] if axis == 0 else out[i]
+        ref = 2.5 * brute_force_transform(SampledField(g, WL, line))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    work = amp.copy()
+    _spectral_axis(work, g.n, g.dx, g.center, axis, inverse=False, gain=2.5, out=work)
+    np.testing.assert_array_equal(work, out)
 
 
 def test_round_trip_identity_2d():
