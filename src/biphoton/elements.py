@@ -297,24 +297,35 @@ def free_space_fourier(field: SampledField, L: float) -> SampledField:
     return _fourier_relay(field, L)
 
 
-def _offset_chirp(grid, z: float, f: float, wl: float,
-                  r2: Optional[np.ndarray] = None) -> np.ndarray:
-    """Offset chirp ``exp(-i pi z r^2/(f^2 wl))`` on ``grid``; ``r2`` if already held.
+def _axis_chirps(grid, z: float, f: float, wl: float) -> list:
+    """Offset chirp ``exp(-i pi z c^2/(f^2 wl))`` per axis of ``grid``, x first.
 
     Raises SamplingError where the phase advances by more than pi per
     sample: beyond pi the chirp aliases and the z-sweep silently folds back.
     """
-    axes = [(np.abs(grid.coords).max(), grid.dx)] if isinstance(grid, Grid1D) else \
-           [(np.abs(grid.xs).max(), grid.dx), (np.abs(grid.ys).max(), grid.dy)]
-    for rmax, step in axes:
-        inc = 2 * np.pi * abs(z) * rmax * step / (f ** 2 * wl)
+    axes = [(grid.coords, grid.dx)] if isinstance(grid, Grid1D) else \
+           [(grid.xs, grid.dx), (grid.ys, grid.dy)]
+    for coords, step in axes:
+        inc = 2 * np.pi * abs(z) * np.abs(coords).max() * step / (f ** 2 * wl)
         if inc > np.pi:
             raise SamplingError(
                 f"chirp phase step {inc:.3f} rad/sample exceeds pi; "
                 f"refine the grid or reduce |z|={abs(z):.3g}")
-    if r2 is None:
-        r2 = grid.coords ** 2 if isinstance(grid, Grid1D) else grid.radius_sq()
-    return np.exp(-1j * np.pi * z * r2 / (f ** 2 * wl))
+    return [np.exp(-1j * np.pi * z * coords ** 2 / (f ** 2 * wl)) for coords, _ in axes]
+
+
+def _offset_chirp(grid, z: float, f: float, wl: float) -> np.ndarray:
+    """Offset chirp ``exp(-i pi z r^2/(f^2 wl))`` on ``grid``.
+
+    On a 2-D grid the chirp is separable: the outer product of the per-axis
+    chirps, 2n exponentials instead of n^2. Raises SamplingError as
+    :func:`_axis_chirps` does.
+    """
+    chirps = _axis_chirps(grid, z, f, wl)
+    if len(chirps) == 1:
+        return chirps[0]
+    cx, cy = chirps
+    return np.outer(cy, cx)  # indexed [iy, ix]
 
 
 def two_f_with_offset(field: SampledField, f: float, z: float,
@@ -522,10 +533,12 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
 
     On a :class:`Grid2D`, ``indices`` lists ``(iy, ix)`` rows and the train
     must have the shape :func:`reversed_focus_train` builds (any ``z``, SHG
-    on or off, any pinhole radius). The sources run one at a time through
-    closed forms of the same chain, with no FFT and no SampledField for a
-    radius-0 pinhole; the readings agree with the looped trains to 1e-12 of
-    the sweep peak (floating-point order differs).
+    on or off, any pinhole radius). Closed forms of the same chain read a
+    radius-0 pinhole for all sources at once, as one matrix product with a
+    source-independent weight, with no FFT and no SampledField; a finite
+    radius runs each source's final relay by FFT. The readings agree with
+    the looped trains to 1e-12 of the sweep peak (floating-point order
+    differs).
 
     Raises
     ------
@@ -582,11 +595,11 @@ def _relay_grid(g: Grid2D, dist: float, wavelength: float) -> Grid2D:
                   2 * np.pi / (g.ny * g.dy) * scale, (0.0, 0.0))
 
 
-def _relayed_delta(n: int, d: float, center: float, m: int, dist: float,
+def _relayed_delta(n: int, d: float, center: float, m: np.ndarray, dist: float,
                    wavelength: float) -> np.ndarray:
-    """Far-field relay of a unit spike at sample ``m`` of a 1-D axis.
+    """Far-field relays of unit spikes at samples ``m`` of a 1-D axis, one row each.
 
-    The column of the sampled relay kernel at the source,
+    Row i is the column of the sampled relay kernel at source ``m[i]``,
     ``exp(-2 pi i x' x0/(dist wl)) d/sqrt(dist wl)``. The phase index
     ``(j-c)(m-c) mod n`` is taken in exact integers, as the FFT's twiddle
     factors are, and the center offset enters as in :func:`_spectral_axis`.
@@ -594,7 +607,7 @@ def _relayed_delta(n: int, d: float, center: float, m: int, dist: float,
     c = n // 2
     j = np.arange(n) - c
     k = j * (2 * np.pi / (n * d))
-    turns = (j * (m - c)) % n
+    turns = (j * (m[:, None] - c)) % n
     return (np.exp(-2j * np.pi * turns / n - 1j * k * center)
             * (d / np.sqrt(dist * wavelength)))
 
@@ -606,16 +619,22 @@ def _run_focus_batch(grid: Grid2D, wavelength: float, indices,
     Exact rewrites of the chain, for a source ``sqrt(1/cell)`` at (y0, x0):
 
     1. the transposed offset 2-f stage relays the spike to a separable plane
-       wave, the outer product of one :func:`_relayed_delta` per axis;
+       wave, the outer product of one :func:`_relayed_delta` row per axis;
     2. the chirp with ``1 + z/f``, the aperture mask and the ``1/|M|`` of
-       step 3 do not depend on the source: one weight per call;
+       step 3 do not depend on the source: one weight ``w`` per call, held
+       on the rows and columns the aperture reaches (it is zero elsewhere);
     3. free path L1 then lens f is ``Magnifier(-f/L1)``; its flip commutes
        with the final relay and both pinhole readouts are symmetric under
        it, so the flip is skipped;
-    4. SHG squares in place and halves the wavelength;
-    5. the final relay read at the origin is ``sum(amp) dx dy/(L2 wl)``; a
-       finite pinhole radius runs that relay and reads it as the field path
-       does.
+    4. SHG squares the field and halves the wavelength; with p = 2 (SHG) or
+       1, the field is ``ry^p[y] rx^p[x] w^p[y, x]``, so ``w^p`` is built
+       once and each source's two axis rows are raised to p once;
+    5. the final relay read at the origin is ``sum(amp) dx dy/(L2 wl)``.
+       For a radius-0 pinhole that sum is the bilinear form
+       ``ry^p . (w^p @ rx^p)``: all sources are read by one matrix product
+       and a row-wise dot, with no per-source 2-D array. A finite pinhole
+       radius builds each source's field from the same ``w^p``, runs that
+       relay and reads it as the field path does.
     """
     kinds = tuple(type(e) for e in train.elements)
     if kinds not in _FOCUS_TRAIN_KINDS or not train.elements[0].transpose:
@@ -632,34 +651,40 @@ def _run_focus_batch(grid: Grid2D, wavelength: float, indices,
 
     f, z, wl = opening.f, opening.z, wavelength
     pupil = _relay_grid(grid, f, wl)
-    r2 = pupil.radius_sq()
-    weight = _offset_chirp(pupil, z, f, wl, r2)
-    image = _relay_grid(_relay_grid(pupil, path1.L, wl), lens.f, wl)
+    cx, cy = _axis_chirps(pupil, z, f, wl)
+    # The aperture passes no sample outside the rows and columns kept here:
+    # floating-point y^2 + x^2 is never below y^2 or x^2.
+    r2_max = (aperture.D / 2) ** 2
+    ky = np.flatnonzero(pupil.ys ** 2 <= r2_max)
+    kx = np.flatnonzero(pupil.xs ** 2 <= r2_max)
+    weight = np.outer(cy[ky], cx[kx])
     weight *= (1 + z / f) * (path1.L / lens.f)
-    weight *= r2 <= (aperture.D / 2) ** 2
-    del r2
-    _check_finite(weight)
+    weight *= pupil.ys[ky, None] ** 2 + pupil.xs[None, kx] ** 2 <= r2_max
+    image = _relay_grid(_relay_grid(pupil, path1.L, wl), lens.f, wl)
     wl_out = wl / 2 if second_harmonic else wl
     on_axis = image.dx * image.dy / (path2.L * wl_out)
     far = _relay_grid(image, path2.L, wl_out)
 
     amp0 = np.sqrt(1.0 / grid.cell)
-    work = np.empty(grid.shape, dtype=np.complex128)
+    ry = _relayed_delta(grid.ny, grid.dy, grid.center[1], indices[:, 0], f, wl)[:, ky]
+    rx = _relayed_delta(grid.nx, grid.dx, grid.center[0], indices[:, 1], f, wl)[:, kx]
+    rx *= amp0
+    if second_harmonic:
+        for a in (weight, ry, rx):
+            np.square(a, out=a)
+    for a in (weight, ry, rx):
+        _check_finite(a)
+    if pinhole.radius == 0.0:
+        totals = np.sum(ry * (weight @ rx.T).T, axis=1) * on_axis
+        _check_finite(totals)
+        return np.abs(totals) ** 2
+
+    work = np.zeros(grid.shape, dtype=np.complex128)
+    box = np.ix_(ky, kx)
     out = np.empty(len(indices))
-    for i, (iy, ix) in enumerate(indices):
-        ry = _relayed_delta(grid.ny, grid.dy, grid.center[1], iy, f, wl)
-        rx = _relayed_delta(grid.nx, grid.dx, grid.center[0], ix, f, wl) * amp0
-        np.multiply(ry[:, None], rx[None, :], out=work)
-        work *= weight
+    for i in range(len(indices)):
+        work[box] = np.outer(ry[i], rx[i]) * weight
         _check_finite(work)
-        if second_harmonic:
-            np.square(work, out=work)
-            _check_finite(work)
-        if pinhole.radius == 0.0:
-            total = complex(work.sum()) * on_axis
-            _check_finite(total)
-            out[i] = abs(total) ** 2
-            continue
         amp, _ = _spectral_axis(work, grid.nx, image.dx, 0.0, 1, inverse=False)
         amp, _ = _spectral_axis(amp, grid.ny, image.dy, 0.0, 0, inverse=False)
         amp /= path2.L * wl_out / (2 * np.pi)

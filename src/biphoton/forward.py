@@ -269,15 +269,17 @@ def young_coincidence_at(p: YoungParams, grid: Grid1D, positions,
 
     Same chain as forward_young, but the focal-plane kernel row is evaluated
     directly at each requested position instead of on the conjugate grid, so
-    there is no snapping and no fringe-resolution precondition.
+    there is no snapping and no fringe-resolution precondition. The kernel
+    rows are built on the samples the slits pass only.
     """
     mask = _double_slit_mask(grid, p.x1, slit_width)
+    kept = np.flatnonzero(mask)
     positions = np.atleast_1d(np.asarray(positions, dtype=float))
     flam = p.f * p.wavelength
     # diagonal of K psi K^T with psi = diag(mask^2)/dx and K the sampled
     # focal-plane kernel; the squared kernel doubles the phase argument
-    rows = np.exp(-4j * np.pi * np.outer(positions, grid.coords) / flam)
-    diag = (grid.dx / flam) * (rows @ mask.astype(complex) ** 2)
+    rows = np.exp(-4j * np.pi * np.outer(positions, grid.coords[kept]) / flam)
+    diag = (grid.dx / flam) * (rows @ mask[kept].astype(complex) ** 2)
     return 2 * np.abs(diag) ** 2
 
 

@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import biphoton.cli as cli
+import biphoton.forward as forward
 from biphoton.analytic import YoungParams, young_two_photon
-from biphoton.cli import FOCUS_COMPARE_TOL, main, run
+from biphoton.cli import FOCUS_COMPARE_TOL, YOUNG_COMPARE_TOL, main, run
 from biphoton.config import ExperimentConfig, load_config, validate
 from biphoton.errors import ConfigurationError
 from biphoton.forward import forward_vs_reversed_young
@@ -178,6 +179,37 @@ def test_compare_summary_equals_library_report(tmp_path, monkeypatch):
     assert on_disk["config"]["x1"] == cfg.x1
     assert on_disk["period_m"]["classical"] == pytest.approx(
         2 * on_disk["period_m"]["two_photon"], rel=1e-15)
+
+
+def test_young_compare_within_tolerance_exits_0(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, "yc.json", young_doc("compare"))
+    assert main(["simulate", "--config", path, "--out", "yc.csv"]) == 0
+    summary = json.loads((tmp_path / "yc.summary.json").read_text(encoding="utf-8"))
+    assert summary["tolerance"] == YOUNG_COMPARE_TOL
+    assert summary["max_deviation"] <= 1e-14 and summary["passed"] is True
+
+
+def test_young_compare_exits_3_above_tolerance(tmp_path, monkeypatch, capsys):
+    # Every reversed reading but the peak grows by 1e-9 (a uniform scale
+    # would cancel in the peak normalization); the CSV and the summary are
+    # still written.
+    monkeypatch.chdir(tmp_path)
+    batch = forward.run_train_batch
+
+    def skewed_batch(*args):
+        rev = batch(*args)
+        return np.where(rev == rev.max(), rev, rev * (1 + 1e-9))
+
+    monkeypatch.setattr(forward, "run_train_batch", skewed_batch)
+    path = write_config(tmp_path, "yc.json", young_doc("compare"))
+    assert main(["simulate", "--config", path, "--out", "yc.csv"]) == 3
+    assert "tolerance" in capsys.readouterr().err
+    rows = np.genfromtxt(tmp_path / "yc.csv", delimiter=",", names=True)
+    assert rows.size == 21
+    summary = json.loads((tmp_path / "yc.summary.json").read_text(encoding="utf-8"))
+    assert 1e-10 < summary["max_deviation"] <= 1.1e-9
+    assert summary["tolerance"] == YOUNG_COMPARE_TOL and summary["passed"] is False
 
 
 def test_reversed_mode_snaps_and_matches_formula(tmp_path, monkeypatch):
@@ -494,3 +526,52 @@ def test_focus_cli_exits_0_2_or_3_and_writes_finite_csv(tmp_path, doc):
     if code == 0:
         rows = np.genfromtxt(out, delimiter=",", skip_header=1, ndmin=2)
         assert rows.size > 0 and np.all(np.isfinite(rows))
+
+
+@st.composite
+def small_young_docs(draw):
+    start = draw(st.floats(-1e-4, 1e-4))
+    sweep = {"axis": "x0", "start": start,
+             "stop": start + draw(st.floats(0.0, 1e-4)),
+             "count": draw(st.integers(1, 8))}
+    doc = young_doc(draw(st.sampled_from(["analytic", "forward", "reversed", "compare"])),
+                    sweep=sweep, x1=draw(st.sampled_from([2e-5, 5e-5, 1e-4, 2.5e-4, 1e-3])),
+                    grid={"n": draw(st.sampled_from([16, 64, 128, 256])),
+                          "dx": draw(st.sampled_from([5e-6, 1e-5, 2e-5, 4e-5]))})
+    width = draw(st.sampled_from([None, None, 1e-5, 4e-5]))
+    if width is not None:
+        doc["slit_width"] = width
+    return doc
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=small_young_docs())
+def test_young_cli_exits_0_2_or_3_and_writes_finite_csv(tmp_path, doc):
+    path = write_config(tmp_path, "fuzz.json", doc)
+    out = tmp_path / "fuzz.csv"
+    out.unlink(missing_ok=True)
+    code = main(["simulate", "--config", path, "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        rows = np.genfromtxt(out, delimiter=",", skip_header=1, ndmin=2)
+        assert rows.size > 0 and np.all(np.isfinite(rows))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_modes=st.integers(0, 6), trials=st.integers(0, 40), seed=st.integers(-1, 99),
+       mode=st.sampled_from(["forward", "analytic"]))
+def test_audit_cli_exits_0_2_or_3_and_writes_finite_report(tmp_path, n_modes, trials,
+                                                           seed, mode):
+    doc = {"experiment": "modes-audit", "mode": mode,
+           "audit": {"n_modes": n_modes, "trials": trials}, "seed": seed}
+    path = write_config(tmp_path, "fuzz.json", doc)
+    out = tmp_path / "fuzz.out.json"
+    out.unlink(missing_ok=True)
+    code = main(["simulate", "--config", path, "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["passed"] is True and report["trials"] == trials
+        assert np.isfinite(report["max_ratio_dev"])

@@ -502,6 +502,56 @@ def test_run_train_batch_2d_matches_looped_trains(z, second_harmonic, radius,
     assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 
 
+def looped_readings(g, train, sources):
+    return np.array([run_train(point_source(g, (g.xs[ix], g.ys[iy]), 1.0, WL), train)
+                     for iy, ix in sources])
+
+
+@pytest.mark.parametrize("second_harmonic", [True, False])
+def test_run_train_batch_2d_non_square_off_centre_grid(second_harmonic):
+    # nx != ny and dx != dy, so a swapped pair of axes fails on shape or value;
+    # the aperture cuts both pupil axes and repeated sources read alike
+    g = Grid2D(nx=96, ny=64, dx=1.1e-6, dy=0.8e-6, center=(2e-6, -3e-6))
+    train = reversed_focus_train(F, 12.7e-3, 3e-5, 0.25, 0.5,
+                                 second_harmonic=second_harmonic)
+    sources = [(32, 48), (30, 51), (32, 48), (35, 44), (30, 51), (0, 95), (63, 0)]
+    got = run_train_batch(g, WL, sources, train)
+    want = looped_readings(g, train, sources)
+    assert len(set(want)) == 5
+    assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+    assert got[2] == pytest.approx(got[0], rel=1e-12)
+    assert got[4] == pytest.approx(got[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("second_harmonic", [True, False])
+def test_run_train_batch_2d_aperture_rim_sample_passes(second_harmonic):
+    # D/2 equals a pupil coordinate, so four pupil samples sit exactly on
+    # the rim; CircularAperture passes |r| <= D/2, and so must the batch
+    g = Grid2D(nx=64, ny=64, dx=1e-6, dy=1e-6, center=(1e-6, 2e-6))
+    opening = OpticalTrain((TwoFWithOffset(F, 2e-5, transpose=True),))
+    pupil = run_train(point_source(g, (0.0, 0.0), 1.0, WL), opening).grid
+    D = 2 * pupil.xs[32 + 10]
+    assert pupil.xs[32 + 10] == pupil.ys[32 + 10] == D / 2
+    train = reversed_focus_train(F, D, 2e-5, 0.25, 0.5,
+                                 second_harmonic=second_harmonic)
+    sources = [(32, 32), (33, 30), (29, 35)]
+    got = run_train_batch(g, WL, sources, train)
+    want = looped_readings(g, train, sources)
+    assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+def test_offset_chirp_2d_is_separable_and_keeps_the_guard():
+    g = Grid2D(nx=48, ny=40, dx=3e-4, dy=5e-4, center=(1e-4, -2e-4))
+    z = 1e-4
+    direct = np.exp(-1j * np.pi * z * g.radius_sq() / (F**2 * WL))
+    np.testing.assert_allclose(elements._offset_chirp(g, z, F, WL), direct,
+                               rtol=0, atol=1e-14)
+    # the y axis alone aliases: its phase step passes pi, the x step does not
+    tall = Grid2D(nx=48, ny=400, dx=3e-4, dy=5e-4)
+    with pytest.raises(SamplingError):
+        elements._offset_chirp(tall, z, F, WL)
+
+
 def test_run_train_batch_2d_guards():
     g = Grid2D(nx=128, ny=128, dx=1e-6, dy=1e-6)
     aliasing = reversed_focus_train(F, 12.7e-3, 1e-3, 0.25, 0.5)

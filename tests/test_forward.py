@@ -347,6 +347,47 @@ def test_forward_young_finite_slits_keep_dark_fringes():
     assert vis == pytest.approx(1.0, abs=1e-6)
 
 
+def full_row_coincidence(p, grid, positions, slit_width):
+    """The coincidence rate with kernel rows over every grid sample."""
+    mask = elements._double_slit_mask(grid, p.x1, slit_width)
+    flam = p.f * p.wavelength
+    rows = np.exp(-4j * np.pi * np.outer(positions, grid.coords) / flam)
+    return 2 * np.abs((grid.dx / flam) * (rows @ mask.astype(complex) ** 2)) ** 2
+
+
+@pytest.mark.parametrize("slit_cells", [None, 1, 4, 7])
+def test_young_coincidence_at_matches_full_kernel_rows(slit_cells):
+    # rows on the slit samples only: the same numbers for delta slits, and
+    # the same sum in another order for finite ones
+    p, g = young_setup(n=256, x1_cells=20)
+    width = None if slit_cells is None else slit_cells * g.dx
+    x = np.linspace(-3e-4, 3e-4, 101)
+    got = forward.young_coincidence_at(p, g, x, width)
+    want = full_row_coincidence(p, g, x, width)
+    if width is None:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15 * want.max()
+
+
+@pytest.mark.parametrize("slit_cells", [None, 4])
+def test_young_coincidence_at_matches_dense_chain_on_detection_grid(slit_cells):
+    p, g = young_setup(n=128, x1_cells=8)
+    width = None if slit_cells is None else slit_cells * g.dx
+    state = spdc_initial(g)
+    for element in (DoubleSlit(p.x1, width), FourierLens(p.f)):
+        state = evolve(state, kernel_of(element, state.grid, p.wavelength))
+    want = coincidence_diagonal(state)
+    got = forward.young_coincidence_at(p, g, state.grid.coords, width)
+    assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+def test_young_coincidence_at_with_no_slit_sample_is_zero():
+    p, g = young_setup(n=64, x1_cells=40)  # finite slits beyond the grid edge
+    assert np.array_equal(forward.young_coincidence_at(p, g, [0.0, 1e-4], 2e-5),
+                          np.zeros(2))
+
+
 # --------------------------------------------- forward vs reversed readout
 
 
