@@ -216,6 +216,9 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                 diags.append(f"audit.n_modes: must be >= 1, got {cfg.audit.n_modes}")
             if cfg.audit.trials < 1:
                 diags.append(f"audit.trials: must be >= 1, got {cfg.audit.trials}")
+            elif cfg.audit.trials >= 2 ** 32:
+                # modes.time_reversal_audit gives each trial a uint32 spawn key
+                diags.append(f"audit.trials: must be < 2 ** 32, got {cfg.audit.trials}")
         return diags
 
     needs_grid = cfg.mode in ("forward", "reversed", "compare")

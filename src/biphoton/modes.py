@@ -9,7 +9,6 @@ proportionality on random instances.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -193,6 +192,18 @@ class AuditReport:
 # Trials drawn and contracted together in time_reversal_audit; a fixed size
 # keeps the chunk arrays (chunk x n x n complex) small.
 _AUDIT_CHUNK = 32
+# Trials whose PCG64 streams are derived together, as uint32 vectors.
+_SEED_BLOCK = 1024
+# Each trial's spawn key must be one uint32 word, so trials stay below 2**32.
+_MAX_TRIALS = 2**32
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the multiplier of PCG64's 128-bit LCG step.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
 def time_reversal_audit(n: int, trials: int, seed: int,
@@ -203,44 +214,149 @@ def time_reversal_audit(n: int, trials: int, seed: int,
     final modes from a per-trial spawn of the seed, so the trial loop could
     run in any order (or in parallel) with identical results.
 
-    Trials run in chunks of ``_AUDIT_CHUNK``; trial i still draws from the
-    i-th child of ``SeedSequence(seed).spawn(trials)``. Its single draw of
-    2n^2 + 4n normals is the stream ``_coeff_from_rng`` and two
-    ``_mode_from_rng`` calls consume, and every step repeats their
-    arithmetic and their checks, so each trial's values are bit-identical
-    to the scalar functions.
+    Trial i draws from the i-th child of ``SeedSequence(seed).spawn(trials)``:
+    its single draw of 2n^2 + 4n normals is the stream ``_coeff_from_rng``
+    and two ``_mode_from_rng`` calls consume from ``default_rng(child)``.
+    The children are never built: ``_spawn_states`` runs numpy's
+    SeedSequence and PCG64 seeding arithmetic for many children at once, and
+    each result is set on one reused generator. A Generator's draws depend
+    only on its bit generator's state, so every trial gets the numbers
+    ``default_rng(child)`` gives and the seed contract is unchanged.
+
+    The seed must be a nonnegative integer and trials below 2**32 (one
+    uint32 spawn key per trial); anything else raises ``ConfigurationError``
+    before a draw.
     """
     if n < 1:
         raise ConfigurationError(f"mode count must be >= 1, got {n}")
-    if trials < 1:
-        raise ConfigurationError(f"trial count must be >= 1, got {trials}")
+    if not 1 <= trials < _MAX_TRIALS:
+        raise ConfigurationError(f"trials: must be >= 1 and < 2**32, got {trials}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed: must be a nonnegative integer, got {seed!r}")
     max_dev = 0.0
-    for fwd, scaled in _audit_values(n, trials, seed):
-        denom = max(fwd, scaled)
-        if denom > 0:
-            max_dev = max(max_dev, abs(fwd - scaled) / denom)
+    for fwd, scaled in _audit_chunks(n, trials, seed):
+        denom = np.maximum(fwd, scaled)
+        keep = denom > 0
+        dev = np.abs(fwd - scaled)[keep] / denom[keep]
+        max_dev = max(max_dev, float(dev.max(initial=0.0)))
     return AuditReport(n_modes=n, trials=trials, seed=seed,
                        max_ratio_dev=max_dev, tolerance=tolerance)
 
 
 def _audit_values(n: int, trials: int, seed: int):
-    """Yield (forward, 4 k^2 * reversed) of every audit trial, in trial order."""
-    # Successive spawn() calls continue one child sequence, so spawning per
-    # chunk gives the children of spawn(trials) without holding them all.
-    parent = np.random.SeedSequence(seed)
-    for start in range(0, trials, _AUDIT_CHUNK):
-        children = parent.spawn(min(_AUDIT_CHUNK, trials - start))
-        draws = np.stack([np.random.default_rng(child).normal(size=2 * n * n + 4 * n)
-                          for child in children])
+    """Yield (forward, 4 k^2 * reversed) of every audit trial, in trial order.
+
+    Trial i's draws are bit-identical to ``default_rng(child).normal`` for
+    the i-th child of ``SeedSequence(seed).spawn(trials)``: the child's PCG64
+    state is derived, not seeded (``_spawn_states``), and the state is all
+    a generator's output depends on. ``_draw_chunk`` repeats the scalar
+    arithmetic and checks, so the coefficients and modes equal the scalar
+    functions' exactly; the contractions and the tail run stacked, within
+    rounding of them.
+    """
+    for fwd, scaled in _audit_chunks(n, trials, seed):
+        yield from zip(fwd.tolist(), scaled.tolist())
+
+
+def _audit_chunks(n: int, trials: int, seed: int):
+    """(forward, 4 k^2 * reversed) arrays for successive chunks of trials."""
+    for draws in _audit_draws(n, trials, seed):
         fc, f1, f2 = _draw_chunk(draws, n)
         overlap = _contract(f1.conj(), fc, f2.conj())
         reverse = _contract(f1, fc.conj(), f2)
         vdot = (f1.conj()[:, None, :] @ f2[:, :, None])[:, 0, 0]
-        # Scalar tail in Python floats: numpy squares float64 scalars with pow
-        # and arrays with x*x, so array arithmetic would move the last bit.
-        for ov, rv, vd in zip(overlap.tolist(), reverse.tolist(), vdot.tolist()):
-            k = 1 / math.sqrt(1 + abs(vd) ** 2)
-            yield 4 * k**2 * abs(ov) ** 2, 4 * k**2 * abs(rv) ** 2
+        k = 1 / np.sqrt(1 + np.abs(vdot) ** 2)
+        yield 4 * k**2 * np.abs(overlap) ** 2, 4 * k**2 * np.abs(reverse) ** 2
+
+
+def _audit_draws(n: int, trials: int, seed: int):
+    """Chunks of ``_AUDIT_CHUNK`` rows of 2n^2 + 4n normals, one row per trial.
+
+    Row i is ``default_rng(SeedSequence(seed).spawn(trials)[i]).normal(...)``:
+    one reused PCG64 is set to each child's derived state through the public
+    ``state`` setter, which is all ``default_rng(child)`` differs by.
+    """
+    width = 2 * n * n + 4 * n
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    streams = _spawn_states(int(seed), trials)
+    for start in range(0, trials, _AUDIT_CHUNK):
+        draws = np.empty((min(_AUDIT_CHUNK, trials - start), width))
+        for row in draws:
+            state["state"]["state"], state["state"]["inc"] = next(streams)
+            bitgen.state = state
+            row[:] = rng.normal(size=width)
+        yield draws
+
+
+def _spawn_states(seed: int, trials: int):
+    """Yield the PCG64 (state, inc) of each child of SeedSequence(seed).spawn(trials).
+
+    Follows numpy's published SeedSequence algorithm: child i mixes the
+    seed's little-endian uint32 words, zero-padded to the pool size of 4,
+    plus its spawn key (i,) into a 4-word pool; ``generate_state(4, uint64)``
+    hashes the pool into two 128-bit words; ``pcg64_set_seed`` turns those
+    into (state, inc). The uint32 hashing runs as vectors over blocks of
+    ``_SEED_BLOCK`` keys, the 128-bit step in Python ints. Needs
+    0 <= seed and trials <= 2**32.
+    """
+    words = []
+    while True:
+        words.append(np.array([seed & _MASK32], dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    words += [np.zeros(1, dtype=np.uint32)] * (4 - len(words))
+    for start in range(0, trials, _SEED_BLOCK):
+        keys = np.arange(start, min(start + _SEED_BLOCK, trials), dtype=np.uint32)
+        state = _generate_state(_mix_entropy(words + [keys]))
+        for s1, s0, i1, i0 in zip(*state.tolist()):
+            inc = (i1 << 64 | i0) << 1 & _MASK128 | 1
+            yield ((inc + (s1 << 64 | s0)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _mix_entropy(entropy: list) -> list:
+    """SeedSequence.mix_entropy of at least 5 uint32 words into a 4-word pool.
+
+    Each word is a uint32 array (length 1 or one entry per key); array
+    arithmetic wraps mod 2**32 as the C code does.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return r ^ r >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _generate_state(pool: list) -> np.ndarray:
+    """SeedSequence.generate_state(4, uint64) of each pool, as 4 rows of uint64."""
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        out.append((value ^ value >> 16).astype(np.uint64))
+    # uint32 words pair up little-endian into uint64 words
+    return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)])
 
 
 def _draw_chunk(draws: np.ndarray, n: int):

@@ -486,6 +486,28 @@ def test_main_audit_stdout_json(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "rep.json").read_text(encoding="utf-8")) == report
 
 
+def test_audit_cli_rejects_negative_seed(capsys):
+    assert main(["audit", "--n", "2", "--trials", "3", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_audit_trials_beyond_one_word_spawn_keys_exit_2(tmp_path, monkeypatch, capsys):
+    def no_draws(*args):
+        raise AssertionError("drew before rejecting the trial count")
+
+    monkeypatch.setattr("biphoton.modes._audit_chunks", no_draws)
+    doc = {"experiment": "modes-audit", "mode": "forward",
+           "audit": {"n_modes": 2, "trials": 2 ** 32}, "seed": 0}
+    diags = validate(ExperimentConfig.from_dict(doc))
+    assert any(d.startswith("audit.trials") for d in diags), diags
+    path = write_config(tmp_path, "big.json", doc)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "r.json")]) == 2
+    assert "audit.trials" in capsys.readouterr().err
+    assert main(["audit", "--n", "2", "--trials", str(2 ** 32)]) == 2
+    assert "trials" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 # ------------------------------------------------------------ CLI property
 
 

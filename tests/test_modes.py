@@ -6,17 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biphoton.modes as modes
 from biphoton.errors import ConfigurationError
 from biphoton.modes import (
     _AUDIT_CHUNK,
+    _SEED_BLOCK,
     AuditReport,
     FinalMode,
     MixtureWeights,
     TwoPhotonCoeff,
+    _audit_draws,
     _audit_values,
     _coeff_from_rng,
     _draw_chunk,
     _mode_from_rng,
+    _spawn_states,
     forward_prob_general,
     forward_prob_single,
     mixed_reconstruction,
@@ -367,3 +371,53 @@ def test_chunked_values_match_scalar_functions(n, trials, seed):
                                            (5, _AUDIT_CHUNK + 1, 13), (16, 70, 4)])
 def test_chunked_audit_report_equals_looped(n, trials, seed):
     assert time_reversal_audit(n, trials, seed) == looped_audit(n, trials, seed)
+
+
+# ------------------------------------------------- derived per-trial streams
+
+# 2**200 + 7 has 7 uint32 words, more than the pool's 4, so the words after
+# the fourth go through SeedSequence's "remaining entropy" mixing.
+STREAM_SEEDS = [0, 1, 2**31 - 1, 2**64 + 5, 2**200 + 7]
+STREAM_IDS = ["0", "1", "2^31-1", "2^64+5", "2^200+7"]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=STREAM_IDS)
+def test_spawn_states_equal_pcg64_of_each_child(seed):
+    trials = _SEED_BLOCK + 5
+    children = np.random.SeedSequence(seed).spawn(trials)
+    want = [np.random.PCG64(c).state["state"] for c in children]
+    assert list(_spawn_states(seed, trials)) == [(w["state"], w["inc"]) for w in want]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=STREAM_IDS)
+def test_derived_draws_bit_identical_to_child_generators(seed):
+    # crosses both the 32-trial chunk and the 1024-trial seed block boundaries
+    n, trials = 1, 2 * _SEED_BLOCK + 33
+    chunks = list(_audit_draws(n, trials, seed))
+    assert [len(c) for c in chunks[:-1]] == [_AUDIT_CHUNK] * (len(chunks) - 1)
+    got = np.concatenate(chunks)
+    want = np.stack([np.random.default_rng(c).normal(size=2 * n * n + 4 * n)
+                     for c in np.random.SeedSequence(seed).spawn(trials)])
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [-1, -2**64, 1.5, None, "7"])
+def test_audit_rejects_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ConfigurationError, match="seed"):
+        time_reversal_audit(2, trials=3, seed=seed)
+
+
+def test_audit_accepts_numpy_integer_seed():
+    assert time_reversal_audit(2, trials=3, seed=np.int64(5)) == \
+        time_reversal_audit(2, trials=3, seed=5)
+
+
+def test_audit_rejects_trials_beyond_one_word_spawn_keys(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before rejecting the trial count")
+
+    monkeypatch.setattr(modes, "_audit_chunks", no_draws)
+    for trials in (2**32, 2**40):
+        with pytest.raises(ConfigurationError, match="trials"):
+            time_reversal_audit(2, trials=trials, seed=0)
