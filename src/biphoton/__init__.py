@@ -56,6 +56,7 @@ from .elements import (
     magnify,
     pinhole_intensity,
     reversed_focus_train,
+    reversed_young_readings,
     reversed_young_train,
     run_train,
     run_train_batch,

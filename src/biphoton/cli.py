@@ -33,6 +33,7 @@ from .config import ExperimentConfig, load_config
 from .config import validate as validate_config
 from .elements import (
     reversed_focus_train,
+    reversed_young_readings,
     reversed_young_train,
     run_train,  # noqa: F401  (re-exported: callers look it up here)
     run_train_batch,
@@ -138,7 +139,8 @@ def _run_young(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
         idx = np.array([det.index_of(xi) for xi in x])
         sources, row = np.unique(idx, return_inverse=True)
         x = det.coords[idx]
-        columns["reversed"] = run_train_batch(det, p.wavelength, sources, train)[row]
+        columns["reversed"] = reversed_young_readings(det, p.wavelength, sources,
+                                                      train)[row]
 
     columns = _normalize(columns, raw)
     _write_csv(out, ["x0_m"] + list(columns), zip(x, *columns.values()))

@@ -22,6 +22,22 @@ MODES = ("forward", "reversed", "analytic", "compare")
 # Ceiling on the largest single array a run may allocate, checked by
 # ``validate`` so an oversized grid exits before anything is allocated.
 MAX_ARRAY_BYTES = 4 * 2 ** 30
+# Trials an audit draws and contracts together (``modes.time_reversal_audit``).
+AUDIT_CHUNK = 32
+
+
+def audit_array_bytes(n_modes: int, trials: int) -> float:
+    """Size of the largest array one audit chunk allocates.
+
+    That is the chunk's float64 draws, ``min(AUDIT_CHUNK, trials)`` rows of
+    2n^2 + 4n values; its complex n x n stacks are smaller. A float, so a
+    size beyond the float range reads inf instead of raising.
+    """
+    try:
+        n = float(n_modes)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf
+    return 8.0 * min(AUDIT_CHUNK, trials) * (2 * n * n + 4 * n)
 
 
 def _take(d: dict, context: str, required: Tuple[str, ...],
@@ -219,6 +235,12 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             elif cfg.audit.trials >= 2 ** 32:
                 # modes.time_reversal_audit gives each trial a uint32 spawn key
                 diags.append(f"audit.trials: must be < 2 ** 32, got {cfg.audit.trials}")
+            elif cfg.audit.n_modes >= 1:
+                size = audit_array_bytes(cfg.audit.n_modes, cfg.audit.trials)
+                if size > MAX_ARRAY_BYTES:
+                    diags.append(f"audit.n_modes: {cfg.audit.n_modes} needs a "
+                                 f"{size / 2 ** 30:.3g} GiB array, above the "
+                                 f"{MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB limit")
         return diags
 
     needs_grid = cfg.mode in ("forward", "reversed", "compare")

@@ -12,7 +12,9 @@ and its field function, and drives ``apply_element`` and the JSON form.
 1-D grid it runs the sources as one array, bit-identical to looped
 ``run_train``; on a 2-D grid it takes the reversed focus train only and runs
 it through exact closed forms, agreeing with looped ``run_train`` to 1e-12
-of the sweep peak.
+of the sweep peak. ``reversed_young_readings`` reads the radius-0 reversed
+Young train the same way, one relay row on the slit samples and a sum per
+source, and agrees with the 1-D ``run_train_batch`` to 1e-12 of the peak.
 """
 from __future__ import annotations
 
@@ -220,9 +222,9 @@ def _relay_along(amp: np.ndarray, grid: Grid1D, dist: float, wavelength: float,
     Returns ``(amp_out, grid_out)``; ``out`` as in :func:`_spectral_axis`.
     """
     scale = dist * wavelength / (2 * np.pi)
-    out, dk = _spectral_axis(amp, grid.n, grid.dx, grid.center, axis, inverse=False,
-                             gain=1 / np.sqrt(scale), out=out)
-    return out, Grid1D(grid.n, dk * scale, 0.0)
+    out, _ = _spectral_axis(amp, grid.n, grid.dx, grid.center, axis, inverse=False,
+                            gain=1 / np.sqrt(scale), out=out)
+    return out, _relay_grid(grid, dist, wavelength)
 
 
 # Rows per chunk of a batched 1-D run (and block size of the pair-state
@@ -556,9 +558,7 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
         raise ConfigurationError("a batched train must end in a PinholeSample")
     if isinstance(grid, Grid2D):
         return _run_focus_batch(grid, wavelength, indices, train)
-    indices = np.asarray(indices, dtype=np.intp)
-    if indices.ndim != 1 or np.any((indices < 0) | (indices >= grid.n)):
-        raise DomainError(f"source indices must be a 1-D list within [0, {grid.n})")
+    indices = _source_indices(grid, indices)
 
     def run_chunk(rows: slice) -> np.ndarray:
         src = indices[rows]
@@ -583,33 +583,55 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
     return np.concatenate(_map_row_chunks(run_chunk, len(indices)))
 
 
-_FOCUS_TRAIN_KINDS = tuple(
-    (TwoFWithOffset, CircularAperture, FreeSpaceFourier, FourierLens)
-    + shg + (FreeSpaceFourier, PinholeSample) for shg in ((), (SHG,)))
+def _reversed_train_kinds(*head: type) -> tuple:
+    """Element classes of a reversed train: ``head``, SHG or not, path, pinhole."""
+    return tuple(head + shg + (FreeSpaceFourier, PinholeSample) for shg in ((), (SHG,)))
 
 
-def _relay_grid(g: Grid2D, dist: float, wavelength: float) -> Grid2D:
-    """Output grid of a 2-D far-field relay, in the field path's arithmetic."""
+_FOCUS_TRAIN_KINDS = _reversed_train_kinds(
+    TwoFWithOffset, CircularAperture, FreeSpaceFourier, FourierLens)
+_YOUNG_TRAIN_KINDS = _reversed_train_kinds(
+    FourierLens, DoubleSlit, FreeSpaceFourier, FourierLens)
+
+
+def _source_indices(grid: Grid1D, indices) -> np.ndarray:
+    """``indices`` as an intp array of samples of ``grid``; DomainError otherwise."""
+    indices = np.asarray(indices, dtype=np.intp)
+    if indices.ndim != 1 or np.any((indices < 0) | (indices >= grid.n)):
+        raise DomainError(f"source indices must be a 1-D list within [0, {grid.n})")
+    return indices
+
+
+def _relay_grid(g: Grid, dist: float, wavelength: float) -> Grid:
+    """Output grid of a far-field relay, in the field path's arithmetic."""
     scale = dist * wavelength / (2 * np.pi)
+    if isinstance(g, Grid1D):
+        return Grid1D(g.n, 2 * np.pi / (g.n * g.dx) * scale, 0.0)
     return Grid2D(g.nx, g.ny, 2 * np.pi / (g.nx * g.dx) * scale,
                   2 * np.pi / (g.ny * g.dy) * scale, (0.0, 0.0))
 
 
 def _relayed_delta(n: int, d: float, center: float, m: np.ndarray, dist: float,
-                   wavelength: float) -> np.ndarray:
+                   wavelength: float, cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Far-field relays of unit spikes at samples ``m`` of a 1-D axis, one row each.
 
     Row i is the column of the sampled relay kernel at source ``m[i]``,
     ``exp(-2 pi i x' x0/(dist wl)) d/sqrt(dist wl)``. The phase index
     ``(j-c)(m-c) mod n`` is taken in exact integers, as the FFT's twiddle
     factors are, and the center offset enters as in :func:`_spectral_axis`.
+    ``cols`` lists the output samples to build (default all n); each entry
+    equals the full row's entry bit for bit.
+
+    The array is built as (samples, sources) and returned transposed, the
+    column-major layout ``full[:, cols]`` has: a matrix product or row sum
+    over it then keeps the summation order it has over that slice.
     """
     c = n // 2
-    j = np.arange(n) - c
+    j = (np.arange(n) if cols is None else np.asarray(cols, dtype=np.intp)) - c
     k = j * (2 * np.pi / (n * d))
-    turns = (j * (m[:, None] - c)) % n
-    return (np.exp(-2j * np.pi * turns / n - 1j * k * center)
-            * (d / np.sqrt(dist * wavelength)))
+    turns = (j[:, None] * (m - c)) % n
+    return (np.exp(-2j * np.pi * turns / n - 1j * k[:, None] * center)
+            * (d / np.sqrt(dist * wavelength))).T
 
 
 def _run_focus_batch(grid: Grid2D, wavelength: float, indices,
@@ -666,8 +688,8 @@ def _run_focus_batch(grid: Grid2D, wavelength: float, indices,
     far = _relay_grid(image, path2.L, wl_out)
 
     amp0 = np.sqrt(1.0 / grid.cell)
-    ry = _relayed_delta(grid.ny, grid.dy, grid.center[1], indices[:, 0], f, wl)[:, ky]
-    rx = _relayed_delta(grid.nx, grid.dx, grid.center[0], indices[:, 1], f, wl)[:, kx]
+    ry = _relayed_delta(grid.ny, grid.dy, grid.center[1], indices[:, 0], f, wl, cols=ky)
+    rx = _relayed_delta(grid.nx, grid.dx, grid.center[0], indices[:, 1], f, wl, cols=kx)
     rx *= amp0
     if second_harmonic:
         for a in (weight, ry, rx):
@@ -691,6 +713,69 @@ def _run_focus_batch(grid: Grid2D, wavelength: float, indices,
         _check_finite(amp)
         out[i] = _pinhole_readout(amp, far, pinhole.radius)
     return out
+
+
+def reversed_young_readings(grid: Grid1D, wavelength: float, indices,
+                            train: OpticalTrain) -> np.ndarray:
+    """:func:`run_train_batch` of the reversed Young train, in closed form.
+
+    The train must have the shape :func:`reversed_young_train` builds (SHG
+    on or off) and a radius-0 pinhole. Exact rewrites of the chain, for a
+    source ``sqrt(1/dx)`` at sample m:
+
+    1. the first lens relays the spike to one :func:`_relayed_delta` row,
+       built only on the samples the slit mask keeps (it zeroes the rest);
+    2. free path L1 then lens f is ``Magnifier(-f/L1)``, a factor
+       ``sqrt(L1/f)``; its flip is skipped, since the sum in step 4 does
+       not depend on sample order;
+    3. SHG squares the field and halves the wavelength;
+    4. the final relay read by a radius-0 pinhole at the origin is
+       ``sum(amp) dx3/sqrt(L2 wl_out)``.
+
+    That is n_src x |kept| exponentials and no FFT; the grids come from the
+    relay chain's own arithmetic. The readings agree with
+    :func:`run_train_batch`, which stays the reference, to 1e-12 of the
+    sweep peak (floating-point order differs).
+
+    Raises
+    ------
+    DomainError
+        If an index is not a sample of ``grid`` or a delta slit misses the
+        slit-plane grid.
+    UnsupportedElementError
+        For any other train shape or a finite pinhole radius.
+    """
+    if not wavelength > 0:
+        raise ConfigurationError(f"wavelength must be > 0, got {wavelength}")
+    kinds = tuple(type(e) for e in train.elements)
+    if not isinstance(grid, Grid1D) or kinds not in _YOUNG_TRAIN_KINDS:
+        raise UnsupportedElementError(
+            "a closed-form Young reading needs a 1-D grid and the train shape "
+            "reversed_young_train builds")
+    opening, slit, path1, lens = train.elements[:4]
+    path2, pinhole = train.elements[-2:]
+    if pinhole.radius != 0.0:
+        raise UnsupportedElementError(
+            f"a closed-form Young reading needs a radius-0 pinhole, got {pinhole.radius}")
+    indices = _source_indices(grid, indices)
+
+    wl = wavelength
+    slits = _relay_grid(grid, opening.f, wl)
+    kept = np.flatnonzero(_double_slit_mask(slits, slit.x1, slit.slit_width))
+    image = _relay_grid(_relay_grid(slits, path1.L, wl), lens.f, wl)
+    second_harmonic = SHG in kinds
+    wl_out = wl / 2 if second_harmonic else wl
+
+    rows = _relayed_delta(grid.n, grid.dx, grid.center, indices, opening.f, wl,
+                          cols=kept)
+    rows *= np.sqrt(1.0 / grid.cell) * np.sqrt(path1.L / lens.f)
+    _check_finite(rows)
+    if second_harmonic:
+        np.square(rows, out=rows)
+        _check_finite(rows)
+    totals = rows.sum(axis=1) * (image.dx / np.sqrt(path2.L * wl_out))
+    _check_finite(totals)
+    return np.abs(totals) ** 2
 
 
 def reversed_young_train(f: float, x1: float, L1: float, L2: float, *,

@@ -13,10 +13,13 @@ FFT of a zero column is exactly zero); the axis-1 relay and the blocked
 ``(a + a.T)/2`` symmetrization run in row chunks on one thread per usable
 CPU. The result is exactly symmetric by construction, so the state is built
 without the public constructor's copy and ``psi == psi.T`` compare. The
-reversed side of ``forward_vs_reversed_young`` runs every source position
-through the batched train (``run_train_batch``). The n x n pair state stays
-the forward side of that compare; the dense ``kernel_of``/``evolve`` chain is
-the O(n^3) reference both are tested against.
+reversed side of ``forward_vs_reversed_young`` reads every source position
+through the closed form of the reversed train (``reversed_young_readings``,
+tested against ``run_train_batch``). The n x n pair state stays the forward
+side of that compare: it shares no closed form with the reversed side, while
+``young_coincidence_at`` computes the same sum as the closed form and is
+never compared with it. The dense ``kernel_of``/``evolve`` chain is the
+O(n^3) reference.
 """
 from __future__ import annotations
 
@@ -39,9 +42,9 @@ from .elements import (
     _offset_chirp,
     _params,
     _relay_along,
+    reversed_young_readings,
     reversed_young_train,
     run_train,  # noqa: F401  (re-exported: callers look it up here)
-    run_train_batch,
 )
 from .errors import (
     ConfigurationError,
@@ -296,15 +299,15 @@ def forward_vs_reversed_young(p: YoungParams, grid: Grid1D,
                               L1: float = 0.25, L2: float = 0.5) -> EquivalenceReport:
     """Compare the forward pair fringe with the scanned-source pinhole train.
 
-    The reconstruction train is run from a point source at every
-    detection-plane sample, all sources as one batch; both curves are
-    peak-normalized and the maximum pointwise deviation is reported. The
-    result does not depend on L1/L2 (they enter only through an exact
-    discrete demagnifier).
+    The reconstruction train is read from a point source at every
+    detection-plane sample by its closed form (``reversed_young_readings``);
+    both curves are peak-normalized and the maximum pointwise deviation is
+    reported. The result does not depend on L1/L2 (they enter only through
+    an exact discrete demagnifier).
     """
     det_grid, fwd = forward_young(p, grid, slit_width)
     train = reversed_young_train(p.f, p.x1, L1, L2, slit_width=slit_width)
-    rev = run_train_batch(det_grid, p.wavelength, np.arange(det_grid.n), train)
+    rev = reversed_young_readings(det_grid, p.wavelength, np.arange(det_grid.n), train)
     rev = rev / rev.max()
     return EquivalenceReport(max_rel_err=float(np.max(np.abs(fwd - rev))),
                              n_points=det_grid.n)

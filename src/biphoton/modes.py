@@ -14,6 +14,8 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
+from .config import AUDIT_CHUNK as _AUDIT_CHUNK
+from .config import MAX_ARRAY_BYTES, audit_array_bytes
 from .errors import ConfigurationError
 
 
@@ -189,9 +191,6 @@ class AuditReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-# Trials drawn and contracted together in time_reversal_audit; a fixed size
-# keeps the chunk arrays (chunk x n x n complex) small.
-_AUDIT_CHUNK = 32
 # Trials whose PCG64 streams are derived together, as uint32 vectors.
 _SEED_BLOCK = 1024
 # Each trial's spawn key must be one uint32 word, so trials stay below 2**32.
@@ -224,13 +223,19 @@ def time_reversal_audit(n: int, trials: int, seed: int,
     ``default_rng(child)`` gives and the seed contract is unchanged.
 
     The seed must be a nonnegative integer and trials below 2**32 (one
-    uint32 spawn key per trial); anything else raises ``ConfigurationError``
-    before a draw.
+    uint32 spawn key per trial), and the largest array of a chunk of trials
+    (``config.audit_array_bytes``) must fit ``config.MAX_ARRAY_BYTES``;
+    anything else raises ``ConfigurationError`` before a draw.
     """
     if n < 1:
         raise ConfigurationError(f"mode count must be >= 1, got {n}")
     if not 1 <= trials < _MAX_TRIALS:
         raise ConfigurationError(f"trials: must be >= 1 and < 2**32, got {trials}")
+    size = audit_array_bytes(n, trials)
+    if size > MAX_ARRAY_BYTES:
+        raise ConfigurationError(
+            f"n: {n} modes need a {size / 2 ** 30:.3g} GiB array, above the "
+            f"{MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB limit")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigurationError(f"seed: must be a nonnegative integer, got {seed!r}")
     max_dev = 0.0

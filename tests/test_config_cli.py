@@ -14,7 +14,14 @@ import biphoton.cli as cli
 import biphoton.forward as forward
 from biphoton.analytic import YoungParams, young_two_photon
 from biphoton.cli import FOCUS_COMPARE_TOL, YOUNG_COMPARE_TOL, main, run
-from biphoton.config import ExperimentConfig, load_config, validate
+from biphoton.config import (
+    AUDIT_CHUNK,
+    MAX_ARRAY_BYTES,
+    ExperimentConfig,
+    audit_array_bytes,
+    load_config,
+    validate,
+)
 from biphoton.errors import ConfigurationError
 from biphoton.forward import forward_vs_reversed_young
 from biphoton.grid import Grid1D
@@ -195,13 +202,13 @@ def test_young_compare_exits_3_above_tolerance(tmp_path, monkeypatch, capsys):
     # would cancel in the peak normalization); the CSV and the summary are
     # still written.
     monkeypatch.chdir(tmp_path)
-    batch = forward.run_train_batch
+    batch = forward.reversed_young_readings
 
     def skewed_batch(*args):
         rev = batch(*args)
         return np.where(rev == rev.max(), rev, rev * (1 + 1e-9))
 
-    monkeypatch.setattr(forward, "run_train_batch", skewed_batch)
+    monkeypatch.setattr(forward, "reversed_young_readings", skewed_batch)
     path = write_config(tmp_path, "yc.json", young_doc("compare"))
     assert main(["simulate", "--config", path, "--out", "yc.csv"]) == 3
     assert "tolerance" in capsys.readouterr().err
@@ -489,6 +496,43 @@ def test_main_audit_stdout_json(tmp_path, monkeypatch, capsys):
 def test_audit_cli_rejects_negative_seed(capsys):
     assert main(["audit", "--n", "2", "--trials", "3", "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_audit_beyond_the_array_limit_exits_2_without_drawing(tmp_path, monkeypatch,
+                                                            capsys):
+    def no_draws(*args):
+        raise AssertionError("drew before rejecting the mode count")
+
+    monkeypatch.setattr("biphoton.modes._audit_chunks", no_draws)
+    doc = {"experiment": "modes-audit", "mode": "forward",
+           "audit": {"n_modes": 10 ** 6, "trials": 1}, "seed": 0}
+    diags = validate(ExperimentConfig.from_dict(doc))
+    assert any(d.startswith("audit.n_modes") for d in diags), diags
+    path = write_config(tmp_path, "big.json", doc)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "r.json")]) == 2
+    assert "audit.n_modes" in capsys.readouterr().err
+    assert main(["audit", "--n", str(10 ** 6), "--trials", "1"]) == 2
+    assert "n: 1000000" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_audit_array_limit_counts_one_chunk_of_trials():
+    # A chunk holds min(AUDIT_CHUNK, trials) rows of 2n^2 + 4n float64 draws:
+    # n = 2896 fits one trial but not a full chunk under the 4 GiB limit.
+    assert audit_array_bytes(2896, 1) <= MAX_ARRAY_BYTES
+    assert audit_array_bytes(2896, AUDIT_CHUNK) > MAX_ARRAY_BYTES
+    assert audit_array_bytes(2895, 10 ** 6) <= MAX_ARRAY_BYTES
+    assert audit_array_bytes(16, 3) == 8 * 3 * (2 * 16 ** 2 + 4 * 16)
+    assert audit_array_bytes(10 ** 400, 1) == float("inf")
+
+    def diags(n, trials):
+        doc = {"experiment": "modes-audit", "mode": "forward",
+               "audit": {"n_modes": n, "trials": trials}}
+        return [d for d in validate(ExperimentConfig.from_dict(doc))
+                if d.startswith("audit.n_modes")]
+
+    assert diags(2896, 1) == [] and diags(2895, 10 ** 6) == []
+    assert diags(2896, AUDIT_CHUNK) and diags(2896, 10 ** 6)
 
 
 def test_audit_trials_beyond_one_word_spawn_keys_exit_2(tmp_path, monkeypatch, capsys):

@@ -552,6 +552,17 @@ def test_offset_chirp_2d_is_separable_and_keeps_the_guard():
         elements._offset_chirp(tall, z, F, WL)
 
 
+@pytest.mark.parametrize("n,center", [(64, 0.0), (63, 2.5e-6), (128, -7e-6)])
+def test_relayed_delta_on_chosen_columns_equals_full_row_slice(n, center):
+    # Built per element, so building only some columns changes no bit
+    m = np.array([n // 2, 0, n - 1, 5, 5, n // 3])
+    cols = np.array([n - 1, 3, n // 2, 3, 0, 17])
+    full = elements._relayed_delta(n, 1e-6, center, m, F, WL)
+    part = elements._relayed_delta(n, 1e-6, center, m, F, WL, cols=cols)
+    np.testing.assert_array_equal(part, full[:, cols])
+    assert part.strides == full[:, cols].strides
+
+
 def test_run_train_batch_2d_guards():
     g = Grid2D(nx=128, ny=128, dx=1e-6, dy=1e-6)
     aliasing = reversed_focus_train(F, 12.7e-3, 1e-3, 0.25, 0.5)

@@ -24,6 +24,8 @@ from biphoton.elements import (
     apply_fourier_lens,
     free_space_fourier,
     magnify,
+    reversed_focus_train,
+    reversed_young_readings,
     reversed_young_train,
     run_train,
     run_train_batch,
@@ -46,7 +48,7 @@ from biphoton.forward import (
     kernel_of,
     spdc_initial,
 )
-from biphoton.grid import Grid1D, SampledField, point_source
+from biphoton.grid import Grid1D, Grid2D, SampledField, point_source
 
 WL = 780e-9
 F = 50e-3
@@ -467,6 +469,71 @@ def test_batched_train_rejects_what_it_cannot_run():
     for bad in ([-1], [32], [[0, 1]], [0] * (2 * elements._CHUNK_ROWS) + [32]):
         with pytest.raises(DomainError):
             run_train_batch(g, WL, bad, OpticalTrain((PinholeSample(),)))
+
+
+@pytest.mark.parametrize("n,center_cells", [(256, 0.0), (255, 3.3)])
+@pytest.mark.parametrize("L1,L2", [(0.25, 0.5), (0.8, 0.15)])
+@pytest.mark.parametrize("shg", [True, False])
+@pytest.mark.parametrize("slit_cells", [None, 1, 4, 7])
+def test_closed_form_young_readings_match_batched_trains(slit_cells, shg, L1, L2,
+                                                         n, center_cells):
+    # Raw readings against the FFT batch, on odd n and an off-centre detector
+    # grid too; a subset in any order, with repeats, reads the same rows.
+    p, g = young_setup(n=n, x1_cells=8)
+    det_dx = p.f * p.wavelength / (g.n * g.dx)
+    det = Grid1D(g.n, det_dx, center_cells * det_dx)
+    slit_width = None if slit_cells is None else slit_cells * g.dx
+    train = reversed_young_train(p.f, p.x1, L1, L2, slit_width=slit_width,
+                                 second_harmonic=shg)
+    want = run_train_batch(det, WL, np.arange(det.n), train)
+    got = reversed_young_readings(det, WL, np.arange(det.n), train)
+    assert want.max() > 0
+    assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+    idx = np.array([200, 3, 3, 128, 0, 77])
+    sub = reversed_young_readings(det, WL, idx, train)
+    assert np.max(np.abs(sub - want[idx])) <= 1e-12 * want.max()
+
+
+def test_closed_form_young_readings_reject_what_they_cannot_read():
+    p, g = young_setup(n=64, x1_cells=8)
+    det = Grid1D(g.n, p.f * p.wavelength / (g.n * g.dx))
+    train = reversed_young_train(p.f, p.x1, 0.25, 0.5)
+    e = train.elements
+    others = [
+        reversed_young_train(p.f, p.x1, 0.25, 0.5, pinhole_radius=1e-4),
+        reversed_focus_train(p.f, 12.7e-3, 0.0, 0.25, 0.5),
+        OpticalTrain(e[:4] + (Magnifier(2.0),) + e[4:]),
+        OpticalTrain(e[:2] + e[3:]),
+        OpticalTrain((PinholeSample(),)),
+    ]
+    for other in others:
+        with pytest.raises(UnsupportedElementError):
+            reversed_young_readings(det, WL, [0], other)
+    with pytest.raises(UnsupportedElementError):
+        reversed_young_readings(Grid2D(8, 8, 1e-6, 1e-6), WL, [0], train)
+    for bad in ([-1], [64], [[0, 1]]):
+        with pytest.raises(DomainError):
+            reversed_young_readings(det, WL, bad, train)
+    with pytest.raises(ConfigurationError):
+        reversed_young_readings(det, 0.0, [0], train)
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e300])
+def test_closed_form_young_readings_nonfinite_stage_raises(monkeypatch, value):
+    # A NaN in the relayed rows, or a finite value that overflows under SHG
+    relay = elements._relayed_delta
+
+    def poisoned(*args, **kwargs):
+        out = relay(*args, **kwargs)
+        out[-1, 0] = value
+        return out
+
+    p, g = young_setup(n=64, x1_cells=8)
+    det = Grid1D(g.n, p.f * p.wavelength / (g.n * g.dx))
+    train = reversed_young_train(p.f, p.x1, 0.25, 0.5)
+    monkeypatch.setattr(elements, "_relayed_delta", poisoned)
+    with pytest.raises(ValueError, match="field amplitudes must be finite"):
+        reversed_young_readings(det, WL, np.arange(det.n), train)
 
 
 def young_sweep_setup(n, slit_cells=4):

@@ -421,3 +421,13 @@ def test_audit_rejects_trials_beyond_one_word_spawn_keys(monkeypatch):
     for trials in (2**32, 2**40):
         with pytest.raises(ConfigurationError, match="trials"):
             time_reversal_audit(2, trials=trials, seed=0)
+
+
+def test_audit_rejects_a_chunk_beyond_the_array_limit(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before rejecting the mode count")
+
+    monkeypatch.setattr(modes, "_audit_chunks", no_draws)
+    for n, trials in ((10**6, 1), (2896, 32), (10**400, 1)):
+        with pytest.raises(ConfigurationError, match=r"^n: \d+ modes need"):
+            time_reversal_audit(n, trials=trials, seed=0)
