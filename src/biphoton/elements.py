@@ -8,24 +8,20 @@ holds its element's parameter rules; one table maps the class to its JSON tag
 and its field function, and drives ``apply_element`` and the JSON form.
 
 ``run_train`` applies a train to one field and is the reference.
-``run_train_batch`` reads the pinhole for many point sources at once: on a
-1-D grid it runs the sources as one array, bit-identical to looped
-``run_train``; on a 2-D grid it takes the reversed focus train only and runs
-it through exact closed forms, agreeing with looped ``run_train`` to 1e-12
-of the sweep peak. ``reversed_young_readings`` reads the radius-0 reversed
-Young train the same way, one relay row on the slit samples and a sum per
-source, and agrees with the 1-D ``run_train_batch`` to 1e-12 of the peak.
+``run_train_batch`` reads the pinhole for many point sources at once, by
+exact closed forms of the two reversed trains with a radius-0 pinhole: the
+Young train on a 1-D grid and the focus train on a 2-D grid, SHG on or off.
+It uses no FFT and no SampledField, and agrees with looped ``run_train`` to
+1e-12 of the sweep peak. Every other train, finite pinholes included, runs
+through looped ``run_train``.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -227,48 +223,6 @@ def _relay_along(amp: np.ndarray, grid: Grid1D, dist: float, wavelength: float,
     return out, _relay_grid(grid, dist, wavelength)
 
 
-# Rows per chunk of a batched 1-D run (and block size of the pair-state
-# symmetrization in ``forward``). At n=2048, 128 rows are 4 MiB of
-# complex128, so each stage of a chunk reads data the previous stage left in
-# cache instead of streaming a 64 MiB array; 64 to 256 rows time alike on a
-# 2-core host.
-_CHUNK_ROWS = 128
-
-
-def _workers() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@functools.lru_cache(maxsize=1)
-def _row_pool(pid: int, workers: int) -> ThreadPoolExecutor:
-    """The pool of :func:`_map_row_chunks`, made on first use and kept.
-
-    Threads made per call left each run's buffers in a new malloc arena,
-    which made peak RSS drift by 10% from run to run. The key holds the pid
-    because a pool's threads do not survive a fork; a forked child or a new
-    CPU count gets a new pool, and the evicted one's idle threads exit when
-    it is collected.
-    """
-    return ThreadPoolExecutor(max_workers=workers)
-
-
-def _map_row_chunks(fn: Callable[[slice], object], n_rows: int) -> list:
-    """``[fn(rows) ...]`` over consecutive ``_CHUNK_ROWS``-row slices, in order.
-
-    The chunks run on a shared pool of one thread per usable CPU; numpy's
-    FFT and ufuncs release the GIL, so they run in parallel. ``fn`` must not
-    itself call this function. An exception in any chunk re-raises here.
-    Zero rows still make one empty chunk.
-    """
-    chunks = [slice(i, min(i + _CHUNK_ROWS, n_rows))
-              for i in range(0, max(n_rows, 1), _CHUNK_ROWS)]
-    return list(_row_pool(os.getpid(), _workers()).map(fn, chunks))
-
-
 def apply_fourier_lens(field: SampledField, f: float) -> SampledField:
     """Transform from front to back focal plane of an ideal lens.
 
@@ -447,27 +401,18 @@ def pinhole_intensity(field: SampledField, radius: float = 0.0) -> float:
     DomainError
         If the origin lies outside the field's grid.
     """
-    return float(_pinhole_readout(field.amp, field.grid, radius))
-
-
-def _pinhole_readout(amp: np.ndarray, grid, radius: float) -> np.ndarray:
-    """Pinhole reading over the trailing grid axes of ``amp``; leading axes batch."""
     PinholeSample(radius)  # parameter validation
+    grid = field.grid
     origin = 0.0 if isinstance(grid, Grid1D) else (0.0, 0.0)
     if not grid.contains(origin):
         raise DomainError("pinhole at the origin lies outside the grid")
     if radius == 0.0:
-        idx = grid.index_of(origin)
-        picked = amp[(...,) + (idx if isinstance(idx, tuple) else (idx,))]
-        # Scalar ``** 2`` (libm pow) and array squaring can differ in the
-        # last bit; squaring each sample as a scalar keeps a batched reading
-        # equal to the single-field one.
-        return np.array([np.abs(z) ** 2 for z in picked.flat]).reshape(picked.shape)
+        return float(abs(field.amp[grid.index_of(origin)]) ** 2)
     if isinstance(grid, Grid1D):
         sel = np.abs(grid.coords) <= radius
     else:
         sel = grid.radius_sq() <= radius ** 2
-    return np.sum(np.abs(amp[..., sel]) ** 2, axis=-1) * grid.cell
+    return float(np.sum(np.abs(field.amp[sel]) ** 2) * grid.cell)
 
 
 # ---------------------------------------------------------------- element table
@@ -486,8 +431,6 @@ _TABLE = {
 }
 _TAGS = {cls: tag for cls, (tag, _) in _TABLE.items()}
 _CLASSES = {tag: cls for cls, tag in _TAGS.items()}
-# Elements that are one far-field relay over their one length
-_RELAYS = (FourierLens, FreeSpaceFourier)
 
 
 def _params(element: OpticalElement) -> dict:
@@ -523,64 +466,56 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
     """Pinhole readings of unit-power point sources on the samples ``indices``.
 
     Entry i stands for ``run_train(point_source(grid, <sample indices[i]>,
-    1.0, wavelength), train)``.
+    1.0, wavelength), train)``. The train must end in a radius-0 pinhole and
+    have one of two shapes, SHG on or off:
 
-    On a :class:`Grid1D`, ``indices`` lists sample indices. The sources run
-    through the train as ``(rows, n)`` arrays of ``_CHUNK_ROWS`` rows, one
-    thread per usable CPU, each element acting along the last axis with the
-    arithmetic of the field path. Rows do not interact, so the result is
-    bit-identical to the looped trains for any chunking and thread count.
-    The train may hold relays, a double slit and SHG, and must end in a
-    PinholeSample.
+    - on a :class:`Grid1D`, the shape :func:`reversed_young_train` builds;
+      ``indices`` lists sample indices;
+    - on a :class:`Grid2D`, the shape :func:`reversed_focus_train` builds
+      (any ``z``); ``indices`` lists ``(iy, ix)`` rows.
 
-    On a :class:`Grid2D`, ``indices`` lists ``(iy, ix)`` rows and the train
-    must have the shape :func:`reversed_focus_train` builds (any ``z``, SHG
-    on or off, any pinhole radius). Closed forms of the same chain read a
-    radius-0 pinhole for all sources at once, as one matrix product with a
-    source-independent weight, with no FFT and no SampledField; a finite
-    radius runs each source's final relay by FFT. The readings agree with
-    the looped trains to 1e-12 of the sweep peak (floating-point order
-    differs).
+    Exact closed forms of the chain read all sources at once, with no FFT
+    and no SampledField; the grids come from the relay chain's own
+    arithmetic. The readings agree with the looped trains, which stay the
+    reference, to 1e-12 of the sweep peak (floating-point order differs).
 
     Raises
     ------
+    ConfigurationError
+        If the wavelength is not positive.
     DomainError
-        If an index is not a sample of ``grid`` or the pinhole misses the
-        final grid.
+        If an index is not a sample of ``grid`` or a delta slit misses the
+        slit-plane grid.
     SamplingError
-        If the offset chirp of a 2-D train aliases (as in the field path).
+        If the offset chirp of a focus train aliases (as in the field path).
     UnsupportedElementError
-        For an element without a batched form on this grid.
+        For any other train shape or a finite pinhole radius.
     """
     if not wavelength > 0:
         raise ConfigurationError(f"wavelength must be > 0, got {wavelength}")
-    if not train.elements or not isinstance(train.elements[-1], PinholeSample):
-        raise ConfigurationError("a batched train must end in a PinholeSample")
-    if isinstance(grid, Grid2D):
-        return _run_focus_batch(grid, wavelength, indices, train)
+    kinds = tuple(type(e) for e in train.elements)
+    if isinstance(grid, Grid1D):
+        supported, read = kinds in _YOUNG_TRAIN_KINDS, _young_totals
+    else:
+        supported = kinds in _FOCUS_TRAIN_KINDS and train.elements[0].transpose
+        read = _focus_totals
+    if not supported:
+        raise UnsupportedElementError(
+            "a batched train must have the shape reversed_young_train (1-D grid) "
+            "or reversed_focus_train (2-D grid) builds")
+    opening, _, path1, lens = train.elements[:4]
+    pinhole = train.elements[-1]
+    if pinhole.radius != 0.0:
+        raise UnsupportedElementError(
+            f"a batched train needs a radius-0 pinhole, got {pinhole.radius}")
     indices = _source_indices(grid, indices)
 
-    def run_chunk(rows: slice) -> np.ndarray:
-        src = indices[rows]
-        amp = np.zeros((len(src), grid.n), dtype=np.complex128)
-        amp[np.arange(len(src)), src] = np.sqrt(1.0 / grid.cell)
-        g, wl = grid, wavelength
-        for element in train.elements[:-1]:
-            if isinstance(element, _RELAYS):
-                (dist,) = _params(element).values()
-                amp, g = _relay_along(amp, g, dist, wl, axis=-1, out=amp)
-            elif isinstance(element, DoubleSlit):
-                amp *= _double_slit_mask(g, element.x1, element.slit_width)
-            elif isinstance(element, SHG):
-                np.square(amp, out=amp)
-                wl = wl / 2
-            else:
-                raise UnsupportedElementError(
-                    f"no batched 1-D form for {type(element).__name__}")
-            _check_finite(amp)
-        return _pinhole_readout(amp, g, train.elements[-1].radius)
-
-    return np.concatenate(_map_row_chunks(run_chunk, len(indices)))
+    pupil = _relay_grid(grid, opening.f, wavelength)
+    image = _relay_grid(_relay_grid(pupil, path1.L, wavelength), lens.f, wavelength)
+    wl_out = wavelength / 2 if SHG in kinds else wavelength
+    totals = read(grid, wavelength, indices, train, pupil, image, wl_out)
+    _check_finite(totals)
+    return np.abs(totals) ** 2
 
 
 def _reversed_train_kinds(*head: type) -> tuple:
@@ -594,11 +529,20 @@ _YOUNG_TRAIN_KINDS = _reversed_train_kinds(
     FourierLens, DoubleSlit, FreeSpaceFourier, FourierLens)
 
 
-def _source_indices(grid: Grid1D, indices) -> np.ndarray:
-    """``indices`` as an intp array of samples of ``grid``; DomainError otherwise."""
+def _source_indices(grid: Grid, indices) -> np.ndarray:
+    """``indices`` as an intp array of samples of ``grid``; DomainError otherwise.
+
+    A 1-D grid takes a list of sample indices, a 2-D grid ``(iy, ix)`` rows.
+    """
     indices = np.asarray(indices, dtype=np.intp)
-    if indices.ndim != 1 or np.any((indices < 0) | (indices >= grid.n)):
-        raise DomainError(f"source indices must be a 1-D list within [0, {grid.n})")
+    if isinstance(grid, Grid1D):
+        shape, limit = indices.ndim == 1, grid.n
+        what = f"a 1-D list within [0, {grid.n})"
+    else:
+        shape, limit = indices.ndim == 2 and indices.shape[1] == 2, (grid.ny, grid.nx)
+        what = f"(iy, ix) rows within [0, {grid.ny}) x [0, {grid.nx})"
+    if not shape or np.any((indices < 0) | (indices >= limit)):
+        raise DomainError(f"source indices must be {what}")
     return indices
 
 
@@ -634,94 +578,11 @@ def _relayed_delta(n: int, d: float, center: float, m: np.ndarray, dist: float,
             * (d / np.sqrt(dist * wavelength))).T
 
 
-def _run_focus_batch(grid: Grid2D, wavelength: float, indices,
-                     train: OpticalTrain) -> np.ndarray:
-    """:func:`run_train_batch` for the 2-D reversed focus train.
+def _young_totals(grid: Grid1D, wl: float, indices: np.ndarray, train: OpticalTrain,
+                  slits: Grid1D, image: Grid1D, wl_out: float) -> np.ndarray:
+    """On-axis amplitudes of the reversed Young train, one per source.
 
-    Exact rewrites of the chain, for a source ``sqrt(1/cell)`` at (y0, x0):
-
-    1. the transposed offset 2-f stage relays the spike to a separable plane
-       wave, the outer product of one :func:`_relayed_delta` row per axis;
-    2. the chirp with ``1 + z/f``, the aperture mask and the ``1/|M|`` of
-       step 3 do not depend on the source: one weight ``w`` per call, held
-       on the rows and columns the aperture reaches (it is zero elsewhere);
-    3. free path L1 then lens f is ``Magnifier(-f/L1)``; its flip commutes
-       with the final relay and both pinhole readouts are symmetric under
-       it, so the flip is skipped;
-    4. SHG squares the field and halves the wavelength; with p = 2 (SHG) or
-       1, the field is ``ry^p[y] rx^p[x] w^p[y, x]``, so ``w^p`` is built
-       once and each source's two axis rows are raised to p once;
-    5. the final relay read at the origin is ``sum(amp) dx dy/(L2 wl)``.
-       For a radius-0 pinhole that sum is the bilinear form
-       ``ry^p . (w^p @ rx^p)``: all sources are read by one matrix product
-       and a row-wise dot, with no per-source 2-D array. A finite pinhole
-       radius builds each source's field from the same ``w^p``, runs that
-       relay and reads it as the field path does.
-    """
-    kinds = tuple(type(e) for e in train.elements)
-    if kinds not in _FOCUS_TRAIN_KINDS or not train.elements[0].transpose:
-        raise UnsupportedElementError(
-            "a batched 2-D train must have the shape reversed_focus_train builds")
-    opening, aperture, path1, lens = train.elements[:4]
-    path2, pinhole = train.elements[-2:]
-    second_harmonic = SHG in kinds
-    indices = np.asarray(indices, dtype=np.intp)
-    if (indices.ndim != 2 or indices.shape[1] != 2 or np.any(indices < 0)
-            or np.any(indices >= (grid.ny, grid.nx))):
-        raise DomainError(f"source indices must be (iy, ix) rows within "
-                          f"[0, {grid.ny}) x [0, {grid.nx})")
-
-    f, z, wl = opening.f, opening.z, wavelength
-    pupil = _relay_grid(grid, f, wl)
-    cx, cy = _axis_chirps(pupil, z, f, wl)
-    # The aperture passes no sample outside the rows and columns kept here:
-    # floating-point y^2 + x^2 is never below y^2 or x^2.
-    r2_max = (aperture.D / 2) ** 2
-    ky = np.flatnonzero(pupil.ys ** 2 <= r2_max)
-    kx = np.flatnonzero(pupil.xs ** 2 <= r2_max)
-    weight = np.outer(cy[ky], cx[kx])
-    weight *= (1 + z / f) * (path1.L / lens.f)
-    weight *= pupil.ys[ky, None] ** 2 + pupil.xs[None, kx] ** 2 <= r2_max
-    image = _relay_grid(_relay_grid(pupil, path1.L, wl), lens.f, wl)
-    wl_out = wl / 2 if second_harmonic else wl
-    on_axis = image.dx * image.dy / (path2.L * wl_out)
-    far = _relay_grid(image, path2.L, wl_out)
-
-    amp0 = np.sqrt(1.0 / grid.cell)
-    ry = _relayed_delta(grid.ny, grid.dy, grid.center[1], indices[:, 0], f, wl, cols=ky)
-    rx = _relayed_delta(grid.nx, grid.dx, grid.center[0], indices[:, 1], f, wl, cols=kx)
-    rx *= amp0
-    if second_harmonic:
-        for a in (weight, ry, rx):
-            np.square(a, out=a)
-    for a in (weight, ry, rx):
-        _check_finite(a)
-    if pinhole.radius == 0.0:
-        totals = np.sum(ry * (weight @ rx.T).T, axis=1) * on_axis
-        _check_finite(totals)
-        return np.abs(totals) ** 2
-
-    work = np.zeros(grid.shape, dtype=np.complex128)
-    box = np.ix_(ky, kx)
-    out = np.empty(len(indices))
-    for i in range(len(indices)):
-        work[box] = np.outer(ry[i], rx[i]) * weight
-        _check_finite(work)
-        amp, _ = _spectral_axis(work, grid.nx, image.dx, 0.0, 1, inverse=False)
-        amp, _ = _spectral_axis(amp, grid.ny, image.dy, 0.0, 0, inverse=False)
-        amp /= path2.L * wl_out / (2 * np.pi)
-        _check_finite(amp)
-        out[i] = _pinhole_readout(amp, far, pinhole.radius)
-    return out
-
-
-def reversed_young_readings(grid: Grid1D, wavelength: float, indices,
-                            train: OpticalTrain) -> np.ndarray:
-    """:func:`run_train_batch` of the reversed Young train, in closed form.
-
-    The train must have the shape :func:`reversed_young_train` builds (SHG
-    on or off) and a radius-0 pinhole. Exact rewrites of the chain, for a
-    source ``sqrt(1/dx)`` at sample m:
+    Exact rewrites of the chain, for a source ``sqrt(1/dx)`` at sample m:
 
     1. the first lens relays the spike to one :func:`_relayed_delta` row,
        built only on the samples the slit mask keeps (it zeroes the rest);
@@ -732,50 +593,66 @@ def reversed_young_readings(grid: Grid1D, wavelength: float, indices,
     4. the final relay read by a radius-0 pinhole at the origin is
        ``sum(amp) dx3/sqrt(L2 wl_out)``.
 
-    That is n_src x |kept| exponentials and no FFT; the grids come from the
-    relay chain's own arithmetic. The readings agree with
-    :func:`run_train_batch`, which stays the reference, to 1e-12 of the
-    sweep peak (floating-point order differs).
-
-    Raises
-    ------
-    DomainError
-        If an index is not a sample of ``grid`` or a delta slit misses the
-        slit-plane grid.
-    UnsupportedElementError
-        For any other train shape or a finite pinhole radius.
+    That is n_src x |kept| exponentials.
     """
-    if not wavelength > 0:
-        raise ConfigurationError(f"wavelength must be > 0, got {wavelength}")
-    kinds = tuple(type(e) for e in train.elements)
-    if not isinstance(grid, Grid1D) or kinds not in _YOUNG_TRAIN_KINDS:
-        raise UnsupportedElementError(
-            "a closed-form Young reading needs a 1-D grid and the train shape "
-            "reversed_young_train builds")
     opening, slit, path1, lens = train.elements[:4]
-    path2, pinhole = train.elements[-2:]
-    if pinhole.radius != 0.0:
-        raise UnsupportedElementError(
-            f"a closed-form Young reading needs a radius-0 pinhole, got {pinhole.radius}")
-    indices = _source_indices(grid, indices)
-
-    wl = wavelength
-    slits = _relay_grid(grid, opening.f, wl)
+    path2 = train.elements[-2]
     kept = np.flatnonzero(_double_slit_mask(slits, slit.x1, slit.slit_width))
-    image = _relay_grid(_relay_grid(slits, path1.L, wl), lens.f, wl)
-    second_harmonic = SHG in kinds
-    wl_out = wl / 2 if second_harmonic else wl
-
     rows = _relayed_delta(grid.n, grid.dx, grid.center, indices, opening.f, wl,
                           cols=kept)
     rows *= np.sqrt(1.0 / grid.cell) * np.sqrt(path1.L / lens.f)
     _check_finite(rows)
-    if second_harmonic:
+    if wl_out != wl:  # SHG
         np.square(rows, out=rows)
         _check_finite(rows)
-    totals = rows.sum(axis=1) * (image.dx / np.sqrt(path2.L * wl_out))
-    _check_finite(totals)
-    return np.abs(totals) ** 2
+    return rows.sum(axis=1) * (image.dx / np.sqrt(path2.L * wl_out))
+
+
+def _focus_totals(grid: Grid2D, wl: float, indices: np.ndarray, train: OpticalTrain,
+                  pupil: Grid2D, image: Grid2D, wl_out: float) -> np.ndarray:
+    """On-axis amplitudes of the reversed focus train, one per source.
+
+    Exact rewrites of the chain, for a source ``sqrt(1/cell)`` at (y0, x0):
+
+    1. the transposed offset 2-f stage relays the spike to a separable plane
+       wave, the outer product of one :func:`_relayed_delta` row per axis;
+    2. the chirp with ``1 + z/f``, the aperture mask and the ``1/|M|`` of
+       step 3 do not depend on the source: one weight ``w`` per call, held
+       on the rows and columns the aperture reaches (it is zero elsewhere);
+    3. free path L1 then lens f is ``Magnifier(-f/L1)``; its flip commutes
+       with the final relay and the radius-0 pinhole reading is symmetric
+       under it, so the flip is skipped;
+    4. SHG squares the field and halves the wavelength; with p = 2 (SHG) or
+       1, the field is ``ry^p[y] rx^p[x] w^p[y, x]``, so ``w^p`` is built
+       once and each source's two axis rows are raised to p once;
+    5. the final relay read at the origin is ``sum(amp) dx dy/(L2 wl)``,
+       the bilinear form ``ry^p . (w^p @ rx^p)``: all sources are read by
+       one matrix product and a row-wise dot, with no per-source 2-D array.
+    """
+    opening, aperture, path1, lens = train.elements[:4]
+    path2 = train.elements[-2]
+    f, z = opening.f, opening.z
+    cx, cy = _axis_chirps(pupil, z, f, wl)
+    # The aperture passes no sample outside the rows and columns kept here:
+    # floating-point y^2 + x^2 is never below y^2 or x^2.
+    r2_max = (aperture.D / 2) ** 2
+    ky = np.flatnonzero(pupil.ys ** 2 <= r2_max)
+    kx = np.flatnonzero(pupil.xs ** 2 <= r2_max)
+    weight = np.outer(cy[ky], cx[kx])
+    weight *= (1 + z / f) * (path1.L / lens.f)
+    weight *= pupil.ys[ky, None] ** 2 + pupil.xs[None, kx] ** 2 <= r2_max
+    on_axis = image.dx * image.dy / (path2.L * wl_out)
+
+    amp0 = np.sqrt(1.0 / grid.cell)
+    ry = _relayed_delta(grid.ny, grid.dy, grid.center[1], indices[:, 0], f, wl, cols=ky)
+    rx = _relayed_delta(grid.nx, grid.dx, grid.center[0], indices[:, 1], f, wl, cols=kx)
+    rx *= amp0
+    if wl_out != wl:  # SHG
+        for a in (weight, ry, rx):
+            np.square(a, out=a)
+    for a in (weight, ry, rx):
+        _check_finite(a)
+    return np.sum(ry * (weight @ rx.T).T, axis=1) * on_axis
 
 
 def reversed_young_train(f: float, x1: float, L1: float, L2: float, *,

@@ -10,41 +10,44 @@ that both produce identical patterns.
 axis 1 of psi, which equals ``K psi K^T`` at O(n^2 log n). The slit-masked
 state is diagonal, so the axis-0 relay runs on the kept columns only (the
 FFT of a zero column is exactly zero); the axis-1 relay and the blocked
-``(a + a.T)/2`` symmetrization run in row chunks on one thread per usable
-CPU. The result is exactly symmetric by construction, so the state is built
+``(a + a.T)/2`` symmetrization run in row chunks on a kept pool of one
+thread per usable CPU, and the state is bit-identical for any thread count.
+The result is exactly symmetric by construction, so the state is built
 without the public constructor's copy and ``psi == psi.T`` compare. The
 reversed side of ``forward_vs_reversed_young`` reads every source position
-through the closed form of the reversed train (``reversed_young_readings``,
-tested against ``run_train_batch``). The n x n pair state stays the forward
-side of that compare: it shares no closed form with the reversed side, while
+through the closed form of the reversed train (``run_train_batch``, tested
+against looped ``run_train``). The n x n pair state stays the forward side
+of that compare: it shares no closed form with the reversed side, while
 ``young_coincidence_at`` computes the same sum as the closed form and is
 never compared with it. The dense ``kernel_of``/``evolve`` chain is the
 O(n^3) reference.
 """
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .analytic import YoungParams
 from .elements import (
-    _CHUNK_ROWS,
-    _RELAYS,
     DoubleSlit,
+    FourierLens,
+    FreeSpaceFourier,
     Magnifier,
     OpticalElement,
     TwoFWithOffset,
     _double_slit_mask,
     _flip_index,
-    _map_row_chunks,
     _offset_chirp,
     _params,
     _relay_along,
-    reversed_young_readings,
     reversed_young_train,
     run_train,  # noqa: F401  (re-exported: callers look it up here)
+    run_train_batch,
 )
 from .errors import (
     ConfigurationError,
@@ -53,6 +56,48 @@ from .errors import (
     UnsupportedElementError,
 )
 from .grid import Grid1D, point_source  # noqa: F401  (point_source re-exported)
+
+# Rows per chunk of the pair-state relay and block size of its
+# symmetrization. At n=2048, 128 rows are 4 MiB of complex128, so each stage
+# of a chunk reads data the previous stage left in cache instead of
+# streaming a 64 MiB array; 64 to 256 rows time alike on a 2-core host.
+_CHUNK_ROWS = 128
+# Elements that are one far-field relay over their one length
+_RELAYS = (FourierLens, FreeSpaceFourier)
+
+
+def _workers() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=1)
+def _row_pool(pid: int, workers: int) -> ThreadPoolExecutor:
+    """The pool of :func:`_map_row_chunks`, made on first use and kept.
+
+    Threads made per call left each run's buffers in a new malloc arena,
+    which made peak RSS drift by 10% from run to run. The key holds the pid
+    because a pool's threads do not survive a fork; a forked child or a new
+    CPU count gets a new pool, and the evicted one's idle threads exit when
+    it is collected.
+    """
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+def _map_row_chunks(fn: Callable[[slice], object], n_rows: int) -> list:
+    """``[fn(rows) ...]`` over consecutive ``_CHUNK_ROWS``-row slices, in order.
+
+    The chunks run on a shared pool of one thread per usable CPU; numpy's
+    FFT and ufuncs release the GIL, so they run in parallel. ``fn`` must not
+    itself call this function. An exception in any chunk re-raises here.
+    Zero rows still make one empty chunk.
+    """
+    chunks = [slice(i, min(i + _CHUNK_ROWS, n_rows))
+              for i in range(0, max(n_rows, 1), _CHUNK_ROWS)]
+    return list(_row_pool(os.getpid(), _workers()).map(fn, chunks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,14 +345,14 @@ def forward_vs_reversed_young(p: YoungParams, grid: Grid1D,
     """Compare the forward pair fringe with the scanned-source pinhole train.
 
     The reconstruction train is read from a point source at every
-    detection-plane sample by its closed form (``reversed_young_readings``);
+    detection-plane sample by its closed form (``run_train_batch``);
     both curves are peak-normalized and the maximum pointwise deviation is
     reported. The result does not depend on L1/L2 (they enter only through
     an exact discrete demagnifier).
     """
     det_grid, fwd = forward_young(p, grid, slit_width)
     train = reversed_young_train(p.f, p.x1, L1, L2, slit_width=slit_width)
-    rev = reversed_young_readings(det_grid, p.wavelength, np.arange(det_grid.n), train)
+    rev = run_train_batch(det_grid, p.wavelength, np.arange(det_grid.n), train)
     rev = rev / rev.max()
     return EquivalenceReport(max_rel_err=float(np.max(np.abs(fwd - rev))),
                              n_points=det_grid.n)

@@ -248,8 +248,8 @@ def time_reversal_audit(n: int, trials: int, seed: int,
                        max_ratio_dev=max_dev, tolerance=tolerance)
 
 
-def _audit_values(n: int, trials: int, seed: int):
-    """Yield (forward, 4 k^2 * reversed) of every audit trial, in trial order.
+def _audit_chunks(n: int, trials: int, seed: int):
+    """(forward, 4 k^2 * reversed) arrays for successive chunks of trials.
 
     Trial i's draws are bit-identical to ``default_rng(child).normal`` for
     the i-th child of ``SeedSequence(seed).spawn(trials)``: the child's PCG64
@@ -259,12 +259,6 @@ def _audit_values(n: int, trials: int, seed: int):
     functions' exactly; the contractions and the tail run stacked, within
     rounding of them.
     """
-    for fwd, scaled in _audit_chunks(n, trials, seed):
-        yield from zip(fwd.tolist(), scaled.tolist())
-
-
-def _audit_chunks(n: int, trials: int, seed: int):
-    """(forward, 4 k^2 * reversed) arrays for successive chunks of trials."""
     for draws in _audit_draws(n, trials, seed):
         fc, f1, f2 = _draw_chunk(draws, n)
         overlap = _contract(f1.conj(), fc, f2.conj())

@@ -202,13 +202,13 @@ def test_young_compare_exits_3_above_tolerance(tmp_path, monkeypatch, capsys):
     # would cancel in the peak normalization); the CSV and the summary are
     # still written.
     monkeypatch.chdir(tmp_path)
-    batch = forward.reversed_young_readings
+    batch = forward.run_train_batch
 
     def skewed_batch(*args):
         rev = batch(*args)
         return np.where(rev == rev.max(), rev, rev * (1 + 1e-9))
 
-    monkeypatch.setattr(forward, "reversed_young_readings", skewed_batch)
+    monkeypatch.setattr(forward, "run_train_batch", skewed_batch)
     path = write_config(tmp_path, "yc.json", young_doc("compare"))
     assert main(["simulate", "--config", path, "--out", "yc.csv"]) == 3
     assert "tolerance" in capsys.readouterr().err

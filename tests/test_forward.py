@@ -25,7 +25,6 @@ from biphoton.elements import (
     free_space_fourier,
     magnify,
     reversed_focus_train,
-    reversed_young_readings,
     reversed_young_train,
     run_train,
     run_train_batch,
@@ -109,7 +108,7 @@ def test_nonfinite_amplitude_rejected():
 def test_symmetrize_in_place_equals_unblocked_sum(monkeypatch, workers):
     # n = 300 is not a multiple of the block size, so edge blocks are ragged;
     # 8 threads with a short switch interval would expose a lost block write.
-    monkeypatch.setattr(elements, "_workers", lambda: workers)
+    monkeypatch.setattr(forward, "_workers", lambda: workers)
     rng = np.random.default_rng(5)
     a = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
     expected = (a + a.T) / 2
@@ -134,10 +133,8 @@ def test_symmetric_path_keeps_shape_and_finiteness_checks():
         TwoPhotonAmplitude._symmetric(g, np.full((3, 3), np.nan, dtype=complex))
 
 
-@pytest.mark.parametrize("slit_cells", [None, 12])
-def test_forward_young_state_is_exactly_symmetric(monkeypatch, slit_cells):
-    # The state skips the public psi == psi.T compare, so check it here on
-    # a grid of several row chunks; 12-cell slits keep 26 columns.
+def forward_young_state(monkeypatch, p, g, slit_width):
+    """The pair state ``forward_young`` builds, and its curve."""
     states = []
     build = TwoPhotonAmplitude._symmetric
 
@@ -145,11 +142,20 @@ def test_forward_young_state_is_exactly_symmetric(monkeypatch, slit_cells):
         states.append(build(grid, psi))
         return states[-1]
 
-    monkeypatch.setattr(TwoPhotonAmplitude, "_symmetric", spy)
-    p, g = young_setup(n=2 * elements._CHUNK_ROWS + 44, x1_cells=8)
-    slit_width = None if slit_cells is None else slit_cells * g.dx
-    _, curve = forward_young(p, g, slit_width)
+    with monkeypatch.context() as m:
+        m.setattr(TwoPhotonAmplitude, "_symmetric", spy)
+        _, curve = forward_young(p, g, slit_width)
     (state,) = states
+    return state, curve
+
+
+@pytest.mark.parametrize("slit_cells", [None, 12])
+def test_forward_young_state_is_exactly_symmetric(monkeypatch, slit_cells):
+    # The state skips the public psi == psi.T compare, so check it here on
+    # a grid of several row chunks; 12-cell slits keep 26 columns.
+    p, g = young_setup(n=2 * forward._CHUNK_ROWS + 44, x1_cells=8)
+    slit_width = None if slit_cells is None else slit_cells * g.dx
+    state, curve = forward_young_state(monkeypatch, p, g, slit_width)
     assert np.array_equal(state.psi, state.psi.T)
     np.testing.assert_array_equal(curve, coincidence_diagonal(state)
                                   / coincidence_diagonal(state).max())
@@ -434,63 +440,37 @@ def test_unnormalized_curves_match_up_to_single_constant():
             assert np.abs(inten - c * rate).max() <= 1e-6 * inten.max()
 
 
-@pytest.mark.parametrize("slit_cells,radius,shg,L1,L2", [
-    (None, 0.0, True, 0.25, 0.5),
-    (4, 0.0, True, 0.25, 0.5),
-    (None, 3e-4, True, 0.25, 0.5),
-    (4, 2e-4, True, 0.8, 0.15),
-    (None, 0.0, False, 0.8, 0.15),
-    (4, 0.0, False, 0.25, 0.5),
-])
-def test_batched_sweep_equals_looped_trains(slit_cells, radius, shg, L1, L2):
-    # Same arithmetic row by row, so the batch must agree bit for bit.
-    p, g = young_setup(n=256, x1_cells=8)
-    det = Grid1D(g.n, p.f * p.wavelength / (g.n * g.dx))
-    slit_width = None if slit_cells is None else slit_cells * g.dx
-    train = reversed_young_train(p.f, p.x1, L1, L2, slit_width=slit_width,
-                                 second_harmonic=shg, pinhole_radius=radius)
-    looped = np.array([run_train(point_source(det, x0, 1.0, WL), train)
-                       for x0 in det.coords])
-    batched = run_train_batch(det, WL, np.arange(det.n), train)
-    np.testing.assert_array_equal(batched, looped)
-    assert looped.max() > 0
-    # a subset in any order, with repeats, reads the same rows
-    idx = np.array([200, 3, 3, 128, 0])
-    np.testing.assert_array_equal(run_train_batch(det, WL, idx, train), looped[idx])
+YOUNG_CASES = [(slit_cells, shg, L1, L2, n, center_cells)
+               for slit_cells in (None, 1, 4, 7)
+               for shg in (True, False)
+               for L1, L2 in ((0.25, 0.5), (0.8, 0.15))
+               for n, center_cells in ((64, 0.0), (63, 3.3))]
+# At bench-like n, looped trains cost about 0.1 s a case: a subset only.
+YOUNG_CASES += [(slit_cells, shg, 0.25, 0.5, n, center_cells)
+                for slit_cells in (None, 4)
+                for shg in (True, False)
+                for n, center_cells in ((256, 0.0), (255, 3.3))]
 
 
-def test_batched_train_rejects_what_it_cannot_run():
-    g = Grid1D(32, 1e-5)
-    with pytest.raises(UnsupportedElementError):
-        run_train_batch(g, WL, [0], OpticalTrain((Magnifier(2.0), PinholeSample())))
-    with pytest.raises(ConfigurationError):
-        run_train_batch(g, WL, [0], OpticalTrain((FourierLens(F),)))
-    # the last case is off the grid in the last of several row chunks
-    for bad in ([-1], [32], [[0, 1]], [0] * (2 * elements._CHUNK_ROWS) + [32]):
-        with pytest.raises(DomainError):
-            run_train_batch(g, WL, bad, OpticalTrain((PinholeSample(),)))
-
-
-@pytest.mark.parametrize("n,center_cells", [(256, 0.0), (255, 3.3)])
-@pytest.mark.parametrize("L1,L2", [(0.25, 0.5), (0.8, 0.15)])
-@pytest.mark.parametrize("shg", [True, False])
-@pytest.mark.parametrize("slit_cells", [None, 1, 4, 7])
-def test_closed_form_young_readings_match_batched_trains(slit_cells, shg, L1, L2,
-                                                         n, center_cells):
-    # Raw readings against the FFT batch, on odd n and an off-centre detector
-    # grid too; a subset in any order, with repeats, reads the same rows.
+@pytest.mark.parametrize("slit_cells,shg,L1,L2,n,center_cells", YOUNG_CASES)
+def test_closed_form_young_readings_match_looped_trains(slit_cells, shg, L1, L2,
+                                                        n, center_cells):
+    # Raw readings against the field path, on odd n and an off-centre
+    # detector grid too; a subset in any order, with repeats, reads the
+    # same rows.
     p, g = young_setup(n=n, x1_cells=8)
     det_dx = p.f * p.wavelength / (g.n * g.dx)
     det = Grid1D(g.n, det_dx, center_cells * det_dx)
     slit_width = None if slit_cells is None else slit_cells * g.dx
     train = reversed_young_train(p.f, p.x1, L1, L2, slit_width=slit_width,
                                  second_harmonic=shg)
-    want = run_train_batch(det, WL, np.arange(det.n), train)
-    got = reversed_young_readings(det, WL, np.arange(det.n), train)
+    want = np.array([run_train(point_source(det, x0, 1.0, WL), train)
+                     for x0 in det.coords])
+    got = run_train_batch(det, WL, np.arange(det.n), train)
     assert want.max() > 0
     assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
-    idx = np.array([200, 3, 3, 128, 0, 77])
-    sub = reversed_young_readings(det, WL, idx, train)
+    idx = np.array([n - 5, 3, 3, n // 2, 0, n // 3])
+    sub = run_train_batch(det, WL, idx, train)
     assert np.max(np.abs(sub - want[idx])) <= 1e-12 * want.max()
 
 
@@ -501,21 +481,25 @@ def test_closed_form_young_readings_reject_what_they_cannot_read():
     e = train.elements
     others = [
         reversed_young_train(p.f, p.x1, 0.25, 0.5, pinhole_radius=1e-4),
+        reversed_young_train(p.f, p.x1, 0.25, 0.5, pinhole_radius=1e-4,
+                             second_harmonic=False),
         reversed_focus_train(p.f, 12.7e-3, 0.0, 0.25, 0.5),
         OpticalTrain(e[:4] + (Magnifier(2.0),) + e[4:]),
         OpticalTrain(e[:2] + e[3:]),
         OpticalTrain((PinholeSample(),)),
+        OpticalTrain((FourierLens(F),)),
     ]
     for other in others:
         with pytest.raises(UnsupportedElementError):
-            reversed_young_readings(det, WL, [0], other)
+            run_train_batch(det, WL, [0], other)
     with pytest.raises(UnsupportedElementError):
-        reversed_young_readings(Grid2D(8, 8, 1e-6, 1e-6), WL, [0], train)
+        run_train_batch(Grid2D(8, 8, 1e-6, 1e-6), WL, [(4, 4)], train)
     for bad in ([-1], [64], [[0, 1]]):
         with pytest.raises(DomainError):
-            reversed_young_readings(det, WL, bad, train)
-    with pytest.raises(ConfigurationError):
-        reversed_young_readings(det, 0.0, [0], train)
+            run_train_batch(det, WL, bad, train)
+    for wl in (0.0, -WL):
+        with pytest.raises(ConfigurationError):
+            run_train_batch(det, wl, [0], train)
 
 
 @pytest.mark.parametrize("value", [np.nan, 1e300])
@@ -533,51 +517,51 @@ def test_closed_form_young_readings_nonfinite_stage_raises(monkeypatch, value):
     train = reversed_young_train(p.f, p.x1, 0.25, 0.5)
     monkeypatch.setattr(elements, "_relayed_delta", poisoned)
     with pytest.raises(ValueError, match="field amplitudes must be finite"):
-        reversed_young_readings(det, WL, np.arange(det.n), train)
+        run_train_batch(det, WL, np.arange(det.n), train)
 
 
-def young_sweep_setup(n, slit_cells=4):
-    p, g = young_setup(n=n, x1_cells=8)
-    det = Grid1D(g.n, p.f * p.wavelength / (g.n * g.dx))
-    train = reversed_young_train(p.f, p.x1, 0.25, 0.5, slit_width=slit_cells * g.dx)
-    looped = np.array([run_train(point_source(det, x0, 1.0, WL), train)
-                       for x0 in det.coords])
-    return det, train, looped
+def pool_setup():
+    # More rows than one chunk and not a multiple of it; 12-cell slits
+    p, g = young_setup(n=2 * forward._CHUNK_ROWS + 44, x1_cells=8)
+    return p, g, 12 * g.dx
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_batch_is_bit_identical_across_chunks_and_workers(monkeypatch, workers):
-    # More sources than one chunk and not a multiple of it, in random order
-    # with repeats; any chunking and thread count gives the looped values,
+def test_forward_young_is_bit_identical_across_chunks_and_workers(monkeypatch, workers):
+    # Any chunking and thread count gives the one-chunk, one-thread state,
     # also with more threads than chunks and a short switch interval.
-    monkeypatch.setattr(elements, "_workers", lambda: workers)
-    det, train, looped = young_sweep_setup(n=256)
-    idx = np.random.default_rng(3).integers(0, det.n, 2 * elements._CHUNK_ROWS + 37)
+    p, g, slit_width = pool_setup()
+    with monkeypatch.context() as m:
+        m.setattr(forward, "_workers", lambda: 1)
+        m.setattr(forward, "_CHUNK_ROWS", g.n)
+        want, want_curve = forward_young_state(monkeypatch, p, g, slit_width)
+    monkeypatch.setattr(forward, "_workers", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        batched = run_train_batch(det, WL, idx, train)
+        state, curve = forward_young_state(monkeypatch, p, g, slit_width)
     finally:
         sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(batched, looped[idx])
+    np.testing.assert_array_equal(state.psi, want.psi)
+    np.testing.assert_array_equal(curve, want_curve)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_batch_runs_in_a_forked_child_of_a_process_that_used_the_pool():
+def test_forward_young_runs_in_a_forked_child_of_a_process_that_used_the_pool():
     # Pool threads do not survive a fork; a child that reused the parent's
     # pool would queue its chunks forever.
-    det, train, looped = young_sweep_setup(n=64)
-    idx = np.arange(det.n)
-    np.testing.assert_array_equal(run_train_batch(det, WL, idx, train), looped)
+    p, g, slit_width = pool_setup()
+    _, curve = forward_young(p, g, slit_width)
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        child = pool.apply_async(run_train_batch, (det, WL, idx, train))
-        np.testing.assert_array_equal(child.get(timeout=60), looped)
+        child = pool.apply_async(forward_young, (p, g, slit_width))
+        np.testing.assert_array_equal(child.get(timeout=60)[1], curve)
 
 
-def test_batch_nonfinite_stage_in_one_chunk_raises(monkeypatch):
-    # A NaN injected after the first relay of the last, shorter chunk only.
-    relay = elements._relay_along
-    tail = elements._CHUNK_ROWS // 2
+def test_forward_young_nonfinite_stage_in_one_chunk_raises(monkeypatch):
+    # A NaN injected by the row relay of the last, shorter chunk only.
+    p, g, slit_width = pool_setup()
+    relay = forward._relay_along
+    tail = g.n % forward._CHUNK_ROWS
 
     def poisoned(amp, *args, **kwargs):
         out, grid = relay(amp, *args, **kwargs)
@@ -585,8 +569,6 @@ def test_batch_nonfinite_stage_in_one_chunk_raises(monkeypatch):
             out[0, 0] = np.nan
         return out, grid
 
-    det, train, _ = young_sweep_setup(n=64)
-    monkeypatch.setattr(elements, "_relay_along", poisoned)
-    idx = np.arange(2 * elements._CHUNK_ROWS + tail) % det.n
-    with pytest.raises(ValueError, match="field amplitudes must be finite"):
-        run_train_batch(det, WL, idx, train)
+    monkeypatch.setattr(forward, "_relay_along", poisoned)
+    with pytest.raises(ValueError, match="pair amplitudes must be finite"):
+        forward_young(p, g, slit_width)

@@ -15,8 +15,8 @@ from biphoton.modes import (
     FinalMode,
     MixtureWeights,
     TwoPhotonCoeff,
+    _audit_chunks,
     _audit_draws,
-    _audit_values,
     _coeff_from_rng,
     _draw_chunk,
     _mode_from_rng,
@@ -361,7 +361,8 @@ def test_chunk_rejects_draws_the_dataclasses_reject():
 @pytest.mark.parametrize("n,trials,seed", [(1, 40, 2), (4, 2 * _AUDIT_CHUNK + 7, 11),
                                            (16, 50, 42)])
 def test_chunked_values_match_scalar_functions(n, trials, seed):
-    got = list(_audit_values(n, trials, seed))
+    got = np.column_stack([np.concatenate(side)
+                           for side in zip(*_audit_chunks(n, trials, seed))])
     want = [(fwd, scaled) for *_, fwd, scaled in scalar_trials(n, trials, seed)]
     assert len(got) == trials
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
