@@ -474,6 +474,21 @@ def test_closed_form_young_readings_match_looped_trains(slit_cells, shg, L1, L2,
     assert np.max(np.abs(sub - want[idx])) <= 1e-12 * want.max()
 
 
+def test_batched_train_rejects_what_it_cannot_run():
+    # Trains of neither closed-form shape are read by looped run_train only,
+    # on either grid; so is a focus train with an untransposed 2-f stage.
+    g, g2 = Grid1D(32, 1e-5), Grid2D(8, 8, 1e-6, 1e-6)
+    focus = reversed_focus_train(F, 12.7e-3, 0.0, 0.25, 0.5).elements
+    untransposed = OpticalTrain((TwoFWithOffset(F, 0.0),) + focus[1:])
+    for train in (OpticalTrain((Magnifier(2.0), PinholeSample())),
+                  OpticalTrain((FourierLens(F),)),
+                  untransposed):
+        with pytest.raises(UnsupportedElementError):
+            run_train_batch(g, WL, [0], train)
+        with pytest.raises(UnsupportedElementError):
+            run_train_batch(g2, WL, [(4, 4)], train)
+
+
 def test_closed_form_young_readings_reject_what_they_cannot_read():
     p, g = young_setup(n=64, x1_cells=8)
     det = Grid1D(g.n, p.f * p.wavelength / (g.n * g.dx))
@@ -527,7 +542,7 @@ def pool_setup():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_forward_young_is_bit_identical_across_chunks_and_workers(monkeypatch, workers):
+def test_batch_is_bit_identical_across_chunks_and_workers(monkeypatch, workers):
     # Any chunking and thread count gives the one-chunk, one-thread state,
     # also with more threads than chunks and a short switch interval.
     p, g, slit_width = pool_setup()
@@ -547,7 +562,7 @@ def test_forward_young_is_bit_identical_across_chunks_and_workers(monkeypatch, w
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_forward_young_runs_in_a_forked_child_of_a_process_that_used_the_pool():
+def test_batch_runs_in_a_forked_child_of_a_process_that_used_the_pool():
     # Pool threads do not survive a fork; a child that reused the parent's
     # pool would queue its chunks forever.
     p, g, slit_width = pool_setup()
@@ -557,7 +572,7 @@ def test_forward_young_runs_in_a_forked_child_of_a_process_that_used_the_pool():
         np.testing.assert_array_equal(child.get(timeout=60)[1], curve)
 
 
-def test_forward_young_nonfinite_stage_in_one_chunk_raises(monkeypatch):
+def test_batch_nonfinite_stage_in_one_chunk_raises(monkeypatch):
     # A NaN injected by the row relay of the last, shorter chunk only.
     p, g, slit_width = pool_setup()
     relay = forward._relay_along
