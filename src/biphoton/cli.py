@@ -66,6 +66,8 @@ def _format_length(meters: float) -> str:
 
 
 def _write_csv(path: str, header: List[str], rows) -> None:
+    """Write ``rows`` with every value as ``.17g``; pass Python floats
+    (``ndarray.tolist()``), which format faster than numpy scalars."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -141,7 +143,8 @@ def _run_young(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
         columns["reversed"] = run_train_batch(det, p.wavelength, sources, train)[row]
 
     columns = _normalize(columns, raw)
-    _write_csv(out, ["x0_m"] + list(columns), zip(x, *columns.values()))
+    _write_csv(out, ["x0_m"] + list(columns),
+               zip(x.tolist(), *(v.tolist() for v in columns.values())))
 
     summary = {
         "experiment": cfg.experiment,
@@ -246,14 +249,13 @@ def _run_focus(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
         columns["reversed"] = _focus_reversed(cfg, p, grid, points, indices)
 
     columns = _normalize(columns, raw)
+    values = [v.tolist() for v in columns.values()]
     if second is None:
         coord_name = "r0_m" if cfg.sweep.axis == "r0" else "z0_m"
-        _write_csv(out, [coord_name] + list(columns),
-                   zip(coords, *columns.values()))
+        _write_csv(out, [coord_name] + list(columns), zip(coords.tolist(), *values))
     else:
         _write_csv(out, ["r0_m", "z0_m"] + list(columns),
-                   (tuple(pt) + row for pt, row in
-                    zip(points, zip(*columns.values()))))
+                   zip(*np.array(points, dtype=float).T.tolist(), *values))
 
     summary = {
         "experiment": cfg.experiment,

@@ -200,9 +200,11 @@ def _check_axis(diags: List[str], sweep: SweepSpec, allowed: Tuple[str, ...],
 def _largest_array_bytes(cfg: ExperimentConfig) -> float:
     """Size of the largest complex128 array a grid run of ``cfg`` allocates.
 
-    The focus field, and the young pair state of ``compare``, are n x n; the
-    young forward and reversed sweeps hold one n-sample row per sweep point.
-    A float, so a size beyond the float range reads inf instead of raising.
+    The focus field is n x n; the young forward and reversed sweeps hold one
+    n-sample row per sweep point. A young ``compare`` streams its pair state
+    in row chunks and never holds it, but its n x n term is kept: it caps
+    the O(n^2) relay work of the compare. A float, so a size beyond the
+    float range reads inf instead of raising.
     """
     n = cfg.grid.n
     rows = n if cfg.experiment == "focus" else cfg.sweep.count

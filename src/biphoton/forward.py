@@ -9,18 +9,18 @@ that both produce identical patterns.
 ``forward_young`` applies the far-field relay as an FFT along axis 0 and then
 axis 1 of psi, which equals ``K psi K^T`` at O(n^2 log n). The slit-masked
 state is diagonal, so the axis-0 relay runs on the kept columns only (the
-FFT of a zero column is exactly zero); the axis-1 relay and the blocked
-``(a + a.T)/2`` symmetrization run in row chunks on a kept pool of one
-thread per usable CPU, and the state is bit-identical for any thread count.
-The result is exactly symmetric by construction, so the state is built
-without the public constructor's copy and ``psi == psi.T`` compare. The
-reversed side of ``forward_vs_reversed_young`` reads every source position
-through the closed form of the reversed train (``run_train_batch``, tested
-against looped ``run_train``). The n x n pair state stays the forward side
-of that compare: it shares no closed form with the reversed side, while
-``young_coincidence_at`` computes the same sum as the closed form and is
-never compared with it. The dense ``kernel_of``/``evolve`` chain is the
-O(n^3) reference.
+FFT of a zero column is exactly zero); the axis-1 relay runs in row chunks
+on a kept pool of one thread per usable CPU. Each chunk checks its rows for
+finiteness and keeps only its diagonal entries, so no n x n array is held,
+and the curve is bit-identical for any thread count. No symmetrization is
+needed for the diagonal: ``(a + a.T)/2`` leaves it unchanged in IEEE
+arithmetic. The reversed side of ``forward_vs_reversed_young`` reads every
+source position through the closed form of the reversed train
+(``run_train_batch``, tested against looped ``run_train``). The relayed pair
+state stays the forward side of that compare: it shares no closed form with
+the reversed side, while ``young_coincidence_at`` computes the same sum as
+the closed form and is never compared with it. The dense
+``kernel_of``/``evolve`` chain is the O(n^3) reference.
 """
 from __future__ import annotations
 
@@ -57,10 +57,10 @@ from .errors import (
 )
 from .grid import Grid1D, point_source  # noqa: F401  (point_source re-exported)
 
-# Rows per chunk of the pair-state relay and block size of its
-# symmetrization. At n=2048, 128 rows are 4 MiB of complex128, so each stage
-# of a chunk reads data the previous stage left in cache instead of
-# streaming a 64 MiB array; 64 to 256 rows time alike on a 2-core host.
+# Rows per chunk of the pair-state relay. At n=2048, 128 rows are 4 MiB of
+# complex128, so the relay, the finiteness scan and the diagonal read of a
+# chunk find its rows in cache; 64 and 128 rows time alike on a 2-core host,
+# 32 and 256 are slower.
 _CHUNK_ROWS = 128
 # Elements that are one far-field relay over their one length
 _RELAYS = (FourierLens, FreeSpaceFourier)
@@ -104,8 +104,9 @@ def _map_row_chunks(fn: Callable[[slice], object], n_rows: int) -> list:
 class TwoPhotonAmplitude:
     """Symmetric pair amplitude psi(x_i, x_j) on a 1-D grid (units 1/m).
 
-    Exchange symmetry psi = psi^T is required exactly; evolution keeps it
-    by explicit symmetrization.
+    Exchange symmetry psi = psi^T is required exactly; ``evolve`` keeps it
+    by explicit symmetrization. ``forward_young`` streams its state in row
+    chunks and never builds one of these.
     """
 
     grid: Grid1D
@@ -113,57 +114,15 @@ class TwoPhotonAmplitude:
 
     def __post_init__(self):
         psi = np.array(self.psi, dtype=np.complex128)
-        _check_pair_amplitude(psi, self.grid)
+        n = self.grid.n
+        if psi.shape != (n, n):
+            raise GridMismatchError(f"psi shape {psi.shape} does not match grid ({n}, {n})")
+        if not np.all(np.isfinite(psi)):
+            raise ValueError("pair amplitudes must be finite")
         if not np.array_equal(psi, psi.T):
             raise ValueError("pair amplitude must be exchange-symmetric (psi == psi.T)")
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
-
-    @classmethod
-    def _symmetric(cls, grid: Grid1D, psi: np.ndarray) -> "TwoPhotonAmplitude":
-        """State from a complex128 ``psi`` that is symmetric by construction.
-
-        Keeps the shape and finiteness checks but skips the copy and the
-        ``psi == psi.T`` compare; ``psi`` is taken over and made read-only.
-        For internal results such as ``(a + a.T)/2``, which is exactly
-        symmetric in IEEE arithmetic; user input goes through the
-        constructor.
-        """
-        _check_pair_amplitude(psi, grid)
-        psi.setflags(write=False)
-        state = object.__new__(cls)
-        object.__setattr__(state, "grid", grid)
-        object.__setattr__(state, "psi", psi)
-        return state
-
-
-def _check_pair_amplitude(psi: np.ndarray, grid: Grid1D) -> None:
-    n = grid.n
-    if psi.shape != (n, n):
-        raise GridMismatchError(f"psi shape {psi.shape} does not match grid ({n}, {n})")
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("pair amplitudes must be finite")
-
-
-def _symmetrize(a: np.ndarray) -> None:
-    """``a <- (a + a.T)/2`` in place, in square blocks of ``_CHUNK_ROWS``.
-
-    Each pair of mirror blocks is read once and written with one sum and
-    its transpose, so the result is exactly symmetric and equals the
-    unblocked ``(a + a.T)/2`` bit for bit. Distinct pairs touch disjoint
-    blocks, so block rows run on parallel threads.
-    """
-    n = len(a)
-
-    def block_row(rows: slice) -> None:
-        for j in range(rows.start, n, _CHUNK_ROWS):
-            cols = slice(j, min(j + _CHUNK_ROWS, n))
-            s = a[rows, cols] + a[cols, rows].T
-            s /= 2
-            a[rows, cols] = s
-            a[cols, rows] = s.T
-
-    _map_row_chunks(block_row, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +226,13 @@ def forward_young(p: YoungParams, grid: Grid1D,
     focal-plane relay on each photon -> diagonal coincidence. The relay runs
     as an FFT along each axis of psi, O(n^2 log n), on the columns the slits
     keep and then in row chunks; ``kernel_of`` and ``evolve`` give the same
-    state densely.
+    state densely. Each chunk checks all of its relayed rows for finiteness
+    and keeps only its diagonal entries, so the n x n state is never held.
+
+    Every row is relayed in full on purpose. A direct sum for the diagonal
+    alone is what ``young_coincidence_at`` and the reversed closed form
+    compute, and the forward side of ``forward_vs_reversed_young`` must not
+    share it.
 
     Returns
     -------
@@ -294,21 +259,22 @@ def forward_young(p: YoungParams, grid: Grid1D,
     cols = np.zeros((n, len(kept)), dtype=complex)
     cols[kept, np.arange(len(kept))] = 1 / grid.dx
     cols, det = _relay_along(cols, grid, p.f, p.wavelength, axis=0)
-    psi = np.zeros((n, n), dtype=complex)
+    diag = np.empty(n, dtype=complex)
 
     def relay_rows(rows: slice) -> None:
-        block = psi[rows]
+        block = np.zeros((rows.stop - rows.start, n), dtype=complex)
         block[:, kept] = cols[rows]
         _relay_along(block, grid, p.f, p.wavelength, axis=1, out=block)
+        if not np.all(np.isfinite(block)):
+            raise ValueError("pair amplitudes must be finite")
+        diag[rows] = block.diagonal(rows.start)
 
     _map_row_chunks(relay_rows, n)
-    _symmetrize(psi)
-    state = TwoPhotonAmplitude._symmetric(det, psi)
-    curve = coincidence_diagonal(state)
+    curve = 2 * np.abs(diag) ** 2
     peak = curve.max()
     if peak == 0:
         raise ConfigurationError("slit mask transmitted nothing on this grid")
-    return state.grid, curve / peak
+    return det, curve / peak
 
 
 def young_coincidence_at(p: YoungParams, grid: Grid1D, positions,

@@ -219,6 +219,49 @@ def test_young_compare_exits_3_above_tolerance(tmp_path, monkeypatch, capsys):
     assert summary["tolerance"] == YOUNG_COMPARE_TOL and summary["passed"] is False
 
 
+def test_young_compare_exits_3_when_forward_side_skews(tmp_path, monkeypatch, capsys):
+    # The relayed rows of the last pair-state chunk, which does not hold the
+    # fringe peak, grow by 1e-9; the curve there then grows by about 2e-9.
+    monkeypatch.chdir(tmp_path)
+    n = 600
+    tail = n % forward._CHUNK_ROWS
+    assert 0 < tail and n // 2 < n - tail  # the peak sits on the centre row
+    relay = forward._relay_along
+
+    def skewed_relay(amp, *args, axis, **kwargs):
+        out, grid = relay(amp, *args, axis=axis, **kwargs)
+        if axis == 1 and len(out) == tail:
+            out *= 1 + 1e-9
+        return out, grid
+
+    monkeypatch.setattr(forward, "_relay_along", skewed_relay)
+    path = write_config(tmp_path, "yc.json",
+                        young_doc("compare", grid={"n": n, "dx": 2e-5}))
+    assert main(["simulate", "--config", path, "--out", "yc.csv"]) == 3
+    assert "tolerance" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "yc.summary.json").read_text(encoding="utf-8"))
+    assert 1e-10 < summary["max_deviation"] <= 2.1e-9
+    assert summary["tolerance"] == YOUNG_COMPARE_TOL and summary["passed"] is False
+
+
+def test_csv_bytes_pin_17_significant_digits(tmp_path):
+    # Python floats from tolist() write the same bytes as numpy scalars did
+    x = np.array([-0.0, 5e-324, 1e308, 0.1, -1.5, 2.0 / 3.0, 123456789.0])
+    y = x[::-1] * -1
+    want = ("x,y\n"
+            "-0,-123456789\n"
+            "4.9406564584124654e-324,-0.66666666666666663\n"
+            "1e+308,1.5\n"
+            "0.10000000000000001,-0.10000000000000001\n"
+            "-1.5,-1e+308\n"
+            "0.66666666666666663,-4.9406564584124654e-324\n"
+            "123456789,0\n")
+    for name, rows in [("list.csv", zip(x.tolist(), y.tolist())),
+                       ("numpy.csv", zip(x, y))]:
+        cli._write_csv(str(tmp_path / name), ["x", "y"], rows)
+        assert (tmp_path / name).read_bytes() == want.encode()
+
+
 def test_reversed_mode_snaps_and_matches_formula(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     doc = young_doc("reversed", x1=2e-4,

@@ -2,6 +2,8 @@
 import multiprocessing
 import os
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,61 +106,70 @@ def test_nonfinite_amplitude_rejected():
         TwoPhotonAmplitude(Grid1D(3, 1.0), psi)
 
 
-@pytest.mark.parametrize("workers", [1, 8])
-def test_symmetrize_in_place_equals_unblocked_sum(monkeypatch, workers):
-    # n = 300 is not a multiple of the block size, so edge blocks are ragged;
-    # 8 threads with a short switch interval would expose a lost block write.
-    monkeypatch.setattr(forward, "_workers", lambda: workers)
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
-    expected = (a + a.T) / 2
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        forward._symmetrize(a)
-    finally:
-        sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(a, expected)
-    assert np.array_equal(a, a.T)
+def forward_young_rows(monkeypatch, p, g, slit_width):
+    """``forward_young``'s relayed pair-state rows in row order, and its curve.
 
+    Spies on the axis-1 relay of each row chunk; the chunk's first row is
+    tagged per thread by a wrapper of the chunk map.
+    """
+    blocks, local = {}, threading.local()
+    relay, map_chunks = forward._relay_along, forward._map_row_chunks
 
-def test_symmetric_path_keeps_shape_and_finiteness_checks():
-    g = Grid1D(3, 1.0)
-    psi = np.ones((3, 3), dtype=complex)
-    state = TwoPhotonAmplitude._symmetric(g, psi)
-    assert state.psi is psi and not psi.flags.writeable
-    with pytest.raises(GridMismatchError):
-        TwoPhotonAmplitude._symmetric(Grid1D(4, 1.0), np.ones((3, 3), dtype=complex))
-    with pytest.raises(ValueError, match="finite"):
-        TwoPhotonAmplitude._symmetric(g, np.full((3, 3), np.nan, dtype=complex))
+    def spy_relay(amp, *args, axis, **kwargs):
+        out, grid = relay(amp, *args, axis=axis, **kwargs)
+        if axis == 1:
+            blocks[local.rows.start] = out.copy()
+        return out, grid
 
-
-def forward_young_state(monkeypatch, p, g, slit_width):
-    """The pair state ``forward_young`` builds, and its curve."""
-    states = []
-    build = TwoPhotonAmplitude._symmetric
-
-    def spy(grid, psi):
-        states.append(build(grid, psi))
-        return states[-1]
+    def spy_map(fn, n_rows):
+        def tagged(rows):
+            local.rows = rows
+            return fn(rows)
+        return map_chunks(tagged, n_rows)
 
     with monkeypatch.context() as m:
-        m.setattr(TwoPhotonAmplitude, "_symmetric", spy)
+        m.setattr(forward, "_relay_along", spy_relay)
+        m.setattr(forward, "_map_row_chunks", spy_map)
         _, curve = forward_young(p, g, slit_width)
-    (state,) = states
-    return state, curve
+    return np.concatenate([blocks[i] for i in sorted(blocks)]), len(blocks), curve
 
 
 @pytest.mark.parametrize("slit_cells", [None, 12])
-def test_forward_young_state_is_exactly_symmetric(monkeypatch, slit_cells):
-    # The state skips the public psi == psi.T compare, so check it here on
-    # a grid of several row chunks; 12-cell slits keep 26 columns.
+def test_forward_young_state_is_exactly_symmetric(slit_cells):
+    # The full state built the old way, unchunked: kept-column relay, axis-1
+    # relay, then (a + a.T)/2. forward_young never builds it; on a grid of
+    # several row chunks its curve must be this state's diagonal bit for
+    # bit. 12-cell slits keep 26 columns.
     p, g = young_setup(n=2 * forward._CHUNK_ROWS + 44, x1_cells=8)
     slit_width = None if slit_cells is None else slit_cells * g.dx
-    state, curve = forward_young_state(monkeypatch, p, g, slit_width)
+    kept = np.flatnonzero(elements._double_slit_mask(g, p.x1, slit_width))
+    cols = np.zeros((g.n, len(kept)), dtype=complex)
+    cols[kept, np.arange(len(kept))] = 1 / g.dx
+    cols, det = elements._relay_along(cols, g, p.f, p.wavelength, axis=0)
+    a = np.zeros((g.n, g.n), dtype=complex)
+    a[:, kept] = cols
+    a, _ = elements._relay_along(a, g, p.f, p.wavelength, axis=1)
+    state = TwoPhotonAmplitude(det, (a + a.T) / 2)
     assert np.array_equal(state.psi, state.psi.T)
-    np.testing.assert_array_equal(curve, coincidence_diagonal(state)
-                                  / coincidence_diagonal(state).max())
+    got_grid, curve = forward_young(p, g, slit_width)
+    assert got_grid == det
+    want = coincidence_diagonal(state)
+    np.testing.assert_array_equal(curve, want / want.max())
+
+
+def test_forward_young_holds_no_n_by_n_array(monkeypatch):
+    # On one thread one row chunk is live at a time; the full pair state
+    # would take n*n*16 B = 64 MiB.
+    monkeypatch.setattr(forward, "_workers", lambda: 1)
+    p, g = young_setup(n=2048, x1_cells=16)
+    forward_young(p, g)  # the pool and the FFT plan caches are made outside the trace
+    tracemalloc.start()
+    try:
+        forward_young(p, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n ** 2 * 16 / 4
 
 
 def test_kernel_shape_must_match_grids():
@@ -543,21 +554,23 @@ def pool_setup():
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_batch_is_bit_identical_across_chunks_and_workers(monkeypatch, workers):
-    # Any chunking and thread count gives the one-chunk, one-thread state,
-    # also with more threads than chunks and a short switch interval.
+    # Any chunking and thread count gives the one-chunk, one-thread rows and
+    # curve, also with more threads than chunks and a short switch interval.
     p, g, slit_width = pool_setup()
     with monkeypatch.context() as m:
         m.setattr(forward, "_workers", lambda: 1)
         m.setattr(forward, "_CHUNK_ROWS", g.n)
-        want, want_curve = forward_young_state(monkeypatch, p, g, slit_width)
+        want, n_chunks, want_curve = forward_young_rows(monkeypatch, p, g, slit_width)
+    assert n_chunks == 1
     monkeypatch.setattr(forward, "_workers", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        state, curve = forward_young_state(monkeypatch, p, g, slit_width)
+        rows, n_chunks, curve = forward_young_rows(monkeypatch, p, g, slit_width)
     finally:
         sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(state.psi, want.psi)
+    assert n_chunks == 3
+    np.testing.assert_array_equal(rows, want)
     np.testing.assert_array_equal(curve, want_curve)
 
 
