@@ -2,8 +2,9 @@
 """Two-slit pair fringes: analytic curves plus the simulated cross-check.
 
 Writes a CSV with the half-period pair fringe next to the classical one and
-prints the measured periods. The compare mode also runs the full
-forward-vs-reversed sweep and reports its maximum deviation.
+prints the measured periods. The compare mode also reads the forward pair
+state and the reversed trains on the detection samples the sweep snaps to
+and reports their maximum deviation.
 
 Run from anywhere:
     python3 scripts/young_fringes.py

@@ -15,7 +15,10 @@ import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import ConfigurationError
+from .analytic import YoungParams
+from .errors import ConfigurationError, DomainError
+from .forward import snap_young_sweep
+from .grid import Grid1D
 
 EXPERIMENTS = ("young", "focus", "modes-audit")
 MODES = ("forward", "reversed", "analytic", "compare")
@@ -200,17 +203,38 @@ def _check_axis(diags: List[str], sweep: SweepSpec, allowed: Tuple[str, ...],
 def _largest_array_bytes(cfg: ExperimentConfig) -> float:
     """Size of the largest complex128 array a grid run of ``cfg`` allocates.
 
-    The focus field is n x n; the young forward and reversed sweeps hold one
-    n-sample row per sweep point. A young ``compare`` streams its pair state
-    in row chunks and never holds it, but its n x n term is kept: it caps
-    the O(n^2) relay work of the compare. A float, so a size beyond the
-    float range reads inf instead of raising.
+    The focus field is n x n. A young sweep holds at most one n-sample row
+    per sweep point. A young ``compare`` also relays its pair state: the
+    n x |kept| columns the slits keep, then blocks of at most
+    ``forward._CHUNK_ROWS`` rows of n samples, one row per distinct
+    detection sample the sweep snaps to (so no more rows than sweep
+    points). No slit mask is built here, so |kept| is bounded by n. A
+    float, so a size beyond the float range reads inf instead of raising.
     """
     n = cfg.grid.n
     rows = n if cfg.experiment == "focus" else cfg.sweep.count
     if cfg.mode == "compare":
         rows = max(rows, n)
     return 16.0 * n * rows
+
+
+def _young_sweep_diags(cfg: ExperimentConfig) -> List[str]:
+    """What keeps a young reversed/compare sweep from its detection samples.
+
+    Only the ends are snapped (``forward.snap_young_sweep``, as the run
+    does): the sweep increases and holds both ends exactly, so every point
+    lies on the grid if they do, and it reads one sample only if they do.
+    """
+    try:
+        _, sources, _ = snap_young_sweep(
+            YoungParams(x1=cfg.x1, f=cfg.f, wavelength=cfg.wavelength),
+            Grid1D(cfg.grid.n, cfg.grid.dx), (cfg.sweep.start, cfg.sweep.stop))
+    except (ConfigurationError, DomainError) as exc:
+        return [f"sweep: {exc}"]
+    if cfg.mode == "compare" and len(sources) < 2:
+        return ["sweep: snaps to 1 detection sample; a compare needs at least 2, "
+                "since one peak-normalized sample deviates by 0"]
+    return []
 
 
 def validate(cfg: ExperimentConfig) -> List[str]:
@@ -289,4 +313,6 @@ def validate(cfg: ExperimentConfig) -> List[str]:
         if size > MAX_ARRAY_BYTES:
             diags.append(f"grid.n: {cfg.grid.n} needs a {size / 2 ** 30:.3g} GiB "
                          f"array, above the {MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB limit")
+    if cfg.experiment == "young" and cfg.mode in ("reversed", "compare") and not diags:
+        diags += _young_sweep_diags(cfg)
     return diags

@@ -10,17 +10,19 @@ that both produce identical patterns.
 axis 1 of psi, which equals ``K psi K^T`` at O(n^2 log n). The slit-masked
 state is diagonal, so the axis-0 relay runs on the kept columns only (the
 FFT of a zero column is exactly zero); the axis-1 relay runs in row chunks
-on a kept pool of one thread per usable CPU. Each chunk checks its rows for
-finiteness and keeps only its diagonal entries, so no n x n array is held,
-and the curve is bit-identical for any thread count. No symmetrization is
-needed for the diagonal: ``(a + a.T)/2`` leaves it unchanged in IEEE
-arithmetic. The reversed side of ``forward_vs_reversed_young`` reads every
-source position through the closed form of the reversed train
-(``run_train_batch``, tested against looped ``run_train``). The relayed pair
-state stays the forward side of that compare: it shares no closed form with
-the reversed side, while ``young_coincidence_at`` computes the same sum as
-the closed form and is never compared with it. The dense
-``kernel_of``/``evolve`` chain is the O(n^3) reference.
+on a kept pool of one thread per usable CPU, on the rows of the detection
+samples to be read (all of them by default). Each chunk checks its rows for
+finiteness and keeps only their diagonal entries, so no n x n array is held,
+and the curve is bit-identical for any thread count and any selection. No
+symmetrization is needed for the diagonal: ``(a + a.T)/2`` leaves it
+unchanged in IEEE arithmetic. The reversed side of
+``forward_vs_reversed_young`` reads the same detection samples through the
+closed form of the reversed train (``run_train_batch``, tested against
+looped ``run_train``). The relayed pair state stays the forward side of that
+compare: it shares no closed form with the reversed side, while
+``young_coincidence_at`` computes the same sum as the closed form and is
+never compared with it. The dense ``kernel_of``/``evolve`` chain is the
+O(n^3) reference.
 """
 from __future__ import annotations
 
@@ -45,12 +47,14 @@ from .elements import (
     _offset_chirp,
     _params,
     _relay_along,
+    _source_indices,
     reversed_young_train,
     run_train,  # noqa: F401  (re-exported: callers look it up here)
     run_train_batch,
 )
 from .errors import (
     ConfigurationError,
+    DomainError,
     GridMismatchError,
     SamplingError,
     UnsupportedElementError,
@@ -89,6 +93,9 @@ def _row_pool(pid: int, workers: int) -> ThreadPoolExecutor:
 
 def _map_row_chunks(fn: Callable[[slice], object], n_rows: int) -> list:
     """``[fn(rows) ...]`` over consecutive ``_CHUNK_ROWS``-row slices, in order.
+
+    The slices cut ``range(n_rows)``, the positions in the caller's list of
+    rows; ``forward_young`` maps them to the detection samples it reads.
 
     The chunks run on a shared pool of one thread per usable CPU; numpy's
     FFT and ufuncs release the GIL, so they run in parallel. ``fn`` must not
@@ -217,7 +224,7 @@ def coincidence_diagonal(state: TwoPhotonAmplitude) -> np.ndarray:
 
 
 def forward_young(p: YoungParams, grid: Grid1D,
-                  slit_width: Optional[float] = None):
+                  slit_width: Optional[float] = None, samples=None):
     """Pair fringe of the forward two-slit system, peak-normalized.
 
     ``grid`` samples the slit plane, where the pair state is again
@@ -226,21 +233,27 @@ def forward_young(p: YoungParams, grid: Grid1D,
     focal-plane relay on each photon -> diagonal coincidence. The relay runs
     as an FFT along each axis of psi, O(n^2 log n), on the columns the slits
     keep and then in row chunks; ``kernel_of`` and ``evolve`` give the same
-    state densely. Each chunk checks all of its relayed rows for finiteness
-    and keeps only its diagonal entries, so the n x n state is never held.
+    state densely. ``samples`` lists the detection-plane samples to read
+    (default: all n); only their rows are relayed along axis 1, and each
+    diagonal entry is bit-identical to the same entry of the full run. Each
+    chunk checks all of its relayed rows for finiteness and keeps only their
+    diagonal entries, so the n x n state is never held.
 
-    Every row is relayed in full on purpose. A direct sum for the diagonal
-    alone is what ``young_coincidence_at`` and the reversed closed form
-    compute, and the forward side of ``forward_vs_reversed_young`` must not
-    share it.
+    Every row read is relayed in full on purpose. A direct sum for the
+    diagonal alone is what ``young_coincidence_at`` and the reversed closed
+    form compute, and the forward side of ``forward_vs_reversed_young`` must
+    not share it.
 
     Returns
     -------
     (Grid1D, ndarray)
-        The detection-plane grid and the normalized fringe on it.
+        The detection-plane grid and the fringe on ``samples``, normalized
+        by its peak over them.
 
     Raises
     ------
+    DomainError
+        If ``samples`` is empty or not a 1-D list of sample indices.
     SamplingError
         If the detection grid resolves the fringe with fewer than 8
         samples per period.
@@ -250,31 +263,59 @@ def forward_young(p: YoungParams, grid: Grid1D,
         raise SamplingError(
             f"only {samples_per_fringe:.2f} detection samples per fringe; "
             "need >= 8 (enlarge n*dx or reduce x1)")
+    n = grid.n
+    sel = np.arange(n) if samples is None else _source_indices(grid, samples)
+    if sel.size == 0:
+        raise DomainError("no detection samples to read")
     # spdc_initial after the diagonal slit kernel: mask^2 / dx = mask / dx
     # on the diagonal, since the mask is 0/1. Its other columns are zero
     # and the FFT of a zero column is exactly zero, so the axis-0 relay runs
     # on the kept columns only.
-    n = grid.n
     kept = np.flatnonzero(_double_slit_mask(grid, p.x1, slit_width))
     cols = np.zeros((n, len(kept)), dtype=complex)
     cols[kept, np.arange(len(kept))] = 1 / grid.dx
     cols, det = _relay_along(cols, grid, p.f, p.wavelength, axis=0)
-    diag = np.empty(n, dtype=complex)
+    diag = np.empty(len(sel), dtype=complex)
 
     def relay_rows(rows: slice) -> None:
-        block = np.zeros((rows.stop - rows.start, n), dtype=complex)
-        block[:, kept] = cols[rows]
+        idx = sel[rows]
+        block = np.zeros((len(idx), n), dtype=complex)
+        block[:, kept] = cols[idx]
         _relay_along(block, grid, p.f, p.wavelength, axis=1, out=block)
         if not np.all(np.isfinite(block)):
             raise ValueError("pair amplitudes must be finite")
-        diag[rows] = block.diagonal(rows.start)
+        diag[rows] = block[np.arange(len(idx)), idx]
 
-    _map_row_chunks(relay_rows, n)
+    _map_row_chunks(relay_rows, len(sel))
     curve = 2 * np.abs(diag) ** 2
     peak = curve.max()
     if peak == 0:
         raise ConfigurationError("slit mask transmitted nothing on this grid")
     return det, curve / peak
+
+
+def snap_young_sweep(p: YoungParams, grid: Grid1D, positions) -> tuple:
+    """Detection-plane samples nearest the sweep ``positions``.
+
+    The detection grid has ``grid.n`` samples spaced ``f wl/(n dx)``; the
+    reversed trains run from its samples. Returns ``(det, sources, row)``:
+    that grid, the distinct sample indices in increasing order, and for each
+    position the entry of ``sources`` it snaps to.
+
+    Raises
+    ------
+    DomainError
+        If a position lies outside the detection grid.
+    """
+    det = Grid1D(grid.n, p.f * p.wavelength / (grid.n * grid.dx))
+    for xi in positions:
+        if not det.contains(xi):
+            raise DomainError(
+                f"sweep point {float(xi)!r} m is outside the reversed-train "
+                f"source grid (half-width {det.n * det.dx / 2:.3e} m)")
+    idx = np.array([det.index_of(xi) for xi in positions], dtype=np.intp)
+    sources, row = np.unique(idx, return_inverse=True)
+    return det, sources, row
 
 
 def young_coincidence_at(p: YoungParams, grid: Grid1D, positions,
@@ -299,7 +340,7 @@ def young_coincidence_at(p: YoungParams, grid: Grid1D, positions,
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Outcome of a forward-vs-reconstruction sweep."""
+    """Outcome of a forward-vs-reconstruction sweep over ``n_points`` samples."""
 
     max_rel_err: float
     n_points: int
@@ -307,18 +348,38 @@ class EquivalenceReport:
 
 def forward_vs_reversed_young(p: YoungParams, grid: Grid1D,
                               slit_width: Optional[float] = None,
-                              L1: float = 0.25, L2: float = 0.5) -> EquivalenceReport:
+                              L1: float = 0.25, L2: float = 0.5,
+                              positions=None) -> EquivalenceReport:
     """Compare the forward pair fringe with the scanned-source pinhole train.
 
-    The reconstruction train is read from a point source at every
-    detection-plane sample by its closed form (``run_train_batch``);
-    both curves are peak-normalized and the maximum pointwise deviation is
-    reported. The result does not depend on L1/L2 (they enter only through
-    an exact discrete demagnifier).
+    Both sides are read on the distinct detection-plane samples that the
+    sweep ``positions`` snap to (:func:`snap_young_sweep`; default: every
+    sample): the forward side relays only their pair-state rows, and the
+    reconstruction train is read from a point source at each of them by its
+    closed form (``run_train_batch``). Each curve is normalized by its own
+    peak over those samples and the maximum pointwise deviation is reported.
+    The result does not depend on L1/L2 (they enter only through an exact
+    discrete demagnifier).
+
+    Raises
+    ------
+    ConfigurationError
+        If the positions snap to fewer than 2 distinct samples, where the
+        peak-normalized deviation is 0 by construction.
+    DomainError
+        If a position lies outside the detection grid.
     """
-    det_grid, fwd = forward_young(p, grid, slit_width)
+    if positions is None:
+        sources = np.arange(grid.n)
+    else:
+        _, sources, _ = snap_young_sweep(p, grid, positions)
+        if len(sources) < 2:
+            raise ConfigurationError(
+                f"the sweep snaps to {len(sources)} detection sample; a compare "
+                "needs at least 2, since one peak-normalized sample deviates by 0")
+    det_grid, fwd = forward_young(p, grid, slit_width, sources)
     train = reversed_young_train(p.f, p.x1, L1, L2, slit_width=slit_width)
-    rev = run_train_batch(det_grid, p.wavelength, np.arange(det_grid.n), train)
+    rev = run_train_batch(det_grid, p.wavelength, sources, train)
     rev = rev / rev.max()
     return EquivalenceReport(max_rel_err=float(np.max(np.abs(fwd - rev))),
-                             n_points=det_grid.n)
+                             n_points=len(sources))

@@ -48,8 +48,10 @@ class Grid1D:
         return (self.n,)
 
     def contains(self, pos: float) -> bool:
-        x = self.coords
-        return x[0] - self.dx / 2 <= pos <= x[-1] + self.dx / 2
+        # the end samples of ``coords`` in its own arithmetic, without the array
+        first = self.center + (0 - self.n // 2) * self.dx
+        last = self.center + (self.n - 1 - self.n // 2) * self.dx
+        return first - self.dx / 2 <= pos <= last + self.dx / 2
 
     def index_of(self, pos: float) -> int:
         """Index of the sample nearest ``pos`` (ties round toward -inf)."""

@@ -129,6 +129,61 @@ def test_validate_ok_is_empty():
     assert validate(ExperimentConfig.from_dict(big_n)) == []
 
 
+@pytest.mark.parametrize("mode", ["reversed", "compare"])
+def test_validate_flags_young_sweep_end_off_the_detection_grid(mode):
+    # validate snaps the ends as the run does: the outer cell edges of the
+    # detection grid pass, the next floats beyond them are flagged
+    doc = young_doc(mode)
+    p = YoungParams(x1=doc["x1"], f=F, wavelength=WL)
+    det, _, _ = forward.snap_young_sweep(p, Grid1D(512, 2e-5), [0.0])
+    lo = float(det.coords[0] - det.dx / 2)
+    hi = float(det.coords[-1] + det.dx / 2)
+    for start, stop, bad in [(lo, hi, None), (np.nextafter(lo, -1.0), hi, "start"),
+                             (lo, np.nextafter(hi, 1.0), "stop")]:
+        doc["sweep"] = {"axis": "x0", "start": float(start), "stop": float(stop),
+                        "count": 21}
+        diags = validate(ExperimentConfig.from_dict(doc))
+        if bad is None:
+            assert diags == []
+        else:
+            value = float(start if bad == "start" else stop)
+            assert diags == [f"sweep: sweep point {value!r} m is outside the "
+                             "reversed-train source grid (half-width 9.750e-04 m)"]
+    doc["mode"] = "analytic"  # reads no detection sample
+    assert validate(ExperimentConfig.from_dict(doc)) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("mode", ["reversed", "compare"])
+def test_main_young_sweep_off_the_detection_grid_exits_2(tmp_path, monkeypatch, capsys,
+                                                         command, mode):
+    # a compare used to run such a sweep; a reversed run found it while running
+    monkeypatch.chdir(tmp_path)
+    doc = young_doc(mode, sweep={"axis": "x0", "start": -4e-5, "stop": 1e-3, "count": 21})
+    path = write_config(tmp_path, "off.json", doc)
+    assert main([command, "--config", path]) == 2
+    out = capsys.readouterr()
+    assert "sweep point 0.001 m is outside" in out.out + out.err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_young_compare_on_one_detection_sample_exits_2(tmp_path, monkeypatch, capsys,
+                                                       command):
+    # 21 points inside one 3.8 um detection cell: both sides would be 1.0
+    # after peak normalization, so the deviation could not be anything but 0
+    monkeypatch.chdir(tmp_path)
+    doc = young_doc("compare", sweep={"axis": "x0", "start": -1e-7, "stop": 1e-7,
+                                      "count": 21})
+    path = write_config(tmp_path, "one.json", doc)
+    assert main([command, "--config", path]) == 2
+    out = capsys.readouterr()
+    assert "snaps to 1 detection sample" in out.out + out.err
+    assert not list(tmp_path.glob("*.csv"))
+    doc["mode"] = "reversed"  # a constant reversed column is still a reading
+    assert validate(ExperimentConfig.from_dict(doc)) == []
+
+
 # --------------------------------------------------------------- CSV shape
 
 
@@ -179,8 +234,10 @@ def test_compare_summary_equals_library_report(tmp_path, monkeypatch):
     cfg = ExperimentConfig.from_dict(young_doc("compare"))
     summary = run(cfg, out="c.csv")
     p = YoungParams(x1=cfg.x1, f=cfg.f, wavelength=cfg.wavelength)
-    report = forward_vs_reversed_young(p, Grid1D(512, 2e-5), None, 0.25, 0.5)
+    sweep = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
+    report = forward_vs_reversed_young(p, Grid1D(512, 2e-5), None, 0.25, 0.5, sweep)
     assert summary["max_deviation"] == report.max_rel_err
+    assert summary["deviation_points"] == report.n_points == 21
     on_disk = json.loads((tmp_path / "c.summary.json").read_text(encoding="utf-8"))
     assert on_disk["max_deviation"] == report.max_rel_err
     assert on_disk["config"]["x1"] == cfg.x1
@@ -220,12 +277,19 @@ def test_young_compare_exits_3_above_tolerance(tmp_path, monkeypatch, capsys):
 
 
 def test_young_compare_exits_3_when_forward_side_skews(tmp_path, monkeypatch, capsys):
-    # The relayed rows of the last pair-state chunk, which does not hold the
-    # fringe peak, grow by 1e-9; the curve there then grows by about 2e-9.
+    # The compare relays only the pair-state rows its sweep snaps to, here
+    # in chunks of 8. The relayed rows of the last chunk, which does not
+    # hold the fringe peak, grow by 1e-9; the curve there then grows by
+    # about 2e-9.
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(forward, "_CHUNK_ROWS", 8)
     n = 600
-    tail = n % forward._CHUNK_ROWS
-    assert 0 < tail and n // 2 < n - tail  # the peak sits on the centre row
+    doc = young_doc("compare", grid={"n": n, "dx": 2e-5})
+    p = YoungParams(x1=doc["x1"], f=doc["f"], wavelength=doc["wavelength"])
+    _, sources, _ = forward.snap_young_sweep(p, Grid1D(n, 2e-5),
+                                             np.linspace(-4e-5, 4e-5, 21))
+    tail = len(sources) % forward._CHUNK_ROWS
+    assert 0 < tail and n // 2 < sources[-tail]  # the peak sits on the centre row
     relay = forward._relay_along
 
     def skewed_relay(amp, *args, axis, **kwargs):
@@ -235,8 +299,7 @@ def test_young_compare_exits_3_when_forward_side_skews(tmp_path, monkeypatch, ca
         return out, grid
 
     monkeypatch.setattr(forward, "_relay_along", skewed_relay)
-    path = write_config(tmp_path, "yc.json",
-                        young_doc("compare", grid={"n": n, "dx": 2e-5}))
+    path = write_config(tmp_path, "yc.json", doc)
     assert main(["simulate", "--config", path, "--out", "yc.csv"]) == 3
     assert "tolerance" in capsys.readouterr().err
     summary = json.loads((tmp_path / "yc.summary.json").read_text(encoding="utf-8"))

@@ -106,8 +106,9 @@ def test_nonfinite_amplitude_rejected():
         TwoPhotonAmplitude(Grid1D(3, 1.0), psi)
 
 
-def forward_young_rows(monkeypatch, p, g, slit_width):
-    """``forward_young``'s relayed pair-state rows in row order, and its curve.
+def forward_young_rows(monkeypatch, p, g, slit_width, samples=None):
+    """``forward_young``'s relayed pair-state rows in the order of ``samples``
+    (default: every row), the number of row chunks, and its curve.
 
     Spies on the axis-1 relay of each row chunk; the chunk's first row is
     tagged per thread by a wrapper of the chunk map.
@@ -130,7 +131,7 @@ def forward_young_rows(monkeypatch, p, g, slit_width):
     with monkeypatch.context() as m:
         m.setattr(forward, "_relay_along", spy_relay)
         m.setattr(forward, "_map_row_chunks", spy_map)
-        _, curve = forward_young(p, g, slit_width)
+        _, curve = forward_young(p, g, slit_width, samples)
     return np.concatenate([blocks[i] for i in sorted(blocks)]), len(blocks), curve
 
 
@@ -170,6 +171,35 @@ def test_forward_young_holds_no_n_by_n_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < g.n ** 2 * 16 / 4
+
+
+@pytest.mark.parametrize("n", [2048, 600])
+@pytest.mark.parametrize("slit_cells", [None, 4])
+def test_forward_young_on_samples_reads_the_full_runs_entries(monkeypatch, n,
+                                                              slit_cells):
+    # Only the rows of the selected samples are relayed, in chunks of their
+    # own: unsorted selections of 300 and 150 samples end in a short chunk.
+    # Each raw diagonal entry is the full run's bit for bit, and the curve
+    # is normalized by its peak over the selection.
+    p, g = young_setup(n=n, x1_cells=16)
+    slit_width = None if slit_cells is None else slit_cells * g.dx
+    sel = np.random.default_rng(n).choice(n, size=n // 4 - n // 10, replace=False)
+    assert len(sel) % forward._CHUNK_ROWS
+    full, _, _ = forward_young_rows(monkeypatch, p, g, slit_width)
+    rows, n_chunks, curve = forward_young_rows(monkeypatch, p, g, slit_width, sel)
+    assert rows.shape == (len(sel), n)
+    assert n_chunks == -(-len(sel) // forward._CHUNK_ROWS)
+    raw = rows[np.arange(len(sel)), sel]
+    np.testing.assert_array_equal(raw, full[sel, sel])
+    want = 2 * np.abs(raw) ** 2
+    np.testing.assert_array_equal(curve, want / want.max())
+
+
+@pytest.mark.parametrize("samples", [[-1], [0, 64], [[1, 2]], []])
+def test_forward_young_rejects_samples_off_the_detection_grid(samples):
+    p, g = young_setup(n=64, x1_cells=2)
+    with pytest.raises(DomainError):
+        forward_young(p, g, None, samples)
 
 
 def test_kernel_shape_must_match_grids():
@@ -428,6 +458,29 @@ def test_equivalence_does_not_depend_on_relay_lengths():
     a = forward_vs_reversed_young(p, g, L1=0.1, L2=0.9)
     b = forward_vs_reversed_young(p, g, L1=0.8, L2=0.15)
     assert a.max_rel_err <= 1e-10 and b.max_rel_err <= 1e-10
+
+
+def test_equivalence_on_a_sweep_reads_its_distinct_samples():
+    # 81 points over 27 detection samples; each side is normalized on them
+    p, g = young_setup()
+    sweep = np.linspace(-1e-4, 1e-4, 81)
+    det, sources, row = forward.snap_young_sweep(p, g, sweep)
+    assert np.array_equal(sources, np.arange(243, 270))
+    assert np.array_equal(sources[row], [det.index_of(x) for x in sweep])
+    report = forward_vs_reversed_young(p, g, None, 0.25, 0.5, sweep)
+    assert report.n_points == 27 and report.max_rel_err <= 1e-14
+    _, fwd = forward_young(p, g, None, sources)
+    rev = run_train_batch(det, WL, sources, reversed_young_train(p.f, p.x1, 0.25, 0.5))
+    assert report.max_rel_err == np.max(np.abs(fwd - rev / rev.max()))
+
+
+@pytest.mark.parametrize("positions,error", [([0.0, 1e-9], ConfigurationError),
+                                             ([0.0, 1.0], DomainError)])
+def test_equivalence_on_a_sweep_that_cannot_fail_or_snap_raises(positions, error):
+    # one distinct sample deviates by 0 by construction
+    p, g = young_setup()
+    with pytest.raises(error):
+        forward_vs_reversed_young(p, g, positions=positions)
 
 
 def test_unnormalized_curves_match_up_to_single_constant():
