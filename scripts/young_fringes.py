@@ -4,7 +4,8 @@
 Writes a CSV with the half-period pair fringe next to the classical one and
 prints the measured periods. The compare mode also reads the forward pair
 state and the reversed trains on the detection samples the sweep snaps to
-and reports their maximum deviation.
+and reports their maximum deviation; it exits 3 when that is above the
+compare tolerance, after writing its outputs.
 
 Run from anywhere:
     python3 scripts/young_fringes.py
@@ -77,9 +78,10 @@ def main() -> int:
     parser.add_argument("--plot", action="store_true")
     args = parser.parse_args()
 
-    run(build_config(args), raw=args.raw, out=args.out)
+    summary = run(build_config(args), raw=args.raw, out=args.out)
     maybe_plot(args.out, args.plot)
-    return 0
+    # compare: exit 3 like `biphoton simulate` when the deviation is too large
+    return 3 if summary.get("passed") is False else 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ the report, CSV and summary are written first).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
@@ -67,12 +66,15 @@ def _format_length(meters: float) -> str:
 
 def _write_csv(path: str, header: List[str], rows) -> None:
     """Write ``rows`` with every value as ``.17g``; pass Python floats
-    (``ndarray.tolist()``), which format faster than numpy scalars."""
+    (``ndarray.tolist()``), which format faster than numpy scalars.
+
+    One format string writes each row. A ``.17g`` number holds no comma,
+    quote or newline, so these are the bytes ``csv.writer`` wrote.
+    """
+    line = ",".join(["{:.17g}"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line.format(*row) for row in rows)
 
 
 def _write_summary(csv_path: str, summary: dict) -> str:

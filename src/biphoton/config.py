@@ -25,22 +25,40 @@ MODES = ("forward", "reversed", "analytic", "compare")
 # Ceiling on the largest single array a run may allocate, checked by
 # ``validate`` so an oversized grid exits before anything is allocated.
 MAX_ARRAY_BYTES = 4 * 2 ** 30
-# Trials an audit draws and contracts together (``modes.time_reversal_audit``).
+# Fewest trials an audit draws and contracts together
+# (``modes.time_reversal_audit``); small mode counts take more, up to
+# AUDIT_CHUNK_BYTES of draws per chunk.
 AUDIT_CHUNK = 32
+# Draw bytes per audit chunk when that is more than AUDIT_CHUNK trials: 64
+# trials at 16 modes. A 10000-trial audit at 16 modes took 0.276 s in
+# chunks of 64, 0.304 s in 32, 0.284 s in 128 and 0.295 s in 512 (medians
+# of 15 in-process runs on a 2-core host).
+AUDIT_CHUNK_BYTES = 64 * 8 * (2 * 16 ** 2 + 4 * 16)
+
+
+def audit_chunk_trials(n_modes: int) -> int:
+    """Trials per audit chunk: ``AUDIT_CHUNK_BYTES`` of draws, at least ``AUDIT_CHUNK``.
+
+    A trial draws 2n^2 + 4n float64 values. From 23 modes up a chunk is
+    ``AUDIT_CHUNK`` trials, so the array limit of large audits is unchanged.
+    """
+    return max(AUDIT_CHUNK, AUDIT_CHUNK_BYTES // (8 * (2 * n_modes ** 2 + 4 * n_modes)))
 
 
 def audit_array_bytes(n_modes: int, trials: int) -> float:
     """Size of the largest array one audit chunk allocates.
 
-    That is the chunk's float64 draws, ``min(AUDIT_CHUNK, trials)`` rows of
-    2n^2 + 4n values; its complex n x n stacks are smaller. A float, so a
-    size beyond the float range reads inf instead of raising.
+    That is the chunk's float64 draws, ``min(audit_chunk_trials(n), trials)``
+    rows of 2n^2 + 4n values; its complex n x n stacks are smaller. That is
+    at most ``AUDIT_CHUNK_BYTES`` below 23 modes and ``AUDIT_CHUNK`` rows
+    from there up. A float, so a size beyond the float range reads inf
+    instead of raising.
     """
     try:
         n = float(n_modes)
     except OverflowError:  # an integer beyond the float range
         return math.inf
-    return 8.0 * min(AUDIT_CHUNK, trials) * (2 * n * n + 4 * n)
+    return 8.0 * min(audit_chunk_trials(n_modes), trials) * (2 * n * n + 4 * n)
 
 
 def _take(d: dict, context: str, required: Tuple[str, ...],
@@ -208,13 +226,18 @@ def _largest_array_bytes(cfg: ExperimentConfig) -> float:
     n x |kept| columns the slits keep, then blocks of at most
     ``forward._CHUNK_ROWS`` rows of n samples, one row per distinct
     detection sample the sweep snaps to (so no more rows than sweep
-    points). No slit mask is built here, so |kept| is bounded by n. A
+    points). No slit mask is built here: a slit of width w keeps at most
+    w/dx + 1 samples, so |kept| is bounded by two slits of w/dx + 2 (one
+    more for rounding at the edges) and by n, and is 2 for delta slits. A
     float, so a size beyond the float range reads inf instead of raising.
     """
     n = cfg.grid.n
-    rows = n if cfg.experiment == "focus" else cfg.sweep.count
+    if cfg.experiment == "focus":
+        return 16.0 * n * n
+    rows = cfg.sweep.count
     if cfg.mode == "compare":
-        rows = max(rows, n)
+        kept = 2 if cfg.slit_width is None else 2 * (cfg.slit_width / cfg.grid.dx + 2)
+        rows = max(rows, min(n, kept))
     return 16.0 * n * rows
 
 

@@ -14,8 +14,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .config import AUDIT_CHUNK as _AUDIT_CHUNK
-from .config import MAX_ARRAY_BYTES, audit_array_bytes
+from .config import MAX_ARRAY_BYTES, audit_array_bytes, audit_chunk_trials
 from .errors import ConfigurationError
 
 
@@ -257,7 +256,7 @@ def _audit_chunks(n: int, trials: int, seed: int):
     a generator's output depends on. ``_draw_chunk`` repeats the scalar
     arithmetic and checks, so the coefficients and modes equal the scalar
     functions' exactly; the contractions and the tail run stacked, within
-    rounding of them.
+    rounding of them, and give each trial the same bits at any chunk size.
     """
     for draws in _audit_draws(n, trials, seed):
         fc, f1, f2 = _draw_chunk(draws, n)
@@ -269,23 +268,30 @@ def _audit_chunks(n: int, trials: int, seed: int):
 
 
 def _audit_draws(n: int, trials: int, seed: int):
-    """Chunks of ``_AUDIT_CHUNK`` rows of 2n^2 + 4n normals, one row per trial.
+    """Chunks of ``audit_chunk_trials(n)`` rows of 2n^2 + 4n normals, one row per trial.
 
     Row i is ``default_rng(SeedSequence(seed).spawn(trials)[i]).normal(...)``:
     one reused PCG64 is set to each child's derived state through the public
-    ``state`` setter, which is all ``default_rng(child)`` differs by.
+    ``state`` setter, which is all ``default_rng(child)`` differs by. Each
+    row is filled in place by ``standard_normal(out=row)``, which draws the
+    ziggurat values z that ``normal()`` returns as ``0.0 + 1.0 * z``. That
+    sum is z except for z = -0.0, which it turns into +0.0; the chunk-wide
+    ``+= 0.0`` does the same, so every bit matches ``normal()``.
     """
     width = 2 * n * n + 4 * n
+    rows = audit_chunk_trials(n)
     bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
+    fill = np.random.Generator(bitgen).standard_normal
     state = bitgen.state
+    pcg = state["state"]
     streams = _spawn_states(int(seed), trials)
-    for start in range(0, trials, _AUDIT_CHUNK):
-        draws = np.empty((min(_AUDIT_CHUNK, trials - start), width))
-        for row in draws:
-            state["state"]["state"], state["state"]["inc"] = next(streams)
+    for start in range(0, trials, rows):
+        draws = np.empty((min(rows, trials - start), width))
+        for row, (pcg_state, inc) in zip(draws, streams):
+            pcg["state"], pcg["inc"] = pcg_state, inc
             bitgen.state = state
-            row[:] = rng.normal(size=width)
+            fill(out=row)
+        draws += 0.0
         yield draws
 
 
@@ -362,16 +368,26 @@ def _draw_chunk(draws: np.ndarray, n: int):
     """Coefficient matrices and two final modes per row of raw normal draws.
 
     Row layout: Re g, Im g (n x n each), then Re/Im of each mode vector.
-    Raises the ``ValueError`` of ``TwoPhotonCoeff`` or ``FinalMode`` for
-    the first trial that fails their checks.
+    The values equal those of ``_coeff_from_rng`` and ``_mode_from_rng`` bit
+    for bit, for draws without -0.0 (as ``normal()`` gives). Complex ``+``
+    adds the parts one by one, so ``g + g.T`` for ``g = a + 1j * b`` is
+    ``a + a.T`` and ``b + b.T`` written into the real and imaginary parts;
+    ``* 0.5`` on the float view is ``/ 2``; and ``_divide_stack`` is numpy's
+    complex-by-real ``/``. Raises the ``ValueError`` of ``TwoPhotonCoeff``
+    or ``FinalMode`` for the first trial that fails their checks.
     """
     m, nn = draws.shape[0], n * n
-    g = draws[:, :nn].reshape(m, n, n) + 1j * draws[:, nn:2 * nn].reshape(m, n, n)
-    g = (g + g.transpose(0, 2, 1)) / 2
-    fc = g / np.sqrt(2 * _sum_sq(g))[:, None, None]
-    v = draws[:, 2 * nn:].reshape(m, 4, n)
-    v = v[:, 0::2] + 1j * v[:, 1::2]
-    psi = v / np.sqrt(_norm_sq(v))[..., None]
+    ab = draws[:, :2 * nn].reshape(m, 2, n, n)
+    fc = np.empty((m, n, n), dtype=complex)
+    np.add(ab[:, 0], ab[:, 0].transpose(0, 2, 1), out=fc.real)
+    np.add(ab[:, 1], ab[:, 1].transpose(0, 2, 1), out=fc.imag)
+    parts = fc.view(np.float64)
+    parts *= 0.5
+    _divide_stack(fc, np.sqrt(2 * _sum_sq(fc)))
+    v = draws[:, 2 * nn:].reshape(m, 2, 2, n)
+    psi = np.empty((m, 2, n), dtype=complex)
+    psi.real, psi.imag = v[:, :, 0], v[:, :, 1]
+    _divide_stack(psi, np.sqrt(_norm_sq(psi)))
 
     if not np.array_equal(fc, fc.transpose(0, 2, 1)):
         raise ValueError("pair coefficients must be exchange-symmetric (f == f.T)")
@@ -385,6 +401,18 @@ def _draw_chunk(draws: np.ndarray, n: int):
         raise ValueError(f"mode function norm {norm[tuple(bad[0])]!r} "
                          "is not 1 within 1e-12")
     return fc, psi[:, 0], psi[:, 1]
+
+
+def _divide_stack(z: np.ndarray, s: np.ndarray) -> None:
+    """``z /= s`` in place for a complex stack z and one real s per leading index.
+
+    numpy divides complex by real as by ``s + 0j``: with rat = 0 and
+    scl = 1/s each part becomes ``(part +- other * 0) * scl``, which is
+    ``part * (1/s)`` bit for bit unless the part is -0.0. So the parts are
+    multiplied by ``1 / s`` on the float view, with no complex arithmetic.
+    """
+    parts = z.view(np.float64)
+    parts *= (1 / s).reshape(s.shape + (1,) * (z.ndim - s.ndim))
 
 
 def _sum_sq(f: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Config validation, CSV/JSON emission, exit codes, determinism."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,16 +13,20 @@ from hypothesis import strategies as st
 
 import biphoton.cli as cli
 import biphoton.forward as forward
+import biphoton.modes as modes
 from biphoton.analytic import YoungParams, young_two_photon
 from biphoton.cli import FOCUS_COMPARE_TOL, YOUNG_COMPARE_TOL, main, run
 from biphoton.config import (
     AUDIT_CHUNK,
     MAX_ARRAY_BYTES,
     ExperimentConfig,
+    _largest_array_bytes,
     audit_array_bytes,
+    audit_chunk_trials,
     load_config,
     validate,
 )
+from biphoton.elements import _double_slit_mask
 from biphoton.errors import ConfigurationError
 from biphoton.forward import forward_vs_reversed_young
 from biphoton.grid import Grid1D
@@ -112,7 +117,9 @@ def test_load_config_missing_file():
     (young_doc(mode="reversed"), "grid"),
     (young_doc(x1=None), "x1"),
     (focus_doc("compare", L1=0.25, L2=0.5, grid={"n": 65536, "dx": 1e-6}), "grid.n"),
-    (young_doc("compare", grid={"n": 32768, "dx": 2e-5}), "grid.n"),
+    # two 2501-sample slits relayed on 65536 rows: 4.9 GiB
+    (young_doc("compare", x1=0.1, slit_width=0.05, grid={"n": 65536, "dx": 2e-5}),
+     "grid.n"),
 ])
 def test_validate_flags_field(doc, needle):
     doc = dict(doc)
@@ -127,6 +134,23 @@ def test_validate_ok_is_empty():
     # a forward young sweep holds one row per point, not the n x n pair state
     big_n = young_doc("forward", grid={"n": 65536, "dx": 2e-5})
     assert validate(ExperimentConfig.from_dict(big_n)) == []
+
+
+def test_validate_bounds_young_compare_by_the_kept_slit_columns():
+    # a delta-slit compare relays an n x 2 column pair and blocks of at most
+    # 128 x n, not the n x n pair state
+    delta = young_doc("compare", grid={"n": 32768, "dx": 2e-5})
+    assert validate(ExperimentConfig.from_dict(delta)) == []
+    assert _largest_array_bytes(ExperimentConfig.from_dict(delta)) == 16 * 32768 * 21
+    # the bound holds the mask's count, by at most 2 per slit, and n (the
+    # last grid's slits run past its edges)
+    for n, dx, x1, width in [(512, 2e-5, 2.5e-4, 8e-5), (512, 2e-5, 2.5e-4, 8e-5 - 1e-20),
+                             (600, 3e-6, 4e-5, 3e-5), (64, 1e-5, 2e-4, 3e-4)]:
+        doc = young_doc("compare", x1=x1, slit_width=width, grid={"n": n, "dx": dx},
+                        sweep={"axis": "x0", "start": -1e-9, "stop": 1e-9, "count": 2})
+        kept = _double_slit_mask(Grid1D(n, dx), x1, width).sum()
+        bound = _largest_array_bytes(ExperimentConfig.from_dict(doc)) / (16 * n)
+        assert kept <= bound <= (n if n == 64 else kept + 4)
 
 
 @pytest.mark.parametrize("mode", ["reversed", "compare"])
@@ -428,6 +452,55 @@ def test_failed_audit_exits_3_after_writing_report(tmp_path, monkeypatch, capsys
     assert main(["audit", "--n", "4", "--trials", "50", "--out", "rep.json"]) == 3
     assert json.loads(capsys.readouterr().out)["passed"] is False
     assert json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))["passed"] is False
+
+
+def test_audit_exits_3_when_its_last_short_chunk_deviates(tmp_path, monkeypatch, capsys):
+    # The reversed side of the last chunk, shorter than the others, grows by
+    # 1e-8. Only a run that reduces every chunk it draws sees it.
+    monkeypatch.chdir(tmp_path)
+    n, rows = 16, audit_chunk_trials(16)
+    trials = 2 * rows + 5
+    chunks = modes._audit_chunks
+
+    def skewed_chunks(*args):
+        out = list(chunks(*args))
+        assert [len(fwd) for fwd, _ in out] == [rows, rows, 5]
+        fwd, scaled = out[-1]
+        return out[:-1] + [(fwd, scaled * (1 + 1e-8))]
+
+    monkeypatch.setattr(modes, "_audit_chunks", skewed_chunks)
+    report = modes.time_reversal_audit(n, trials, seed=3)
+    assert report.max_ratio_dev > 1e-9 and report.passed is False
+
+    doc = {"experiment": "modes-audit", "mode": "forward",
+           "audit": {"n_modes": n, "trials": trials}, "seed": 3}
+    path = write_config(tmp_path, "aud.json", doc)
+    assert main(["simulate", "--config", path, "--out", "aud.out.json"]) == 3
+    assert "FAILED" in capsys.readouterr().out
+    assert json.loads((tmp_path / "aud.out.json").read_text(encoding="utf-8"))["passed"] is False
+    assert main(["audit", "--n", str(n), "--trials", str(trials), "--seed", "3"]) == 3
+    assert json.loads(capsys.readouterr().out)["max_ratio_dev"] > 1e-9
+
+
+def test_young_fringes_script_exits_3_on_a_failed_compare(tmp_path, monkeypatch):
+    # the script's compare, with every reversed reading but the peak grown by
+    # 1e-9, deviates by 9.9e-10 against the 1e-12 tolerance
+    spec = importlib.util.spec_from_file_location(
+        "young_fringes", Path(__file__).resolve().parents[1] / "scripts" / "young_fringes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["young_fringes.py", "--out", str(tmp_path / "y.csv")])
+    assert script.main() == 0
+    batch = forward.run_train_batch
+
+    def skewed_batch(*args):
+        rev = batch(*args)
+        return np.where(rev == rev.max(), rev, rev * (1 + 1e-9))
+
+    monkeypatch.setattr(forward, "run_train_batch", skewed_batch)
+    assert script.main() == 3
+    summary = json.loads((tmp_path / "y.summary.json").read_text(encoding="utf-8"))
+    assert summary["max_deviation"] > YOUNG_COMPARE_TOL and summary["passed"] is False
 
 
 def test_audit_experiment_writes_report(tmp_path, monkeypatch):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biphoton.modes as modes
+from biphoton.config import AUDIT_CHUNK, audit_chunk_trials
 from biphoton.errors import ConfigurationError
 from biphoton.modes import (
-    _AUDIT_CHUNK,
     _SEED_BLOCK,
     AuditReport,
     FinalMode,
@@ -358,7 +358,7 @@ def test_chunk_rejects_draws_the_dataclasses_reject():
         _draw_chunk(np.zeros((2, 2 * 9 + 4 * 3)), 3)
 
 
-@pytest.mark.parametrize("n,trials,seed", [(1, 40, 2), (4, 2 * _AUDIT_CHUNK + 7, 11),
+@pytest.mark.parametrize("n,trials,seed", [(1, 40, 2), (4, 2 * audit_chunk_trials(4) + 7, 11),
                                            (16, 50, 42)])
 def test_chunked_values_match_scalar_functions(n, trials, seed):
     got = np.column_stack([np.concatenate(side)
@@ -369,9 +369,32 @@ def test_chunked_values_match_scalar_functions(n, trials, seed):
 
 
 @pytest.mark.parametrize("n,trials,seed", [(1, 1, 0), (1, 45, 6), (3, 1, 9),
-                                           (5, _AUDIT_CHUNK + 1, 13), (16, 70, 4)])
+                                           (5, audit_chunk_trials(5) + 1, 13), (16, 70, 4)])
 def test_chunked_audit_report_equals_looped(n, trials, seed):
     assert time_reversal_audit(n, trials, seed) == looped_audit(n, trials, seed)
+
+
+def test_chunk_trials_fill_the_byte_budget_above_a_floor_of_32():
+    # 64 trials of 2 * 16**2 + 4 * 16 draws at 16 modes; from 23 modes up
+    # the floor holds, so large audits keep their 32-trial array limit
+    assert [audit_chunk_trials(n) for n in (1, 4, 5, 16, 22, 23, 2896)] == \
+        [6144, 768, 526, 64, 34, 32, 32]
+    assert AUDIT_CHUNK == 32
+
+
+@pytest.mark.parametrize("n", [1, 16])
+def test_per_trial_values_bit_identical_across_chunk_sizes(n, monkeypatch):
+    # 135 trials split into no whole number of chunks of 7, 32, 64 or 6144
+    trials, seed = 135, 17
+    runs = []
+    for rows in (1, 7, 32, audit_chunk_trials(n)):
+        monkeypatch.setattr(modes, "audit_chunk_trials", lambda n_modes: rows)
+        chunks = list(_audit_chunks(n, trials, seed))
+        assert [len(fwd) for fwd, _ in chunks] == \
+            [rows] * (trials // rows) + [trials % rows] * (trials % rows > 0)
+        runs.append(np.column_stack([np.concatenate(side) for side in zip(*chunks)]))
+    assert all(np.array_equal(r.view(np.uint64), runs[0].view(np.uint64))
+               for r in runs[1:])
 
 
 # ------------------------------------------------- derived per-trial streams
@@ -392,10 +415,14 @@ def test_spawn_states_equal_pcg64_of_each_child(seed):
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=STREAM_IDS)
 def test_derived_draws_bit_identical_to_child_generators(seed):
-    # crosses both the 32-trial chunk and the 1024-trial seed block boundaries
-    n, trials = 1, 2 * _SEED_BLOCK + 33
+    # crosses both the chunk (6144 trials at n = 1) and the 1024-trial seed
+    # block boundaries
+    n = 1
+    rows = audit_chunk_trials(n)
+    trials = max(rows, 2 * _SEED_BLOCK) + 33
     chunks = list(_audit_draws(n, trials, seed))
-    assert [len(c) for c in chunks[:-1]] == [_AUDIT_CHUNK] * (len(chunks) - 1)
+    assert [len(c) for c in chunks] == [rows] * (len(chunks) - 1) + [trials % rows]
+    assert len(chunks) > 1 and trials > 2 * _SEED_BLOCK
     got = np.concatenate(chunks)
     want = np.stack([np.random.default_rng(c).normal(size=2 * n * n + 4 * n)
                      for c in np.random.SeedSequence(seed).spawn(trials)])
