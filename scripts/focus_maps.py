@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from biphoton.cli import run
+from biphoton.cli import exit_code, run
 from biphoton.config import ExperimentConfig, GridSpec, SweepSpec
 
 LATERAL = SweepSpec("r0", -4e-6, 4e-6, 161)
@@ -90,10 +90,14 @@ def main() -> int:
     args = parser.parse_args()
 
     out = args.out or f"focus_{args.preset}.csv"
-    summary = run(build_config(args), raw=args.raw, out=out)
-    maybe_plot(out, args.preset, args.plot)
-    # compare: exit 3 like `biphoton simulate` when the deviation is too large
-    return 3 if summary.get("passed") is False else 0
+
+    def task() -> dict:
+        summary = run(build_config(args), raw=args.raw, out=out)
+        maybe_plot(out, args.preset, args.plot)
+        return summary
+
+    # exit 2 or 3 like `biphoton simulate`, naming the cause
+    return exit_code(task)
 
 
 if __name__ == "__main__":

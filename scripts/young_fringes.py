@@ -5,7 +5,7 @@ Writes a CSV with the half-period pair fringe next to the classical one and
 prints the measured periods. The compare mode also reads the forward pair
 state and the reversed trains on the detection samples the sweep snaps to
 and reports their maximum deviation; it exits 3 when that is above the
-compare tolerance, after writing its outputs.
+compare tolerance, after writing its outputs. An invalid config exits 2.
 
 Run from anywhere:
     python3 scripts/young_fringes.py
@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from biphoton.cli import run
+from biphoton.cli import exit_code, run
 from biphoton.config import ExperimentConfig, GridSpec, SweepSpec
 
 
@@ -78,10 +78,13 @@ def main() -> int:
     parser.add_argument("--plot", action="store_true")
     args = parser.parse_args()
 
-    summary = run(build_config(args), raw=args.raw, out=args.out)
-    maybe_plot(args.out, args.plot)
-    # compare: exit 3 like `biphoton simulate` when the deviation is too large
-    return 3 if summary.get("passed") is False else 0
+    def task() -> dict:
+        summary = run(build_config(args), raw=args.raw, out=args.out)
+        maybe_plot(args.out, args.plot)
+        return summary
+
+    # exit 2 or 3 like `biphoton simulate`, naming the cause
+    return exit_code(task)
 
 
 if __name__ == "__main__":

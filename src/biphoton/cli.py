@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -179,13 +179,14 @@ def _snap_to_sources(grid: Grid2D, points) -> tuple:
 
     Returns the snapped points and the ``(iy, ix)`` source index of each.
     """
+    xs = grid.xs
     snapped, indices = [], []
     for r0, z0 in points:
         if not grid.contains((r0, 0.0)):
             raise DomainError(
                 f"lateral offset {float(r0)!r} m is outside the source grid")
         iy, ix = grid.index_of((r0, 0.0))
-        snapped.append((float(grid.xs[ix]), z0))
+        snapped.append((float(xs[ix]), z0))
         indices.append((iy, ix))
     return snapped, indices
 
@@ -341,38 +342,58 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+def exit_code(task: Callable[[], Union[dict, int]]) -> int:
+    """Run ``task`` and return the exit code of its outcome.
+
+    ``task`` returns an exit code or a summary. A summary whose ``passed``
+    is False gives 3: its outputs are written, but the run fails its stated
+    tolerance. ``ConfigurationError`` and ``DomainError`` give 2,
+    ``SamplingError`` and ``QuadratureError`` 3; each names its cause on
+    stderr. The example scripts end through here too.
+    """
     try:
-        if args.command == "simulate":
-            summary = run(load_config(args.config), raw=args.raw, out=args.out)
-        elif args.command == "audit":
-            report = time_reversal_audit(args.n, args.trials, args.seed)
-            print(report.to_json())
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(report.to_json() + "\n")
-            summary = report.to_dict()
-        else:
-            diags = validate_config(load_config(args.config))
-            if diags:
-                for d in diags:
-                    print(d)
-                return 2
-            print("ok")
-            return 0
+        result = task()
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SamplingError, QuadratureError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
-    if summary.get("passed") is False:
-        # the outputs are written; the run still fails its stated tolerance
-        print(f"check failed: deviation above the tolerance {summary['tolerance']!r}",
+    if isinstance(result, int):
+        return result
+    if result.get("passed") is False:
+        print(f"check failed: deviation above the tolerance {result['tolerance']!r}",
               file=sys.stderr)
         return 3
     return 0
+
+
+def _audit(args: argparse.Namespace) -> dict:
+    report = time_reversal_audit(args.n, args.trials, args.seed)
+    print(report.to_json())
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json() + "\n")
+    return report.to_dict()
+
+
+def _validate(args: argparse.Namespace) -> int:
+    diags = validate_config(load_config(args.config))
+    for d in diags:
+        print(d)
+    if diags:
+        return 2
+    print("ok")
+    return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
+    if args.command == "simulate":
+        return exit_code(lambda: run(load_config(args.config), raw=args.raw, out=args.out))
+    if args.command == "audit":
+        return exit_code(lambda: _audit(args))
+    return exit_code(lambda: _validate(args))
 
 
 if __name__ == "__main__":

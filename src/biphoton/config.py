@@ -223,13 +223,14 @@ def _largest_array_bytes(cfg: ExperimentConfig) -> float:
 
     The focus field is n x n. A young sweep holds at most one n-sample row
     per sweep point. A young ``compare`` also relays its pair state: the
-    n x |kept| columns the slits keep, then blocks of at most
-    ``forward._CHUNK_ROWS`` rows of n samples, one row per distinct
-    detection sample the sweep snaps to (so no more rows than sweep
-    points). No slit mask is built here: a slit of width w keeps at most
-    w/dx + 1 samples, so |kept| is bounded by two slits of w/dx + 2 (one
-    more for rounding at the edges) and by n, and is 2 for delta slits. A
-    float, so a size beyond the float range reads inf instead of raising.
+    n x |kept| columns the slits keep, then the rows of the distinct
+    detection samples the sweep snaps to, in blocks of
+    ``forward._BLOCK_BYTES`` (at least one row of n samples, and never more
+    rows than sweep points). No slit mask is built here: a slit of width w
+    keeps at most w/dx + 1 samples, so |kept| is bounded by two slits of
+    w/dx + 2 (one more for rounding at the edges) and by n, and is 2 for
+    delta slits. A float, so a size beyond the float range reads inf
+    instead of raising.
     """
     n = cfg.grid.n
     if cfg.experiment == "focus":

@@ -31,7 +31,15 @@ from .errors import (
     SamplingError,
     UnsupportedElementError,
 )
-from .grid import Grid, Grid1D, Grid2D, SampledField, _spectral_axis, unitary_fourier
+from .grid import (
+    Grid,
+    Grid1D,
+    Grid2D,
+    SampledField,
+    _spectral_axis,
+    _spectral_phase,
+    unitary_fourier,
+)
 
 
 # ---------------------------------------------------------------- element types
@@ -209,17 +217,27 @@ def _fourier_relay(field: SampledField, dist: float) -> SampledField:
     return SampledField(g, wl, spec.amp / scale)
 
 
+def _relay_phase(grid: Grid1D, dist: float, wavelength: float) -> np.ndarray:
+    """The spectral phase of :func:`_relay_along` on ``grid``, to compute once
+    for many relays over the same axis."""
+    scale = dist * wavelength / (2 * np.pi)
+    return _spectral_phase(grid.n, grid.dx, grid.center, False, 1 / np.sqrt(scale))
+
+
 def _relay_along(amp: np.ndarray, grid: Grid1D, dist: float, wavelength: float,
-                 axis: int, out: Optional[np.ndarray] = None) -> tuple:
+                 axis: int, out: Optional[np.ndarray] = None,
+                 phase: Optional[np.ndarray] = None) -> tuple:
     """The 1-D far-field relay applied along one axis of ``amp``.
 
     Every other axis is a batch axis. The 1-D field path runs through here
     too, so each 1-D slice gets the same arithmetic as a single field.
-    Returns ``(amp_out, grid_out)``; ``out`` as in :func:`_spectral_axis`.
+    Returns ``(amp_out, grid_out)``; ``out`` as in :func:`_spectral_axis`,
+    ``phase`` the :func:`_relay_phase` of the same grid and relay.
     """
-    scale = dist * wavelength / (2 * np.pi)
+    if phase is None:
+        phase = _relay_phase(grid, dist, wavelength)
     out, _ = _spectral_axis(amp, grid.n, grid.dx, grid.center, axis, inverse=False,
-                            gain=1 / np.sqrt(scale), out=out)
+                            out=out, phase=phase)
     return out, _relay_grid(grid, dist, wavelength)
 
 

@@ -9,11 +9,13 @@ that both produce identical patterns.
 ``forward_young`` applies the far-field relay as an FFT along axis 0 and then
 axis 1 of psi, which equals ``K psi K^T`` at O(n^2 log n). The slit-masked
 state is diagonal, so the axis-0 relay runs on the kept columns only (the
-FFT of a zero column is exactly zero); the axis-1 relay runs in row chunks
-on a kept pool of one thread per usable CPU, on the rows of the detection
-samples to be read (all of them by default). Each chunk checks its rows for
-finiteness and keeps only their diagonal entries, so no n x n array is held,
-and the curve is bit-identical for any thread count and any selection. No
+FFT of a zero column is exactly zero); the axis-1 relay runs on the rows
+of the detection samples to be read (all of them by default), split into
+one row chunk per usable CPU (at most ``_CHUNK_ROWS`` rows each) on a kept
+pool of one thread per CPU. Each chunk relays its rows in small blocks
+(``_BLOCK_BYTES``) in one buffer it reuses, checks them for finiteness and
+keeps only their diagonal entries, so no n x n array is held, and the curve
+is bit-identical for any thread count, chunking and selection. No
 symmetrization is needed for the diagonal: ``(a + a.T)/2`` leaves it
 unchanged in IEEE arithmetic. The reversed side of
 ``forward_vs_reversed_young`` reads the same detection samples through the
@@ -47,6 +49,7 @@ from .elements import (
     _offset_chirp,
     _params,
     _relay_along,
+    _relay_phase,
     _source_indices,
     reversed_young_train,
     run_train,  # noqa: F401  (re-exported: callers look it up here)
@@ -59,13 +62,19 @@ from .errors import (
     SamplingError,
     UnsupportedElementError,
 )
-from .grid import Grid1D, point_source  # noqa: F401  (point_source re-exported)
+from .grid import Grid1D, _axis_ends, point_source  # noqa: F401  (point_source re-exported)
 
-# Rows per chunk of the pair-state relay. At n=2048, 128 rows are 4 MiB of
-# complex128, so the relay, the finiteness scan and the diagonal read of a
-# chunk find its rows in cache; 64 and 128 rows time alike on a 2-core host,
-# 32 and 256 are slower.
+# Most rows per chunk of the pair-state relay, the unit of work of one pool
+# thread; fewer rows are split evenly over the workers. A chunk no longer
+# sizes a buffer: relayed as one block, its buffer and FFT output were
+# faulted in afresh on most calls, as malloc's history decided (full grid
+# at n=2048, in a loop: 0-7.7k faults per call at 128 rows, 35k at 64).
 _CHUNK_ROWS = 128
+# Bytes of one relay block: a chunk relays its rows this many at a time in
+# one buffer it allocates once. 512 KiB is 16 rows at n=2048, where the
+# young compare (85 rows) takes 320-640 faults per run instead of 1430 and
+# the full grid 2.2-5.1k; 128 KiB blocks made the full grid 1.6x slower.
+_BLOCK_BYTES = 512 * 1024
 # Elements that are one far-field relay over their one length
 _RELAYS = (FourierLens, FreeSpaceFourier)
 
@@ -91,20 +100,29 @@ def _row_pool(pid: int, workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers)
 
 
+def _block_rows(n: int) -> int:
+    """Rows of n complex samples in one ``_BLOCK_BYTES`` relay block (at least 1)."""
+    return max(1, _BLOCK_BYTES // (16 * n))
+
+
 def _map_row_chunks(fn: Callable[[slice], object], n_rows: int) -> list:
-    """``[fn(rows) ...]`` over consecutive ``_CHUNK_ROWS``-row slices, in order.
+    """``[fn(rows) ...]`` over consecutive row slices, in order.
 
     The slices cut ``range(n_rows)``, the positions in the caller's list of
     rows; ``forward_young`` maps them to the detection samples it reads.
+    Each slice holds ``min(_CHUNK_ROWS, ceil(n_rows / workers))`` rows (the
+    last one may hold fewer), so fewer rows than ``_CHUNK_ROWS`` per worker
+    still keep every worker busy.
 
     The chunks run on a shared pool of one thread per usable CPU; numpy's
     FFT and ufuncs release the GIL, so they run in parallel. ``fn`` must not
     itself call this function. An exception in any chunk re-raises here.
     Zero rows still make one empty chunk.
     """
-    chunks = [slice(i, min(i + _CHUNK_ROWS, n_rows))
-              for i in range(0, max(n_rows, 1), _CHUNK_ROWS)]
-    return list(_row_pool(os.getpid(), _workers()).map(fn, chunks))
+    workers = _workers()
+    size = max(1, min(_CHUNK_ROWS, -(-n_rows // workers)))
+    chunks = [slice(i, min(i + size, n_rows)) for i in range(0, max(n_rows, 1), size)]
+    return list(_row_pool(os.getpid(), workers).map(fn, chunks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +131,7 @@ class TwoPhotonAmplitude:
 
     Exchange symmetry psi = psi^T is required exactly; ``evolve`` keeps it
     by explicit symmetrization. ``forward_young`` streams its state in row
-    chunks and never builds one of these.
+    blocks and never builds one of these.
     """
 
     grid: Grid1D
@@ -232,12 +250,13 @@ def forward_young(p: YoungParams, grid: Grid1D,
     coordinates and is absorbed). Chain: correlated pairs -> slit mask ->
     focal-plane relay on each photon -> diagonal coincidence. The relay runs
     as an FFT along each axis of psi, O(n^2 log n), on the columns the slits
-    keep and then in row chunks; ``kernel_of`` and ``evolve`` give the same
-    state densely. ``samples`` lists the detection-plane samples to read
-    (default: all n); only their rows are relayed along axis 1, and each
-    diagonal entry is bit-identical to the same entry of the full run. Each
-    chunk checks all of its relayed rows for finiteness and keeps only their
-    diagonal entries, so the n x n state is never held.
+    keep and then in row chunks, one block of rows at a time; ``kernel_of``
+    and ``evolve`` give the same state densely. ``samples`` lists the
+    detection-plane samples to read (default: all n); only their rows are
+    relayed along axis 1, and each diagonal entry is bit-identical to the
+    same entry of the full run. Each block's relayed rows are checked for
+    finiteness and only their diagonal entries are kept, so the n x n state
+    is never held. The relay's phase vector is computed once per call.
 
     Every row read is relayed in full on purpose. A direct sum for the
     diagonal alone is what ``young_coincidence_at`` and the reversed closed
@@ -274,17 +293,23 @@ def forward_young(p: YoungParams, grid: Grid1D,
     kept = np.flatnonzero(_double_slit_mask(grid, p.x1, slit_width))
     cols = np.zeros((n, len(kept)), dtype=complex)
     cols[kept, np.arange(len(kept))] = 1 / grid.dx
-    cols, det = _relay_along(cols, grid, p.f, p.wavelength, axis=0)
+    phase = _relay_phase(grid, p.f, p.wavelength)
+    cols, det = _relay_along(cols, grid, p.f, p.wavelength, axis=0, phase=phase)
     diag = np.empty(len(sel), dtype=complex)
+    height = _block_rows(n)
 
     def relay_rows(rows: slice) -> None:
-        idx = sel[rows]
-        block = np.zeros((len(idx), n), dtype=complex)
-        block[:, kept] = cols[idx]
-        _relay_along(block, grid, p.f, p.wavelength, axis=1, out=block)
-        if not np.all(np.isfinite(block)):
-            raise ValueError("pair amplitudes must be finite")
-        diag[rows] = block[np.arange(len(idx)), idx]
+        # one small block per chunk, reused for each run of its rows
+        block = np.empty((min(height, rows.stop - rows.start), n), dtype=complex)
+        for lo in range(rows.start, rows.stop, height):
+            idx = sel[lo:min(lo + height, rows.stop)]
+            part = block[:len(idx)]
+            part.fill(0)
+            part[:, kept] = cols[idx]
+            _relay_along(part, grid, p.f, p.wavelength, axis=1, out=part, phase=phase)
+            if not np.all(np.isfinite(part)):
+                raise ValueError("pair amplitudes must be finite")
+            diag[lo:lo + len(idx)] = part[np.arange(len(idx)), idx]
 
     _map_row_chunks(relay_rows, len(sel))
     curve = 2 * np.abs(diag) ** 2
@@ -308,12 +333,15 @@ def snap_young_sweep(p: YoungParams, grid: Grid1D, positions) -> tuple:
         If a position lies outside the detection grid.
     """
     det = Grid1D(grid.n, p.f * p.wavelength / (grid.n * grid.dx))
-    for xi in positions:
-        if not det.contains(xi):
-            raise DomainError(
-                f"sweep point {float(xi)!r} m is outside the reversed-train "
-                f"source grid (half-width {det.n * det.dx / 2:.3e} m)")
-    idx = np.array([det.index_of(xi) for xi in positions], dtype=np.intp)
+    x = np.asarray(positions, dtype=float)
+    # det.contains and det.index_of on every position at once, in their arithmetic
+    first, last = _axis_ends(det.n, det.dx, det.center)
+    outside = ~((first - det.dx / 2 <= x) & (x <= last + det.dx / 2))
+    if outside.any():
+        raise DomainError(
+            f"sweep point {float(x[outside.argmax()])!r} m is outside the "
+            f"reversed-train source grid (half-width {det.n * det.dx / 2:.3e} m)")
+    idx = np.ceil((x - det.center) / det.dx - 0.5).astype(np.intp) + det.n // 2
     sources, row = np.unique(idx, return_inverse=True)
     return det, sources, row
 

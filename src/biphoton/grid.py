@@ -20,6 +20,12 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, GridMismatchError
 
 
+def _axis_ends(n: int, d: float, center: float) -> tuple:
+    """First and last coordinate of an axis, in the arithmetic of ``coords``
+    (``xs``, ``ys``) but without building the array."""
+    return center + (0 - n // 2) * d, center + (n - 1 - n // 2) * d
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform 1-D sampling grid. Lengths are in meters."""
@@ -48,9 +54,7 @@ class Grid1D:
         return (self.n,)
 
     def contains(self, pos: float) -> bool:
-        # the end samples of ``coords`` in its own arithmetic, without the array
-        first = self.center + (0 - self.n // 2) * self.dx
-        last = self.center + (self.n - 1 - self.n // 2) * self.dx
+        first, last = _axis_ends(self.n, self.dx, self.center)
         return first - self.dx / 2 <= pos <= last + self.dx / 2
 
     def index_of(self, pos: float) -> int:
@@ -100,9 +104,10 @@ class Grid2D:
 
     def contains(self, pos: tuple) -> bool:
         px, py = pos
-        xs, ys = self.xs, self.ys
-        return (xs[0] - self.dx / 2 <= px <= xs[-1] + self.dx / 2
-                and ys[0] - self.dy / 2 <= py <= ys[-1] + self.dy / 2)
+        x0, x1 = _axis_ends(self.nx, self.dx, self.center[0])
+        y0, y1 = _axis_ends(self.ny, self.dy, self.center[1])
+        return (x0 - self.dx / 2 <= px <= x1 + self.dx / 2
+                and y0 - self.dy / 2 <= py <= y1 + self.dy / 2)
 
     def index_of(self, pos: tuple) -> tuple:
         """(iy, ix) of the sample nearest ``pos`` (ties round toward -inf)."""
@@ -174,34 +179,53 @@ def inner_product(a: SampledField, b: SampledField) -> complex:
     return complex(np.sum(np.conj(a.amp) * b.amp) * a.grid.cell)
 
 
+def _spectral_phase(n: int, d: float, center: float, inverse: bool,
+                    gain: float = 1.0) -> np.ndarray:
+    """The n-vector :func:`_spectral_axis` multiplies the shifted FFT by.
+
+    Phases fold the index-space FFT into the centered-coordinate kernel,
+    including the offset of the input grid center; every scale factor and
+    ``gain`` are folded in too. Computing it once serves many transforms
+    over the same axis.
+    """
+    c = n // 2
+    dk = 2 * np.pi / (n * d)
+    j = np.arange(n)
+    k_out = (j - c) * dk
+    if not inverse:
+        phase = np.exp(-1j * k_out * center + 2j * np.pi * (j - c) * c / n)
+    else:
+        phase = np.exp(1j * center * k_out - 2j * np.pi * (j - c) * c / n)
+    phase *= np.sqrt(d / dk) * gain
+    return phase
+
+
 def _spectral_axis(amp: np.ndarray, n: int, d: float, center: float, axis: int,
                    inverse: bool, gain: float = 1.0,
-                   out: Optional[np.ndarray] = None) -> tuple:
+                   out: Optional[np.ndarray] = None,
+                   phase: Optional[np.ndarray] = None) -> tuple:
     """One axis of the unitary transform, times ``gain``; returns (amp_out, d_out).
 
     Forward kernel is ``exp(-i k x)`` with ``k_j = (j - n//2) dk``; the output
     grid is centered at 0. ``inverse`` applies the conjugate-transpose map.
     The result is written to ``out`` when given: an array of ``amp``'s shape
     and dtype, which may be ``amp`` itself (the FFT reads it first).
+    ``phase``, when given, is :func:`_spectral_phase` of the same arguments,
+    computed once by the caller; it is only read.
 
     The ``fftshift`` and every scale factor are folded into one multiply by
-    an n-vector, written as two slice products, so the spectrum takes one
+    that n-vector, written as two slice products, so the spectrum takes one
     pass after the FFT. Every caller that must agree bit for bit with
     another goes through this function with the same ``gain``.
     """
     c = n // 2
     dk = 2 * np.pi / (n * d)
-    j = np.arange(n)
-    k_out = (j - c) * dk
-    # Phases fold the index-space FFT into the centered-coordinate kernel,
-    # including the offset of the input grid center.
+    if phase is None:
+        phase = _spectral_phase(n, d, center, inverse, gain)
     if not inverse:
-        phase = np.exp(-1j * k_out * center + 2j * np.pi * (j - c) * c / n)
         spec = np.fft.fft(amp, axis=axis, norm="ortho")
     else:
-        phase = np.exp(1j * center * k_out - 2j * np.pi * (j - c) * c / n)
         spec = np.fft.ifft(amp, axis=axis, norm="ortho")
-    phase *= np.sqrt(d / dk) * gain
     shape = [1] * amp.ndim
     shape[axis] = n
     phase = phase.reshape(shape)

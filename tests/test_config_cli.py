@@ -15,7 +15,7 @@ import biphoton.cli as cli
 import biphoton.forward as forward
 import biphoton.modes as modes
 from biphoton.analytic import YoungParams, young_two_photon
-from biphoton.cli import FOCUS_COMPARE_TOL, YOUNG_COMPARE_TOL, main, run
+from biphoton.cli import FOCUS_COMPARE_TOL, YOUNG_COMPARE_TOL, exit_code, main, run
 from biphoton.config import (
     AUDIT_CHUNK,
     MAX_ARRAY_BYTES,
@@ -27,7 +27,12 @@ from biphoton.config import (
     validate,
 )
 from biphoton.elements import _double_slit_mask
-from biphoton.errors import ConfigurationError
+from biphoton.errors import (
+    ConfigurationError,
+    DomainError,
+    QuadratureError,
+    SamplingError,
+)
 from biphoton.forward import forward_vs_reversed_young
 from biphoton.grid import Grid1D
 from biphoton.modes import AuditReport
@@ -302,18 +307,21 @@ def test_young_compare_exits_3_above_tolerance(tmp_path, monkeypatch, capsys):
 
 def test_young_compare_exits_3_when_forward_side_skews(tmp_path, monkeypatch, capsys):
     # The compare relays only the pair-state rows its sweep snaps to, here
-    # in chunks of 8. The relayed rows of the last chunk, which does not
-    # hold the fringe peak, grow by 1e-9; the curve there then grows by
-    # about 2e-9.
+    # in chunks of 8 on 2 workers; at n = 600 a relay block holds 54 rows,
+    # so each chunk is one block. The relayed rows of the last, short
+    # chunk, which does not hold the fringe peak, grow by 1e-9; the curve
+    # there then grows by about 2e-9.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(forward, "_CHUNK_ROWS", 8)
+    monkeypatch.setattr(forward, "_workers", lambda: 2)
     n = 600
     doc = young_doc("compare", grid={"n": n, "dx": 2e-5})
     p = YoungParams(x1=doc["x1"], f=doc["f"], wavelength=doc["wavelength"])
     _, sources, _ = forward.snap_young_sweep(p, Grid1D(n, 2e-5),
                                              np.linspace(-4e-5, 4e-5, 21))
     tail = len(sources) % forward._CHUNK_ROWS
-    assert 0 < tail and n // 2 < sources[-tail]  # the peak sits on the centre row
+    assert 0 < tail < forward._block_rows(n)
+    assert n // 2 < sources[-tail]  # the peak sits on the centre row
     relay = forward._relay_along
 
     def skewed_relay(amp, *args, axis, **kwargs):
@@ -482,13 +490,19 @@ def test_audit_exits_3_when_its_last_short_chunk_deviates(tmp_path, monkeypatch,
     assert json.loads(capsys.readouterr().out)["max_ratio_dev"] > 1e-9
 
 
+def load_script(name):
+    """The example script ``scripts/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_young_fringes_script_exits_3_on_a_failed_compare(tmp_path, monkeypatch):
     # the script's compare, with every reversed reading but the peak grown by
     # 1e-9, deviates by 9.9e-10 against the 1e-12 tolerance
-    spec = importlib.util.spec_from_file_location(
-        "young_fringes", Path(__file__).resolve().parents[1] / "scripts" / "young_fringes.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("young_fringes")
     monkeypatch.setattr(sys, "argv", ["young_fringes.py", "--out", str(tmp_path / "y.csv")])
     assert script.main() == 0
     batch = forward.run_train_batch
@@ -501,6 +515,40 @@ def test_young_fringes_script_exits_3_on_a_failed_compare(tmp_path, monkeypatch)
     assert script.main() == 3
     summary = json.loads((tmp_path / "y.summary.json").read_text(encoding="utf-8"))
     assert summary["max_deviation"] > YOUNG_COMPARE_TOL and summary["passed"] is False
+
+
+@pytest.mark.parametrize("name,argv,cause", [
+    ("young_fringes", ["--span", "1e-3"],
+     "sweep point -0.001 m is outside the reversed-train source grid"),
+    ("focus_maps", ["--preset", "compare", "--n", "1"], "grid.n: must be >= 2, got 1"),
+])
+def test_example_scripts_exit_2_on_a_bad_config(tmp_path, monkeypatch, capsys,
+                                                name, argv, cause):
+    # as `biphoton simulate` does: no traceback, the cause on stderr, no output
+    script = load_script(name)
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv, "--out", str(out)])
+    assert script.main() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and cause in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error,code", [(ConfigurationError, 2), (DomainError, 2),
+                                        (SamplingError, 3), (QuadratureError, 3)])
+def test_exit_code_maps_each_error_and_names_it(capsys, error, code):
+    def task():
+        raise error("the cause")
+
+    assert exit_code(task) == code
+    assert "the cause" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("result,code", [(0, 0), (2, 2), ({}, 0), ({"passed": True}, 0),
+                                         ({"passed": False, "tolerance": 1e-12}, 3)])
+def test_exit_code_of_a_returned_code_or_summary(capsys, result, code):
+    assert exit_code(lambda: result) == code
+    assert ("tolerance 1e-12" in capsys.readouterr().err) == (code == 3)
 
 
 def test_audit_experiment_writes_report(tmp_path, monkeypatch):

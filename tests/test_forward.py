@@ -1,6 +1,7 @@
 """Two-photon forward evolution and its agreement with the classical trains."""
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -108,9 +109,10 @@ def test_nonfinite_amplitude_rejected():
 
 def forward_young_rows(monkeypatch, p, g, slit_width, samples=None):
     """``forward_young``'s relayed pair-state rows in the order of ``samples``
-    (default: every row), the number of row chunks, and its curve.
+    (default: every row), the heights of the relay blocks of each row chunk
+    in row order, and its curve.
 
-    Spies on the axis-1 relay of each row chunk; the chunk's first row is
+    Spies on the axis-1 relay of each block; the chunk's first row is
     tagged per thread by a wrapper of the chunk map.
     """
     blocks, local = {}, threading.local()
@@ -119,12 +121,13 @@ def forward_young_rows(monkeypatch, p, g, slit_width, samples=None):
     def spy_relay(amp, *args, axis, **kwargs):
         out, grid = relay(amp, *args, axis=axis, **kwargs)
         if axis == 1:
-            blocks[local.rows.start] = out.copy()
+            blocks[local.rows.start].append(out.copy())
         return out, grid
 
     def spy_map(fn, n_rows):
         def tagged(rows):
             local.rows = rows
+            blocks[rows.start] = []
             return fn(rows)
         return map_chunks(tagged, n_rows)
 
@@ -132,7 +135,19 @@ def forward_young_rows(monkeypatch, p, g, slit_width, samples=None):
         m.setattr(forward, "_relay_along", spy_relay)
         m.setattr(forward, "_map_row_chunks", spy_map)
         _, curve = forward_young(p, g, slit_width, samples)
-    return np.concatenate([blocks[i] for i in sorted(blocks)]), len(blocks), curve
+    chunks = [blocks[i] for i in sorted(blocks)]
+    rows = np.concatenate([b for chunk in chunks for b in chunk])
+    return rows, [[len(b) for b in chunk] for chunk in chunks], curve
+
+
+def chunk_layout(n_rows, workers, height):
+    """Block heights per chunk that ``forward_young`` should relay."""
+    size = min(forward._CHUNK_ROWS, -(-n_rows // workers))
+    layout = []
+    for lo in range(0, n_rows, size):
+        rows = min(size, n_rows - lo)
+        layout.append([min(height, rows - b) for b in range(0, rows, height)])
+    return layout
 
 
 @pytest.mark.parametrize("slit_cells", [None, 12])
@@ -178,21 +193,76 @@ def test_forward_young_holds_no_n_by_n_array(monkeypatch):
 def test_forward_young_on_samples_reads_the_full_runs_entries(monkeypatch, n,
                                                               slit_cells):
     # Only the rows of the selected samples are relayed, in chunks of their
-    # own: unsorted selections of 300 and 150 samples end in a short chunk.
-    # Each raw diagonal entry is the full run's bit for bit, and the curve
-    # is normalized by its peak over the selection.
+    # own: on 2 workers, unsorted selections of 308 and 90 samples make
+    # chunks of 128 and 45 rows, relayed in blocks of at most 16 and 54
+    # rows; the 308 end in a short chunk and a short block. Each raw diagonal
+    # entry is the full run's bit for bit, and the curve is normalized by
+    # its peak over the selection.
+    monkeypatch.setattr(forward, "_workers", lambda: 2)
     p, g = young_setup(n=n, x1_cells=16)
     slit_width = None if slit_cells is None else slit_cells * g.dx
     sel = np.random.default_rng(n).choice(n, size=n // 4 - n // 10, replace=False)
-    assert len(sel) % forward._CHUNK_ROWS
     full, _, _ = forward_young_rows(monkeypatch, p, g, slit_width)
-    rows, n_chunks, curve = forward_young_rows(monkeypatch, p, g, slit_width, sel)
+    rows, layout, curve = forward_young_rows(monkeypatch, p, g, slit_width, sel)
     assert rows.shape == (len(sel), n)
-    assert n_chunks == -(-len(sel) // forward._CHUNK_ROWS)
+    assert layout == chunk_layout(len(sel), 2, forward._block_rows(n))
     raw = rows[np.arange(len(sel)), sel]
     np.testing.assert_array_equal(raw, full[sel, sel])
     want = 2 * np.abs(raw) ** 2
     np.testing.assert_array_equal(curve, want / want.max())
+
+
+def compare_samples(n=2048):
+    """The benchmark-sized compare: a 401-point sweep over +-40 um snaps to
+    85 detection samples of an n = 2048, 20 um grid."""
+    g = Grid1D(n, 2e-5)
+    p = YoungParams(x1=5e-4, f=F, wavelength=WL)
+    _, sources, _ = forward.snap_young_sweep(p, g, np.linspace(-4e-5, 4e-5, 401))
+    assert len(sources) == 85
+    return p, g, sources
+
+
+def test_compare_rows_split_over_two_workers_bit_identical(monkeypatch):
+    # Fewer rows than one chunk still make one chunk per worker (43 + 42
+    # rows, each relayed in 16-row blocks), and rows and curve equal the
+    # one-thread run in one chunk and one block, bit for bit, under a short
+    # switch interval.
+    p, g, sources = compare_samples()
+    with monkeypatch.context() as m:
+        m.setattr(forward, "_workers", lambda: 1)
+        m.setattr(forward, "_BLOCK_BYTES", 16 * g.n * len(sources))
+        want, layout, want_curve = forward_young_rows(monkeypatch, p, g, None, sources)
+    assert layout == [[85]]
+    monkeypatch.setattr(forward, "_workers", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows, layout, curve = forward_young_rows(monkeypatch, p, g, None, sources)
+    finally:
+        sys.setswitchinterval(interval)
+    assert layout == [[16, 16, 11], [16, 16, 10]]
+    np.testing.assert_array_equal(rows, want)
+    np.testing.assert_array_equal(curve, want_curve)
+
+
+def test_compare_relay_memory_is_bounded_by_its_blocks(monkeypatch):
+    # Each of 2 workers holds one relay block, the FFT output of one block
+    # and numpy's buffers for the phase multiply (3 operands of
+    # getbufsize() items) at a time: 2.75 MiB at n = 2048, with 512 KiB
+    # left for the kept columns, their relay and the small per-block
+    # arrays. Relaying each chunk as one block took 5.8 MiB.
+    monkeypatch.setattr(forward, "_workers", lambda: 2)
+    p, g, sources = compare_samples()
+    forward_young(p, g, None, sources)  # pool and FFT plans made outside the trace
+    tracemalloc.start()
+    try:
+        forward_young(p, g, None, sources)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 16 * g.n * forward._block_rows(g.n)
+    buffers = 3 * 16 * np.getbufsize()
+    assert peak < 2 * (2 * block + buffers) + 512 * 1024
 
 
 @pytest.mark.parametrize("samples", [[-1], [0, 64], [[1, 2]], []])
@@ -474,6 +544,44 @@ def test_equivalence_on_a_sweep_reads_its_distinct_samples():
     assert report.max_rel_err == np.max(np.abs(fwd - rev / rev.max()))
 
 
+def scalar_snap(det, positions):
+    """The sweep snap point by point through ``Grid1D.contains``/``index_of``."""
+    for xi in positions:
+        if not det.contains(xi):
+            raise DomainError(
+                f"sweep point {float(xi)!r} m is outside the reversed-train "
+                f"source grid (half-width {det.n * det.dx / 2:.3e} m)")
+    return np.array([det.index_of(xi) for xi in positions], dtype=np.intp)
+
+
+def test_snap_young_sweep_equals_the_scalar_snap():
+    # On random grids: random points, exact samples, half-sample ties and
+    # both edges snap to the scalar path's samples, and a point just past
+    # either edge raises its message.
+    rng = np.random.default_rng(3000)
+    for _ in range(3000):
+        n = int(rng.integers(2, 5000))
+        g = Grid1D(n, 10 ** rng.uniform(-6, -4))
+        p = YoungParams(x1=1e-4, f=10 ** rng.uniform(-2, 0),
+                        wavelength=10 ** rng.uniform(-7, -5.5))
+        det = Grid1D(n, p.f * p.wavelength / (n * g.dx))
+        xs = det.coords
+        lo, hi = xs[0] - det.dx / 2, xs[-1] + det.dx / 2
+        k = rng.integers(0, n, 8)
+        inside = np.concatenate([rng.uniform(lo, hi, 16), xs[k], xs[k] + det.dx / 2,
+                                 xs[k] - det.dx / 2, [lo, hi]])
+        inside = rng.permutation(inside[[det.contains(x) for x in inside]])
+        got_det, sources, row = forward.snap_young_sweep(p, g, inside)
+        assert got_det == det
+        np.testing.assert_array_equal(sources[row], scalar_snap(det, inside))
+        for edge, step in ((lo, -1), (hi, 1)):
+            off = np.concatenate([inside[:3], [np.nextafter(edge, edge + step)], inside[3:]])
+            with pytest.raises(DomainError) as want_exc:
+                scalar_snap(det, off)
+            with pytest.raises(DomainError, match=re.escape(str(want_exc.value))):
+                forward.snap_young_sweep(p, g, off)
+
+
 @pytest.mark.parametrize("positions,error", [([0.0, 1e-9], ConfigurationError),
                                              ([0.0, 1.0], DomainError)])
 def test_equivalence_on_a_sweep_that_cannot_fail_or_snap_raises(positions, error):
@@ -607,22 +715,25 @@ def pool_setup():
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_batch_is_bit_identical_across_chunks_and_workers(monkeypatch, workers):
-    # Any chunking and thread count gives the one-chunk, one-thread rows and
-    # curve, also with more threads than chunks and a short switch interval.
+    # Any chunking, blocking and thread count gives the one-chunk,
+    # one-block, one-thread rows and curve, also with more threads than
+    # rows per chunk and a short switch interval.
     p, g, slit_width = pool_setup()
     with monkeypatch.context() as m:
         m.setattr(forward, "_workers", lambda: 1)
         m.setattr(forward, "_CHUNK_ROWS", g.n)
-        want, n_chunks, want_curve = forward_young_rows(monkeypatch, p, g, slit_width)
-    assert n_chunks == 1
+        m.setattr(forward, "_BLOCK_BYTES", 16 * g.n * g.n)
+        want, layout, want_curve = forward_young_rows(monkeypatch, p, g, slit_width)
+    assert layout == [[g.n]]
     monkeypatch.setattr(forward, "_workers", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        rows, n_chunks, curve = forward_young_rows(monkeypatch, p, g, slit_width)
+        rows, layout, curve = forward_young_rows(monkeypatch, p, g, slit_width)
     finally:
         sys.setswitchinterval(interval)
-    assert n_chunks == 3
+    assert layout == chunk_layout(g.n, workers, forward._block_rows(g.n))
+    assert len(layout) == {1: 3, 2: 3, 8: 8}[workers]
     np.testing.assert_array_equal(rows, want)
     np.testing.assert_array_equal(curve, want_curve)
 
@@ -639,10 +750,16 @@ def test_batch_runs_in_a_forked_child_of_a_process_that_used_the_pool():
 
 
 def test_batch_nonfinite_stage_in_one_chunk_raises(monkeypatch):
-    # A NaN injected by the row relay of the last, shorter chunk only.
+    # A NaN injected by the relay of the short last block of the last,
+    # shorter chunk only: 2 workers cut 300 rows into 128 + 128 + 44, and
+    # 16-row blocks cut the 44 into 16 + 16 + 12.
     p, g, slit_width = pool_setup()
+    monkeypatch.setattr(forward, "_workers", lambda: 2)
+    monkeypatch.setattr(forward, "_BLOCK_BYTES", 16 * 16 * g.n)
+    layout = chunk_layout(g.n, 2, forward._block_rows(g.n))
+    tail = layout[-1][-1]
+    assert [len(c) for c in layout] == [8, 8, 3] and tail == 12
     relay = forward._relay_along
-    tail = g.n % forward._CHUNK_ROWS
 
     def poisoned(amp, *args, **kwargs):
         out, grid = relay(amp, *args, **kwargs)

@@ -12,6 +12,7 @@ from biphoton.grid import (
     Grid1D,
     Grid2D,
     SampledField,
+    _axis_ends,
     _spectral_axis,
     inner_product,
     inverse_unitary_fourier,
@@ -67,6 +68,29 @@ def test_grid2d_shape_and_cell():
     assert g.cell == 0.5 * 0.25
     assert g.radius_sq().shape == (4, 6)
     assert g.radius_sq()[4 // 2, 6 // 2] == 0.0
+
+
+def test_axis_ends_equal_the_coordinate_ends_bit_for_bit():
+    # contains() takes the end samples without building the arrays; on
+    # random grids they are the arrays' ends exactly, and Grid2D.contains
+    # agrees with the bounds taken from xs and ys at and just past them.
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        nx, ny = (int(v) for v in rng.integers(2, 5000, 2))
+        dx, dy = 10 ** rng.uniform(-9, 2, 2)
+        center = tuple(rng.uniform(-1, 1, 2) * 10 ** rng.uniform(-9, 2, 2))
+        g = Grid2D(nx, ny, dx, dy, center)
+        xs, ys = g.xs, g.ys
+        assert _axis_ends(nx, dx, center[0]) == (xs[0], xs[-1])
+        assert _axis_ends(ny, dy, center[1]) == (ys[0], ys[-1])
+        g1 = Grid1D(nx, dx, center[0])
+        assert _axis_ends(g1.n, g1.dx, g1.center) == (g1.coords[0], g1.coords[-1])
+        x_lo, x_hi = xs[0] - dx / 2, xs[-1] + dx / 2
+        y_lo, y_hi = ys[0] - dy / 2, ys[-1] + dy / 2
+        for px in (x_lo, x_hi, np.nextafter(x_lo, -np.inf), np.nextafter(x_hi, np.inf)):
+            for py in (y_lo, y_hi, np.nextafter(y_lo, -np.inf), np.nextafter(y_hi, np.inf)):
+                want = x_lo <= px <= x_hi and y_lo <= py <= y_hi
+                assert g.contains((px, py)) == want
 
 
 def test_field_shape_mismatch():
