@@ -4,6 +4,11 @@ These are the analytic laws the numerical pipeline must reproduce: fringe
 profiles, somb/sinc focal-spot laws, the off-axis disk diffraction integral,
 and the stage-by-stage fields of the pinhole-readout reconstruction trains
 in their ideal point-source/delta-slit limit.
+
+The Bessel functions J0 and J1 behind the somb and disk laws are numpy
+polynomial evaluations, split at |x| = 8 into a polynomial in x^2 and a
+modulus/phase form; ``scripts/bessel_coefficients.py`` regenerates their
+coefficients with mpmath.
 """
 from __future__ import annotations
 
@@ -15,19 +20,127 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, QuadratureError, ShapeError
 
 
-# scipy.special is imported on the first Bessel call, not with the package:
-# the import takes about 0.3 s and the Young and reversed paths, the audit
-# and config validation never evaluate a Bessel function.
+# J0 and J1 in numpy alone: importing scipy.special for them cost each
+# focus process 0.3 s and 24 MB of resident memory. The axis splits at
+# |x| = _X0. Below, with s = 2 x^2/_X0^2 and u = s - 1 in [-1, 1],
+# J0 = 1 + s g0(u), so j0(0) is exactly 1 and the rounding of u near x = 0
+# is damped by s, and J1 = x g1(u), so J1(x)/x keeps its relative accuracy
+# near 0. Above, the modulus/phase form sqrt(2/(pi x)) (P cos chi -
+# (_X0/x) Q sin chi) with P and Q polynomials in v = 2 (_X0/x)^2 - 1.
+# Coefficients, highest degree first, are mpmath.chebyfit fits made by
+# scripts/bessel_coefficients.py, which also prints their float64 error.
+_X0 = 8.0
+_J0_NEAR = (
+    2.943898162808492e-16, -1.1674985248496527e-14, 4.107265509297084e-13,
+    -1.2795370733037728e-11, 3.4914261256206243e-10, -8.264550338692803e-09,
+    1.678256388726179e-07, -2.8855747839074786e-06, 4.135877264133189e-05,
+    -0.000484904695114048, 0.004542983684254527, -0.0330157022951241,
+    0.17900455086271683, -0.6864725967098189, 1.72485205785354,
+    -2.532940865523227, 1.8844715824360434, -0.9541703351401862)
+_J1_NEAR = (
+    -3.237828825886891e-16, 1.2095547763548495e-14, -3.9908120700697754e-13,
+    1.1610590176624424e-11, -2.9430378793535847e-10, 6.431268798326299e-09,
+    -1.1967081644265458e-07, 1.8684525371950885e-06, -2.4045748660869506e-05,
+    0.0002494945813909099, -0.002029039494570245, 0.012456814392255438,
+    -0.054745818212847276, 0.15858376432721938, -0.2595948652859303,
+    0.15151665143806634, 0.08105866038589796, -0.05814382795599107)
+_P0 = (
+    -9.956789357075715e-14, 3.4522133160706755e-13, -1.0238327024264009e-12,
+    4.674986189266031e-12, -2.490341621088381e-11, 1.5506348898107537e-10,
+    -1.212113319927827e-09, 1.2803747958820875e-08, -2.052744819908975e-07,
+    6.13741608125692e-06, -0.000536367319212998, 0.9994572757882519)
+_Q0 = (
+    9.575735875005847e-14, -3.119994376116503e-13, 8.259713596314508e-13,
+    -3.4904977440952908e-12, 1.7051726884410257e-11, -9.475742351179434e-11,
+    6.432736726927442e-10, -5.6687032442267705e-09, 7.106214898484435e-08,
+    -1.4771388337607956e-06, 6.833149099343349e-05, -0.015555113879513503)
+_P1 = (
+    1.0611465423215105e-13, -3.6942891113569033e-13, 1.104039648785332e-12,
+    -5.072230977922283e-12, 2.722599260495964e-11, -1.7137215568191013e-10,
+    1.360300632416571e-09, -1.4708498675907175e-08, 2.4536766267949663e-07,
+    -7.959694699656698e-06, 0.0008988049416705508, 1.0009070262780821)
+_Q1 = (
+    -1.0179381589087164e-13, 3.3289005448364253e-13, -8.87712379064879e-13,
+    3.771644965774865e-12, -1.8544350761823707e-11, 1.0400745817311543e-10,
+    -7.151057862334875e-10, 6.420118927317563e-09, -8.291960750207848e-08,
+    1.821201852408518e-06, -9.621458822053857e-05, 0.04677687402744896)
+
+
+def _horner(coeffs, u):
+    """The polynomial with ``coeffs`` (highest degree first) at u, in one new array."""
+    acc = u * coeffs[0]
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= u
+        acc += c
+    return acc
+
+
+def _near(x, s, order):
+    """J0 (order 0) or J1 (order 1) at |x| <= _X0, given s; may overwrite s."""
+    if order == 0:
+        acc = _horner(_J0_NEAR, s - 1)
+        acc *= s
+        acc += 1
+    else:
+        s -= 1
+        acc = _horner(_J1_NEAR, s)
+        acc *= x
+    return acc
+
+
+def _far(ax, order):
+    """J0 (order 0) or J1 (order 1) at ax = |x| > _X0.
+
+    cos chi and sin chi, chi = x - (2 order + 1) pi/4, are taken as sums of
+    cos x and sin x over sqrt(2): chi is never rounded, so the phase error
+    does not grow with x.
+    """
+    p, q = (_P0, _Q0) if order == 0 else (_P1, _Q1)
+    z = _X0 / ax
+    v = 2 * z * z - 1
+    pv = _horner(p, v)
+    zq = z * _horner(q, v)
+    with np.errstate(invalid="ignore"):          # cos and sin of inf
+        cos, sin = np.cos(ax), np.sin(ax)
+    plus, minus = pv + zq, pv - zq
+    val = plus * cos + minus * sin if order == 0 else plus * sin - minus * cos
+    val *= np.sqrt(1 / np.pi / ax)
+    val[np.isinf(ax)] = 0.0
+    return val
+
+
+def _bessel(x, order):
+    x = np.asarray(x, dtype=float)
+    s = np.square(x)
+    s *= 2 / _X0**2
+    if s.max(initial=0.0) <= 2:                  # every |x| <= _X0, no nan
+        out = _near(x, s, order)
+    else:
+        out = np.empty_like(x)
+        small = s <= 2
+        out[small] = _near(x[small], s[small], order)
+        big = ~small
+        xb = x[big]
+        far = _far(np.abs(xb), order)
+        out[big] = far * np.sign(xb) if order else far
+    return float(out) if out.ndim == 0 else out
+
+
 def j0(x):
-    """Bessel function J0 (``scipy.special.j0``)."""
-    from scipy.special import j0 as _j0
-    return _j0(x)
+    """Bessel function J0 of real x; a scalar returns a float.
+
+    Absolute error below 1.1e-15, largest just below |x| = _X0.
+    """
+    return _bessel(x, 0)
 
 
 def j1(x):
-    """Bessel function J1 (``scipy.special.j1``)."""
-    from scipy.special import j1 as _j1
-    return _j1(x)
+    """Bessel function J1 of real x; a scalar returns a float.
+
+    Exactly odd; absolute error below 5e-16.
+    """
+    return _bessel(x, 1)
 
 
 @dataclass(frozen=True)
@@ -128,11 +241,25 @@ def spot_axial(z0, p: FocusParams, kind: str):
 
 # ---------------------------------------------------------------- disk integral
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# The 8-point Gauss-Legendre rule bit for bit as np.polynomial.legendre.leggauss(8)
+# gives it (nodes odd, weights even); written out so that importing the
+# package does not load numpy.polynomial.
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
 # Quadrature nodes per matrix-product block in disk_transform_table; a fixed
 # size bounds the block arrays at a few (rows + cols) * _TABLE_BLOCK floats,
 # whatever the number of panels.
 _TABLE_BLOCK = 128
+# Most J0 values one radial block of _disk_panel_sums holds (rows x nodes).
+# A j0 call costs about 40 passes plus a fixed overhead, so it runs over
+# many product blocks at once; 128 KiB per array stays below the sizes at
+# which glibc returns freed memory to the system and the next call faults
+# it back in.
+_RADIAL_VALUES = 1 << 14
 
 
 def uniform_disk_transform(b: float, c: float, R: float, *, rtol: float = 1e-9,
@@ -181,7 +308,8 @@ def disk_transform_table(b, c, R: float, *, rtol: float = 1e-9, atol: float = 1e
     The integrand separates, w t J0(b R t) depending only on b and
     exp(-i c R^2 t^2) only on c, so one level of the pending rows and
     columns is two real matrix products over the shared nodes, taken in
-    blocks of ``_TABLE_BLOCK`` nodes. Only rows and columns that still
+    blocks of ``_TABLE_BLOCK`` nodes; one j0 call covers as many blocks
+    as ``_RADIAL_VALUES`` values hold. Only rows and columns that still
     hold a pending entry are evaluated at the next level.
 
     Raises
@@ -221,17 +349,23 @@ def disk_transform_table(b, c, R: float, *, rtol: float = 1e-9, atol: float = 1e
 def _disk_panel_sums(beta: np.ndarray, gamma: np.ndarray, panels: int) -> np.ndarray:
     """Composite Gauss-Legendre J on ``panels`` panels at every (beta, gamma) pair."""
     half = 0.5 / panels
-    step = _TABLE_BLOCK // _GL_NODES.size          # panels per block
+    step = _TABLE_BLOCK // _GL_NODES.size          # panels per product block
+    span = step * max(1, _RADIAL_VALUES // (beta.size * _TABLE_BLOCK))
     re = np.zeros((beta.size, gamma.size))
     im = np.zeros((beta.size, gamma.size))
-    for first in range(0, panels, step):
-        centers = (2 * np.arange(first, min(first + step, panels)) + 1) * half
+    for first in range(0, panels, span):
+        centers = (2 * np.arange(first, min(first + span, panels)) + 1) * half
         t = centers[:, None] + half * _GL_NODES[None, :]
         weight = (2 * half * _GL_WEIGHTS * t).ravel()
-        radial = weight * j0(np.multiply.outer(beta, t.ravel()))
-        phase = np.multiply.outer((t * t).ravel(), gamma)
-        re += radial @ np.cos(phase)
-        im -= radial @ np.sin(phase, out=phase)
+        t = t.ravel()
+        radial = j0(np.multiply.outer(beta, t))
+        radial *= weight
+        for k in range(0, t.size, _TABLE_BLOCK):
+            tk = t[k:k + _TABLE_BLOCK]
+            phase = np.multiply.outer(tk * tk, gamma)
+            block = radial[:, k:k + _TABLE_BLOCK]
+            re += block @ np.cos(phase)
+            im -= block @ np.sin(phase, out=phase)
     return re + 1j * im
 
 

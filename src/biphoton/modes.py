@@ -277,6 +277,12 @@ def _audit_draws(n: int, trials: int, seed: int):
     ziggurat values z that ``normal()`` returns as ``0.0 + 1.0 * z``. That
     sum is z except for z = -0.0, which it turns into +0.0; the chunk-wide
     ``+= 0.0`` does the same, so every bit matches ``normal()``.
+
+    Every chunk is a view of one buffer and is overwritten by the next. A
+    fresh array per chunk (288 KiB at 16 modes) was returned to the system
+    and faulted back in each time, about 8000 minor faults per 10000-trial
+    audit at 16 modes, unless an earlier large allocation had raised
+    glibc's trim threshold.
     """
     width = 2 * n * n + 4 * n
     rows = audit_chunk_trials(n)
@@ -285,8 +291,9 @@ def _audit_draws(n: int, trials: int, seed: int):
     state = bitgen.state
     pcg = state["state"]
     streams = _spawn_states(int(seed), trials)
+    buf = np.empty((min(rows, trials), width))
     for start in range(0, trials, rows):
-        draws = np.empty((min(rows, trials - start), width))
+        draws = buf[:min(rows, trials - start)]
         for row, (pcg_state, inc) in zip(draws, streams):
             pcg["state"], pcg["inc"] = pcg_state, inc
             bitgen.state = state

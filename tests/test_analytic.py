@@ -1,14 +1,19 @@
 """Closed-form patterns vs. independent oracles.
 
-Oracles here avoid the implementation's own machinery: a power-series J1
-with bisection for the sombrero zero, plain sin/x bisection for half-max
+Oracles here avoid the implementation's own machinery: scipy's Cephes J0
+and J1 and a power-series J1 for the numpy Bessel functions, bisection on
+that series for the sombrero zero, plain sin/x bisection for half-max
 points, and a polar midpoint Riemann sum (no Bessel reduction) for the
 chirped disk integral.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import j0 as scipy_j0, j1 as scipy_j1
 
+from biphoton import analytic
 from biphoton.analytic import (
     DeltaComb,
     FocusParams,
@@ -16,6 +21,8 @@ from biphoton.analytic import (
     disk_transform_table,
     focus_stage_field,
     fwhm,
+    j0,
+    j1,
     sinc,
     somb,
     spot_axial,
@@ -77,10 +84,77 @@ def disk_transform_oracle(b, c, R, n_rho=16384, n_phi=256):
     return 2 * radial / R**2
 
 
+# ---------------------------------------------------------------- J0 / J1
+
+def bessel_points():
+    """About 2.1e6 points on |x| <= 1e4, densest on [0, 30], with the split at 8."""
+    rng = np.random.default_rng(2024)
+    split = np.array([8.0, np.nextafter(8.0, 0), np.nextafter(8.0, 9)])
+    dense = np.linspace(0, 30, 600_001)
+    wide = np.geomspace(30, 1e4, 300_000)
+    scattered = rng.uniform(-1e4, 1e4, 300_000)
+    return np.concatenate([split, -split, dense, -dense, wide, -wide, scattered])
+
+
+def test_bessel_matches_scipy_oracle():
+    x = bessel_points()
+    near = np.abs(x) <= 25
+    for ours, oracle in ((j0, scipy_j0), (j1, scipy_j1)):
+        err = np.abs(ours(x) - oracle(x))
+        assert err[near].max() <= 2e-15, ours.__name__
+        assert err.max() <= 1e-13, ours.__name__
+
+
+def test_j1_matches_series_oracle_within_its_rounding():
+    # The series adds terms as large as I1(x), about 1.7e4 at x = 12, so its
+    # own rounding is a few eps * I1(x); j1_series(1j * x) = 1j * I1(x) sums
+    # the same terms without cancellation.
+    x = np.linspace(0, 12, 2401)
+    bound = 1e-15 + 4 * np.finfo(float).eps * j1_series(1j * x).imag
+    assert np.all(np.abs(j1(x) - j1_series(x)) <= bound)
+    assert np.all(np.abs(j1(-x) + j1_series(x)) <= bound)
+
+
+def test_bessel_parity_and_special_values():
+    x = np.concatenate([np.linspace(0, 40, 4001), np.geomspace(40, 1e6, 500)])
+    np.testing.assert_array_equal(j0(-x), j0(x))
+    np.testing.assert_array_equal(j1(-x), -j1(x))
+    assert j0(0.0) == 1.0 and j0(-0.0) == 1.0
+    assert j1(0.0) == 0.0
+    special = np.array([np.inf, -np.inf, np.nan, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (j0, j1):
+            val = fn(special)
+            assert val[0] == 0.0 and val[1] == 0.0 and np.isnan(val[2])
+            assert val[3] == fn(1.0)
+            assert fn(np.inf) == 0.0 and np.isnan(fn(np.nan))
+
+
+def test_bessel_scalar_in_scalar_out_and_shapes():
+    for fn in (j0, j1):
+        for arg in (1.5, 3, np.float64(9.5), np.array(2.0)):
+            assert type(fn(arg)) is float
+        assert fn(np.ones((3, 4))).shape == (3, 4)
+        assert fn(np.empty(0)).shape == (0,)
+        assert fn(np.array([[2.0, 20.0]])).shape == (1, 2)
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert analytic._GL_NODES.tobytes() == nodes.tobytes()
+    assert analytic._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 # ---------------------------------------------------------------- somb / sinc
 
 def test_somb_at_zero():
     assert somb(0.0) == 0.5
+
+
+def test_somb_near_zero_keeps_relative_accuracy():
+    tiny = np.array([1e-300, -1e-300, 1e-200, 1e-100, 1e-8])
+    np.testing.assert_allclose(somb(tiny), 0.5 - tiny**2 / 16, rtol=4.5e-16, atol=0)
 
 
 def test_somb_even():

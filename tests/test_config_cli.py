@@ -661,6 +661,34 @@ def test_cli_import_and_validation_leave_scipy_unimported():
     assert proc.stdout.strip() == "[]"
 
 
+SHIPPED_CONFIGS = sorted(p.name for p in (Path(__file__).resolve().parents[1]
+                                          / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_shipped_config_runs_without_scipy(tmp_path, name):
+    # numpy is the only runtime dependency: with scipy unimportable every
+    # shipped config still runs, and none loads scipy or numpy.polynomial.
+    root = Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from biphoton.cli import main",
+        "code = main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]])",
+        "print(sorted(m for m, mod in sys.modules.items() if mod is not None and (",
+        "    m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'polynomial'])))",
+        "sys.exit(code)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = tmp_path / f"{Path(name).stem}.out"
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "configs" / name), str(out)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "validate"])
 def test_main_rejects_grid_above_memory_ceiling(tmp_path, monkeypatch, capsys, command):
     # a 65536^2 focus field is 64 GiB; validate used to print "ok"

@@ -420,7 +420,8 @@ def test_derived_draws_bit_identical_to_child_generators(seed):
     n = 1
     rows = audit_chunk_trials(n)
     trials = max(rows, 2 * _SEED_BLOCK) + 33
-    chunks = list(_audit_draws(n, trials, seed))
+    # each chunk is a view of one buffer that the next chunk overwrites
+    chunks = [c.copy() for c in _audit_draws(n, trials, seed)]
     assert [len(c) for c in chunks] == [rows] * (len(chunks) - 1) + [trials % rows]
     assert len(chunks) > 1 and trials > 2 * _SEED_BLOCK
     got = np.concatenate(chunks)
@@ -428,6 +429,15 @@ def test_derived_draws_bit_identical_to_child_generators(seed):
                      for c in np.random.SeedSequence(seed).spawn(trials)])
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_audit_draws_reuse_one_buffer():
+    # a fresh array per chunk was returned to the system and faulted back in
+    # on every chunk
+    chunks = _audit_draws(16, 2 * audit_chunk_trials(16) + 1, 7)
+    first, second, last = next(chunks), next(chunks), next(chunks)
+    assert np.shares_memory(first, second) and np.shares_memory(first, last)
+    assert len(last) == 1
 
 
 @pytest.mark.parametrize("seed", [-1, -2**64, 1.5, None, "7"])
