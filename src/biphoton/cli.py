@@ -88,16 +88,21 @@ def _write_summary(csv_path: str, summary: dict) -> str:
 def _normalize(columns: Dict[str, np.ndarray], raw: bool) -> Dict[str, np.ndarray]:
     if raw:
         return columns
-    out = {}
-    for name, vals in columns.items():
-        peak = np.max(vals)
-        out[name] = vals / peak if peak > 0 else vals
-    return out
+    return {name: vals / vals.max() if vals.max() > 0 else vals
+            for name, vals in columns.items()}
 
 
 def _peak_positions(coords: np.ndarray, columns: Dict[str, np.ndarray]) -> dict:
     return {name: float(coords[int(np.argmax(vals))])
             for name, vals in columns.items()}
+
+
+def _distinct(coords: np.ndarray, columns: Dict[str, np.ndarray]) -> tuple:
+    """The sweep on its distinct, increasing coordinates, one row each: a
+    sweep snapped onto a coarser grid repeats rows, and peaks, periods and
+    widths are taken here."""
+    distinct, first_row = np.unique(coords, return_index=True)
+    return distinct, {name: vals[first_row] for name, vals in columns.items()}
 
 
 def _measured_period(coords: np.ndarray, vals: np.ndarray) -> Optional[float]:
@@ -115,22 +120,36 @@ def _try_fwhm(coords: np.ndarray, vals: np.ndarray) -> Optional[float]:
         return None
 
 
+def _shared_radii(r0: np.ndarray) -> np.ndarray:
+    """|r0|, with one radius for the two points of each mirrored pair.
+
+    ``np.linspace``'s symmetric points are not exact negatives: their |r0|
+    differ by up to 3 ulps of the sweep's largest |r0|. Radii within 8 of
+    those ulps take the smallest of them, so the disk-transform table
+    evaluates each radius once.
+    """
+    r = np.abs(r0)
+    s = np.sort(r)
+    kept = s[np.concatenate(([True], np.diff(s) > 8 * np.spacing(s[-1])))]
+    return kept[np.searchsorted(kept, r, side="right") - 1]
+
+
 # ------------------------------------------------------------------- young
 
 
 def _run_young(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
     p = YoungParams(x1=cfg.x1, f=cfg.f, wavelength=cfg.wavelength)
     x = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
+    g = None if cfg.mode == "analytic" else Grid1D(cfg.grid.n, cfg.grid.dx)
     columns: Dict[str, np.ndarray] = {}
 
     if cfg.mode in ("analytic", "compare"):
         columns["two_photon"] = young_two_photon(x, p)
         columns["classical"] = young_classical(x, p)
     if cfg.mode in ("forward", "compare"):
-        g = Grid1D(cfg.grid.n, cfg.grid.dx)
         columns["forward"] = young_coincidence_at(p, g, x, cfg.slit_width)
     if cfg.mode == "reversed":
-        det, sources, row = snap_young_sweep(p, Grid1D(cfg.grid.n, cfg.grid.dx), x)
+        det, sources, row = snap_young_sweep(p, g, x)
         train = reversed_young_train(p.f, p.x1, cfg.L1, cfg.L2,
                                      slit_width=cfg.slit_width)
         x = det.coords[sources][row]
@@ -140,6 +159,7 @@ def _run_young(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
     _write_csv(out, ["x0_m"] + list(columns),
                zip(x.tolist(), *(v.tolist() for v in columns.values())))
 
+    xs, cut = _distinct(x, columns)
     summary = {
         "experiment": cfg.experiment,
         "mode": cfg.mode,
@@ -150,14 +170,13 @@ def _run_young(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
             "two_photon": p.f * p.wavelength / (4 * p.x1),
             "classical": p.f * p.wavelength / (2 * p.x1),
         },
-        "period_measured_m": {name: _measured_period(x, vals)
-                              for name, vals in columns.items()},
-        "peak_position_m": _peak_positions(x, columns),
+        "period_measured_m": {name: _measured_period(xs, vals)
+                              for name, vals in cut.items()},
+        "peak_position_m": _peak_positions(xs, cut),
     }
     if cfg.mode == "compare":
         # measured on the distinct detection samples the sweep snaps to
-        report = forward_vs_reversed_young(
-            p, Grid1D(cfg.grid.n, cfg.grid.dx), cfg.slit_width, cfg.L1, cfg.L2, x)
+        report = forward_vs_reversed_young(p, g, cfg.slit_width, cfg.L1, cfg.L2, x)
         summary["max_deviation"] = report.max_rel_err
         summary["deviation_points"] = report.n_points
         summary["tolerance"] = YOUNG_COMPARE_TOL
@@ -174,68 +193,31 @@ def _run_young(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
 # ------------------------------------------------------------------- focus
 
 
-def _snap_to_sources(grid: Grid2D, points) -> tuple:
-    """Move each (r0, z0) point's r0 onto the nearest source sample.
-
-    Returns the snapped points and the ``(iy, ix)`` source index of each.
-    """
-    xs = grid.xs
-    snapped, indices = [], []
-    for r0, z0 in points:
-        if not grid.contains((r0, 0.0)):
-            raise DomainError(
-                f"lateral offset {float(r0)!r} m is outside the source grid")
-        iy, ix = grid.index_of((r0, 0.0))
-        snapped.append((float(xs[ix]), z0))
-        indices.append((iy, ix))
-    return snapped, indices
-
-
-def _focus_reversed(cfg: ExperimentConfig, p: FocusParams, grid: Grid2D,
-                    points, indices) -> np.ndarray:
-    """Reversed-train reading at each point: one batched run per distinct z0."""
-    z0s = np.array([z0 for _, z0 in points])
-    indices = np.array(indices)
-    out = np.empty(len(points))
-    for z0 in np.unique(z0s):
-        rows = np.flatnonzero(z0s == z0)
-        sources, row = np.unique(indices[rows], axis=0, return_inverse=True)
-        train = reversed_focus_train(p.f, p.D, float(z0), cfg.L1, cfg.L2)
-        out[rows] = run_train_batch(grid, p.wavelength, sources, train)[row.ravel()]
-    return out
-
-
 def _run_focus(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
     p = FocusParams(D=cfg.D, f=cfg.f, wavelength=cfg.wavelength)
     first = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
-    second = None
-    if cfg.sweep.second is not None:
-        second = np.linspace(cfg.sweep.second.start, cfg.sweep.second.stop,
-                             cfg.sweep.second.count)
-
-    def lattice():
-        # (r0, z0) per output row; first axis is the slow (outer) one
-        if second is None:
-            fixed = cfg.z0 if cfg.sweep.axis == "r0" else 0.0
-            for v in first:
-                yield (v, fixed) if cfg.sweep.axis == "r0" else (fixed, v)
-        else:
-            for a in first:
-                for b in second:
-                    yield (a, b) if cfg.sweep.axis == "r0" else (b, a)
-
-    points = list(lattice())
+    sw2 = cfg.sweep.second
+    second = None if sw2 is None else np.linspace(sw2.start, sw2.stop, sw2.count)
+    # the r0 and z0 axes; a cut holds the other coordinate fixed
+    fixed = np.array([cfg.z0 if cfg.sweep.axis == "r0" else 0.0])
+    inner = fixed if second is None else second
+    r_axis, z_axis = (first, inner) if cfg.sweep.axis == "r0" else (inner, first)
     if cfg.mode in ("reversed", "compare"):
         grid = Grid2D(cfg.grid.n, cfg.grid.n, cfg.grid.dx, cfg.grid.dx)
         # every column is evaluated at the source sample the train runs from
-        points, indices = _snap_to_sources(grid, points)
-    if second is None:
-        coords = np.array([pt[0] if cfg.sweep.axis == "r0" else pt[1]
-                           for pt in points])
+        x_axis = Grid1D(cfg.grid.n, cfg.grid.dx)  # the x axis of ``grid``
+        sources, r_row = x_axis.snap(r_axis, "lateral offset", "the source grid")
+        r_axis = x_axis.coords[sources][r_row]
+    # output rows: the first sweep axis is the slow (outer) one
+    slow, fast = np.divmod(np.arange(len(first) * len(inner)), len(inner))
+    ir, iz = (slow, fast) if cfg.sweep.axis == "r0" else (fast, slow)
+    axes = {"r0_m": r_axis[ir], "z0_m": z_axis[iz]}
+    heads = list(axes) if second is not None else [f"{cfg.sweep.axis}_m"]
+    z0s, coords = axes["z0_m"], axes[heads[0]]
+
     columns: Dict[str, np.ndarray] = {}
     if cfg.mode in ("analytic", "compare"):
-        r0s, z0s = np.array(points, dtype=float).T
-        columns["two_photon"] = spot_offaxis_two_photon(r0s, z0s, p)
+        columns["two_photon"] = spot_offaxis_two_photon(_shared_radii(r_axis)[ir], z0s, p)
         if second is None:
             # closed-form classical references exist on the axes only
             if cfg.sweep.axis == "r0" and cfg.z0 == 0.0:
@@ -243,29 +225,27 @@ def _run_focus(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
             elif cfg.sweep.axis == "z0":
                 columns["classical"] = spot_axial(coords, p, "classical")
     if cfg.mode in ("reversed", "compare"):
-        columns["reversed"] = _focus_reversed(cfg, p, grid, points, indices)
+        # one batched run per z0 over the distinct source samples, all at y = 0
+        rows = np.column_stack([np.full(len(sources), grid.ny // 2), sources])
+        readings = np.array([
+            run_train_batch(grid, p.wavelength, rows,
+                            reversed_focus_train(p.f, p.D, float(z0), cfg.L1, cfg.L2))
+            for z0 in z_axis])
+        columns["reversed"] = readings[iz, r_row[ir]]
 
     columns = _normalize(columns, raw)
-    values = [v.tolist() for v in columns.values()]
-    if second is None:
-        coord_name = "r0_m" if cfg.sweep.axis == "r0" else "z0_m"
-        _write_csv(out, [coord_name] + list(columns), zip(coords.tolist(), *values))
-    else:
-        _write_csv(out, ["r0_m", "z0_m"] + list(columns),
-                   zip(*np.array(points, dtype=float).T.tolist(), *values))
+    _write_csv(out, heads + list(columns), zip(*(axes[h].tolist() for h in heads),
+                                               *(v.tolist() for v in columns.values())))
 
     summary = {
         "experiment": cfg.experiment,
         "mode": cfg.mode,
         "csv": out,
-        "n_rows": len(points),
+        "n_rows": len(coords),
         "columns": list(columns),
     }
     if second is None:
-        # r0 snapped onto a coarser source grid repeats rows with equal
-        # values; widths need distinct, increasing coordinates
-        distinct, first_row = np.unique(coords, return_index=True)
-        cut = {name: vals[first_row] for name, vals in columns.items()}
+        distinct, cut = _distinct(coords, columns)
         summary["peak_position_m"] = _peak_positions(distinct, cut)
         summary["fwhm_m"] = {name: _try_fwhm(distinct, vals)
                              for name, vals in cut.items()}
@@ -273,8 +253,7 @@ def _run_focus(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
             if val is not None:
                 print(f"{name} FWHM {_format_length(val)}")
     if cfg.mode == "compare":
-        pair = columns["two_photon"]
-        dev = float(np.max(np.abs(pair - columns["reversed"])))
+        dev = float(np.max(np.abs(columns["two_photon"] - columns["reversed"])))
         summary["max_deviation"] = dev
         summary["tolerance"] = FOCUS_COMPARE_TOL
         summary["passed"] = dev <= FOCUS_COMPARE_TOL
@@ -379,12 +358,8 @@ def _audit(args: argparse.Namespace) -> dict:
 
 def _validate(args: argparse.Namespace) -> int:
     diags = validate_config(load_config(args.config))
-    for d in diags:
-        print(d)
-    if diags:
-        return 2
-    print("ok")
-    return 0
+    print("\n".join(diags) if diags else "ok")
+    return 2 if diags else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .analytic import YoungParams
+from .elements import DoubleSlit, _double_slit_mask, _relay_grid
 from .errors import ConfigurationError, DomainError
 from .forward import snap_young_sweep
 from .grid import Grid1D
@@ -221,16 +222,13 @@ def _check_axis(diags: List[str], sweep: SweepSpec, allowed: Tuple[str, ...],
 def _largest_array_bytes(cfg: ExperimentConfig) -> float:
     """Size of the largest complex128 array a grid run of ``cfg`` allocates.
 
-    The focus field is n x n. A young sweep holds at most one n-sample row
-    per sweep point. A young ``compare`` also relays its pair state: the
-    n x |kept| columns the slits keep, then the rows of the distinct
-    detection samples the sweep snaps to, in blocks of
-    ``forward._BLOCK_BYTES`` (at least one row of n samples, and never more
-    rows than sweep points). No slit mask is built here: a slit of width w
-    keeps at most w/dx + 1 samples, so |kept| is bounded by two slits of
-    w/dx + 2 (one more for rounding at the edges) and by n, and is 2 for
-    delta slits. A float, so a size beyond the float range reads inf
-    instead of raising.
+    The focus field is n x n; a young sweep holds one n-sample row per
+    point. A young ``compare`` also relays the n x |kept| slit columns of
+    its pair state, then blocks of ``forward._BLOCK_BYTES`` (at least one
+    row, at most one per sweep point). This runs before any mask is built
+    (a huge n must not allocate one), so |kept| is bounded: 2 for delta
+    slits, else two slits of w/dx + 2 samples (one more for rounding at the
+    edges), and n. A float: a size beyond the float range reads inf.
     """
     n = cfg.grid.n
     if cfg.experiment == "focus":
@@ -242,23 +240,59 @@ def _largest_array_bytes(cfg: ExperimentConfig) -> float:
     return 16.0 * n * rows
 
 
-def _young_sweep_diags(cfg: ExperimentConfig) -> List[str]:
-    """What keeps a young reversed/compare sweep from its detection samples.
+def _young_diags(cfg: ExperimentConfig) -> List[str]:
+    """What keeps a young run from its slits or its detection samples.
 
-    Only the ends are snapped (``forward.snap_young_sweep``, as the run
-    does): the sweep increases and holds both ends exactly, so every point
-    lies on the grid if they do, and it reads one sample only if they do.
+    The slit mask is built on each slit-plane grid the run masks: the grid
+    itself for ``forward``/``compare``, and for the reversed trains of
+    ``reversed``/``compare`` the relay of the detection grid, as
+    ``run_train_batch`` builds it. A compare's forward mask must pass a
+    sample, or ``forward_young`` has no fringe. An ``analytic`` run masks
+    nothing; only ``DoubleSlit``'s own rules apply. Only the sweep's ends
+    are snapped: the sweep increases and holds both ends exactly, so every
+    point lies on the detection grid if they do, and it reads one sample
+    only if they do.
     """
+    grid = None if cfg.mode == "analytic" else Grid1D(cfg.grid.n, cfg.grid.dx)
+    planes = [grid] if cfg.mode in ("forward", "compare") else []
+    if cfg.mode in ("reversed", "compare"):
+        det = _relay_grid(grid, cfg.f, cfg.wavelength)
+        planes.append(_relay_grid(det, cfg.f, cfg.wavelength))
     try:
-        _, sources, _ = snap_young_sweep(
-            YoungParams(x1=cfg.x1, f=cfg.f, wavelength=cfg.wavelength),
-            Grid1D(cfg.grid.n, cfg.grid.dx), (cfg.sweep.start, cfg.sweep.stop))
-    except (ConfigurationError, DomainError) as exc:
-        return [f"sweep: {exc}"]
-    if cfg.mode == "compare" and len(sources) < 2:
-        return ["sweep: snaps to 1 detection sample; a compare needs at least 2, "
-                "since one peak-normalized sample deviates by 0"]
+        DoubleSlit(cfg.x1, cfg.slit_width)
+        masks = [_double_slit_mask(plane, cfg.x1, cfg.slit_width) for plane in planes]
+    except ConfigurationError as exc:
+        return [f"slit_width: {exc}"]
+    except DomainError as exc:
+        return [f"x1: {exc}"]
+    if cfg.mode == "compare" and not masks[0].any():
+        return [f"slit_width: {cfg.slit_width!r} m slits pass no sample of the "
+                f"{cfg.grid.dx!r} m slit-plane grid; a compare has no fringe to read"]
+    if cfg.mode in ("reversed", "compare"):
+        try:
+            snap_young_sweep(YoungParams(x1=cfg.x1, f=cfg.f, wavelength=cfg.wavelength),
+                             grid, (cfg.sweep.start, cfg.sweep.stop),
+                             compare=cfg.mode == "compare")
+        except (ConfigurationError, DomainError) as exc:
+            return [f"sweep: {exc}"]
     return []
+
+
+def _focus_pupil_diags(cfg: ExperimentConfig) -> List[str]:
+    """Whether a focus reversed/compare run's pupil grid holds the aperture.
+
+    The source grid (n samples at dx) relays onto n pupil samples at
+    f*wavelength/(n*dx): a window of f*wavelength/dx, whatever n is. A
+    window narrower than D cuts the disk to a square (Voelz & Roggemann,
+    Appl. Opt. 48, 6132 (2009)); the run would show no other sign.
+    """
+    pupil = _relay_grid(Grid1D(cfg.grid.n, cfg.grid.dx), cfg.f, cfg.wavelength)
+    window = pupil.n * pupil.dx
+    if window >= cfg.D:
+        return []
+    return [f"grid.dx: the pupil window f*wavelength/dx = {window:.4g} m is narrower "
+            f"than the aperture D = {cfg.D:.4g} m; need dx <= f*wavelength/D = "
+            f"{cfg.f * cfg.wavelength / cfg.D:.4g} m"]
 
 
 def validate(cfg: ExperimentConfig) -> List[str]:
@@ -309,8 +343,6 @@ def validate(cfg: ExperimentConfig) -> List[str]:
 
     if cfg.experiment == "young":
         _positive(diags, cfg, "wavelength", "f", "x1")
-        if cfg.slit_width is not None and not cfg.slit_width > 0:
-            diags.append(f"slit_width: must be positive when given, got {cfg.slit_width!r}")
         if cfg.sweep is not None:
             _check_axis(diags, cfg.sweep, ("x0",))
             if cfg.sweep.second is not None:
@@ -337,6 +369,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
         if size > MAX_ARRAY_BYTES:
             diags.append(f"grid.n: {cfg.grid.n} needs a {size / 2 ** 30:.3g} GiB "
                          f"array, above the {MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB limit")
-    if cfg.experiment == "young" and cfg.mode in ("reversed", "compare") and not diags:
-        diags += _young_sweep_diags(cfg)
+    if cfg.experiment == "young" and not diags:
+        diags += _young_diags(cfg)
+    if cfg.experiment == "focus" and cfg.mode in ("reversed", "compare") and not diags:
+        diags += _focus_pupil_diags(cfg)
     return diags

@@ -6,18 +6,8 @@ coincidence detection at a single point reads the diagonal. This is the
 numerical counterpart of the classical pinhole-readout trains, used to check
 that both produce identical patterns.
 
-``forward_young`` applies the far-field relay as an FFT along axis 0 and then
-axis 1 of psi, which equals ``K psi K^T`` at O(n^2 log n). The slit-masked
-state is diagonal, so the axis-0 relay runs on the kept columns only (the
-FFT of a zero column is exactly zero); the axis-1 relay runs on the rows
-of the detection samples to be read (all of them by default), split into
-one row chunk per usable CPU (at most ``_CHUNK_ROWS`` rows each) on a kept
-pool of one thread per CPU. Each chunk relays its rows in small blocks
-(``_BLOCK_BYTES``) in one buffer it reuses, checks them for finiteness and
-keeps only their diagonal entries, so no n x n array is held, and the curve
-is bit-identical for any thread count, chunking and selection. No
-symmetrization is needed for the diagonal: ``(a + a.T)/2`` leaves it
-unchanged in IEEE arithmetic. The reversed side of
+``forward_young`` relays psi by FFTs along each axis, in row chunks on a
+kept thread pool, and holds no n x n array. The reversed side of
 ``forward_vs_reversed_young`` reads the same detection samples through the
 closed form of the reversed train (``run_train_batch``, tested against
 looped ``run_train``). The relayed pair state stays the forward side of that
@@ -49,6 +39,7 @@ from .elements import (
     _offset_chirp,
     _params,
     _relay_along,
+    _relay_grid,
     _relay_phase,
     _source_indices,
     reversed_young_train,
@@ -62,13 +53,10 @@ from .errors import (
     SamplingError,
     UnsupportedElementError,
 )
-from .grid import Grid1D, _axis_ends, point_source  # noqa: F401  (point_source re-exported)
+from .grid import Grid1D, point_source  # noqa: F401  (point_source re-exported)
 
 # Most rows per chunk of the pair-state relay, the unit of work of one pool
-# thread; fewer rows are split evenly over the workers. A chunk no longer
-# sizes a buffer: relayed as one block, its buffer and FFT output were
-# faulted in afresh on most calls, as malloc's history decided (full grid
-# at n=2048, in a loop: 0-7.7k faults per call at 128 rows, 35k at 64).
+# thread; fewer rows are split evenly over the workers.
 _CHUNK_ROWS = 128
 # Bytes of one relay block: a chunk relays its rows this many at a time in
 # one buffer it allocates once. 512 KiB is 16 rows at n=2048, where the
@@ -92,10 +80,9 @@ def _row_pool(pid: int, workers: int) -> ThreadPoolExecutor:
     """The pool of :func:`_map_row_chunks`, made on first use and kept.
 
     Threads made per call left each run's buffers in a new malloc arena,
-    which made peak RSS drift by 10% from run to run. The key holds the pid
-    because a pool's threads do not survive a fork; a forked child or a new
-    CPU count gets a new pool, and the evicted one's idle threads exit when
-    it is collected.
+    which made peak RSS drift by 10% from run to run. The key holds the pid,
+    since a pool's threads do not survive a fork; an evicted pool's idle
+    threads exit when it is collected.
     """
     return ThreadPoolExecutor(max_workers=workers)
 
@@ -256,7 +243,8 @@ def forward_young(p: YoungParams, grid: Grid1D,
     relayed along axis 1, and each diagonal entry is bit-identical to the
     same entry of the full run. Each block's relayed rows are checked for
     finiteness and only their diagonal entries are kept, so the n x n state
-    is never held. The relay's phase vector is computed once per call.
+    is never held; the diagonal needs no symmetrization, as ``(a + a.T)/2``
+    leaves it unchanged. The relay's phase vector is computed once per call.
 
     Every row read is relayed in full on purpose. A direct sum for the
     diagonal alone is what ``young_coincidence_at`` and the reversed closed
@@ -319,30 +307,30 @@ def forward_young(p: YoungParams, grid: Grid1D,
     return det, curve / peak
 
 
-def snap_young_sweep(p: YoungParams, grid: Grid1D, positions) -> tuple:
+def snap_young_sweep(p: YoungParams, grid: Grid1D, positions,
+                     compare: bool = False) -> tuple:
     """Detection-plane samples nearest the sweep ``positions``.
 
-    The detection grid has ``grid.n`` samples spaced ``f wl/(n dx)``; the
-    reversed trains run from its samples. Returns ``(det, sources, row)``:
-    that grid, the distinct sample indices in increasing order, and for each
-    position the entry of ``sources`` it snaps to.
+    The detection grid is the focal-plane relay of ``grid``, the one
+    ``forward_young`` reads and the reversed trains run from. Returns
+    ``(det, sources, row)``: that grid and :meth:`Grid1D.snap` of the
+    positions on it.
 
     Raises
     ------
+    ConfigurationError
+        With ``compare``, if the positions snap to fewer than 2 distinct
+        samples, where the peak-normalized deviation is 0 by construction.
     DomainError
         If a position lies outside the detection grid.
     """
-    det = Grid1D(grid.n, p.f * p.wavelength / (grid.n * grid.dx))
-    x = np.asarray(positions, dtype=float)
-    # det.contains and det.index_of on every position at once, in their arithmetic
-    first, last = _axis_ends(det.n, det.dx, det.center)
-    outside = ~((first - det.dx / 2 <= x) & (x <= last + det.dx / 2))
-    if outside.any():
-        raise DomainError(
-            f"sweep point {float(x[outside.argmax()])!r} m is outside the "
-            f"reversed-train source grid (half-width {det.n * det.dx / 2:.3e} m)")
-    idx = np.ceil((x - det.center) / det.dx - 0.5).astype(np.intp) + det.n // 2
-    sources, row = np.unique(idx, return_inverse=True)
+    det = _relay_grid(grid, p.f, p.wavelength)
+    sources, row = det.snap(positions, "sweep point", "the reversed-train source grid "
+                            f"(half-width {det.n * det.dx / 2:.3e} m)")
+    if compare and len(sources) < 2:
+        raise ConfigurationError(
+            f"the sweep snaps to {len(sources)} detection sample; a compare "
+            "needs at least 2, since one peak-normalized sample deviates by 0")
     return det, sources, row
 
 
@@ -391,20 +379,11 @@ def forward_vs_reversed_young(p: YoungParams, grid: Grid1D,
 
     Raises
     ------
-    ConfigurationError
-        If the positions snap to fewer than 2 distinct samples, where the
-        peak-normalized deviation is 0 by construction.
-    DomainError
-        If a position lies outside the detection grid.
+    ConfigurationError, DomainError
+        As :func:`snap_young_sweep` with ``compare`` raises them.
     """
-    if positions is None:
-        sources = np.arange(grid.n)
-    else:
-        _, sources, _ = snap_young_sweep(p, grid, positions)
-        if len(sources) < 2:
-            raise ConfigurationError(
-                f"the sweep snaps to {len(sources)} detection sample; a compare "
-                "needs at least 2, since one peak-normalized sample deviates by 0")
+    sources = (np.arange(grid.n) if positions is None
+               else snap_young_sweep(p, grid, positions, compare=True)[1])
     det_grid, fwd = forward_young(p, grid, slit_width, sources)
     train = reversed_young_train(p.f, p.x1, L1, L2, slit_width=slit_width)
     rev = run_train_batch(det_grid, p.wavelength, sources, train)

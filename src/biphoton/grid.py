@@ -62,6 +62,24 @@ class Grid1D:
         t = (pos - self.center) / self.dx
         return int(np.ceil(t - 0.5)) + self.n // 2
 
+    def snap(self, positions, point: str, where: str) -> tuple:
+        """:meth:`contains` and :meth:`index_of` on every position at once,
+        in their arithmetic (they stay the scalar reference).
+
+        Returns ``(samples, row)``: the distinct sample indices, increasing,
+        and for each position the entry of ``samples`` it snaps to. Raises
+        DomainError ``"<point> <x> m is outside <where>"`` for the first
+        position ``x`` off the grid.
+        """
+        x = np.asarray(positions, dtype=float)
+        first, last = _axis_ends(self.n, self.dx, self.center)
+        outside = ~((first - self.dx / 2 <= x) & (x <= last + self.dx / 2))
+        if outside.any():
+            first_out = float(x[outside.argmax()])
+            raise DomainError(f"{point} {first_out!r} m is outside {where}")
+        idx = np.ceil((x - self.center) / self.dx - 0.5).astype(np.intp) + self.n // 2
+        return np.unique(idx, return_inverse=True)
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -143,10 +161,6 @@ class SampledField:
             raise ValueError("field amplitudes must be finite (no NaN/Inf)")
         amp.setflags(write=False)
         object.__setattr__(self, "amp", amp)
-
-    @property
-    def ndim(self) -> int:
-        return 1 if isinstance(self.grid, Grid1D) else 2
 
 
 def point_source(grid: Grid, pos, total_power: float, wavelength: float) -> SampledField:
@@ -243,6 +257,17 @@ def _spectral_axis(amp: np.ndarray, n: int, d: float, center: float, axis: int,
     return out, dk
 
 
+def _transform(f: SampledField, inverse: bool) -> SampledField:
+    """:func:`_spectral_axis` along every axis of the field, x first."""
+    g = f.grid
+    if isinstance(g, Grid1D):
+        out, d = _spectral_axis(f.amp, g.n, g.dx, g.center, 0, inverse)
+        return SampledField(Grid1D(g.n, d, 0.0), f.wavelength, out)
+    out, dx = _spectral_axis(f.amp, g.nx, g.dx, g.center[0], 1, inverse)
+    out, dy = _spectral_axis(out, g.ny, g.dy, g.center[1], 0, inverse)
+    return SampledField(Grid2D(g.nx, g.ny, dx, dy, (0.0, 0.0)), f.wavelength, out)
+
+
 def unitary_fourier(f: SampledField) -> SampledField:
     """Power-preserving discrete Fourier transform of the field.
 
@@ -250,14 +275,7 @@ def unitary_fourier(f: SampledField) -> SampledField:
     per axis, centered at zero. Equal to the Riemann sum of
     ``integral g(x) exp(-i x k) dx / sqrt(2 pi)`` on the sample points.
     """
-    if isinstance(f.grid, Grid1D):
-        g = f.grid
-        out, dk = _spectral_axis(f.amp, g.n, g.dx, g.center, 0, inverse=False)
-        return SampledField(Grid1D(g.n, dk, 0.0), f.wavelength, out)
-    g = f.grid
-    out, dkx = _spectral_axis(f.amp, g.nx, g.dx, g.center[0], 1, inverse=False)
-    out, dky = _spectral_axis(out, g.ny, g.dy, g.center[1], 0, inverse=False)
-    return SampledField(Grid2D(g.nx, g.ny, dkx, dky, (0.0, 0.0)), f.wavelength, out)
+    return _transform(f, inverse=False)
 
 
 def inverse_unitary_fourier(f: SampledField) -> SampledField:
@@ -266,11 +284,4 @@ def inverse_unitary_fourier(f: SampledField) -> SampledField:
     For a field produced by the forward transform of a zero-centered grid,
     this recovers the original field to machine precision.
     """
-    if isinstance(f.grid, Grid1D):
-        g = f.grid
-        out, dx = _spectral_axis(f.amp, g.n, g.dx, g.center, 0, inverse=True)
-        return SampledField(Grid1D(g.n, dx, 0.0), f.wavelength, out)
-    g = f.grid
-    out, dx = _spectral_axis(f.amp, g.nx, g.dx, g.center[0], 1, inverse=True)
-    out, dy = _spectral_axis(out, g.ny, g.dy, g.center[1], 0, inverse=True)
-    return SampledField(Grid2D(g.nx, g.ny, dx, dy, (0.0, 0.0)), f.wavelength, out)
+    return _transform(f, inverse=True)

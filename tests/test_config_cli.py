@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import biphoton.cli as cli
 import biphoton.forward as forward
 import biphoton.modes as modes
-from biphoton.analytic import YoungParams, young_two_photon
+from biphoton.analytic import FocusParams, YoungParams, young_two_photon
 from biphoton.cli import FOCUS_COMPARE_TOL, YOUNG_COMPARE_TOL, exit_code, main, run
 from biphoton.config import (
     AUDIT_CHUNK,
@@ -26,7 +26,7 @@ from biphoton.config import (
     load_config,
     validate,
 )
-from biphoton.elements import _double_slit_mask
+from biphoton.elements import _double_slit_mask, reversed_focus_train, run_train_batch
 from biphoton.errors import (
     ConfigurationError,
     DomainError,
@@ -34,7 +34,7 @@ from biphoton.errors import (
     SamplingError,
 )
 from biphoton.forward import forward_vs_reversed_young
-from biphoton.grid import Grid1D
+from biphoton.grid import Grid1D, Grid2D
 from biphoton.modes import AuditReport
 
 WL = 7.8e-7
@@ -211,6 +211,72 @@ def test_young_compare_on_one_detection_sample_exits_2(tmp_path, monkeypatch, ca
     assert not list(tmp_path.glob("*.csv"))
     doc["mode"] = "reversed"  # a constant reversed column is still a reading
     assert validate(ExperimentConfig.from_dict(doc)) == []
+
+
+def shipped(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("change,message", [
+    ({"slit_width": 1.2e-3}, "slit_width: slits overlap: x1=0.0005 <= slit_width/2=0.0006"),
+    # the shipped grid spans 20.5 mm, so a slit at 20 mm lies off it
+    ({"x1": 2e-2}, "x1: slit at 0.02 lies outside the grid"),
+])
+def test_young_slits_the_run_cannot_build_exit_2(tmp_path, monkeypatch, capsys, command,
+                                                 change, message):
+    # validate builds the slit mask the run builds; it used to print ok for
+    # both configs, which simulate then rejected
+    monkeypatch.chdir(tmp_path)
+    doc = dict(shipped("young_compare"), **change)
+    path = write_config(tmp_path, "slits.json", doc)
+    assert main([command, "--config", path]) == 2
+    out = capsys.readouterr()
+    assert message in out.out + out.err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("mode", ["analytic", "forward", "reversed", "compare"])
+def test_validate_builds_the_slit_mask_of_each_mode(mode):
+    # a delta slit off the grid matters only to modes that sample the slit
+    # plane; overlapping or zero-width slits are refused in every mode
+    off = young_doc(mode, x1=6e-3)  # the 512 x 20 um grid spans 10.24 mm
+    assert validate(ExperimentConfig.from_dict(off)) == (
+        [] if mode == "analytic" else ["x1: slit at 0.006 lies outside the grid"])
+    for width, needle in [(5e-4, "slits overlap"), (0.0, "slit width must be > 0")]:
+        diags = validate(ExperimentConfig.from_dict(young_doc(mode, slit_width=width)))
+        assert len(diags) == 1 and diags[0].startswith("slit_width: ") and needle in diags[0]
+
+
+def test_validate_flags_a_compare_whose_slits_pass_no_sample(tmp_path, monkeypatch, capsys):
+    # 10 um slits at 250 um on a 40 um grid hold no sample; the compare's
+    # forward side used to raise while running
+    monkeypatch.chdir(tmp_path)
+    doc = young_doc("compare", slit_width=1e-5, x1=2.3e-4, grid={"n": 512, "dx": 4e-5})
+    assert not _double_slit_mask(Grid1D(512, 4e-5), 2.3e-4, 1e-5).any()
+    diags = validate(ExperimentConfig.from_dict(doc))
+    assert len(diags) == 1 and "pass no sample" in diags[0]
+    path = write_config(tmp_path, "dark.json", doc)
+    assert main(["simulate", "--config", path]) == 2
+    assert "pass no sample" in capsys.readouterr().err
+    doc["mode"] = "forward"  # a dark forward column is still a reading
+    assert validate(ExperimentConfig.from_dict(doc)) == []
+
+
+def test_young_reversed_period_is_measured_on_distinct_samples(tmp_path, monkeypatch):
+    # At the benchmark's size the 401-point sweep snaps to 85 detection
+    # samples, each read 4 or 5 times. Peaks taken on the repeated rows
+    # found every plateau: a 2.5e-7 m period for a 1.95e-5 m fringe.
+    monkeypatch.chdir(tmp_path)
+    n, dx = 2048, 2e-5
+    doc = young_doc("reversed", x1=5e-4, grid={"n": n, "dx": dx},
+                    sweep={"axis": "x0", "start": -4e-5, "stop": 4e-5, "count": 401})
+    summary = run(ExperimentConfig.from_dict(doc), out="rev.csv")
+    assert summary["n_rows"] == 401
+    step = F * WL / (n * dx)  # one detection-grid step, 0.95 um
+    assert abs(summary["period_measured_m"]["reversed"]
+               - summary["period_m"]["two_photon"]) <= step
 
 
 # --------------------------------------------------------------- CSV shape
@@ -439,6 +505,125 @@ def test_focus_compare_within_tolerance_exits_0(tmp_path, monkeypatch):
     assert main(["simulate", "--config", path, "--out", "f.csv"]) == 0
     summary = json.loads((tmp_path / "f.summary.json").read_text(encoding="utf-8"))
     assert summary["max_deviation"] <= 3.6e-5 and summary["passed"] is True
+
+
+def test_focus_compare_exits_3_when_one_reversed_reading_skews(tmp_path, monkeypatch,
+                                                                capsys):
+    # At focus on a 0.5 um grid the reading next to the peak is 0.77 of it,
+    # so growing it by 1 + 2e-3 moves that row by 1.5e-3, above the 1e-3
+    # tolerance; unskewed the compare deviates by 3.4e-5.
+    monkeypatch.chdir(tmp_path)
+    doc = focus_doc("compare", L1=0.25, L2=0.5, grid={"n": 1024, "dx": 5e-7},
+                    sweep={"axis": "r0", "start": -1e-6, "stop": 1e-6, "count": 5})
+    path = write_config(tmp_path, "fc.json", doc)
+    assert main(["simulate", "--config", path, "--out", "ok.csv"]) == 0
+    batch = cli.run_train_batch
+
+    def skewed(*args):
+        readings = batch(*args)
+        readings[np.argmax(readings) + 1] *= 1 + 2e-3
+        return readings
+
+    monkeypatch.setattr(cli, "run_train_batch", skewed)
+    assert main(["simulate", "--config", path, "--out", "skew.csv"]) == 3
+    assert "tolerance" in capsys.readouterr().err
+    rows = np.genfromtxt(tmp_path / "skew.csv", delimiter=",", names=True)
+    assert rows.size == 5
+    summary = json.loads((tmp_path / "skew.summary.json").read_text(encoding="utf-8"))
+    assert 1.4e-3 < summary["max_deviation"] < 1.6e-3
+    assert summary["tolerance"] == FOCUS_COMPARE_TOL and summary["passed"] is False
+
+
+@pytest.mark.parametrize("outer", ["r0", "z0"])
+def test_focus_reversed_map_reads_each_row_from_its_own_source(tmp_path, monkeypatch,
+                                                               outer):
+    # Either axis order: the first sweep axis is the slow one, every r0 is
+    # snapped onto the 2 um source grid (-2.33 -> -2, 1.33 -> 2 and
+    # 5 -> 6 um), and each row's reading is a one-source batch at its
+    # (r0, z0).
+    monkeypatch.chdir(tmp_path)
+    n, dx = 64, 2e-6
+    r = {"axis": "r0", "start": -6e-6, "stop": 5e-6, "count": 4}
+    z = {"axis": "z0", "start": -4e-5, "stop": 4e-5, "count": 3}
+    sweep = dict(r, second=z) if outer == "r0" else dict(z, second=r)
+    doc = focus_doc("reversed", L1=0.25, L2=0.5, grid={"n": n, "dx": dx}, sweep=sweep)
+    run(ExperimentConfig.from_dict(doc), raw=True, out="map.csv")
+    rows = np.genfromtxt(tmp_path / "map.csv", delimiter=",", names=True)
+    r0s = np.array([-6e-6, -2e-6, 2e-6, 6e-6])
+    z0s = np.linspace(-4e-5, 4e-5, 3)
+    if outer == "r0":
+        want_r, want_z = np.repeat(r0s, 3), np.tile(z0s, 4)
+    else:
+        want_r, want_z = np.tile(r0s, 3), np.repeat(z0s, 4)
+    np.testing.assert_allclose(rows["r0_m"], want_r, rtol=1e-15)
+    np.testing.assert_array_equal(rows["z0_m"], want_z)
+    grid = Grid2D(n, n, dx, dx)
+    for row in rows:
+        train = reversed_focus_train(F, D, float(row["z0_m"]), 0.25, 0.5)
+        want = run_train_batch(grid, WL, [grid.index_of((row["r0_m"], 0.0))], train)
+        assert row["reversed"] == pytest.approx(want[0], rel=1e-12)
+
+
+def test_analytic_focus_map_evaluates_each_radius_once(tmp_path, monkeypatch):
+    # np.linspace's mirrored points are not exact negatives, so the
+    # benchmark's 81-point map asked the disk-transform table for 72
+    # distinct radii where 41 suffice. Mirrored rows now share one radius;
+    # the CSV keeps the swept r0.
+    monkeypatch.chdir(tmp_path)
+    spot = cli.spot_offaxis_two_photon
+    radii = []
+
+    def recording(r0, z0, p):
+        radii.append(np.unique(np.abs(r0)).size)
+        return spot(r0, z0, p)
+
+    monkeypatch.setattr(cli, "spot_offaxis_two_photon", recording)
+    r0 = np.linspace(-3e-6, 3e-6, 81)
+    z0 = np.linspace(-6e-5, 6e-5, 41)
+    doc = focus_doc(sweep={"axis": "r0", "start": -3e-6, "stop": 3e-6, "count": 81,
+                           "second": {"axis": "z0", "start": -6e-5, "stop": 6e-5,
+                                      "count": 41}})
+    run(ExperimentConfig.from_dict(doc), raw=True, out="map.csv")
+    assert np.unique(np.abs(r0)).size == 72 and radii == [41]
+    rows = np.genfromtxt(tmp_path / "map.csv", delimiter=",", names=True)
+    np.testing.assert_array_equal(rows["r0_m"], np.repeat(r0, 41))
+    vals = rows["two_photon"].reshape(81, 41)
+    np.testing.assert_array_equal(vals, vals[::-1])
+    p = FocusParams(D=D, f=F, wavelength=WL)
+    want = spot(np.abs(np.repeat(r0, 41)), np.tile(z0, 81), p)
+    assert np.max(np.abs(vals.ravel() - want)) <= 1e-15 * want.max()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_focus_pupil_window_narrower_than_the_aperture_exits_2(tmp_path, monkeypatch,
+                                                               capsys, command):
+    # At dx = 4 um the shipped compare's pupil window f*wl/dx is 9.75 mm
+    # against D = 12.7 mm, so the train cut a quarter of the aperture away;
+    # validate printed ok and the compare failed only on its tolerance.
+    monkeypatch.chdir(tmp_path)
+    doc = dict(shipped("focus_compare"), grid={"n": 256, "dx": 4e-6})
+    path = write_config(tmp_path, "narrow.json", doc)
+    assert main([command, "--config", path]) == 2
+    out = capsys.readouterr()
+    assert ("grid.dx: the pupil window f*wavelength/dx = 0.00975 m is narrower than "
+            "the aperture D = 0.0127 m") in out.out + out.err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("mode", ["reversed", "compare"])
+def test_validate_pupil_window_on_both_sides_of_the_aperture(mode):
+    # flagged exactly when f*wl/dx < D, whatever n is; analytic runs have
+    # no pupil grid
+    edge = F * WL / D
+    for n in (64, 1024):
+        for dx, flagged in [(edge * (1 - 1e-9), False), (edge * (1 + 1e-9), True),
+                            (1e-6, False), (2e-6, False), (4e-6, True)]:
+            doc = focus_doc(mode, L1=0.25, L2=0.5, grid={"n": n, "dx": dx})
+            diags = validate(ExperimentConfig.from_dict(doc))
+            assert diags == ([] if not flagged else [diags[0]]), (n, dx, diags)
+            assert not flagged or diags[0].startswith("grid.dx: the pupil window")
+    doc = focus_doc("analytic", grid={"n": 64, "dx": 4e-6})
+    assert validate(ExperimentConfig.from_dict(doc)) == []
 
 
 def failing_audit(n, trials, seed):
@@ -874,6 +1059,8 @@ def test_young_cli_exits_0_2_or_3_and_writes_finite_csv(tmp_path, doc):
     out.unlink(missing_ok=True)
     code = main(["simulate", "--config", path, "--out", str(out)])
     assert code in (0, 2, 3)
+    # validate refuses exactly the configs that simulate refuses
+    assert (code == 2) == bool(validate(ExperimentConfig.from_dict(doc)))
     if code == 0:
         rows = np.genfromtxt(out, delimiter=",", skip_header=1, ndmin=2)
         assert rows.size > 0 and np.all(np.isfinite(rows))

@@ -544,42 +544,72 @@ def test_equivalence_on_a_sweep_reads_its_distinct_samples():
     assert report.max_rel_err == np.max(np.abs(fwd - rev / rev.max()))
 
 
-def scalar_snap(det, positions):
-    """The sweep snap point by point through ``Grid1D.contains``/``index_of``."""
+def scalar_snap(contains, index_of, positions, message):
+    """A sweep snap point by point through the scalar ``contains``/``index_of``."""
     for xi in positions:
-        if not det.contains(xi):
-            raise DomainError(
-                f"sweep point {float(xi)!r} m is outside the reversed-train "
-                f"source grid (half-width {det.n * det.dx / 2:.3e} m)")
-    return np.array([det.index_of(xi) for xi in positions], dtype=np.intp)
+        if not contains(xi):
+            raise DomainError(message(xi))
+    return np.array([index_of(xi) for xi in positions], dtype=np.intp)
 
 
 def test_snap_young_sweep_equals_the_scalar_snap():
     # On random grids: random points, exact samples, half-sample ties and
     # both edges snap to the scalar path's samples, and a point just past
-    # either edge raises its message.
+    # either edge raises its message. Young sweeps snap onto the detection
+    # grid (the focal-plane relay of the slit plane), focus r0 sweeps onto
+    # the x axis of the square source grid, where the scalar path is
+    # Grid2D.contains/index_of at y = 0.
     rng = np.random.default_rng(3000)
-    for _ in range(3000):
+    for trial in range(6000):  # 3000 grids of each kind
         n = int(rng.integers(2, 5000))
         g = Grid1D(n, 10 ** rng.uniform(-6, -4))
-        p = YoungParams(x1=1e-4, f=10 ** rng.uniform(-2, 0),
-                        wavelength=10 ** rng.uniform(-7, -5.5))
-        det = Grid1D(n, p.f * p.wavelength / (n * g.dx))
+        if trial % 2 == 0:
+            p = YoungParams(x1=1e-4, f=10 ** rng.uniform(-2, 0),
+                            wavelength=10 ** rng.uniform(-7, -5.5))
+            det = elements._relay_grid(g, p.f, p.wavelength)
+
+            def message(xi):
+                return (f"sweep point {float(xi)!r} m is outside the reversed-train "
+                        f"source grid (half-width {det.n * det.dx / 2:.3e} m)")
+
+            def snap(positions):
+                got_det, sources, row = forward.snap_young_sweep(p, g, positions)
+                assert got_det == det
+                return sources[row]
+
+            contains, index_of = det.contains, det.index_of
+        else:
+            det, src = g, Grid2D(n, n, g.dx, g.dx)
+
+            def message(xi):
+                return f"lateral offset {float(xi)!r} m is outside the source grid"
+
+            def snap(positions):
+                samples, row = g.snap(positions, "lateral offset", "the source grid")
+                return samples[row]
+
+            def contains(xi):
+                return src.contains((xi, 0.0))
+
+            def index_of(xi):
+                iy, ix = src.index_of((xi, 0.0))
+                assert iy == n // 2
+                return ix
+
         xs = det.coords
         lo, hi = xs[0] - det.dx / 2, xs[-1] + det.dx / 2
         k = rng.integers(0, n, 8)
         inside = np.concatenate([rng.uniform(lo, hi, 16), xs[k], xs[k] + det.dx / 2,
                                  xs[k] - det.dx / 2, [lo, hi]])
-        inside = rng.permutation(inside[[det.contains(x) for x in inside]])
-        got_det, sources, row = forward.snap_young_sweep(p, g, inside)
-        assert got_det == det
-        np.testing.assert_array_equal(sources[row], scalar_snap(det, inside))
+        inside = rng.permutation(inside[[contains(x) for x in inside]])
+        np.testing.assert_array_equal(snap(inside),
+                                      scalar_snap(contains, index_of, inside, message))
         for edge, step in ((lo, -1), (hi, 1)):
             off = np.concatenate([inside[:3], [np.nextafter(edge, edge + step)], inside[3:]])
             with pytest.raises(DomainError) as want_exc:
-                scalar_snap(det, off)
+                scalar_snap(contains, index_of, off, message)
             with pytest.raises(DomainError, match=re.escape(str(want_exc.value))):
-                forward.snap_young_sweep(p, g, off)
+                snap(off)
 
 
 @pytest.mark.parametrize("positions,error", [([0.0, 1e-9], ConfigurationError),
