@@ -3,7 +3,7 @@
 Layers, roughly bottom to top:
 
 - ``grid``: sampled fields and the unitary centered Fourier transform
-- ``elements``: optical elements, pinhole-readout trains, JSON serialization
+- ``elements``: optical elements and pinhole-readout trains
 - ``analytic``: closed-form fringes, focal spots, disk quadrature, stage fields
 - ``forward``: two-photon amplitude evolution and the equivalence sweep
 - ``modes``: discrete-mode detection probabilities and the randomized audit
@@ -50,8 +50,6 @@ from .elements import (
     apply_double_slit,
     apply_element,
     apply_fourier_lens,
-    element_from_dict,
-    element_to_dict,
     free_space_fourier,
     magnify,
     pinhole_intensity,
@@ -60,10 +58,6 @@ from .elements import (
     run_train,
     run_train_batch,
     shg,
-    train_from_dict,
-    train_from_json,
-    train_to_dict,
-    train_to_json,
     two_f_with_offset,
 )
 from .errors import (

@@ -250,6 +250,11 @@ _GL_NODES = np.array([
 _GL_WEIGHTS = np.array([
     0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
     0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+# The disk quadrature accepts a value when two panel doublings agree to
+# QUAD_ATOL + QUAD_RTOL*|J|, and gives up past MAX_PANELS panels.
+QUAD_RTOL = 1e-9
+QUAD_ATOL = 1e-9
+MAX_PANELS = 65536
 # Quadrature nodes per matrix-product block in disk_transform_table; a fixed
 # size bounds the block arrays at a few (rows + cols) * _TABLE_BLOCK floats,
 # whatever the number of panels.
@@ -262,8 +267,7 @@ _TABLE_BLOCK = 128
 _RADIAL_VALUES = 1 << 14
 
 
-def uniform_disk_transform(b: float, c: float, R: float, *, rtol: float = 1e-9,
-                           atol: float = 1e-9, max_panels: int = 65536) -> complex:
+def uniform_disk_transform(b: float, c: float, R: float) -> complex:
     """Dimensionless chirped transform of a uniform disk of radius R.
 
     Evaluates J = (2/R^2) * integral_0^R rho J0(b rho) exp(-i c rho^2) d rho,
@@ -273,38 +277,38 @@ def uniform_disk_transform(b: float, c: float, R: float, *, rtol: float = 1e-9,
     exp(-i g/2) sinc(g/2).
 
     Composite 8-point Gauss-Legendre panels, doubled from 256 until two
-    refinements agree to atol + rtol*|J|.
+    refinements agree to ``QUAD_ATOL + QUAD_RTOL*|J|``.
 
     Raises
     ------
     QuadratureError
-        If the doubling sequence hits ``max_panels`` without converging.
+        If the doubling sequence passes ``MAX_PANELS`` without converging.
     """
     beta, gamma = b * R, c * R * R
     prev = None
     panels = 256
-    while panels <= max_panels:
+    while panels <= MAX_PANELS:
         half = 0.5 / panels
         centers = (2 * np.arange(panels) + 1) * half
         t = centers[:, None] + half * _GL_NODES[None, :]
         val = 2 * half * np.sum(_GL_WEIGHTS * t * j0(beta * t)
                                 * np.exp(-1j * gamma * t * t))
-        if prev is not None and abs(val - prev) <= atol + rtol * abs(val):
+        if prev is not None and abs(val - prev) <= QUAD_ATOL + QUAD_RTOL * abs(val):
             return complex(val)
         prev = val
         panels *= 2
     raise QuadratureError(
-        f"disk transform did not converge below {atol:.1e}+{rtol:.1e}*|J| "
-        f"within {max_panels} panels (b={b:.3g}, c={c:.3g}, R={R:.3g})")
+        f"disk transform did not converge below {QUAD_ATOL:.1e}+{QUAD_RTOL:.1e}*|J| "
+        f"within {MAX_PANELS} panels (b={b:.3g}, c={c:.3g}, R={R:.3g})")
 
 
-def disk_transform_table(b, c, R: float, *, rtol: float = 1e-9, atol: float = 1e-9,
-                         max_panels: int = 65536) -> np.ndarray:
+def disk_transform_table(b, c, R: float) -> np.ndarray:
     """``uniform_disk_transform`` at every pair (b[i], c[k]), as one table.
 
     Returns the complex (len(b), len(c)) array of J. Each entry follows the
     scalar rule: panels double from 256 and an entry is accepted at the
-    first level where it agrees with the previous one to atol + rtol*|J|.
+    first level where it agrees with the previous one to
+    ``QUAD_ATOL + QUAD_RTOL*|J|``.
     The integrand separates, w t J0(b R t) depending only on b and
     exp(-i c R^2 t^2) only on c, so one level of the pending rows and
     columns is two real matrix products over the shared nodes, taken in
@@ -315,7 +319,7 @@ def disk_transform_table(b, c, R: float, *, rtol: float = 1e-9, atol: float = 1e
     Raises
     ------
     QuadratureError
-        If an entry is still pending after the ``max_panels`` level.
+        If an entry is still pending after the ``MAX_PANELS`` level.
     """
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -324,7 +328,7 @@ def disk_transform_table(b, c, R: float, *, rtol: float = 1e-9, atol: float = 1e
     pending = np.ones(J.shape, dtype=bool)
     prev = None
     panels = 256
-    while panels <= max_panels and pending.any():
+    while panels <= MAX_PANELS and pending.any():
         rows = np.flatnonzero(pending.any(axis=1))
         cols = np.flatnonzero(pending.any(axis=0))
         block = np.ix_(rows, cols)
@@ -333,7 +337,7 @@ def disk_transform_table(b, c, R: float, *, rtol: float = 1e-9, atol: float = 1e
             prev = np.empty(J.shape, dtype=complex)
         else:
             done = pending[block] & (np.abs(val - prev[block])
-                                     <= atol + rtol * np.abs(val))
+                                     <= QUAD_ATOL + QUAD_RTOL * np.abs(val))
             J[block] = np.where(done, val, J[block])
             pending[block] &= ~done
         prev[block] = val
@@ -341,8 +345,8 @@ def disk_transform_table(b, c, R: float, *, rtol: float = 1e-9, atol: float = 1e
     if pending.any():
         i, k = np.argwhere(pending)[0]
         raise QuadratureError(
-            f"disk transform did not converge below {atol:.1e}+{rtol:.1e}*|J| "
-            f"within {max_panels} panels (b={b[i]:.3g}, c={c[k]:.3g}, R={R:.3g})")
+            f"disk transform did not converge below {QUAD_ATOL:.1e}+{QUAD_RTOL:.1e}*|J| "
+            f"within {MAX_PANELS} panels (b={b[i]:.3g}, c={c[k]:.3g}, R={R:.3g})")
     return J
 
 
@@ -369,8 +373,7 @@ def _disk_panel_sums(beta: np.ndarray, gamma: np.ndarray, panels: int) -> np.nda
     return re + 1j * im
 
 
-def spot_offaxis_two_photon(r0, z0, p: FocusParams, *, rtol: float = 1e-9,
-                            atol: float = 1e-9):
+def spot_offaxis_two_photon(r0, z0, p: FocusParams):
     """Pair-detection probability at lateral r0, axial z0 near the focus.
 
     (f+z0)^4 |J|^2 with the disk transform J taken at b = 4 pi|r0|/(f wl),
@@ -393,7 +396,7 @@ def spot_offaxis_two_photon(r0, z0, p: FocusParams, *, rtol: float = 1e-9,
     z_vals, z_col = np.unique(z0.ravel(), return_inverse=True)
     b = 4 * np.pi * r_vals / (p.f * p.wavelength)
     c = 2 * np.pi * z_vals / (p.f**2 * p.wavelength)
-    J = disk_transform_table(b, c, p.D / 2, rtol=rtol, atol=atol)
+    J = disk_transform_table(b, c, p.D / 2)
     val = (p.f + z0) ** 4 * np.abs(J[r_row, z_col].reshape(z0.shape)) ** 2
     return float(val) if val.ndim == 0 else val
 
@@ -502,8 +505,7 @@ def young_stage_field(stage: int, x: float, x0: float, p: YoungParams,
 
 
 def focus_stage_field(stage: int, r, r0, z0: float, p: FocusParams,
-                      L1: float, L2: float, *, rtol: float = 1e-9,
-                      atol: float = 1e-9) -> StageField:
+                      L1: float, L2: float) -> StageField:
     """Closed-form field after each stage of the pinhole-readout focus train.
 
     Point source at lateral r0 = (x, y) and axial offset z0, hard aperture D.
@@ -546,6 +548,5 @@ def focus_stage_field(stage: int, r, r0, z0: float, p: FocusParams,
     x, y = r
     ux = 4 * np.pi * x / (L2 * wl) - 2 * lin * x0
     uy = 4 * np.pi * y / (L2 * wl) - 2 * lin * y0
-    J = uniform_disk_transform(float(np.hypot(ux, uy)), 2 * chirp, R_crystal,
-                               rtol=rtol, atol=atol)
+    J = uniform_disk_transform(float(np.hypot(ux, uy)), 2 * chirp, R_crystal)
     return complex((mag * factor) ** 2 * np.pi * R_crystal**2 * J)

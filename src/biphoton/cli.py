@@ -3,9 +3,9 @@
 Three subcommands: ``simulate`` runs a sweep from a JSON config, ``audit``
 runs the randomized mode-space identity check, ``validate`` reports config
 diagnostics without running. Exit codes: 0 success, 2 configuration problem,
-3 tripped numerical guard or failed check (an audit that did not pass, a
-``compare`` deviation above ``YOUNG_COMPARE_TOL`` or ``FOCUS_COMPARE_TOL``;
-the report, CSV and summary are written first).
+3 tripped numerical guard or failed check (an audit deviation above
+``modes.AUDIT_TOLERANCE``, a ``compare`` deviation above ``YOUNG_COMPARE_TOL``
+or ``FOCUS_COMPARE_TOL``; the report, CSV and summary are written first).
 """
 from __future__ import annotations
 

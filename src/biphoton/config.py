@@ -246,8 +246,8 @@ def _young_diags(cfg: ExperimentConfig) -> List[str]:
     The slit mask is built on each slit-plane grid the run masks: the grid
     itself for ``forward``/``compare``, and for the reversed trains of
     ``reversed``/``compare`` the relay of the detection grid, as
-    ``run_train_batch`` builds it. A compare's forward mask must pass a
-    sample, or ``forward_young`` has no fringe. An ``analytic`` run masks
+    ``run_train_batch`` builds it. Each mask must pass a sample, or the run
+    reads an all-zero column. An ``analytic`` run masks
     nothing; only ``DoubleSlit``'s own rules apply. Only the sweep's ends
     are snapped: the sweep increases and holds both ends exactly, so every
     point lies on the detection grid if they do, and it reads one sample
@@ -265,9 +265,10 @@ def _young_diags(cfg: ExperimentConfig) -> List[str]:
         return [f"slit_width: {exc}"]
     except DomainError as exc:
         return [f"x1: {exc}"]
-    if cfg.mode == "compare" and not masks[0].any():
+    if not all(mask.any() for mask in masks):
         return [f"slit_width: {cfg.slit_width!r} m slits pass no sample of the "
-                f"{cfg.grid.dx!r} m slit-plane grid; a compare has no fringe to read"]
+                f"{cfg.grid.dx!r} m slit-plane grid; a {cfg.mode} run has no fringe "
+                "to read"]
     if cfg.mode in ("reversed", "compare"):
         try:
             snap_young_sweep(YoungParams(x1=cfg.x1, f=cfg.f, wavelength=cfg.wavelength),
@@ -278,15 +279,24 @@ def _young_diags(cfg: ExperimentConfig) -> List[str]:
     return []
 
 
-def _focus_pupil_diags(cfg: ExperimentConfig) -> List[str]:
-    """Whether a focus reversed/compare run's pupil grid holds the aperture.
+def _focus_diags(cfg: ExperimentConfig) -> List[str]:
+    """What keeps a focus reversed/compare run from its sources or its pupil.
 
-    The source grid (n samples at dx) relays onto n pupil samples at
+    Each r0 sweep must lie on the x axis of the source grid, which the run
+    snaps it to; as for the Young sweep, only its ends are snapped. The
+    source grid (n samples at dx) relays onto n pupil samples at
     f*wavelength/(n*dx): a window of f*wavelength/dx, whatever n is. A
     window narrower than D cuts the disk to a square (Voelz & Roggemann,
     Appl. Opt. 48, 6132 (2009)); the run would show no other sign.
     """
-    pupil = _relay_grid(Grid1D(cfg.grid.n, cfg.grid.dx), cfg.f, cfg.wavelength)
+    x_axis = Grid1D(cfg.grid.n, cfg.grid.dx)
+    for spec, prefix in ((cfg.sweep, "sweep"), (cfg.sweep.second, "sweep.second")):
+        if spec is not None and spec.axis == "r0":
+            try:
+                x_axis.snap((spec.start, spec.stop), "lateral offset", "the source grid")
+            except DomainError as exc:
+                return [f"{prefix}: {exc}"]
+    pupil = _relay_grid(x_axis, cfg.f, cfg.wavelength)
     window = pupil.n * pupil.dx
     if window >= cfg.D:
         return []
@@ -372,5 +382,5 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     if cfg.experiment == "young" and not diags:
         diags += _young_diags(cfg)
     if cfg.experiment == "focus" and cfg.mode in ("reversed", "compare") and not diags:
-        diags += _focus_pupil_diags(cfg)
+        diags += _focus_diags(cfg)
     return diags

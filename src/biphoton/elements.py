@@ -3,9 +3,9 @@
 All spectral stages (lens in 2-f configuration, long free-space path) are
 far-field transforms with the kernel ``exp(-i 2 pi x y / (dist wl))``; no
 general Fresnel propagator is provided. Elements are small frozen dataclasses
-so trains are immutable, comparable, and JSON-serializable. Each dataclass
-holds its element's parameter rules; one table maps the class to its JSON tag
-and its field function, and drives ``apply_element`` and the JSON form.
+so trains are immutable and comparable. Each dataclass holds its element's
+parameter rules; one table maps the class to its tag and its field function,
+and drives ``apply_element``.
 
 ``run_train`` applies a train to one field and is the reference.
 ``run_train_batch`` reads the pinhole for many point sources at once, by
@@ -17,7 +17,6 @@ through looped ``run_train``.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -435,8 +434,9 @@ def pinhole_intensity(field: SampledField, radius: float = 0.0) -> float:
 
 # ---------------------------------------------------------------- element table
 
-# Element class -> (JSON tag, field function). A field function takes the
-# field, then the element's dataclass fields in their declared order.
+# Element class -> (tag, field function). The tag names the element's spans
+# in perfbench/tracer.py. A field function takes the field, then the
+# element's dataclass fields in their declared order.
 _TABLE = {
     FourierLens: ("fourier_lens", apply_fourier_lens),
     FreeSpaceFourier: ("free_space", free_space_fourier),
@@ -448,7 +448,6 @@ _TABLE = {
     PinholeSample: ("pinhole", pinhole_intensity),
 }
 _TAGS = {cls: tag for cls, (tag, _) in _TABLE.items()}
-_CLASSES = {tag: cls for cls, tag in _TAGS.items()}
 
 
 def _params(element: OpticalElement) -> dict:
@@ -709,48 +708,3 @@ def reversed_focus_train(f: float, D: float, z: float, L1: float, L2: float, *,
         elements.append(SHG())
     elements += [FreeSpaceFourier(L2), PinholeSample(pinhole_radius)]
     return OpticalTrain(tuple(elements))
-
-
-# ---------------------------------------------------------------- serialization
-
-def element_to_dict(element: OpticalElement) -> dict:
-    """``{"type": <tag>}`` followed by every dataclass field, in declared order."""
-    if type(element) not in _TAGS:
-        raise UnsupportedElementError(f"unknown element {element!r}")
-    return {"type": _TAGS[type(element)], **_params(element)}
-
-
-def element_from_dict(d: dict) -> OpticalElement:
-    """Inverse of :func:`element_to_dict`; a field with a default may be left out."""
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"train element must be a JSON object, got {d!r}")
-    tag = d.get("type")
-    cls = _CLASSES.get(tag) if isinstance(tag, str) else None
-    if cls is None:
-        raise ConfigurationError(f"unknown element type {tag!r}")
-    try:
-        return cls(**{k: v for k, v in d.items() if k != "type"})
-    except TypeError as exc:  # the constructor's report of an unknown or missing key
-        raise ConfigurationError(f"element {tag!r}: {exc}") from exc
-
-
-def train_to_dict(train: OpticalTrain) -> dict:
-    return {"elements": [element_to_dict(e) for e in train.elements]}
-
-
-def train_from_dict(d: dict) -> OpticalTrain:
-    if not isinstance(d, dict) or not isinstance(d.get("elements"), list):
-        raise ConfigurationError("train description needs an 'elements' list")
-    return OpticalTrain(tuple(element_from_dict(e) for e in d["elements"]))
-
-
-def train_to_json(train: OpticalTrain) -> str:
-    return json.dumps(train_to_dict(train), indent=2)
-
-
-def train_from_json(text: str) -> OpticalTrain:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"invalid train JSON: {exc}") from exc
-    return train_from_dict(d)

@@ -215,27 +215,26 @@ def _spectral_phase(n: int, d: float, center: float, inverse: bool,
 
 
 def _spectral_axis(amp: np.ndarray, n: int, d: float, center: float, axis: int,
-                   inverse: bool, gain: float = 1.0,
-                   out: Optional[np.ndarray] = None,
+                   inverse: bool, out: Optional[np.ndarray] = None,
                    phase: Optional[np.ndarray] = None) -> tuple:
-    """One axis of the unitary transform, times ``gain``; returns (amp_out, d_out).
+    """One axis of the unitary transform; returns (amp_out, d_out).
 
     Forward kernel is ``exp(-i k x)`` with ``k_j = (j - n//2) dk``; the output
     grid is centered at 0. ``inverse`` applies the conjugate-transpose map.
     The result is written to ``out`` when given: an array of ``amp``'s shape
     and dtype, which may be ``amp`` itself (the FFT reads it first).
     ``phase``, when given, is :func:`_spectral_phase` of the same arguments,
-    computed once by the caller; it is only read.
+    computed once by the caller with any ``gain`` folded in; it is only read.
 
     The ``fftshift`` and every scale factor are folded into one multiply by
     that n-vector, written as two slice products, so the spectrum takes one
     pass after the FFT. Every caller that must agree bit for bit with
-    another goes through this function with the same ``gain``.
+    another goes through this function with the same ``phase``.
     """
     c = n // 2
     dk = 2 * np.pi / (n * d)
     if phase is None:
-        phase = _spectral_phase(n, d, center, inverse, gain)
+        phase = _spectral_phase(n, d, center, inverse)
     if not inverse:
         spec = np.fft.fft(amp, axis=axis, norm="ortho")
     else:

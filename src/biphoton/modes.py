@@ -190,6 +190,8 @@ class AuditReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+# Largest forward-vs-reversed ratio deviation an audit passes with.
+AUDIT_TOLERANCE = 1e-9
 # Trials whose PCG64 streams are derived together, as uint32 vectors.
 _SEED_BLOCK = 1024
 # Each trial's spawn key must be one uint32 word, so trials stay below 2**32.
@@ -204,8 +206,7 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
-def time_reversal_audit(n: int, trials: int, seed: int,
-                        tolerance: float = 1e-9) -> AuditReport:
+def time_reversal_audit(n: int, trials: int, seed: int) -> AuditReport:
     """Check forward_prob_general == 4 k^2 * reversed_intensity_conditional.
 
     Each trial draws an independent random coefficient matrix and two random
@@ -244,7 +245,7 @@ def time_reversal_audit(n: int, trials: int, seed: int,
         dev = np.abs(fwd - scaled)[keep] / denom[keep]
         max_dev = max(max_dev, float(dev.max(initial=0.0)))
     return AuditReport(n_modes=n, trials=trials, seed=seed,
-                       max_ratio_dev=max_dev, tolerance=tolerance)
+                       max_ratio_dev=max_dev, tolerance=AUDIT_TOLERANCE)
 
 
 def _audit_chunks(n: int, trials: int, seed: int):

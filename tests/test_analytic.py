@@ -346,12 +346,13 @@ def looped_spot(r0s, z0s):
         for r0, z0 in zip(r0s, z0s)])
 
 
-def test_disk_table_matches_looped_scalar_transform():
+def test_disk_table_matches_looped_scalar_transform(monkeypatch):
     b = 4 * np.pi * np.abs(DEEP_R0) / (FP.f * WL)
     c = 2 * np.pi * DEEP_Z0 / (FP.f**2 * WL)
     R = FP.D / 2
-    with pytest.raises(QuadratureError):  # the lattice reaches past 512 panels
-        uniform_disk_transform(b[0], c[-1], R, max_panels=512)
+    with monkeypatch.context() as m, pytest.raises(QuadratureError):
+        m.setattr(analytic, "MAX_PANELS", 512)  # the lattice reaches past 512 panels
+        uniform_disk_transform(b[0], c[-1], R)
     table = disk_transform_table(b, c, R)
     ref = np.array([[uniform_disk_transform(bi, ck, R) for ck in c] for bi in b])
     assert table.shape == (b.size, c.size)
@@ -379,14 +380,16 @@ def test_spot_offaxis_even_in_r0_and_scalar_in_scalar_out():
     assert abs(one - got[2]) <= 1e-12 * got[2]
 
 
-def test_disk_table_non_convergence():
+def test_disk_table_non_convergence(monkeypatch):
     with pytest.raises(QuadratureError, match="65536 panels"):
         disk_transform_table([0.0, 1.0], [0.0, 1e9], 1.0)
     # an entry needing 1024 panels fails when the table stops at 512
     c = 2 * np.pi * 20e-3 / (FP.f**2 * WL)
+    monkeypatch.setattr(analytic, "MAX_PANELS", 512)
     with pytest.raises(QuadratureError, match="512 panels"):
-        disk_transform_table([0.0], [0.0, c], FP.D / 2, max_panels=512)
-    assert disk_transform_table([0.0], [0.0, c], FP.D / 2, max_panels=1024).shape == (1, 2)
+        disk_transform_table([0.0], [0.0, c], FP.D / 2)
+    monkeypatch.setattr(analytic, "MAX_PANELS", 1024)
+    assert disk_transform_table([0.0], [0.0, c], FP.D / 2).shape == (1, 2)
 
 
 # ---------------------------------------------------------------- width estimate

@@ -260,8 +260,14 @@ def test_validate_flags_a_compare_whose_slits_pass_no_sample(tmp_path, monkeypat
     path = write_config(tmp_path, "dark.json", doc)
     assert main(["simulate", "--config", path]) == 2
     assert "pass no sample" in capsys.readouterr().err
-    doc["mode"] = "forward"  # a dark forward column is still a reading
-    assert validate(ExperimentConfig.from_dict(doc)) == []
+    # a forward or reversed run used to write an all-zero column and exit 0
+    for mode in ("forward", "reversed"):
+        doc["mode"] = mode
+        diags = validate(ExperimentConfig.from_dict(doc))
+        assert len(diags) == 1 and "pass no sample" in diags[0]
+        path = write_config(tmp_path, f"dark_{mode}.json", doc)
+        assert main(["simulate", "--config", path]) == 2
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_young_reversed_period_is_measured_on_distinct_samples(tmp_path, monkeypatch):
@@ -608,6 +614,26 @@ def test_focus_pupil_window_narrower_than_the_aperture_exits_2(tmp_path, monkeyp
     assert ("grid.dx: the pupil window f*wavelength/dx = 0.00975 m is narrower than "
             "the aperture D = 0.0127 m") in out.out + out.err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_focus_r0_sweep_off_the_source_grid_exits_2(tmp_path, monkeypatch, capsys,
+                                                    command):
+    # The 8-sample, 1 um source grid ends at 3.5 um, so the shipped +-4 um cut
+    # reaches past it; validate printed ok, which simulate then rejected.
+    monkeypatch.chdir(tmp_path)
+    doc = dict(shipped("focus_compare"), grid={"n": 8, "dx": 1e-6})
+    path = write_config(tmp_path, "off.json", doc)
+    assert main([command, "--config", path]) == 2
+    out = capsys.readouterr()
+    assert ("sweep: lateral offset 4e-06 m is outside the source grid"
+            in out.out + out.err)
+    assert not list(tmp_path.glob("*.csv"))
+    # an r0 axis swept second is snapped too
+    doc["sweep"] = {"axis": "z0", "start": -2e-5, "stop": 2e-5, "count": 3,
+                    "second": dict(shipped("focus_compare")["sweep"])}
+    assert validate(ExperimentConfig.from_dict(doc)) == [
+        "sweep.second: lateral offset 4e-06 m is outside the source grid"]
 
 
 @pytest.mark.parametrize("mode", ["reversed", "compare"])
@@ -1029,6 +1055,8 @@ def test_focus_cli_exits_0_2_or_3_and_writes_finite_csv(tmp_path, doc):
     out.unlink(missing_ok=True)
     code = main(["simulate", "--config", path, "--out", str(out)])
     assert code in (0, 2, 3)
+    # validate refuses exactly the configs that simulate refuses
+    assert (code == 2) == bool(validate(ExperimentConfig.from_dict(doc)))
     if code == 0:
         rows = np.genfromtxt(out, delimiter=",", skip_header=1, ndmin=2)
         assert rows.size > 0 and np.all(np.isfinite(rows))

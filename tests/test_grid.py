@@ -14,6 +14,7 @@ from biphoton.grid import (
     SampledField,
     _axis_ends,
     _spectral_axis,
+    _spectral_phase,
     inner_product,
     inverse_unitary_fourier,
     point_source,
@@ -260,7 +261,8 @@ def test_spectral_axis_along_either_axis_with_gain_and_out(n, axis):
     # and writing the result over the input gives the same bits.
     g = Grid1D(n=n, dx=0.4, center=0.9)
     amp = random_field(Grid2D(nx=n, ny=n, dx=1.0, dy=1.0), seed=n + axis).amp
-    out, dk = _spectral_axis(amp, g.n, g.dx, g.center, axis, inverse=False, gain=2.5)
+    phase = _spectral_phase(g.n, g.dx, g.center, False, gain=2.5)
+    out, dk = _spectral_axis(amp, g.n, g.dx, g.center, axis, inverse=False, phase=phase)
     assert dk == pytest.approx(2 * np.pi / (n * g.dx))
     for i in range(n):
         line = amp[:, i] if axis == 0 else amp[i]
@@ -268,7 +270,7 @@ def test_spectral_axis_along_either_axis_with_gain_and_out(n, axis):
         ref = 2.5 * brute_force_transform(SampledField(g, WL, line))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     work = amp.copy()
-    _spectral_axis(work, g.n, g.dx, g.center, axis, inverse=False, gain=2.5, out=work)
+    _spectral_axis(work, g.n, g.dx, g.center, axis, inverse=False, out=work, phase=phase)
     np.testing.assert_array_equal(work, out)
 
 
