@@ -64,6 +64,7 @@ from .errors import (
     ConfigurationError,
     DomainError,
     GridMismatchError,
+    NonFiniteError,
     QuadratureError,
     SamplingError,
     ShapeError,

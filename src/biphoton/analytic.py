@@ -17,7 +17,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, QuadratureError, ShapeError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    NonFiniteError,
+    QuadratureError,
+    ShapeError,
+)
 
 
 # J0 and J1 in numpy alone: importing scipy.special for them cost each
@@ -384,7 +390,7 @@ def spot_offaxis_two_photon(r0, z0, p: FocusParams):
     ``r0`` and ``z0`` are scalars or arrays of one shape; a scalar pair
     returns a float. J comes from one ``disk_transform_table`` over the
     distinct |r0| and the distinct z0, so a lattice or a cut costs one
-    table of exactly the points it needs.
+    table of exactly the points it needs. Overflow raises NonFiniteError.
     """
     r0 = np.asarray(r0, dtype=float)
     z0 = np.asarray(z0, dtype=float)
@@ -395,9 +401,14 @@ def spot_offaxis_two_photon(r0, z0, p: FocusParams):
     r_vals, r_row = np.unique(np.abs(r0).ravel(), return_inverse=True)
     z_vals, z_col = np.unique(z0.ravel(), return_inverse=True)
     b = 4 * np.pi * r_vals / (p.f * p.wavelength)
-    c = 2 * np.pi * z_vals / (p.f**2 * p.wavelength)
+    try:
+        c = 2 * np.pi * z_vals / (p.f**2 * p.wavelength)
+    except OverflowError:
+        raise NonFiniteError(f"f**2 overflows the float range at f = {p.f!r} m") from None
     J = disk_transform_table(b, c, p.D / 2)
     val = (p.f + z0) ** 4 * np.abs(J[r_row, z_col].reshape(z0.shape)) ** 2
+    if not np.all(np.isfinite(val)):
+        raise NonFiniteError(f"the pair spot overflows the float range at f = {p.f!r} m")
     return float(val) if val.ndim == 0 else val
 
 

@@ -39,6 +39,7 @@ from .elements import (
 from .errors import (
     ConfigurationError,
     DomainError,
+    NonFiniteError,
     QuadratureError,
     SamplingError,
     ShapeError,
@@ -327,15 +328,15 @@ def exit_code(task: Callable[[], Union[dict, int]]) -> int:
     ``task`` returns an exit code or a summary. A summary whose ``passed``
     is False gives 3: its outputs are written, but the run fails its stated
     tolerance. ``ConfigurationError`` and ``DomainError`` give 2,
-    ``SamplingError`` and ``QuadratureError`` 3; each names its cause on
-    stderr. The example scripts end through here too.
+    ``SamplingError``, ``QuadratureError`` and ``NonFiniteError`` 3; each
+    names its cause on stderr. The example scripts end through here too.
     """
     try:
         result = task()
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SamplingError, QuadratureError) as exc:
+    except (SamplingError, QuadratureError, NonFiniteError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
     if isinstance(result, int):

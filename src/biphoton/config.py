@@ -31,9 +31,9 @@ MAX_ARRAY_BYTES = 4 * 2 ** 30
 # AUDIT_CHUNK_BYTES of draws per chunk.
 AUDIT_CHUNK = 32
 # Draw bytes per audit chunk when that is more than AUDIT_CHUNK trials: 64
-# trials at 16 modes. A 10000-trial audit at 16 modes took 0.276 s in
-# chunks of 64, 0.304 s in 32, 0.284 s in 128 and 0.295 s in 512 (medians
-# of 15 in-process runs on a 2-core host).
+# trials at 16 modes. A 10000-trial audit at 16 modes took 0.177-0.191 s in
+# chunks of 32, 64 or 128 and 0.190-0.196 s in 512 (medians of 15
+# in-process runs on a 2-core host, two sweeps).
 AUDIT_CHUNK_BYTES = 64 * 8 * (2 * 16 ** 2 + 4 * 16)
 
 
@@ -326,9 +326,6 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                 diags.append(f"audit.n_modes: must be >= 1, got {cfg.audit.n_modes}")
             if cfg.audit.trials < 1:
                 diags.append(f"audit.trials: must be >= 1, got {cfg.audit.trials}")
-            elif cfg.audit.trials >= 2 ** 32:
-                # modes.time_reversal_audit gives each trial a uint32 spawn key
-                diags.append(f"audit.trials: must be < 2 ** 32, got {cfg.audit.trials}")
             elif cfg.audit.n_modes >= 1:
                 size = audit_array_bytes(cfg.audit.n_modes, cfg.audit.trials)
                 if size > MAX_ARRAY_BYTES:

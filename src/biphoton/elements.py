@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DomainError,
+    NonFiniteError,
     SamplingError,
     UnsupportedElementError,
 )
@@ -274,17 +275,22 @@ def _axis_chirps(grid, z: float, f: float, wl: float) -> list:
     """Offset chirp ``exp(-i pi z c^2/(f^2 wl))`` per axis of ``grid``, x first.
 
     Raises SamplingError where the phase advances by more than pi per
-    sample: beyond pi the chirp aliases and the z-sweep silently folds back.
+    sample: beyond pi the chirp aliases and the z-sweep silently folds back;
+    NonFiniteError where f**2 * wl is beyond the float range.
     """
     axes = [(grid.coords, grid.dx)] if isinstance(grid, Grid1D) else \
            [(grid.xs, grid.dx), (grid.ys, grid.dy)]
+    try:
+        scale = f ** 2 * wl
+    except OverflowError:
+        raise NonFiniteError(f"f**2 overflows the float range at f = {f!r} m") from None
     for coords, step in axes:
-        inc = 2 * np.pi * abs(z) * np.abs(coords).max() * step / (f ** 2 * wl)
+        inc = 2 * np.pi * abs(z) * np.abs(coords).max() * step / scale
         if inc > np.pi:
             raise SamplingError(
                 f"chirp phase step {inc:.3f} rad/sample exceeds pi; "
                 f"refine the grid or reduce |z|={abs(z):.3g}")
-    return [np.exp(-1j * np.pi * z * coords ** 2 / (f ** 2 * wl)) for coords, _ in axes]
+    return [np.exp(-1j * np.pi * z * coords ** 2 / scale) for coords, _ in axes]
 
 
 def _offset_chirp(grid, z: float, f: float, wl: float) -> np.ndarray:
@@ -475,7 +481,7 @@ def run_train(source: SampledField, train: OpticalTrain):
 
 def _check_finite(amp) -> None:
     if not np.all(np.isfinite(amp)):
-        raise ValueError("field amplitudes must be finite (no NaN/Inf)")
+        raise NonFiniteError("field amplitudes must be finite (no NaN/Inf)")
 
 
 def run_train_batch(grid: Grid, wavelength: float, indices,
@@ -505,6 +511,8 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
         slit-plane grid.
     SamplingError
         If the offset chirp of a focus train aliases (as in the field path).
+    NonFiniteError
+        If a stage or a reading overflows the float range.
     UnsupportedElementError
         For any other train shape or a finite pinhole radius.
     """
@@ -530,9 +538,9 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
     pupil = _relay_grid(grid, opening.f, wavelength)
     image = _relay_grid(_relay_grid(pupil, path1.L, wavelength), lens.f, wavelength)
     wl_out = wavelength / 2 if SHG in kinds else wavelength
-    totals = read(grid, wavelength, indices, train, pupil, image, wl_out)
-    _check_finite(totals)
-    return np.abs(totals) ** 2
+    readings = np.abs(read(grid, wavelength, indices, train, pupil, image, wl_out)) ** 2
+    _check_finite(readings)
+    return readings
 
 
 def _reversed_train_kinds(*head: type) -> tuple:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
-numerical-guard trips (aliasing, quadrature non-convergence) with 3.
+numerical-guard trips (aliasing, quadrature non-convergence, overflow) with 3.
 """
 
 
@@ -31,3 +31,7 @@ class QuadratureError(RuntimeError):
 
 class ShapeError(ValueError):
     """A sampled curve does not have the shape an estimator requires."""
+
+
+class NonFiniteError(ValueError):
+    """A computed field or value overflowed the float range or became NaN."""

@@ -4,7 +4,7 @@ Everything a pair source feeds into a linear system is summarized by a
 symmetric coefficient matrix f(s1, s2) over N modes. The forward detection
 probabilities and the classically measured reversed intensities are simple
 contractions of f; this module computes both sides and audits their exact
-proportionality on random instances.
+proportionality on random instances, all drawn from one seeded generator.
 """
 from __future__ import annotations
 
@@ -192,51 +192,31 @@ class AuditReport:
 
 # Largest forward-vs-reversed ratio deviation an audit passes with.
 AUDIT_TOLERANCE = 1e-9
-# Trials whose PCG64 streams are derived together, as uint32 vectors.
-_SEED_BLOCK = 1024
-# Each trial's spawn key must be one uint32 word, so trials stay below 2**32.
-_MAX_TRIALS = 2**32
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# the multiplier of PCG64's 128-bit LCG step.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
 def time_reversal_audit(n: int, trials: int, seed: int) -> AuditReport:
     """Check forward_prob_general == 4 k^2 * reversed_intensity_conditional.
 
-    Each trial draws an independent random coefficient matrix and two random
-    final modes from a per-trial spawn of the seed, so the trial loop could
-    run in any order (or in parallel) with identical results.
+    Trial i draws its coefficient matrix and two final modes from the i-th
+    block of 2n^2 + 4n normals of one ``default_rng(seed)``: the numbers
+    ``_coeff_from_rng`` and two ``_mode_from_rng`` calls draw when called
+    trial after trial on that generator, at any chunk size.
 
-    Trial i draws from the i-th child of ``SeedSequence(seed).spawn(trials)``:
-    its single draw of 2n^2 + 4n normals is the stream ``_coeff_from_rng``
-    and two ``_mode_from_rng`` calls consume from ``default_rng(child)``.
-    The children are never built: ``_spawn_states`` runs numpy's
-    SeedSequence and PCG64 seeding arithmetic for many children at once, and
-    each result is set on one reused generator. A Generator's draws depend
-    only on its bit generator's state, so every trial gets the numbers
-    ``default_rng(child)`` gives and the seed contract is unchanged.
-
-    The seed must be a nonnegative integer and trials below 2**32 (one
-    uint32 spawn key per trial), and the largest array of a chunk of trials
-    (``config.audit_array_bytes``) must fit ``config.MAX_ARRAY_BYTES``;
-    anything else raises ``ConfigurationError`` before a draw.
+    The seed must be a nonnegative integer, not a bool, and the largest
+    array of a chunk of trials (``config.audit_array_bytes``) must fit
+    ``config.MAX_ARRAY_BYTES``; anything else raises ``ConfigurationError``
+    before a draw.
     """
     if n < 1:
         raise ConfigurationError(f"mode count must be >= 1, got {n}")
-    if not 1 <= trials < _MAX_TRIALS:
-        raise ConfigurationError(f"trials: must be >= 1 and < 2**32, got {trials}")
+    if trials < 1:
+        raise ConfigurationError(f"trials: must be >= 1, got {trials}")
     size = audit_array_bytes(n, trials)
     if size > MAX_ARRAY_BYTES:
         raise ConfigurationError(
             f"n: {n} modes need a {size / 2 ** 30:.3g} GiB array, above the "
             f"{MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB limit")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigurationError(f"seed: must be a nonnegative integer, got {seed!r}")
     max_dev = 0.0
     for fwd, scaled in _audit_chunks(n, trials, seed):
@@ -251,11 +231,8 @@ def time_reversal_audit(n: int, trials: int, seed: int) -> AuditReport:
 def _audit_chunks(n: int, trials: int, seed: int):
     """(forward, 4 k^2 * reversed) arrays for successive chunks of trials.
 
-    Trial i's draws are bit-identical to ``default_rng(child).normal`` for
-    the i-th child of ``SeedSequence(seed).spawn(trials)``: the child's PCG64
-    state is derived, not seeded (``_spawn_states``), and the state is all
-    a generator's output depends on. ``_draw_chunk`` repeats the scalar
-    arithmetic and checks, so the coefficients and modes equal the scalar
+    ``_draw_chunk`` repeats the scalar arithmetic and checks on the rows of
+    ``_audit_draws``, so the coefficients and modes equal the scalar
     functions' exactly; the contractions and the tail run stacked, within
     rounding of them, and give each trial the same bits at any chunk size.
     """
@@ -271,105 +248,23 @@ def _audit_chunks(n: int, trials: int, seed: int):
 def _audit_draws(n: int, trials: int, seed: int):
     """Chunks of ``audit_chunk_trials(n)`` rows of 2n^2 + 4n normals, one row per trial.
 
-    Row i is ``default_rng(SeedSequence(seed).spawn(trials)[i]).normal(...)``:
-    one reused PCG64 is set to each child's derived state through the public
-    ``state`` setter, which is all ``default_rng(child)`` differs by. Each
-    row is filled in place by ``standard_normal(out=row)``, which draws the
-    ziggurat values z that ``normal()`` returns as ``0.0 + 1.0 * z``. That
-    sum is z except for z = -0.0, which it turns into +0.0; the chunk-wide
-    ``+= 0.0`` does the same, so every bit matches ``normal()``.
+    The rows are successive blocks of one ``default_rng(seed)`` stream, each
+    chunk filled by one ``standard_normal(out=...)``. ``normal()`` returns
+    those ziggurat values z as ``0.0 + 1.0 * z``, which turns z = -0.0 into
+    +0.0; the ``+= 0.0`` does the same, so every bit matches ``normal()``.
 
-    Every chunk is a view of one buffer and is overwritten by the next. A
-    fresh array per chunk (288 KiB at 16 modes) was returned to the system
-    and faulted back in each time, about 8000 minor faults per 10000-trial
-    audit at 16 modes, unless an earlier large allocation had raised
-    glibc's trim threshold.
+    Every chunk is a view of one buffer, overwritten by the next: a fresh
+    array per chunk was faulted back in each time (about 8000 minor faults
+    per 10000-trial audit at 16 modes).
     """
-    width = 2 * n * n + 4 * n
     rows = audit_chunk_trials(n)
-    bitgen = np.random.PCG64(0)
-    fill = np.random.Generator(bitgen).standard_normal
-    state = bitgen.state
-    pcg = state["state"]
-    streams = _spawn_states(int(seed), trials)
-    buf = np.empty((min(rows, trials), width))
+    fill = np.random.default_rng(seed).standard_normal
+    buf = np.empty((min(rows, trials), 2 * n * n + 4 * n))
     for start in range(0, trials, rows):
         draws = buf[:min(rows, trials - start)]
-        for row, (pcg_state, inc) in zip(draws, streams):
-            pcg["state"], pcg["inc"] = pcg_state, inc
-            bitgen.state = state
-            fill(out=row)
+        fill(out=draws)
         draws += 0.0
         yield draws
-
-
-def _spawn_states(seed: int, trials: int):
-    """Yield the PCG64 (state, inc) of each child of SeedSequence(seed).spawn(trials).
-
-    Follows numpy's published SeedSequence algorithm: child i mixes the
-    seed's little-endian uint32 words, zero-padded to the pool size of 4,
-    plus its spawn key (i,) into a 4-word pool; ``generate_state(4, uint64)``
-    hashes the pool into two 128-bit words; ``pcg64_set_seed`` turns those
-    into (state, inc). The uint32 hashing runs as vectors over blocks of
-    ``_SEED_BLOCK`` keys, the 128-bit step in Python ints. Needs
-    0 <= seed and trials <= 2**32.
-    """
-    words = []
-    while True:
-        words.append(np.array([seed & _MASK32], dtype=np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    words += [np.zeros(1, dtype=np.uint32)] * (4 - len(words))
-    for start in range(0, trials, _SEED_BLOCK):
-        keys = np.arange(start, min(start + _SEED_BLOCK, trials), dtype=np.uint32)
-        state = _generate_state(_mix_entropy(words + [keys]))
-        for s1, s0, i1, i0 in zip(*state.tolist()):
-            inc = (i1 << 64 | i0) << 1 & _MASK128 | 1
-            yield ((inc + (s1 << 64 | s0)) * _PCG64_MULT + inc) & _MASK128, inc
-
-
-def _mix_entropy(entropy: list) -> list:
-    """SeedSequence.mix_entropy of at least 5 uint32 words into a 4-word pool.
-
-    Each word is a uint32 array (length 1 or one entry per key); array
-    arithmetic wraps mod 2**32 as the C code does.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return r ^ r >> 16
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool
-
-
-def _generate_state(pool: list) -> np.ndarray:
-    """SeedSequence.generate_state(4, uint64) of each pool, as 4 rows of uint64."""
-    hash_const = _INIT_B
-    out = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        out.append((value ^ value >> 16).astype(np.uint64))
-    # uint32 words pair up little-endian into uint64 words
-    return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)])
 
 
 def _draw_chunk(draws: np.ndarray, n: int):

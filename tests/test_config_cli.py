@@ -1,5 +1,6 @@
 """Config validation, CSV/JSON emission, exit codes, determinism."""
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import biphoton.cli as cli
@@ -1001,21 +1002,31 @@ def test_audit_array_limit_counts_one_chunk_of_trials():
     assert diags(2896, AUDIT_CHUNK) and diags(2896, 10 ** 6)
 
 
-def test_audit_trials_beyond_one_word_spawn_keys_exit_2(tmp_path, monkeypatch, capsys):
-    def no_draws(*args):
-        raise AssertionError("drew before rejecting the trial count")
+class _Drew(Exception):
+    """Raised by a patched ``_audit_chunks``: the audit passed its checks."""
 
-    monkeypatch.setattr("biphoton.modes._audit_chunks", no_draws)
-    doc = {"experiment": "modes-audit", "mode": "forward",
-           "audit": {"n_modes": 2, "trials": 2 ** 32}, "seed": 0}
-    diags = validate(ExperimentConfig.from_dict(doc))
-    assert any(d.startswith("audit.trials") for d in diags), diags
-    path = write_config(tmp_path, "big.json", doc)
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "r.json")]) == 2
-    assert "audit.trials" in capsys.readouterr().err
-    assert main(["audit", "--n", "2", "--trials", str(2 ** 32)]) == 2
-    assert "trials" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists()
+
+def test_validate_flags_an_audit_config_exactly_when_the_audit_refuses_it(monkeypatch):
+    # `biphoton audit` runs the audit without `validate`, so the two rule
+    # sets must not drift. A full chunk passes 4 GiB from n = 2896 up, and
+    # trial counts past 2**32 need no rule of their own.
+    def drew(*args):
+        raise _Drew
+
+    monkeypatch.setattr(modes, "_audit_chunks", drew)
+    for n, trials, seed in itertools.product(
+            (0, 1, 16, 2895, 2896, 10 ** 6),
+            (0, 1, AUDIT_CHUNK - 1, AUDIT_CHUNK, 2 ** 32, 2 ** 40), (-1, 0, 2 ** 70)):
+        doc = {"experiment": "modes-audit", "mode": "forward",
+               "audit": {"n_modes": n, "trials": trials}, "seed": seed}
+        flagged = bool(validate(ExperimentConfig.from_dict(doc)))
+        try:
+            modes.time_reversal_audit(n, trials, seed)
+        except ConfigurationError:
+            refused = True
+        except _Drew:
+            refused = False
+        assert flagged == refused, (n, trials, seed)
 
 
 # ------------------------------------------------------------ CLI property
@@ -1046,9 +1057,25 @@ def small_focus_docs(draw):
     return doc
 
 
+def focus_compare_optics(mode, **overrides):
+    """configs/focus_compare.json's optics and cut on a 64-sample grid."""
+    doc = focus_doc(mode, L1=0.25, L2=0.5, z0=2e-5, grid={"n": 64, "dx": 1e-6},
+                    sweep={"axis": "r0", "start": -4e-6, "stop": 4e-6, "count": 9})
+    doc.update(overrides)
+    return doc
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=small_focus_docs())
+# optics whose fields or values leave the float range: each exits 3
+@example(doc=focus_compare_optics("reversed", L2=1e-300))
+@example(doc=focus_compare_optics("reversed", L1=1e300))
+@example(doc=focus_compare_optics("reversed", L1=1e-300))
+@example(doc=focus_compare_optics("analytic", f=1e300))
+@example(doc=focus_compare_optics("compare", f=1e300))
+@example(doc=focus_compare_optics("reversed", f=1e300))
+@example(doc=focus_compare_optics("analytic", f=1e100))
 def test_focus_cli_exits_0_2_or_3_and_writes_finite_csv(tmp_path, doc):
     path = write_config(tmp_path, "fuzz.json", doc)
     out = tmp_path / "fuzz.csv"

@@ -10,7 +10,6 @@ import biphoton.modes as modes
 from biphoton.config import AUDIT_CHUNK, audit_chunk_trials
 from biphoton.errors import ConfigurationError
 from biphoton.modes import (
-    _SEED_BLOCK,
     AuditReport,
     FinalMode,
     MixtureWeights,
@@ -20,7 +19,6 @@ from biphoton.modes import (
     _coeff_from_rng,
     _draw_chunk,
     _mode_from_rng,
-    _spawn_states,
     forward_prob_general,
     forward_prob_single,
     mixed_reconstruction,
@@ -316,10 +314,13 @@ def test_audit_deterministic_and_serializable():
 
 
 def scalar_trials(n, trials, seed):
-    """Per-trial (coefficients, modes, forward, scaled reversed) via the scalar API."""
+    """Per-trial (coefficients, modes, forward, scaled reversed) via the scalar API.
+
+    One ``default_rng(seed)`` serves every trial, in trial order.
+    """
     out = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
         fc = _coeff_from_rng(n, rng)
         f1 = _mode_from_rng(n, rng)
         f2 = _mode_from_rng(n, rng)
@@ -342,9 +343,7 @@ def looped_audit(n, trials, seed, tolerance=1e-9):
 
 @pytest.mark.parametrize("n,seed", [(1, 3), (2, 8), (16, 21)])
 def test_chunk_draws_bit_identical_to_scalar_draws(n, seed):
-    children = np.random.SeedSequence(seed).spawn(5)
-    draws = np.stack([np.random.default_rng(c).normal(size=2 * n * n + 4 * n)
-                      for c in children])
+    draws = np.random.default_rng(seed).normal(size=(5, 2 * n * n + 4 * n))
     fc, f1, f2 = _draw_chunk(draws, n)
     for i, (coeff, m1, m2, _, _) in enumerate(scalar_trials(n, 5, seed)):
         assert np.array_equal(fc[i], coeff.f)
@@ -397,38 +396,51 @@ def test_per_trial_values_bit_identical_across_chunk_sizes(n, monkeypatch):
                for r in runs[1:])
 
 
-# ------------------------------------------------- derived per-trial streams
+# ------------------------------------------------------ one seeded stream
 
-# 2**200 + 7 has 7 uint32 words, more than the pool's 4, so the words after
-# the fourth go through SeedSequence's "remaining entropy" mixing.
+
+class RecordingRng:
+    """Passes ``normal`` calls to ``default_rng(seed)`` and keeps each draw."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = np.random.default_rng(seed), []
+
+    def normal(self, size):
+        z = self.rng.normal(size=size)
+        self.drawn.append(z.ravel())
+        return z
+
+
+def scalar_draw_rows(n, trials, seed):
+    """The normals the scalar functions draw per trial from one generator."""
+    rng = RecordingRng(seed)
+    for _ in range(trials):
+        _coeff_from_rng(n, rng)
+        _mode_from_rng(n, rng)
+        _mode_from_rng(n, rng)
+    return np.concatenate(rng.drawn).reshape(trials, -1)
+
+
+# 2**64 + 5 and 2**200 + 7 are wider than one uint64 word.
 STREAM_SEEDS = [0, 1, 2**31 - 1, 2**64 + 5, 2**200 + 7]
 STREAM_IDS = ["0", "1", "2^31-1", "2^64+5", "2^200+7"]
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=STREAM_IDS)
-def test_spawn_states_equal_pcg64_of_each_child(seed):
-    trials = _SEED_BLOCK + 5
-    children = np.random.SeedSequence(seed).spawn(trials)
-    want = [np.random.PCG64(c).state["state"] for c in children]
-    assert list(_spawn_states(seed, trials)) == [(w["state"], w["inc"]) for w in want]
-
-
-@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=STREAM_IDS)
-def test_derived_draws_bit_identical_to_child_generators(seed):
-    # crosses both the chunk (6144 trials at n = 1) and the 1024-trial seed
-    # block boundaries
-    n = 1
-    rows = audit_chunk_trials(n)
-    trials = max(rows, 2 * _SEED_BLOCK) + 33
-    # each chunk is a view of one buffer that the next chunk overwrites
-    chunks = [c.copy() for c in _audit_draws(n, trials, seed)]
-    assert [len(c) for c in chunks] == [rows] * (len(chunks) - 1) + [trials % rows]
-    assert len(chunks) > 1 and trials > 2 * _SEED_BLOCK
-    got = np.concatenate(chunks)
-    want = np.stack([np.random.default_rng(c).normal(size=2 * n * n + 4 * n)
-                     for c in np.random.SeedSequence(seed).spawn(trials)])
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+def test_chunked_draws_bit_identical_to_one_generator_loop(seed, monkeypatch):
+    # each default chunk size (6144, 768 and 64 rows) is crossed, and 7 and
+    # 32 divide none of the trial counts
+    for n in (1, 4, 16):
+        trials = audit_chunk_trials(n) + 33
+        want = scalar_draw_rows(n, trials, seed)
+        for rows in (1, 7, 32, audit_chunk_trials(n)):
+            monkeypatch.setattr(modes, "audit_chunk_trials", lambda n_modes: rows)
+            # each chunk is a view of one buffer that the next chunk overwrites
+            chunks = [c.copy() for c in _audit_draws(n, trials, seed)]
+            assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+            got = np.concatenate(chunks)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, rows)
 
 
 def test_audit_draws_reuse_one_buffer():
@@ -440,7 +452,7 @@ def test_audit_draws_reuse_one_buffer():
     assert len(last) == 1
 
 
-@pytest.mark.parametrize("seed", [-1, -2**64, 1.5, None, "7"])
+@pytest.mark.parametrize("seed", [-1, -2**64, 1.5, None, "7", True, False])
 def test_audit_rejects_seed_that_is_not_a_nonnegative_integer(seed):
     with pytest.raises(ConfigurationError, match="seed"):
         time_reversal_audit(2, trials=3, seed=seed)
@@ -449,16 +461,6 @@ def test_audit_rejects_seed_that_is_not_a_nonnegative_integer(seed):
 def test_audit_accepts_numpy_integer_seed():
     assert time_reversal_audit(2, trials=3, seed=np.int64(5)) == \
         time_reversal_audit(2, trials=3, seed=5)
-
-
-def test_audit_rejects_trials_beyond_one_word_spawn_keys(monkeypatch):
-    def no_draws(*args):
-        raise AssertionError("drew before rejecting the trial count")
-
-    monkeypatch.setattr(modes, "_audit_chunks", no_draws)
-    for trials in (2**32, 2**40):
-        with pytest.raises(ConfigurationError, match="trials"):
-            time_reversal_audit(2, trials=trials, seed=0)
 
 
 def test_audit_rejects_a_chunk_beyond_the_array_limit(monkeypatch):
