@@ -443,6 +443,36 @@ def test_chunked_draws_bit_identical_to_one_generator_loop(seed, monkeypatch):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, rows)
 
 
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=STREAM_IDS)
+def test_audit_stream_state_equals_pcg64_of_seed_after_each_chunk(seed, monkeypatch):
+    # the audit's one generator is PCG64(SeedSequence(seed)), and after each
+    # chunk it has consumed exactly the words the scalar loop consumes over
+    # the same trials: no draw is made ahead or thrown away
+    made = []
+
+    def recording_default_rng(*args):
+        made.append(default_rng(*args))
+        return made[-1]
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+    for n in (1, 16):
+        trials = audit_chunk_trials(n) + 33
+        for rows in (7, audit_chunk_trials(n)):
+            monkeypatch.setattr(modes, "audit_chunk_trials", lambda n_modes: rows)
+            ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            done = 0
+            for chunk in _audit_draws(n, trials, seed):
+                for _ in range(len(chunk)):
+                    _coeff_from_rng(n, ref)
+                    _mode_from_rng(n, ref)
+                    _mode_from_rng(n, ref)
+                done += len(chunk)
+                assert made[-1].bit_generator.state == ref.bit_generator.state, \
+                    (n, rows, done)
+            assert done == trials
+
+
 def test_audit_draws_reuse_one_buffer():
     # a fresh array per chunk was returned to the system and faulted back in
     # on every chunk
