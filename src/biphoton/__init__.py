@@ -87,7 +87,6 @@ from .grid import (
     Grid2D,
     SampledField,
     inner_product,
-    inverse_unitary_fourier,
     point_source,
     power,
     unitary_fourier,

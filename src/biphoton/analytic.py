@@ -406,7 +406,8 @@ def spot_offaxis_two_photon(r0, z0, p: FocusParams):
     except OverflowError:
         raise NonFiniteError(f"f**2 overflows the float range at f = {p.f!r} m") from None
     J = disk_transform_table(b, c, p.D / 2)
-    val = (p.f + z0) ** 4 * np.abs(J[r_row, z_col].reshape(z0.shape)) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        val = (p.f + z0) ** 4 * np.abs(J[r_row, z_col].reshape(z0.shape)) ** 2
     if not np.all(np.isfinite(val)):
         raise NonFiniteError(f"the pair spot overflows the float range at f = {p.f!r} m")
     return float(val) if val.ndim == 0 else val

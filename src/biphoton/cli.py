@@ -87,6 +87,11 @@ def _write_summary(csv_path: str, summary: dict) -> str:
 
 
 def _normalize(columns: Dict[str, np.ndarray], raw: bool) -> Dict[str, np.ndarray]:
+    """Peak-normalize each column unless ``raw``; NonFiniteError names the
+    first column holding a NaN or Inf, so no such value reaches the CSV."""
+    for name, vals in columns.items():
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteError(f"the {name} column leaves the float range (NaN or Inf)")
     if raw:
         return columns
     return {name: vals / vals.max() if vals.max() > 0 else vals
@@ -144,11 +149,13 @@ def _run_young(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
     g = None if cfg.mode == "analytic" else Grid1D(cfg.grid.n, cfg.grid.dx)
     columns: Dict[str, np.ndarray] = {}
 
-    if cfg.mode in ("analytic", "compare"):
-        columns["two_photon"] = young_two_photon(x, p)
-        columns["classical"] = young_classical(x, p)
-    if cfg.mode in ("forward", "compare"):
-        columns["forward"] = young_coincidence_at(p, g, x, cfg.slit_width)
+    # optics beyond the float range give NaN or Inf here, which _normalize names
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.mode in ("analytic", "compare"):
+            columns["two_photon"] = young_two_photon(x, p)
+            columns["classical"] = young_classical(x, p)
+        if cfg.mode in ("forward", "compare"):
+            columns["forward"] = young_coincidence_at(p, g, x, cfg.slit_width)
     if cfg.mode == "reversed":
         det, sources, row = snap_young_sweep(p, g, x)
         train = reversed_young_train(p.f, p.x1, cfg.L1, cfg.L2,
@@ -206,7 +213,7 @@ def _run_focus(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
     if cfg.mode in ("reversed", "compare"):
         grid = Grid2D(cfg.grid.n, cfg.grid.n, cfg.grid.dx, cfg.grid.dx)
         # every column is evaluated at the source sample the train runs from
-        x_axis = Grid1D(cfg.grid.n, cfg.grid.dx)  # the x axis of ``grid``
+        x_axis = grid.axes[1]
         sources, r_row = x_axis.snap(r_axis, "lateral offset", "the source grid")
         r_axis = x_axis.coords[sources][r_row]
     # output rows: the first sweep axis is the slow (outer) one

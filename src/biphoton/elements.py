@@ -36,9 +36,12 @@ from .grid import (
     Grid1D,
     Grid2D,
     SampledField,
+    _far_field,
+    _far_grid,
+    _grid_from_axes,
     _spectral_axis,
     _spectral_phase,
-    unitary_fourier,
+    unitary_fourier,  # noqa: F401  (re-exported: callers look it up here)
 )
 
 
@@ -206,22 +209,13 @@ def _fourier_relay(field: SampledField, dist: float) -> SampledField:
     Output sample x picks up the input's spatial frequency 2 pi x/(dist wl);
     the grid rescale keeps power exact, so dx_out = dist*wl/(n*dx_in).
     """
-    wl = field.wavelength
-    if isinstance(field.grid, Grid1D):
-        amp, grid = _relay_along(field.amp, field.grid, dist, wl, axis=0)
-        return SampledField(grid, wl, amp)
-    scale = dist * wl / (2 * np.pi)
-    spec = unitary_fourier(field)
-    g = Grid2D(spec.grid.nx, spec.grid.ny, spec.grid.dx * scale,
-               spec.grid.dy * scale, (0.0, 0.0))
-    return SampledField(g, wl, spec.amp / scale)
+    return _far_field(field, dist * field.wavelength / (2 * np.pi))
 
 
 def _relay_phase(grid: Grid1D, dist: float, wavelength: float) -> np.ndarray:
-    """The spectral phase of :func:`_relay_along` on ``grid``, to compute once
-    for many relays over the same axis."""
-    scale = dist * wavelength / (2 * np.pi)
-    return _spectral_phase(grid.n, grid.dx, grid.center, False, 1 / np.sqrt(scale))
+    """The spectral phase :func:`_fourier_relay` applies along ``grid``, to
+    compute once for many relays over the same axis."""
+    return _spectral_phase(grid, dist * wavelength / (2 * np.pi))
 
 
 def _relay_along(amp: np.ndarray, grid: Grid1D, dist: float, wavelength: float,
@@ -229,15 +223,14 @@ def _relay_along(amp: np.ndarray, grid: Grid1D, dist: float, wavelength: float,
                  phase: Optional[np.ndarray] = None) -> tuple:
     """The 1-D far-field relay applied along one axis of ``amp``.
 
-    Every other axis is a batch axis. The 1-D field path runs through here
-    too, so each 1-D slice gets the same arithmetic as a single field.
+    Every other axis is a batch axis. Each 1-D slice gets the arithmetic
+    :func:`_fourier_relay` gives a 1-D field, bit for bit.
     Returns ``(amp_out, grid_out)``; ``out`` as in :func:`_spectral_axis`,
     ``phase`` the :func:`_relay_phase` of the same grid and relay.
     """
     if phase is None:
         phase = _relay_phase(grid, dist, wavelength)
-    out, _ = _spectral_axis(amp, grid.n, grid.dx, grid.center, axis, inverse=False,
-                            out=out, phase=phase)
+    out = _spectral_axis(amp, phase, axis, out=out)
     return out, _relay_grid(grid, dist, wavelength)
 
 
@@ -278,8 +271,7 @@ def _axis_chirps(grid, z: float, f: float, wl: float) -> list:
     sample: beyond pi the chirp aliases and the z-sweep silently folds back;
     NonFiniteError where f**2 * wl is beyond the float range.
     """
-    axes = [(grid.coords, grid.dx)] if isinstance(grid, Grid1D) else \
-           [(grid.xs, grid.dx), (grid.ys, grid.dy)]
+    axes = [(a.coords, a.dx) for a in reversed(grid.axes)]
     try:
         scale = f ** 2 * wl
     except OverflowError:
@@ -391,18 +383,11 @@ def magnify(field: SampledField, M: float) -> SampledField:
     Magnifier(M)  # parameter validation
     a = abs(M)
     amp = field.amp
-    if isinstance(field.grid, Grid1D):
-        g = field.grid
-        if M < 0:
-            amp = amp[_flip_index(g.n)]
-        return SampledField(Grid1D(g.n, a * g.dx, M * g.center),
-                            field.wavelength, amp / np.sqrt(a))
-    g = field.grid
+    axes = field.grid.axes
     if M < 0:
-        amp = amp[np.ix_(_flip_index(g.ny), _flip_index(g.nx))]
-    grid = Grid2D(g.nx, g.ny, a * g.dx, a * g.dy,
-                  (M * g.center[0], M * g.center[1]))
-    return SampledField(grid, field.wavelength, amp / a)
+        amp = amp[np.ix_(*(_flip_index(g.n) for g in axes))]
+    grid = _grid_from_axes([Grid1D(g.n, a * g.dx, M * g.center) for g in axes])
+    return SampledField(grid, field.wavelength, amp / np.sqrt(a) ** len(axes))
 
 
 def shg(field: SampledField) -> SampledField:
@@ -538,7 +523,9 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
     pupil = _relay_grid(grid, opening.f, wavelength)
     image = _relay_grid(_relay_grid(pupil, path1.L, wavelength), lens.f, wavelength)
     wl_out = wavelength / 2 if SHG in kinds else wavelength
-    readings = np.abs(read(grid, wavelength, indices, train, pupil, image, wl_out)) ** 2
+    # each stage and the readings are checked; the checks name an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        readings = np.abs(read(grid, wavelength, indices, train, pupil, image, wl_out)) ** 2
     _check_finite(readings)
     return readings
 
@@ -572,12 +559,8 @@ def _source_indices(grid: Grid, indices) -> np.ndarray:
 
 
 def _relay_grid(g: Grid, dist: float, wavelength: float) -> Grid:
-    """Output grid of a far-field relay, in the field path's arithmetic."""
-    scale = dist * wavelength / (2 * np.pi)
-    if isinstance(g, Grid1D):
-        return Grid1D(g.n, 2 * np.pi / (g.n * g.dx) * scale, 0.0)
-    return Grid2D(g.nx, g.ny, 2 * np.pi / (g.nx * g.dx) * scale,
-                  2 * np.pi / (g.ny * g.dy) * scale, (0.0, 0.0))
+    """Output grid of :func:`_fourier_relay` over ``dist``."""
+    return _far_grid(g, dist * wavelength / (2 * np.pi))
 
 
 def _relayed_delta(n: int, d: float, center: float, m: np.ndarray, dist: float,
@@ -587,7 +570,7 @@ def _relayed_delta(n: int, d: float, center: float, m: np.ndarray, dist: float,
     Row i is the column of the sampled relay kernel at source ``m[i]``,
     ``exp(-2 pi i x' x0/(dist wl)) d/sqrt(dist wl)``. The phase index
     ``(j-c)(m-c) mod n`` is taken in exact integers, as the FFT's twiddle
-    factors are, and the center offset enters as in :func:`_spectral_axis`.
+    factors are, and the center offset enters as in :func:`_spectral_phase`.
     ``cols`` lists the output samples to build (default all n); each entry
     equals the full row's entry bit for bit.
 

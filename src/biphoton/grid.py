@@ -53,6 +53,11 @@ class Grid1D:
     def shape(self) -> tuple:
         return (self.n,)
 
+    @property
+    def axes(self) -> tuple:
+        """The 1-D axes in array-axis order: the grid itself."""
+        return (self,)
+
     def contains(self, pos: float) -> bool:
         first, last = _axis_ends(self.n, self.dx, self.center)
         return first - self.dx / 2 <= pos <= last + self.dx / 2
@@ -100,12 +105,18 @@ class Grid2D:
                 raise ConfigurationError(f"grid spacing must be > 0, got {d}")
 
     @property
+    def axes(self) -> tuple:
+        """The 1-D axes in array-axis order: ``(y, x)``."""
+        return (Grid1D(self.ny, self.dy, self.center[1]),
+                Grid1D(self.nx, self.dx, self.center[0]))
+
+    @property
     def xs(self) -> np.ndarray:
-        return self.center[0] + (np.arange(self.nx) - self.nx // 2) * self.dx
+        return self.axes[1].coords
 
     @property
     def ys(self) -> np.ndarray:
-        return self.center[1] + (np.arange(self.ny) - self.ny // 2) * self.dy
+        return self.axes[0].coords
 
     @property
     def cell(self) -> float:
@@ -121,21 +132,25 @@ class Grid2D:
         return self.ys[:, None] ** 2 + self.xs[None, :] ** 2
 
     def contains(self, pos: tuple) -> bool:
-        px, py = pos
-        x0, x1 = _axis_ends(self.nx, self.dx, self.center[0])
-        y0, y1 = _axis_ends(self.ny, self.dy, self.center[1])
-        return (x0 - self.dx / 2 <= px <= x1 + self.dx / 2
-                and y0 - self.dy / 2 <= py <= y1 + self.dy / 2)
+        """:meth:`Grid1D.contains` on each axis; ``pos`` is ``(x, y)``."""
+        y, x = self.axes
+        return x.contains(pos[0]) and y.contains(pos[1])
 
     def index_of(self, pos: tuple) -> tuple:
-        """(iy, ix) of the sample nearest ``pos`` (ties round toward -inf)."""
-        tx = (pos[0] - self.center[0]) / self.dx
-        ty = (pos[1] - self.center[1]) / self.dy
-        return (int(np.ceil(ty - 0.5)) + self.ny // 2,
-                int(np.ceil(tx - 0.5)) + self.nx // 2)
+        """(iy, ix) of the sample nearest ``pos``, by :meth:`Grid1D.index_of`."""
+        y, x = self.axes
+        return y.index_of(pos[1]), x.index_of(pos[0])
 
 
 Grid = Union[Grid1D, Grid2D]
+
+
+def _grid_from_axes(axes) -> Grid:
+    """The grid whose :attr:`axes` are ``axes``: one Grid1D, or ``(y, x)``."""
+    if len(axes) == 1:
+        return axes[0]
+    y, x = axes
+    return Grid2D(x.n, y.n, x.dx, y.dx, (x.center, y.center))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,52 +208,42 @@ def inner_product(a: SampledField, b: SampledField) -> complex:
     return complex(np.sum(np.conj(a.amp) * b.amp) * a.grid.cell)
 
 
-def _spectral_phase(n: int, d: float, center: float, inverse: bool,
-                    gain: float = 1.0) -> np.ndarray:
-    """The n-vector :func:`_spectral_axis` multiplies the shifted FFT by.
+def _spectral_phase(a: Grid1D, scale: float) -> np.ndarray:
+    """The n-vector :func:`_spectral_axis` multiplies the shifted FFT of axis
+    ``a`` by, for :func:`_far_field` at ``scale``.
 
     Phases fold the index-space FFT into the centered-coordinate kernel,
-    including the offset of the input grid center; every scale factor and
-    ``gain`` are folded in too. Computing it once serves many transforms
-    over the same axis.
+    including the offset of the axis center; every scale factor and the gain
+    ``1/sqrt(scale)`` are folded in too. Computing it once serves many
+    transforms over the same axis.
     """
+    n, d = a.n, a.dx
     c = n // 2
     dk = 2 * np.pi / (n * d)
     j = np.arange(n)
     k_out = (j - c) * dk
-    if not inverse:
-        phase = np.exp(-1j * k_out * center + 2j * np.pi * (j - c) * c / n)
-    else:
-        phase = np.exp(1j * center * k_out - 2j * np.pi * (j - c) * c / n)
-    phase *= np.sqrt(d / dk) * gain
+    phase = np.exp(-1j * k_out * a.center + 2j * np.pi * (j - c) * c / n)
+    phase *= np.sqrt(d / dk) * (1 / np.sqrt(scale))
     return phase
 
 
-def _spectral_axis(amp: np.ndarray, n: int, d: float, center: float, axis: int,
-                   inverse: bool, out: Optional[np.ndarray] = None,
-                   phase: Optional[np.ndarray] = None) -> tuple:
-    """One axis of the unitary transform; returns (amp_out, d_out).
+def _spectral_axis(amp: np.ndarray, phase: np.ndarray, axis: int,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """One axis of the transform: kernel ``exp(-i k x)``, ``k_j = (j - n//2) dk``.
 
-    Forward kernel is ``exp(-i k x)`` with ``k_j = (j - n//2) dk``; the output
-    grid is centered at 0. ``inverse`` applies the conjugate-transpose map.
-    The result is written to ``out`` when given: an array of ``amp``'s shape
-    and dtype, which may be ``amp`` itself (the FFT reads it first).
-    ``phase``, when given, is :func:`_spectral_phase` of the same arguments,
-    computed once by the caller with any ``gain`` folded in; it is only read.
+    ``phase`` is :func:`_spectral_phase` of the axis, computed once by the
+    caller; it is only read. The result is written to ``out`` when given:
+    an array of ``amp``'s shape and dtype, which may be ``amp`` itself (the
+    FFT reads it first).
 
     The ``fftshift`` and every scale factor are folded into one multiply by
     that n-vector, written as two slice products, so the spectrum takes one
     pass after the FFT. Every caller that must agree bit for bit with
     another goes through this function with the same ``phase``.
     """
+    n = phase.size
     c = n // 2
-    dk = 2 * np.pi / (n * d)
-    if phase is None:
-        phase = _spectral_phase(n, d, center, inverse)
-    if not inverse:
-        spec = np.fft.fft(amp, axis=axis, norm="ortho")
-    else:
-        spec = np.fft.ifft(amp, axis=axis, norm="ortho")
+    spec = np.fft.fft(amp, axis=axis, norm="ortho")
     shape = [1] * amp.ndim
     shape[axis] = n
     phase = phase.reshape(shape)
@@ -253,18 +258,30 @@ def _spectral_axis(amp: np.ndarray, n: int, d: float, center: float, axis: int,
     # out[k] = spec[(k - c) mod n] * phase[k], the fftshift as index arithmetic
     np.multiply(cut(spec, n - c, n), cut(phase, 0, c), out=cut(out, 0, c))
     np.multiply(cut(spec, 0, n - c), cut(phase, c, n), out=cut(out, c, n))
-    return out, dk
+    return out
 
 
-def _transform(f: SampledField, inverse: bool) -> SampledField:
-    """:func:`_spectral_axis` along every axis of the field, x first."""
-    g = f.grid
-    if isinstance(g, Grid1D):
-        out, d = _spectral_axis(f.amp, g.n, g.dx, g.center, 0, inverse)
-        return SampledField(Grid1D(g.n, d, 0.0), f.wavelength, out)
-    out, dx = _spectral_axis(f.amp, g.nx, g.dx, g.center[0], 1, inverse)
-    out, dy = _spectral_axis(out, g.ny, g.dy, g.center[1], 0, inverse)
-    return SampledField(Grid2D(g.nx, g.ny, dx, dy, (0.0, 0.0)), f.wavelength, out)
+def _far_grid(g: Grid, scale: float) -> Grid:
+    """Output grid of :func:`_far_field`: per axis, n samples at ``dk * scale``
+    centered at 0."""
+    return _grid_from_axes([Grid1D(a.n, 2 * np.pi / (a.n * a.dx) * scale, 0.0)
+                           for a in g.axes])
+
+
+def _far_field(f: SampledField, scale: float) -> SampledField:
+    """:func:`_spectral_axis` along every axis of the field, x first, with
+    spatial frequency k placed at ``k * scale``.
+
+    The gain ``1/sqrt(scale)`` per axis rides in the spectral phase, so
+    power is preserved on the rescaled grid with no extra pass. A 1-D field
+    and each axis of a 2-D one get the same arithmetic.
+    """
+    amp, axes = f.amp, f.grid.axes
+    for i in reversed(range(len(axes))):  # x is the last array axis
+        # past the first axis ``amp`` is this call's own array: transform in place
+        amp = _spectral_axis(amp, _spectral_phase(axes[i], scale), i,
+                             out=None if amp is f.amp else amp)
+    return SampledField(_far_grid(f.grid, scale), f.wavelength, amp)
 
 
 def unitary_fourier(f: SampledField) -> SampledField:
@@ -274,13 +291,4 @@ def unitary_fourier(f: SampledField) -> SampledField:
     per axis, centered at zero. Equal to the Riemann sum of
     ``integral g(x) exp(-i x k) dx / sqrt(2 pi)`` on the sample points.
     """
-    return _transform(f, inverse=False)
-
-
-def inverse_unitary_fourier(f: SampledField) -> SampledField:
-    """Conjugate-transpose of :func:`unitary_fourier`.
-
-    For a field produced by the forward transform of a zero-centered grid,
-    this recovers the original field to machine precision.
-    """
-    return _transform(f, inverse=True)
+    return _far_field(f, 1.0)

@@ -1105,9 +1105,30 @@ def small_young_docs(draw):
     return doc
 
 
+def young_compare_optics(mode, **overrides):
+    """configs/young_compare.json's optics and sweep on a 64-sample grid."""
+    doc = young_doc(mode, x1=5e-4, grid={"n": 64, "dx": 2e-5},
+                    sweep={"axis": "x0", "start": -4e-5, "stop": 4e-5, "count": 81})
+    doc.update(overrides)
+    return doc
+
+
+# optics whose values leave the float range: each exits 3 with one line
+EXTREME_OPTICS = {
+    "young analytic f=1e-310": young_compare_optics("analytic", f=1e-310),
+    "young forward f=1e-300": young_compare_optics("forward", f=1e-300),
+    "young forward wavelength=1e-290": young_compare_optics("forward", wavelength=1e-290),
+    "focus analytic f=1e100": focus_compare_optics("analytic", f=1e100),
+    "focus reversed L2=1e-300": focus_compare_optics("reversed", L2=1e-300),
+}
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=small_young_docs())
+@example(doc=EXTREME_OPTICS["young analytic f=1e-310"])
+@example(doc=EXTREME_OPTICS["young forward f=1e-300"])
+@example(doc=EXTREME_OPTICS["young forward wavelength=1e-290"])
 def test_young_cli_exits_0_2_or_3_and_writes_finite_csv(tmp_path, doc):
     path = write_config(tmp_path, "fuzz.json", doc)
     out = tmp_path / "fuzz.csv"
@@ -1119,6 +1140,18 @@ def test_young_cli_exits_0_2_or_3_and_writes_finite_csv(tmp_path, doc):
     if code == 0:
         rows = np.genfromtxt(out, delimiter=",", skip_header=1, ndmin=2)
         assert rows.size > 0 and np.all(np.isfinite(rows))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(EXTREME_OPTICS))
+def test_extreme_optics_exit_3_with_one_guard_line_and_no_csv(tmp_path, capsys, name):
+    # numpy's own overflow warnings would print before the guard's message
+    path = write_config(tmp_path, "extreme.json", EXTREME_OPTICS[name])
+    out = tmp_path / "extreme.csv"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical guard:"), err
+    assert not out.exists()
 
 
 @settings(max_examples=25, deadline=None,

@@ -82,6 +82,22 @@ def test_lens_matches_direct_quadrature():
     np.testing.assert_allclose(out.grid.coords, x_out, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n, center", [(64, 0.0), (257, 3.3e-6)])
+def test_lens_on_1d_field_equals_batched_relay_bit_for_bit(n, center):
+    # forward_young relays the pair state along each axis with
+    # _relay_along; the reversed trains relay 1-D fields with the lens.
+    # Both must give the same bits, grid included, for the compare.
+    g = Grid1D(n=n, dx=11e-6, center=center)
+    f = random_field(g, seed=n)
+    out = apply_fourier_lens(f, F)
+    amp, grid = elements._relay_along(f.amp, g, F, WL, axis=0)
+    np.testing.assert_array_equal(out.amp, amp)
+    assert out.grid == grid
+    batch = np.stack([f.amp, 2 * f.amp], axis=1)
+    along, _ = elements._relay_along(batch, g, F, WL, axis=0)
+    np.testing.assert_array_equal(along[:, 0], out.amp)
+
+
 def test_lens_output_spacing():
     g = Grid1D(n=256, dx=10e-6)
     out = apply_fourier_lens(random_field(g, seed=2), F)
