@@ -273,6 +273,20 @@ _TABLE_BLOCK = 128
 _RADIAL_VALUES = 1 << 14
 
 
+def _disk_arguments(b, c, R: float) -> tuple:
+    """``(b*R, c*R*R)``, the scaled arguments of the disk transform, for
+    scalars or arrays alike, so the table keeps its scalar oracle's rule.
+
+    Raises NonFiniteError if any is not finite: no panel count resolves it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        beta, gamma = b * R, c * R * R
+    if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(gamma))):
+        raise NonFiniteError(
+            f"disk transform arguments b*R, c*R^2 overflow the float range at R = {R!r}")
+    return beta, gamma
+
+
 def uniform_disk_transform(b: float, c: float, R: float) -> complex:
     """Dimensionless chirped transform of a uniform disk of radius R.
 
@@ -287,10 +301,12 @@ def uniform_disk_transform(b: float, c: float, R: float) -> complex:
 
     Raises
     ------
+    NonFiniteError
+        If ``b*R`` or ``c*R*R`` is not finite.
     QuadratureError
         If the doubling sequence passes ``MAX_PANELS`` without converging.
     """
-    beta, gamma = b * R, c * R * R
+    beta, gamma = _disk_arguments(b, c, R)
     prev = None
     panels = 256
     while panels <= MAX_PANELS:
@@ -324,12 +340,14 @@ def disk_transform_table(b, c, R: float) -> np.ndarray:
 
     Raises
     ------
+    NonFiniteError
+        If a ``b*R`` or ``c*R*R`` is not finite, before any panel is summed.
     QuadratureError
         If an entry is still pending after the ``MAX_PANELS`` level.
     """
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    beta, gamma = b * R, c * R * R
+    beta, gamma = _disk_arguments(b, c, R)
     J = np.empty((b.size, c.size), dtype=complex)
     pending = np.ones(J.shape, dtype=bool)
     prev = None

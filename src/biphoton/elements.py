@@ -39,7 +39,6 @@ from .grid import (
     _far_field,
     _far_grid,
     _grid_from_axes,
-    _spectral_axis,
     _spectral_phase,
     unitary_fourier,  # noqa: F401  (re-exported: callers look it up here)
 )
@@ -214,24 +213,12 @@ def _fourier_relay(field: SampledField, dist: float) -> SampledField:
 
 def _relay_phase(grid: Grid1D, dist: float, wavelength: float) -> np.ndarray:
     """The spectral phase :func:`_fourier_relay` applies along ``grid``, to
-    compute once for many relays over the same axis."""
+    compute once for many relays over the same axis.
+
+    ``grid._spectral_axis`` with this phase relays every 1-D slice of an
+    array along one axis with the arithmetic :func:`_fourier_relay` gives a
+    1-D field, bit for bit; :func:`_relay_grid` is the output grid."""
     return _spectral_phase(grid, dist * wavelength / (2 * np.pi))
-
-
-def _relay_along(amp: np.ndarray, grid: Grid1D, dist: float, wavelength: float,
-                 axis: int, out: Optional[np.ndarray] = None,
-                 phase: Optional[np.ndarray] = None) -> tuple:
-    """The 1-D far-field relay applied along one axis of ``amp``.
-
-    Every other axis is a batch axis. Each 1-D slice gets the arithmetic
-    :func:`_fourier_relay` gives a 1-D field, bit for bit.
-    Returns ``(amp_out, grid_out)``; ``out`` as in :func:`_spectral_axis`,
-    ``phase`` the :func:`_relay_phase` of the same grid and relay.
-    """
-    if phase is None:
-        phase = _relay_phase(grid, dist, wavelength)
-    out = _spectral_axis(amp, phase, axis, out=out)
-    return out, _relay_grid(grid, dist, wavelength)
 
 
 def apply_fourier_lens(field: SampledField, f: float) -> SampledField:
@@ -240,14 +227,14 @@ def apply_fourier_lens(field: SampledField, f: float) -> SampledField:
     Parameters
     ----------
     field : SampledField
-        Input field (1-D or 2-D), any grid center.
+        Input field (1-D or 2-D).
     f : float
         Focal length in meters.
 
     Returns
     -------
     SampledField
-        Field on the zero-centered conjugate grid with spacing
+        Field on the conjugate grid with spacing
         ``f*wl/(n*dx_in)`` per axis. Power is preserved exactly.
     """
     FourierLens(f)  # parameter validation
@@ -377,8 +364,8 @@ def _flip_index(n: int) -> np.ndarray:
 def magnify(field: SampledField, M: float) -> SampledField:
     """Pure coordinate remap E'(x) = E(x/M) |M|^(-d/2); power preserved.
 
-    Implemented as grid metadata: spacings scale by |M|, the center moves to
-    M*center, and negative M reverses sample order about the center sample.
+    Implemented as grid metadata: spacings scale by |M|, and negative M
+    reverses sample order about the center sample.
     """
     Magnifier(M)  # parameter validation
     a = abs(M)
@@ -386,7 +373,7 @@ def magnify(field: SampledField, M: float) -> SampledField:
     axes = field.grid.axes
     if M < 0:
         amp = amp[np.ix_(*(_flip_index(g.n) for g in axes))]
-    grid = _grid_from_axes([Grid1D(g.n, a * g.dx, M * g.center) for g in axes])
+    grid = _grid_from_axes([Grid1D(g.n, a * g.dx) for g in axes])
     return SampledField(grid, field.wavelength, amp / np.sqrt(a) ** len(axes))
 
 
@@ -401,21 +388,13 @@ def shg(field: SampledField) -> SampledField:
 def pinhole_intensity(field: SampledField, radius: float = 0.0) -> float:
     """Intensity collected by a pinhole centered on the origin.
 
-    radius 0 reads the single sample nearest the origin as ``|E(0)|^2``;
+    radius 0 reads the origin, sample ``n//2`` of each axis, as ``|E(0)|^2``;
     a finite radius integrates ``|amp|^2 * cell`` over samples within it.
-
-    Raises
-    ------
-    DomainError
-        If the origin lies outside the field's grid.
     """
     PinholeSample(radius)  # parameter validation
     grid = field.grid
-    origin = 0.0 if isinstance(grid, Grid1D) else (0.0, 0.0)
-    if not grid.contains(origin):
-        raise DomainError("pinhole at the origin lies outside the grid")
     if radius == 0.0:
-        return float(abs(field.amp[grid.index_of(origin)]) ** 2)
+        return float(abs(field.amp[tuple(s // 2 for s in grid.shape)]) ** 2)
     if isinstance(grid, Grid1D):
         sel = np.abs(grid.coords) <= radius
     else:
@@ -563,14 +542,14 @@ def _relay_grid(g: Grid, dist: float, wavelength: float) -> Grid:
     return _far_grid(g, dist * wavelength / (2 * np.pi))
 
 
-def _relayed_delta(n: int, d: float, center: float, m: np.ndarray, dist: float,
+def _relayed_delta(n: int, d: float, m: np.ndarray, dist: float,
                    wavelength: float, cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Far-field relays of unit spikes at samples ``m`` of a 1-D axis, one row each.
 
     Row i is the column of the sampled relay kernel at source ``m[i]``,
     ``exp(-2 pi i x' x0/(dist wl)) d/sqrt(dist wl)``. The phase index
     ``(j-c)(m-c) mod n`` is taken in exact integers, as the FFT's twiddle
-    factors are, and the center offset enters as in :func:`_spectral_phase`.
+    factors are.
     ``cols`` lists the output samples to build (default all n); each entry
     equals the full row's entry bit for bit.
 
@@ -580,10 +559,8 @@ def _relayed_delta(n: int, d: float, center: float, m: np.ndarray, dist: float,
     """
     c = n // 2
     j = (np.arange(n) if cols is None else np.asarray(cols, dtype=np.intp)) - c
-    k = j * (2 * np.pi / (n * d))
     turns = (j[:, None] * (m - c)) % n
-    return (np.exp(-2j * np.pi * turns / n - 1j * k[:, None] * center)
-            * (d / np.sqrt(dist * wavelength))).T
+    return (np.exp(-2j * np.pi * turns / n) * (d / np.sqrt(dist * wavelength))).T
 
 
 def _young_totals(grid: Grid1D, wl: float, indices: np.ndarray, train: OpticalTrain,
@@ -606,8 +583,7 @@ def _young_totals(grid: Grid1D, wl: float, indices: np.ndarray, train: OpticalTr
     opening, slit, path1, lens = train.elements[:4]
     path2 = train.elements[-2]
     kept = np.flatnonzero(_double_slit_mask(slits, slit.x1, slit.slit_width))
-    rows = _relayed_delta(grid.n, grid.dx, grid.center, indices, opening.f, wl,
-                          cols=kept)
+    rows = _relayed_delta(grid.n, grid.dx, indices, opening.f, wl, cols=kept)
     rows *= np.sqrt(1.0 / grid.cell) * np.sqrt(path1.L / lens.f)
     _check_finite(rows)
     if wl_out != wl:  # SHG
@@ -652,8 +628,8 @@ def _focus_totals(grid: Grid2D, wl: float, indices: np.ndarray, train: OpticalTr
     on_axis = image.dx * image.dy / (path2.L * wl_out)
 
     amp0 = np.sqrt(1.0 / grid.cell)
-    ry = _relayed_delta(grid.ny, grid.dy, grid.center[1], indices[:, 0], f, wl, cols=ky)
-    rx = _relayed_delta(grid.nx, grid.dx, grid.center[0], indices[:, 1], f, wl, cols=kx)
+    ry = _relayed_delta(grid.ny, grid.dy, indices[:, 0], f, wl, cols=ky)
+    rx = _relayed_delta(grid.nx, grid.dx, indices[:, 1], f, wl, cols=kx)
     rx *= amp0
     if wl_out != wl:  # SHG
         for a in (weight, ry, rx):

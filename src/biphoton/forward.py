@@ -38,7 +38,6 @@ from .elements import (
     _flip_index,
     _offset_chirp,
     _params,
-    _relay_along,
     _relay_grid,
     _relay_phase,
     _source_indices,
@@ -53,11 +52,8 @@ from .errors import (
     SamplingError,
     UnsupportedElementError,
 )
-from .grid import Grid1D, point_source  # noqa: F401  (point_source re-exported)
+from .grid import Grid1D, _spectral_axis, point_source  # noqa: F401  (point_source re-exported)
 
-# Most rows per chunk of the pair-state relay, the unit of work of one pool
-# thread; fewer rows are split evenly over the workers.
-_CHUNK_ROWS = 128
 # Bytes of one relay block: a chunk relays its rows this many at a time in
 # one buffer it allocates once. 512 KiB is 16 rows at n=2048, where the
 # young compare (85 rows) takes 320-640 faults per run instead of 1430 and
@@ -97,9 +93,8 @@ def _map_row_chunks(fn: Callable[[slice], object], n_rows: int) -> list:
 
     The slices cut ``range(n_rows)``, the positions in the caller's list of
     rows; ``forward_young`` maps them to the detection samples it reads.
-    Each slice holds ``min(_CHUNK_ROWS, ceil(n_rows / workers))`` rows (the
-    last one may hold fewer), so fewer rows than ``_CHUNK_ROWS`` per worker
-    still keep every worker busy.
+    Each slice holds ``ceil(n_rows / workers)`` rows (the last one may hold
+    fewer): one chunk per worker.
 
     The chunks run on a shared pool of one thread per usable CPU; numpy's
     FFT and ufuncs release the GIL, so they run in parallel. ``fn`` must not
@@ -107,7 +102,7 @@ def _map_row_chunks(fn: Callable[[slice], object], n_rows: int) -> list:
     Zero rows still make one empty chunk.
     """
     workers = _workers()
-    size = max(1, min(_CHUNK_ROWS, -(-n_rows // workers)))
+    size = max(1, -(-n_rows // workers))
     chunks = [slice(i, min(i + size, n_rows)) for i in range(0, max(n_rows, 1), size)]
     return list(_row_pool(os.getpid(), workers).map(fn, chunks))
 
@@ -166,7 +161,7 @@ def spdc_initial(grid: Grid1D) -> TwoPhotonAmplitude:
 
 def _relay_kernel(grid: Grid1D, dist: float, wavelength: float):
     dx_out = dist * wavelength / (grid.n * grid.dx)
-    grid_out = Grid1D(grid.n, dx_out, 0.0)
+    grid_out = Grid1D(grid.n, dx_out)
     x_out = grid_out.coords
     K = np.exp(-2j * np.pi * np.outer(x_out, grid.coords) / (dist * wavelength)) \
         * (grid.dx / np.sqrt(dist * wavelength))
@@ -201,7 +196,7 @@ def kernel_of(element: OpticalElement, grid: Grid1D,
     if isinstance(element, Magnifier):
         M = element.M
         a = abs(M)
-        grid_out = Grid1D(grid.n, a * grid.dx, M * grid.center)
+        grid_out = Grid1D(grid.n, a * grid.dx)
         K = np.zeros((grid.n, grid.n), dtype=complex)
         rows = np.arange(grid.n)
         cols = _flip_index(grid.n) if M < 0 else rows
@@ -282,7 +277,7 @@ def forward_young(p: YoungParams, grid: Grid1D,
     cols = np.zeros((n, len(kept)), dtype=complex)
     cols[kept, np.arange(len(kept))] = 1 / grid.dx
     phase = _relay_phase(grid, p.f, p.wavelength)
-    cols, det = _relay_along(cols, grid, p.f, p.wavelength, axis=0, phase=phase)
+    cols = _spectral_axis(cols, phase, 0)
     diag = np.empty(len(sel), dtype=complex)
     height = _block_rows(n)
 
@@ -294,7 +289,7 @@ def forward_young(p: YoungParams, grid: Grid1D,
             part = block[:len(idx)]
             part.fill(0)
             part[:, kept] = cols[idx]
-            _relay_along(part, grid, p.f, p.wavelength, axis=1, out=part, phase=phase)
+            _spectral_axis(part, phase, 1, out=part)
             if not np.all(np.isfinite(part)):
                 raise ValueError("pair amplitudes must be finite")
             diag[lo:lo + len(idx)] = part[np.arange(len(idx)), idx]
@@ -304,7 +299,7 @@ def forward_young(p: YoungParams, grid: Grid1D,
     peak = curve.max()
     if peak == 0:
         raise ConfigurationError("slit mask transmitted nothing on this grid")
-    return det, curve / peak
+    return _relay_grid(grid, p.f, p.wavelength), curve / peak
 
 
 def snap_young_sweep(p: YoungParams, grid: Grid1D, positions,

@@ -3,8 +3,8 @@
 Conventions used throughout the package:
 
 * a 1-D grid of ``n`` samples spaced ``dx`` has coordinates
-  ``x_k = center + (k - n//2) * dx``, so the sample at index ``n//2`` sits at
-  the grid center;
+  ``x_k = (k - n//2) * dx``, so the sample at index ``n//2`` sits on the
+  optical axis (every grid is centred on it);
 * ``power`` is the cell-area-weighted squared norm ``sum |amp|^2 * cell``;
 * the spectral transform uses the kernel ``exp(-i k x)`` and is scaled so that
   power is preserved exactly (discrete Parseval), with output spacing
@@ -20,10 +20,10 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, GridMismatchError
 
 
-def _axis_ends(n: int, d: float, center: float) -> tuple:
+def _axis_ends(n: int, d: float) -> tuple:
     """First and last coordinate of an axis, in the arithmetic of ``coords``
     (``xs``, ``ys``) but without building the array."""
-    return center + (0 - n // 2) * d, center + (n - 1 - n // 2) * d
+    return (0 - n // 2) * d, (n - 1 - n // 2) * d
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class Grid1D:
 
     n: int
     dx: float
-    center: float = 0.0
 
     def __post_init__(self):
         if self.n < 2:
@@ -42,7 +41,7 @@ class Grid1D:
 
     @property
     def coords(self) -> np.ndarray:
-        return self.center + (np.arange(self.n) - self.n // 2) * self.dx
+        return (np.arange(self.n) - self.n // 2) * self.dx
 
     @property
     def cell(self) -> float:
@@ -59,13 +58,12 @@ class Grid1D:
         return (self,)
 
     def contains(self, pos: float) -> bool:
-        first, last = _axis_ends(self.n, self.dx, self.center)
+        first, last = _axis_ends(self.n, self.dx)
         return first - self.dx / 2 <= pos <= last + self.dx / 2
 
     def index_of(self, pos: float) -> int:
         """Index of the sample nearest ``pos`` (ties round toward -inf)."""
-        t = (pos - self.center) / self.dx
-        return int(np.ceil(t - 0.5)) + self.n // 2
+        return int(np.ceil(pos / self.dx - 0.5)) + self.n // 2
 
     def snap(self, positions, point: str, where: str) -> tuple:
         """:meth:`contains` and :meth:`index_of` on every position at once,
@@ -77,12 +75,12 @@ class Grid1D:
         position ``x`` off the grid.
         """
         x = np.asarray(positions, dtype=float)
-        first, last = _axis_ends(self.n, self.dx, self.center)
+        first, last = _axis_ends(self.n, self.dx)
         outside = ~((first - self.dx / 2 <= x) & (x <= last + self.dx / 2))
         if outside.any():
             first_out = float(x[outside.argmax()])
             raise DomainError(f"{point} {first_out!r} m is outside {where}")
-        idx = np.ceil((x - self.center) / self.dx - 0.5).astype(np.intp) + self.n // 2
+        idx = np.ceil(x / self.dx - 0.5).astype(np.intp) + self.n // 2
         return np.unique(idx, return_inverse=True)
 
 
@@ -94,7 +92,6 @@ class Grid2D:
     ny: int
     dx: float
     dy: float
-    center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         for n in (self.nx, self.ny):
@@ -107,8 +104,7 @@ class Grid2D:
     @property
     def axes(self) -> tuple:
         """The 1-D axes in array-axis order: ``(y, x)``."""
-        return (Grid1D(self.ny, self.dy, self.center[1]),
-                Grid1D(self.nx, self.dx, self.center[0]))
+        return Grid1D(self.ny, self.dy), Grid1D(self.nx, self.dx)
 
     @property
     def xs(self) -> np.ndarray:
@@ -150,7 +146,7 @@ def _grid_from_axes(axes) -> Grid:
     if len(axes) == 1:
         return axes[0]
     y, x = axes
-    return Grid2D(x.n, y.n, x.dx, y.dx, (x.center, y.center))
+    return Grid2D(x.n, y.n, x.dx, y.dx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,17 +208,15 @@ def _spectral_phase(a: Grid1D, scale: float) -> np.ndarray:
     """The n-vector :func:`_spectral_axis` multiplies the shifted FFT of axis
     ``a`` by, for :func:`_far_field` at ``scale``.
 
-    Phases fold the index-space FFT into the centered-coordinate kernel,
-    including the offset of the axis center; every scale factor and the gain
-    ``1/sqrt(scale)`` are folded in too. Computing it once serves many
-    transforms over the same axis.
+    Phases fold the index-space FFT into the centered-coordinate kernel;
+    every scale factor and the gain ``1/sqrt(scale)`` are folded in too.
+    Computing it once serves many transforms over the same axis.
     """
     n, d = a.n, a.dx
     c = n // 2
     dk = 2 * np.pi / (n * d)
     j = np.arange(n)
-    k_out = (j - c) * dk
-    phase = np.exp(-1j * k_out * a.center + 2j * np.pi * (j - c) * c / n)
+    phase = np.exp(2j * np.pi * (j - c) * c / n)
     phase *= np.sqrt(d / dk) * (1 / np.sqrt(scale))
     return phase
 
@@ -262,9 +256,8 @@ def _spectral_axis(amp: np.ndarray, phase: np.ndarray, axis: int,
 
 
 def _far_grid(g: Grid, scale: float) -> Grid:
-    """Output grid of :func:`_far_field`: per axis, n samples at ``dk * scale``
-    centered at 0."""
-    return _grid_from_axes([Grid1D(a.n, 2 * np.pi / (a.n * a.dx) * scale, 0.0)
+    """Output grid of :func:`_far_field`: per axis, n samples at ``dk * scale``."""
+    return _grid_from_axes([Grid1D(a.n, 2 * np.pi / (a.n * a.dx) * scale)
                            for a in g.axes])
 
 
@@ -288,7 +281,7 @@ def unitary_fourier(f: SampledField) -> SampledField:
     """Power-preserving discrete Fourier transform of the field.
 
     Output samples live on the conjugate grid with spacing ``dk = 2pi/(n dx)``
-    per axis, centered at zero. Equal to the Riemann sum of
+    per axis. Equal to the Riemann sum of
     ``integral g(x) exp(-i x k) dx / sqrt(2 pi)`` on the sample points.
     """
     return _far_field(f, 1.0)

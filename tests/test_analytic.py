@@ -36,6 +36,7 @@ from biphoton.analytic import (
 from biphoton.errors import (
     ConfigurationError,
     DomainError,
+    NonFiniteError,
     QuadratureError,
     ShapeError,
 )
@@ -390,6 +391,26 @@ def test_disk_table_non_convergence(monkeypatch):
         disk_transform_table([0.0], [0.0, c], FP.D / 2)
     monkeypatch.setattr(analytic, "MAX_PANELS", 1024)
     assert disk_transform_table([0.0], [0.0, c], FP.D / 2).shape == (1, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("b,c,R", [
+    (1e300, 0.0, 1e10),      # b R overflows
+    (0.0, 1.0, 1e300),       # c R^2 overflows
+    (np.inf, 0.0, 1.0),
+    (0.0, np.nan, 1.0),
+])
+def test_disk_transform_refuses_non_finite_arguments_before_any_panel(monkeypatch, b, c, R):
+    # The scalar and the table keep one rule, and neither sums a panel.
+    def no_panel(*args):
+        raise AssertionError("a quadrature panel ran")
+
+    monkeypatch.setattr(analytic, "j0", no_panel)
+    monkeypatch.setattr(analytic, "_disk_panel_sums", no_panel)
+    with pytest.raises(NonFiniteError, match=r"b\*R, c\*R\^2"):
+        uniform_disk_transform(np.float64(b), np.float64(c), R)
+    with pytest.raises(NonFiniteError, match=r"b\*R, c\*R\^2"):
+        disk_transform_table([0.0, b], [c, 0.0], R)
 
 
 # ---------------------------------------------------------------- width estimate

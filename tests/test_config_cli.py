@@ -380,30 +380,29 @@ def test_young_compare_exits_3_above_tolerance(tmp_path, monkeypatch, capsys):
 
 def test_young_compare_exits_3_when_forward_side_skews(tmp_path, monkeypatch, capsys):
     # The compare relays only the pair-state rows its sweep snaps to, here
-    # in chunks of 8 on 2 workers; at n = 600 a relay block holds 54 rows,
-    # so each chunk is one block. The relayed rows of the last, short
-    # chunk, which does not hold the fringe peak, grow by 1e-9; the curve
-    # there then grows by about 2e-9.
+    # 21 rows in one chunk per worker, 11 + 10 on 2 workers; at n = 600 a
+    # relay block holds 54 rows, so each chunk is one block. The relayed
+    # rows of the last, short chunk, which does not hold the fringe peak,
+    # grow by 1e-9; the curve there then grows by about 2e-9.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(forward, "_CHUNK_ROWS", 8)
     monkeypatch.setattr(forward, "_workers", lambda: 2)
     n = 600
     doc = young_doc("compare", grid={"n": n, "dx": 2e-5})
     p = YoungParams(x1=doc["x1"], f=doc["f"], wavelength=doc["wavelength"])
     _, sources, _ = forward.snap_young_sweep(p, Grid1D(n, 2e-5),
                                              np.linspace(-4e-5, 4e-5, 21))
-    tail = len(sources) % forward._CHUNK_ROWS
-    assert 0 < tail < forward._block_rows(n)
+    tail = len(sources) // 2
+    assert 0 < tail < len(sources) - tail < forward._block_rows(n)
     assert n // 2 < sources[-tail]  # the peak sits on the centre row
-    relay = forward._relay_along
+    spectral_axis = forward._spectral_axis
 
-    def skewed_relay(amp, *args, axis, **kwargs):
-        out, grid = relay(amp, *args, axis=axis, **kwargs)
+    def skewed_axis(amp, phase, axis, out=None):
+        out = spectral_axis(amp, phase, axis, out=out)
         if axis == 1 and len(out) == tail:
             out *= 1 + 1e-9
-        return out, grid
+        return out
 
-    monkeypatch.setattr(forward, "_relay_along", skewed_relay)
+    monkeypatch.setattr(forward, "_spectral_axis", skewed_axis)
     path = write_config(tmp_path, "yc.json", doc)
     assert main(["simulate", "--config", path, "--out", "yc.csv"]) == 3
     assert "tolerance" in capsys.readouterr().err
@@ -1120,6 +1119,7 @@ EXTREME_OPTICS = {
     "young forward wavelength=1e-290": young_compare_optics("forward", wavelength=1e-290),
     "focus analytic f=1e100": focus_compare_optics("analytic", f=1e100),
     "focus reversed L2=1e-300": focus_compare_optics("reversed", L2=1e-300),
+    "focus analytic D=1e300": focus_compare_optics("analytic", D=1e300),
 }
 
 

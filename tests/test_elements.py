@@ -42,7 +42,7 @@ from biphoton.errors import (
     SamplingError,
     UnsupportedElementError,
 )
-from biphoton.grid import Grid1D, Grid2D, SampledField, point_source, power
+from biphoton.grid import Grid1D, Grid2D, SampledField, _spectral_axis, point_source, power
 
 WL = 780e-9
 F = 50e-3
@@ -74,7 +74,7 @@ def somb(u):
 # ---------------------------------------------------------------- lens / free space
 
 def test_lens_matches_direct_quadrature():
-    g = Grid1D(n=257, dx=11e-6, center=3.3e-6)
+    g = Grid1D(n=257, dx=11e-6)
     f = random_field(g, seed=1)
     out = apply_fourier_lens(f, F)
     ref, x_out = direct_relay(f, F)
@@ -82,19 +82,20 @@ def test_lens_matches_direct_quadrature():
     np.testing.assert_allclose(out.grid.coords, x_out, rtol=1e-12)
 
 
-@pytest.mark.parametrize("n, center", [(64, 0.0), (257, 3.3e-6)])
-def test_lens_on_1d_field_equals_batched_relay_bit_for_bit(n, center):
+@pytest.mark.parametrize("n", [64, 257])
+def test_lens_on_1d_field_equals_batched_relay_bit_for_bit(n):
     # forward_young relays the pair state along each axis with
-    # _relay_along; the reversed trains relay 1-D fields with the lens.
-    # Both must give the same bits, grid included, for the compare.
-    g = Grid1D(n=n, dx=11e-6, center=center)
+    # _spectral_axis and the relay phase; the reversed trains relay 1-D
+    # fields with the lens. Both must give the same bits, grid included,
+    # for the compare.
+    g = Grid1D(n=n, dx=11e-6)
     f = random_field(g, seed=n)
     out = apply_fourier_lens(f, F)
-    amp, grid = elements._relay_along(f.amp, g, F, WL, axis=0)
-    np.testing.assert_array_equal(out.amp, amp)
-    assert out.grid == grid
+    phase = elements._relay_phase(g, F, WL)
+    np.testing.assert_array_equal(out.amp, _spectral_axis(f.amp, phase, 0))
+    assert out.grid == elements._relay_grid(g, F, WL)
     batch = np.stack([f.amp, 2 * f.amp], axis=1)
-    along, _ = elements._relay_along(batch, g, F, WL, axis=0)
+    along = _spectral_axis(batch, phase, 0)
     np.testing.assert_array_equal(along[:, 0], out.amp)
 
 
@@ -102,7 +103,6 @@ def test_lens_output_spacing():
     g = Grid1D(n=256, dx=10e-6)
     out = apply_fourier_lens(random_field(g, seed=2), F)
     assert out.grid.dx == pytest.approx(F * WL / (256 * 10e-6))
-    assert out.grid.center == 0.0
 
 
 def test_lens_centered_delta_gives_flat_output():
@@ -403,23 +403,20 @@ def test_pinhole_zero_field():
     assert pinhole_intensity(f, 1.0) == 0.0
 
 
-def test_pinhole_off_grid_origin_raises():
-    g = Grid1D(n=16, dx=1e-5, center=1.0)
-    f = random_field(g, seed=17)
-    for radius in (0.0, 1e-4):
-        with pytest.raises(DomainError):
-            pinhole_intensity(f, radius)
-
-
 def test_pinhole_radius_covering_grid_gives_power():
     f = random_field(Grid1D(n=64, dx=1e-5), seed=12)
     assert pinhole_intensity(f, radius=1.0) == pytest.approx(power(f), rel=1e-12)
 
 
 def test_pinhole_zero_radius_reads_on_axis_sample():
-    g = Grid1D(n=64, dx=1e-5)
-    f = random_field(g, seed=13)
-    assert pinhole_intensity(f, 0.0) == pytest.approx(abs(f.amp[64 // 2]) ** 2)
+    # Radius 0 reads the origin, sample n//2 of each axis: on even and odd
+    # 1-D grids and a non-square 2-D one, indexed [iy, ix]
+    for g, origin in ((Grid1D(n=64, dx=1e-5), (32,)),
+                      (Grid1D(n=63, dx=1e-5), (31,)),
+                      (Grid2D(nx=48, ny=40, dx=1e-5, dy=2e-5), (20, 24))):
+        f = random_field(g, seed=13)
+        assert all(a.coords[i] == 0.0 for a, i in zip(g.axes, origin))
+        assert pinhole_intensity(f, 0.0) == pytest.approx(abs(f.amp[origin]) ** 2)
 
 
 def test_pinhole_finite_radius_2d():
@@ -498,13 +495,16 @@ FOCUS_SOURCES = [(64, 64), (64, 67), (64, 60), (66, 64), (61, 65)]
 ])
 def test_run_train_batch_2d_matches_looped_trains(z, second_harmonic, radius,
                                                   L1, L2, center):
-    # The fused focus sweep against the field path, in raw readings
-    g = Grid2D(nx=128, ny=128, dx=1e-6, dy=1e-6, center=center)
+    # The fused focus sweep against the field path, in raw readings, for a
+    # cross of sources around ``center`` (x, y): on the axis or off it
+    g = Grid2D(nx=128, ny=128, dx=1e-6, dy=1e-6)
+    iy0, ix0 = g.index_of(center)
+    sources = [(iy + iy0 - 64, ix + ix0 - 64) for iy, ix in FOCUS_SOURCES]
     train = reversed_focus_train(F, 12.7e-3, z, L1, L2, pinhole_radius=radius,
                                  second_harmonic=second_harmonic)
-    got = run_train_batch(g, WL, FOCUS_SOURCES, train)
+    got = run_train_batch(g, WL, sources, train)
     want = np.array([run_train(point_source(g, (g.xs[ix], g.ys[iy]), 1.0, WL), train)
-                     for iy, ix in FOCUS_SOURCES])
+                     for iy, ix in sources])
     assert len(set(want)) == len(want)
     assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 
@@ -515,10 +515,10 @@ def looped_readings(g, train, sources):
 
 
 @pytest.mark.parametrize("second_harmonic", [True, False])
-def test_run_train_batch_2d_non_square_off_centre_grid(second_harmonic):
+def test_run_train_batch_2d_non_square_grid(second_harmonic):
     # nx != ny and dx != dy, so a swapped pair of axes fails on shape or value;
     # the aperture cuts both pupil axes and repeated sources read alike
-    g = Grid2D(nx=96, ny=64, dx=1.1e-6, dy=0.8e-6, center=(2e-6, -3e-6))
+    g = Grid2D(nx=96, ny=64, dx=1.1e-6, dy=0.8e-6)
     train = reversed_focus_train(F, 12.7e-3, 3e-5, 0.25, 0.5,
                                  second_harmonic=second_harmonic)
     sources = [(32, 48), (30, 51), (32, 48), (35, 44), (30, 51), (0, 95), (63, 0)]
@@ -534,7 +534,7 @@ def test_run_train_batch_2d_non_square_off_centre_grid(second_harmonic):
 def test_run_train_batch_2d_aperture_rim_sample_passes(second_harmonic):
     # D/2 equals a pupil coordinate, so four pupil samples sit exactly on
     # the rim; CircularAperture passes |r| <= D/2, and so must the batch
-    g = Grid2D(nx=64, ny=64, dx=1e-6, dy=1e-6, center=(1e-6, 2e-6))
+    g = Grid2D(nx=64, ny=64, dx=1e-6, dy=1e-6)
     opening = OpticalTrain((TwoFWithOffset(F, 2e-5, transpose=True),))
     pupil = run_train(point_source(g, (0.0, 0.0), 1.0, WL), opening).grid
     D = 2 * pupil.xs[32 + 10]
@@ -548,7 +548,7 @@ def test_run_train_batch_2d_aperture_rim_sample_passes(second_harmonic):
 
 
 def test_offset_chirp_2d_is_separable_and_keeps_the_guard():
-    g = Grid2D(nx=48, ny=40, dx=3e-4, dy=5e-4, center=(1e-4, -2e-4))
+    g = Grid2D(nx=48, ny=40, dx=3e-4, dy=5e-4)
     z = 1e-4
     direct = np.exp(-1j * np.pi * z * g.radius_sq() / (F**2 * WL))
     np.testing.assert_allclose(elements._offset_chirp(g, z, F, WL), direct,
@@ -559,13 +559,13 @@ def test_offset_chirp_2d_is_separable_and_keeps_the_guard():
         elements._offset_chirp(tall, z, F, WL)
 
 
-@pytest.mark.parametrize("n,center", [(64, 0.0), (63, 2.5e-6), (128, -7e-6)])
-def test_relayed_delta_on_chosen_columns_equals_full_row_slice(n, center):
+@pytest.mark.parametrize("n", [64, 63, 128])
+def test_relayed_delta_on_chosen_columns_equals_full_row_slice(n):
     # Built per element, so building only some columns changes no bit
     m = np.array([n // 2, 0, n - 1, 5, 5, n // 3])
     cols = np.array([n - 1, 3, n // 2, 3, 0, 17])
-    full = elements._relayed_delta(n, 1e-6, center, m, F, WL)
-    part = elements._relayed_delta(n, 1e-6, center, m, F, WL, cols=cols)
+    full = elements._relayed_delta(n, 1e-6, m, F, WL)
+    part = elements._relayed_delta(n, 1e-6, m, F, WL, cols=cols)
     np.testing.assert_array_equal(part, full[:, cols])
     assert part.strides == full[:, cols].strides
 

@@ -116,13 +116,13 @@ def forward_young_rows(monkeypatch, p, g, slit_width, samples=None):
     tagged per thread by a wrapper of the chunk map.
     """
     blocks, local = {}, threading.local()
-    relay, map_chunks = forward._relay_along, forward._map_row_chunks
+    relay, map_chunks = forward._spectral_axis, forward._map_row_chunks
 
-    def spy_relay(amp, *args, axis, **kwargs):
-        out, grid = relay(amp, *args, axis=axis, **kwargs)
+    def spy_relay(amp, phase, axis, out=None):
+        out = relay(amp, phase, axis, out=out)
         if axis == 1:
             blocks[local.rows.start].append(out.copy())
-        return out, grid
+        return out
 
     def spy_map(fn, n_rows):
         def tagged(rows):
@@ -132,7 +132,7 @@ def forward_young_rows(monkeypatch, p, g, slit_width, samples=None):
         return map_chunks(tagged, n_rows)
 
     with monkeypatch.context() as m:
-        m.setattr(forward, "_relay_along", spy_relay)
+        m.setattr(forward, "_spectral_axis", spy_relay)
         m.setattr(forward, "_map_row_chunks", spy_map)
         _, curve = forward_young(p, g, slit_width, samples)
     chunks = [blocks[i] for i in sorted(blocks)]
@@ -142,7 +142,7 @@ def forward_young_rows(monkeypatch, p, g, slit_width, samples=None):
 
 def chunk_layout(n_rows, workers, height):
     """Block heights per chunk that ``forward_young`` should relay."""
-    size = min(forward._CHUNK_ROWS, -(-n_rows // workers))
+    size = -(-n_rows // workers)
     layout = []
     for lo in range(0, n_rows, size):
         rows = min(size, n_rows - lo)
@@ -156,15 +156,17 @@ def test_forward_young_state_is_exactly_symmetric(slit_cells):
     # relay, then (a + a.T)/2. forward_young never builds it; on a grid of
     # several row chunks its curve must be this state's diagonal bit for
     # bit. 12-cell slits keep 26 columns.
-    p, g = young_setup(n=2 * forward._CHUNK_ROWS + 44, x1_cells=8)
+    p, g = young_setup(n=300, x1_cells=8)
     slit_width = None if slit_cells is None else slit_cells * g.dx
     kept = np.flatnonzero(elements._double_slit_mask(g, p.x1, slit_width))
     cols = np.zeros((g.n, len(kept)), dtype=complex)
     cols[kept, np.arange(len(kept))] = 1 / g.dx
-    cols, det = elements._relay_along(cols, g, p.f, p.wavelength, axis=0)
+    phase = elements._relay_phase(g, p.f, p.wavelength)
+    cols = forward._spectral_axis(cols, phase, 0)
+    det = elements._relay_grid(g, p.f, p.wavelength)
     a = np.zeros((g.n, g.n), dtype=complex)
     a[:, kept] = cols
-    a, _ = elements._relay_along(a, g, p.f, p.wavelength, axis=1)
+    a = forward._spectral_axis(a, phase, 1)
     state = TwoPhotonAmplitude(det, (a + a.T) / 2)
     assert np.array_equal(state.psi, state.psi.T)
     got_grid, curve = forward_young(p, g, slit_width)
@@ -194,8 +196,8 @@ def test_forward_young_on_samples_reads_the_full_runs_entries(monkeypatch, n,
                                                               slit_cells):
     # Only the rows of the selected samples are relayed, in chunks of their
     # own: on 2 workers, unsorted selections of 308 and 90 samples make
-    # chunks of 128 and 45 rows, relayed in blocks of at most 16 and 54
-    # rows; the 308 end in a short chunk and a short block. Each raw diagonal
+    # chunks of 154 and 45 rows, relayed in blocks of at most 16 and 54
+    # rows; each chunk of 154 ends in a short block. Each raw diagonal
     # entry is the full run's bit for bit, and the curve is normalized by
     # its peak over the selection.
     monkeypatch.setattr(forward, "_workers", lambda: 2)
@@ -223,8 +225,8 @@ def compare_samples(n=2048):
 
 
 def test_compare_rows_split_over_two_workers_bit_identical(monkeypatch):
-    # Fewer rows than one chunk still make one chunk per worker (43 + 42
-    # rows, each relayed in 16-row blocks), and rows and curve equal the
+    # The 85 rows make one chunk per worker (43 + 42 rows, each relayed in
+    # 16-row blocks), and rows and curve equal the
     # one-thread run in one chunk and one block, bit for bit, under a short
     # switch interval.
     p, g, sources = compare_samples()
@@ -318,7 +320,7 @@ def test_slit_kernel_is_diagonal_mask():
 
 
 def test_magnifier_kernel_matches_field_operation():
-    g = Grid1D(32, 2e-6, center=1e-5)
+    g = Grid1D(32, 2e-6)
     fld = random_field(g, WL, seed=3)
     k = kernel_of(Magnifier(-0.5), g, WL)
     want = magnify(fld, -0.5)
@@ -642,27 +644,26 @@ def test_unnormalized_curves_match_up_to_single_constant():
             assert np.abs(inten - c * rate).max() <= 1e-6 * inten.max()
 
 
-YOUNG_CASES = [(slit_cells, shg, L1, L2, n, center_cells)
+# The last entry moves the slits that many cells past 8 cells off axis
+YOUNG_CASES = [(slit_cells, shg, L1, L2, n, shift_cells)
                for slit_cells in (None, 1, 4, 7)
                for shg in (True, False)
                for L1, L2 in ((0.25, 0.5), (0.8, 0.15))
-               for n, center_cells in ((64, 0.0), (63, 3.3))]
+               for n, shift_cells in ((64, 0.0), (63, 3.3))]
 # At bench-like n, looped trains cost about 0.1 s a case: a subset only.
-YOUNG_CASES += [(slit_cells, shg, 0.25, 0.5, n, center_cells)
+YOUNG_CASES += [(slit_cells, shg, 0.25, 0.5, n, shift_cells)
                 for slit_cells in (None, 4)
                 for shg in (True, False)
-                for n, center_cells in ((256, 0.0), (255, 3.3))]
+                for n, shift_cells in ((256, 0.0), (255, 3.3))]
 
 
-@pytest.mark.parametrize("slit_cells,shg,L1,L2,n,center_cells", YOUNG_CASES)
+@pytest.mark.parametrize("slit_cells,shg,L1,L2,n,shift_cells", YOUNG_CASES)
 def test_closed_form_young_readings_match_looped_trains(slit_cells, shg, L1, L2,
-                                                        n, center_cells):
-    # Raw readings against the field path, on odd n and an off-centre
-    # detector grid too; a subset in any order, with repeats, reads the
-    # same rows.
-    p, g = young_setup(n=n, x1_cells=8)
-    det_dx = p.f * p.wavelength / (g.n * g.dx)
-    det = Grid1D(g.n, det_dx, center_cells * det_dx)
+                                                        n, shift_cells):
+    # Raw readings against the field path, on odd n and with slits between
+    # samples too; a subset in any order, with repeats, reads the same rows.
+    p, g = young_setup(n=n, x1_cells=8 + shift_cells)
+    det = Grid1D(g.n, p.f * p.wavelength / (g.n * g.dx))
     slit_width = None if slit_cells is None else slit_cells * g.dx
     train = reversed_young_train(p.f, p.x1, L1, L2, slit_width=slit_width,
                                  second_harmonic=shg)
@@ -738,8 +739,8 @@ def test_closed_form_young_readings_nonfinite_stage_raises(monkeypatch, value):
 
 
 def pool_setup():
-    # More rows than one chunk and not a multiple of it; 12-cell slits
-    p, g = young_setup(n=2 * forward._CHUNK_ROWS + 44, x1_cells=8)
+    # 300 rows, not a multiple of 8 workers or of a 16-row block; 12-cell slits
+    p, g = young_setup(n=300, x1_cells=8)
     return p, g, 12 * g.dx
 
 
@@ -751,7 +752,6 @@ def test_batch_is_bit_identical_across_chunks_and_workers(monkeypatch, workers):
     p, g, slit_width = pool_setup()
     with monkeypatch.context() as m:
         m.setattr(forward, "_workers", lambda: 1)
-        m.setattr(forward, "_CHUNK_ROWS", g.n)
         m.setattr(forward, "_BLOCK_BYTES", 16 * g.n * g.n)
         want, layout, want_curve = forward_young_rows(monkeypatch, p, g, slit_width)
     assert layout == [[g.n]]
@@ -763,7 +763,7 @@ def test_batch_is_bit_identical_across_chunks_and_workers(monkeypatch, workers):
     finally:
         sys.setswitchinterval(interval)
     assert layout == chunk_layout(g.n, workers, forward._block_rows(g.n))
-    assert len(layout) == {1: 3, 2: 3, 8: 8}[workers]
+    assert len(layout) == workers
     np.testing.assert_array_equal(rows, want)
     np.testing.assert_array_equal(curve, want_curve)
 
@@ -781,22 +781,22 @@ def test_batch_runs_in_a_forked_child_of_a_process_that_used_the_pool():
 
 def test_batch_nonfinite_stage_in_one_chunk_raises(monkeypatch):
     # A NaN injected by the relay of the short last block of the last,
-    # shorter chunk only: 2 workers cut 300 rows into 128 + 128 + 44, and
-    # 16-row blocks cut the 44 into 16 + 16 + 12.
+    # shorter chunk only: 7 workers cut 300 rows into six chunks of 43 and
+    # one of 42, and 16-row blocks end each 43 in 11 rows and the 42 in 10.
     p, g, slit_width = pool_setup()
-    monkeypatch.setattr(forward, "_workers", lambda: 2)
+    monkeypatch.setattr(forward, "_workers", lambda: 7)
     monkeypatch.setattr(forward, "_BLOCK_BYTES", 16 * 16 * g.n)
-    layout = chunk_layout(g.n, 2, forward._block_rows(g.n))
+    layout = chunk_layout(g.n, 7, forward._block_rows(g.n))
     tail = layout[-1][-1]
-    assert [len(c) for c in layout] == [8, 8, 3] and tail == 12
-    relay = forward._relay_along
+    assert layout == [[16, 16, 11]] * 6 + [[16, 16, 10]] and tail == 10
+    relay = forward._spectral_axis
 
-    def poisoned(amp, *args, **kwargs):
-        out, grid = relay(amp, *args, **kwargs)
+    def poisoned(amp, phase, axis, out=None):
+        out = relay(amp, phase, axis, out=out)
         if len(out) == tail:
             out[0, 0] = np.nan
-        return out, grid
+        return out
 
-    monkeypatch.setattr(forward, "_relay_along", poisoned)
+    monkeypatch.setattr(forward, "_spectral_axis", poisoned)
     with pytest.raises(ValueError, match="pair amplitudes must be finite"):
         forward_young(p, g, slit_width)

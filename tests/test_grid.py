@@ -45,14 +45,25 @@ def brute_force_transform(f):
 # ---------------------------------------------------------------- grids
 
 def test_grid_center_sample():
-    g = Grid1D(n=8, dx=0.5, center=3.0)
-    assert g.coords[8 // 2] == 3.0
-    assert g.coords[0] == 3.0 - 4 * 0.5
+    g = Grid1D(n=8, dx=0.5)
+    assert g.coords[8 // 2] == 0.0
+    assert g.coords[0] == -4 * 0.5
 
 
 def test_grid_center_sample_odd():
-    g = Grid1D(n=7, dx=1.0, center=-2.0)
-    assert g.coords[7 // 2] == -2.0
+    g = Grid1D(n=7, dx=1.0)
+    assert g.coords[7 // 2] == 0.0
+    assert g.coords[-1] == 3.0
+
+
+def test_grids_are_on_axis_and_take_no_center():
+    # Every grid is centred on the optical axis; no centre can be set.
+    with pytest.raises(TypeError):
+        Grid1D(8, 0.5, 0.0)
+    with pytest.raises(TypeError):
+        Grid1D(n=8, dx=0.5, center=0.0)
+    with pytest.raises(TypeError):
+        Grid2D(4, 4, 1.0, 1.0, center=(0.0, 0.0))
 
 
 def test_grid_validation():
@@ -80,13 +91,12 @@ def test_axis_ends_equal_the_coordinate_ends_bit_for_bit():
     for _ in range(2000):
         nx, ny = (int(v) for v in rng.integers(2, 5000, 2))
         dx, dy = 10 ** rng.uniform(-9, 2, 2)
-        center = tuple(rng.uniform(-1, 1, 2) * 10 ** rng.uniform(-9, 2, 2))
-        g = Grid2D(nx, ny, dx, dy, center)
+        g = Grid2D(nx, ny, dx, dy)
         xs, ys = g.xs, g.ys
-        assert _axis_ends(nx, dx, center[0]) == (xs[0], xs[-1])
-        assert _axis_ends(ny, dy, center[1]) == (ys[0], ys[-1])
-        g1 = Grid1D(nx, dx, center[0])
-        assert _axis_ends(g1.n, g1.dx, g1.center) == (g1.coords[0], g1.coords[-1])
+        assert _axis_ends(nx, dx) == (xs[0], xs[-1])
+        assert _axis_ends(ny, dy) == (ys[0], ys[-1])
+        g1 = Grid1D(nx, dx)
+        assert _axis_ends(g1.n, g1.dx) == (g1.coords[0], g1.coords[-1])
         x_lo, x_hi = xs[0] - dx / 2, xs[-1] + dx / 2
         y_lo, y_hi = ys[0] - dy / 2, ys[-1] + dy / 2
         for px in (x_lo, x_hi, np.nextafter(x_lo, -np.inf), np.nextafter(x_hi, np.inf)):
@@ -98,19 +108,18 @@ def test_axis_ends_equal_the_coordinate_ends_bit_for_bit():
 @settings(max_examples=200, deadline=None)
 @given(nx=st.integers(2, 4000), ny=st.integers(2, 4000),
        dx=st.floats(1e-9, 1e2), dy=st.floats(1e-9, 1e2),
-       cx=st.floats(-1, 1), cy=st.floats(-1, 1),
        tx=st.floats(-0.7, 0.7), ty=st.floats(-0.7, 0.7))
-def test_grid2d_is_its_two_axes(nx, ny, dx, dy, cx, cy, tx, ty):
+def test_grid2d_is_its_two_axes(nx, ny, dx, dy, tx, ty):
     # Grid2D's per-axis questions are Grid1D's, and its axes rebuild it.
     # Positions reach past the edges: t = +-0.5 is the edge, in widths.
-    g = Grid2D(nx, ny, dx, dy, (cx, cy))
-    x, y = Grid1D(nx, dx, cx), Grid1D(ny, dy, cy)
+    g = Grid2D(nx, ny, dx, dy)
+    x, y = Grid1D(nx, dx), Grid1D(ny, dy)
     assert g.axes == (y, x)
     assert _grid_from_axes(g.axes) == g
     assert _grid_from_axes(x.axes) == x
     np.testing.assert_array_equal(g.xs, x.coords)
     np.testing.assert_array_equal(g.ys, y.coords)
-    pos = (cx + tx * nx * dx, cy + ty * ny * dy)
+    pos = (tx * nx * dx, ty * ny * dy)
     assert g.contains(pos) == (x.contains(pos[0]) and y.contains(pos[1]))
     assert g.index_of(pos) == (y.index_of(pos[1]), x.index_of(pos[0]))
 
@@ -136,8 +145,8 @@ def test_field_amp_is_readonly():
 # ---------------------------------------------------------------- point sources
 
 def test_point_source_power_exact():
-    g = Grid1D(n=64, dx=0.3, center=1.0)
-    f = point_source(g, pos=1.7, total_power=2.5, wavelength=WL)
+    g = Grid1D(n=64, dx=0.3)
+    f = point_source(g, pos=0.7, total_power=2.5, wavelength=WL)
     # Exact up to IEEE rounding of sqrt/square (a couple of ulp).
     assert power(f) == pytest.approx(2.5, rel=4e-16)
     assert np.count_nonzero(f.amp) == 1
@@ -178,7 +187,7 @@ def test_point_source_2d():
 # ---------------------------------------------------------------- transform
 
 def test_transform_matches_brute_force_kernel():
-    g = Grid1D(n=65, dx=0.37, center=1.3)
+    g = Grid1D(n=65, dx=0.37)
     f = random_field(g, seed=7)
     out = unitary_fourier(f)
     ref = brute_force_transform(f)
@@ -186,17 +195,16 @@ def test_transform_matches_brute_force_kernel():
 
 
 def test_transform_matches_brute_force_even_n():
-    g = Grid1D(n=64, dx=0.5, center=-0.8)
+    g = Grid1D(n=64, dx=0.5)
     f = random_field(g, seed=11)
     np.testing.assert_allclose(unitary_fourier(f).amp, brute_force_transform(f),
                                rtol=0, atol=1e-12)
 
 
 def test_transform_output_grid():
-    g = Grid1D(n=128, dx=0.25, center=5.0)
+    g = Grid1D(n=128, dx=0.25)
     out = unitary_fourier(random_field(g, seed=3))
     assert out.grid.n == 128
-    assert out.grid.center == 0.0
     assert out.grid.dx == pytest.approx(2 * np.pi / (128 * 0.25))
     assert out.wavelength == WL
 
@@ -233,9 +241,9 @@ def test_gaussian_transforms_to_gaussian():
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(8, 200), seed=st.integers(0, 2**31), center=st.floats(-5, 5))
-def test_transform_preserves_power(n, seed, center):
-    f = random_field(Grid1D(n=n, dx=0.13, center=center), seed=seed)
+@given(n=st.integers(8, 200), seed=st.integers(0, 2**31))
+def test_transform_preserves_power(n, seed):
+    f = random_field(Grid1D(n=n, dx=0.13), seed=seed)
     assert power(unitary_fourier(f)) == pytest.approx(power(f), rel=1e-12)
 
 
@@ -254,7 +262,7 @@ F, Z = 0.05, 1e-3
 
 
 def test_transform_2d_separable():
-    # On a non-square, off-centre grid each 2-D transform is the tensor
+    # On a non-square grid each 2-D transform is the tensor
     # product of its 1-D transforms, on the grid their axes make, and
     # keeps power up to factor^2 on a field that is not separable. The
     # offset 2-f stage applies its amplitude factor 1 + z/f once per field.
@@ -263,8 +271,8 @@ def test_transform_2d_separable():
         (lambda f: apply_fourier_lens(f, F), 1.0),
         (lambda f: two_f_with_offset(f, F, Z, transpose=True), 1 + Z / F),
     ]
-    gx = Grid1D(n=32, dx=1.1e-5, center=3e-5)
-    gy = Grid1D(n=16, dx=1.7e-5, center=-2e-5)
+    gx = Grid1D(n=32, dx=1.1e-5)
+    gy = Grid1D(n=16, dx=1.7e-5)
     rng = np.random.default_rng(5)
     ax = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     ay = rng.standard_normal(16) + 1j * rng.standard_normal(16)
@@ -285,7 +293,7 @@ def test_transform_2d_separable():
 def test_spectral_axis_along_either_axis_with_gain_and_out(n, axis):
     # Each slice along ``axis`` matches the brute-force sum times the gain
     # 1/sqrt(scale), and writing the result over the input gives the same bits.
-    g = Grid1D(n=n, dx=0.4, center=0.9)
+    g = Grid1D(n=n, dx=0.4)
     amp = random_field(Grid2D(nx=n, ny=n, dx=1.0, dy=1.0), seed=n + axis).amp
     scale = 0.16
     phase = _spectral_phase(g, scale)
