@@ -4,7 +4,7 @@ Layers, roughly bottom to top:
 
 - ``grid``: sampled fields and the unitary centered Fourier transform
 - ``elements``: optical elements and pinhole-readout trains
-- ``analytic``: closed-form fringes, focal spots, disk quadrature, stage fields
+- ``analytic``: closed-form fringes, focal spots, the disk transform, stage fields
 - ``forward``: two-photon amplitude evolution and the equivalence sweep
 - ``modes``: discrete-mode detection probabilities and the randomized audit
 - ``config`` / ``cli``: JSON experiment configs and the ``biphoton`` command

@@ -335,8 +335,9 @@ def exit_code(task: Callable[[], Union[dict, int]]) -> int:
     ``task`` returns an exit code or a summary. A summary whose ``passed``
     is False gives 3: its outputs are written, but the run fails its stated
     tolerance. ``ConfigurationError`` and ``DomainError`` give 2,
-    ``SamplingError``, ``QuadratureError`` and ``NonFiniteError`` 3; each
-    names its cause on stderr. The example scripts end through here too.
+    ``SamplingError``, ``QuadratureError`` (disk transform bounds) and
+    ``NonFiniteError`` 3; each names its cause on stderr. The example
+    scripts end through here too.
     """
     try:
         result = task()

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
-numerical-guard trips (aliasing, quadrature non-convergence, overflow) with 3.
+numerical-guard trips (aliasing, disk transform bounds, overflow) with 3.
 """
 
 
@@ -26,7 +26,8 @@ class SamplingError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A disk transform cannot meet its accuracy bound: the scalar oracle's
+    panels ran out, or a table passes its series' order or phase cap."""
 
 
 class ShapeError(ValueError):

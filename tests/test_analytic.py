@@ -3,8 +3,9 @@
 Oracles here avoid the implementation's own machinery: scipy's Cephes J0
 and J1 and a power-series J1 for the numpy Bessel functions, bisection on
 that series for the sombrero zero, plain sin/x bisection for half-max
-points, and a polar midpoint Riemann sum (no Bessel reduction) for the
-chirped disk integral.
+points, a polar midpoint Riemann sum (no Bessel reduction) for the
+chirped disk integral, and its Gauss-Legendre scalar transform for the
+Lommel-series table.
 """
 import warnings
 
@@ -381,16 +382,68 @@ def test_spot_offaxis_even_in_r0_and_scalar_in_scalar_out():
     assert abs(one - got[2]) <= 1e-12 * got[2]
 
 
-def test_disk_table_non_convergence(monkeypatch):
-    with pytest.raises(QuadratureError, match="65536 panels"):
+def test_disk_table_refuses_a_phase_past_its_rounding_bound():
+    # the float rounding of a 1e9 rad phase alone passes 1e-9 rad
+    with pytest.raises(QuadratureError, match=r"phase \|c\|\*R\^2 = 1e\+09"):
         disk_transform_table([0.0, 1.0], [0.0, 1e9], 1.0)
-    # an entry needing 1024 panels fails when the table stops at 512
-    c = 2 * np.pi * 20e-3 / (FP.f**2 * WL)
-    monkeypatch.setattr(analytic, "MAX_PANELS", 512)
-    with pytest.raises(QuadratureError, match="512 panels"):
-        disk_transform_table([0.0], [0.0, c], FP.D / 2)
-    monkeypatch.setattr(analytic, "MAX_PANELS", 1024)
-    assert disk_transform_table([0.0], [0.0, c], FP.D / 2).shape == (1, 2)
+    assert disk_transform_table([0.0], [2e6, -2e6], 1.0).shape == (1, 2)
+
+
+def test_disk_table_refuses_orders_past_its_cap():
+    # the shipped focus optics admit |r0| up to 48.3 mm: 48 mm needs Bessel
+    # orders to 99425 of the 100000 cap, 49 mm to 101479
+    with pytest.raises(QuadratureError, match="past its cap 100000"):
+        spot_offaxis_two_photon(np.array([0.0, 0.049]), np.zeros(2), FP)
+    assert spot_offaxis_two_photon(0.048, 0.0, FP) >= 0
+
+
+def table_error(b, c, R=1.0):
+    """Largest |table - looped scalar oracle| over the (b, c) table."""
+    ref = np.array([[uniform_disk_transform(bi, ck, R) for ck in c] for bi in b])
+    return np.max(np.abs(disk_transform_table(b, c, R) - ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(0.0, 200.0), gamma=st.floats(-200.0, 200.0))
+def test_disk_table_matches_scalar_oracle_at_random_arguments(beta, gamma):
+    assert table_error([beta], [gamma]) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [1e-6, 0.5, 3.0, 17.0, 150.0])
+def test_disk_table_is_continuous_across_the_lommel_switch(beta):
+    # |u| = v is where the table turns from the U sums to the V sums
+    g = beta / 2 * (1 + np.array([-1e-12, 0.0, 1e-12]))
+    assert table_error([beta], np.concatenate([g, -g])) <= 1e-12
+
+
+def test_disk_table_limits_at_zero_b_and_zero_c():
+    b = np.array([0.0, 1e-300, 1e-9, 0.7, 40.0])
+    c = np.array([0.0, 1e-300, -2 * np.pi, 3.0, -90.0])
+    assert table_error(b, c) <= 1e-15
+    J = disk_transform_table(b, c, 1.0)
+    assert abs(J[0, 0] - 1) <= 1e-15
+    np.testing.assert_allclose(J[0], np.exp(-0.5j * c) * sinc(c / 2), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(J[:, 0], 2 * somb(b), rtol=0, atol=1e-15)
+
+
+def test_disk_table_at_tiny_chirp_keeps_J_and_its_square():
+    # v <= |u|, on the V side: U2 = V0 - cos theta would cancel to eps/|u|
+    # absolute if taken as written
+    for gamma in (1e-5, -1e-7, 1e-9, 1e-12):
+        b = np.array([0.0, abs(gamma), 2 * abs(gamma)])
+        ref = np.array([uniform_disk_transform(bi, gamma, 1.0) for bi in b])
+        got = disk_transform_table(b, [gamma], 1.0)[:, 0]
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        np.testing.assert_allclose(np.abs(got) ** 2, np.abs(ref) ** 2, rtol=1e-15)
+
+
+def test_disk_table_miller_start_grows_with_the_cube_root_of_b(monkeypatch):
+    c = [-2600.0, -7.0, 0.0, 1.0, 2400.0]
+    assert table_error([5000.0], c) <= 1e-12
+    series = analytic._lommel_sums
+    monkeypatch.setattr(analytic, "_lommel_sums",
+                        lambda x, m, order: series(x, m, int(np.ceil(x.max())) + 60))
+    assert table_error([5000.0], c) > 1e-10          # a b*R + 60 start misses
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -401,12 +454,12 @@ def test_disk_table_non_convergence(monkeypatch):
     (0.0, np.nan, 1.0),
 ])
 def test_disk_transform_refuses_non_finite_arguments_before_any_panel(monkeypatch, b, c, R):
-    # The scalar and the table keep one rule, and neither sums a panel.
+    # The scalar and the table keep one rule: no panel and no series term runs.
     def no_panel(*args):
-        raise AssertionError("a quadrature panel ran")
+        raise AssertionError("a quadrature panel or series term ran")
 
     monkeypatch.setattr(analytic, "j0", no_panel)
-    monkeypatch.setattr(analytic, "_disk_panel_sums", no_panel)
+    monkeypatch.setattr(analytic, "_lommel_sums", no_panel)
     with pytest.raises(NonFiniteError, match=r"b\*R, c\*R\^2"):
         uniform_disk_transform(np.float64(b), np.float64(c), R)
     with pytest.raises(NonFiniteError, match=r"b\*R, c\*R\^2"):
