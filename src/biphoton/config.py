@@ -31,9 +31,11 @@ MAX_ARRAY_BYTES = 4 * 2 ** 30
 # AUDIT_CHUNK_BYTES of draws per chunk.
 AUDIT_CHUNK = 32
 # Draw bytes per audit chunk when that is more than AUDIT_CHUNK trials: 64
-# trials at 16 modes. A 10000-trial audit at 16 modes took 0.177-0.191 s in
-# chunks of 32, 64 or 128 and 0.190-0.196 s in 512 (medians of 15
-# in-process runs on a 2-core host, two sweeps).
+# trials at 16 modes. With each chunk's arithmetic on the thread pool while
+# the next is drawn, a 10000-trial audit at 16 modes took 0.176-0.201 s in
+# chunks of 32, 0.139-0.146 s in 64, 0.134-0.136 s in 128 and 0.132-0.158 s
+# in 512 (medians of 15 in-process runs on a 2-core host, two sweeps); 128
+# and 512 are within the spread of 64 and hold 2 and 8 times the memory.
 AUDIT_CHUNK_BYTES = 64 * 8 * (2 * 16 ** 2 + 4 * 16)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -72,14 +71,17 @@ def _workers() -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _row_pool(pid: int, workers: int) -> ThreadPoolExecutor:
-    """The pool of :func:`_map_row_chunks`, made on first use and kept.
+def _row_pool(pid: int, workers: int) -> "ThreadPoolExecutor":
+    """The pool of :func:`_map_row_chunks` and the mode audit, made on first use and kept.
 
     Threads made per call left each run's buffers in a new malloc arena,
     which made peak RSS drift by 10% from run to run. The key holds the pid,
     since a pool's threads do not survive a fork; an evicted pool's idle
-    threads exit when it is collected.
+    threads exit when it is collected. ``concurrent.futures`` is imported
+    here, so a run that never uses the pool does not load it.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(max_workers=workers)
 
 

@@ -8,7 +8,9 @@ proportionality on random instances, all drawn from one seeded generator.
 """
 from __future__ import annotations
 
+import contextvars
 import json
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from .config import MAX_ARRAY_BYTES, audit_array_bytes, audit_chunk_trials
 from .errors import ConfigurationError
+from .forward import _row_pool, _workers
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,14 +238,41 @@ def _audit_chunks(n: int, trials: int, seed: int):
     ``_audit_draws``, so the coefficients and modes equal the scalar
     functions' exactly; the contractions and the tail run stacked, within
     rounding of them, and give each trial the same bits at any chunk size.
+
+    This thread copies each chunk out of the draws buffer
+    (``_unpack_draws``); the rest (``_chunk_values``) runs on the shared
+    pool of ``forward._row_pool`` while this thread draws the next chunk,
+    since ``standard_normal`` releases the GIL. One chunk at most is in
+    flight, and its result is taken before the next is submitted, so one
+    pool thread at a time works on the audit, the chunks come back in
+    order and the first trial that fails a check raises its
+    ``ValueError`` here.
     """
-    for draws in _audit_draws(n, trials, seed):
-        fc, f1, f2 = _draw_chunk(draws, n)
-        overlap = _contract(f1.conj(), fc, f2.conj())
-        reverse = _contract(f1, fc.conj(), f2)
-        vdot = (f1.conj()[:, None, :] @ f2[:, :, None])[:, 0, 0]
-        k = 1 / np.sqrt(1 + np.abs(vdot) ** 2)
-        yield 4 * k**2 * np.abs(overlap) ** 2, 4 * k**2 * np.abs(reverse) ** 2
+    pool = _row_pool(os.getpid(), _workers())
+    future = None
+    try:
+        for draws in _audit_draws(n, trials, seed):
+            stacks = _unpack_draws(draws, n)
+            ready = None if future is None else future.result()
+            # the copied context carries the caller's np.errstate to the pool
+            future = pool.submit(contextvars.copy_context().run, _chunk_values, *stacks)
+            if ready is not None:
+                yield ready
+        if future is not None:
+            yield future.result()
+    finally:
+        if future is not None:
+            future.exception()  # a generator closed early still waits for its chunk
+
+
+def _chunk_values(fc: np.ndarray, psi: np.ndarray):
+    """(forward, 4 k^2 * reversed) per trial of one ``_unpack_draws`` chunk."""
+    fc, f1, f2 = _normalize_chunk(fc, psi)
+    overlap = _contract(f1.conj(), fc, f2.conj())
+    reverse = _contract(f1, fc.conj(), f2)
+    vdot = (f1.conj()[:, None, :] @ f2[:, :, None])[:, 0, 0]
+    k = 1 / np.sqrt(1 + np.abs(vdot) ** 2)
+    return 4 * k**2 * np.abs(overlap) ** 2, 4 * k**2 * np.abs(reverse) ** 2
 
 
 def _audit_draws(n: int, trials: int, seed: int):
@@ -279,17 +309,34 @@ def _draw_chunk(draws: np.ndarray, n: int):
     complex-by-real ``/``. Raises the ``ValueError`` of ``TwoPhotonCoeff``
     or ``FinalMode`` for the first trial that fails their checks.
     """
+    return _normalize_chunk(*_unpack_draws(draws, n))
+
+
+def _unpack_draws(draws: np.ndarray, n: int):
+    """``g + g.T`` and the two raw mode vectors of each row, in new arrays.
+
+    Nothing returned shares memory with ``draws``, so the next chunk may
+    overwrite it.
+    """
     m, nn = draws.shape[0], n * n
     ab = draws[:, :2 * nn].reshape(m, 2, n, n)
     fc = np.empty((m, n, n), dtype=complex)
     np.add(ab[:, 0], ab[:, 0].transpose(0, 2, 1), out=fc.real)
     np.add(ab[:, 1], ab[:, 1].transpose(0, 2, 1), out=fc.imag)
-    parts = fc.view(np.float64)
-    parts *= 0.5
-    _divide_stack(fc, np.sqrt(2 * _sum_sq(fc)))
     v = draws[:, 2 * nn:].reshape(m, 2, 2, n)
     psi = np.empty((m, 2, n), dtype=complex)
     psi.real, psi.imag = v[:, :, 0], v[:, :, 1]
+    return fc, psi
+
+
+def _normalize_chunk(fc: np.ndarray, psi: np.ndarray):
+    """Halve and normalize ``_unpack_draws``'s stacks in place and check them.
+
+    Returns the coefficient matrices and the two final modes of each trial.
+    """
+    parts = fc.view(np.float64)
+    parts *= 0.5
+    _divide_stack(fc, np.sqrt(2 * _sum_sq(fc)))
     _divide_stack(psi, np.sqrt(_norm_sq(psi)))
 
     if not np.array_equal(fc, fc.transpose(0, 2, 1)):

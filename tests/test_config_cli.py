@@ -852,7 +852,8 @@ def test_main_rejects_non_numbers(tmp_path, monkeypatch, capsys, command, doc, f
 def test_cli_import_and_validation_leave_scipy_unimported():
     # scipy.special costs about 0.3 s to import and only the Bessel
     # functions need it; importing the CLI and validating every shipped
-    # config must not load it.
+    # config must not load it, nor concurrent.futures, which only the
+    # thread pool needs.
     root = Path(__file__).resolve().parents[1]
     code = "\n".join([
         "import glob, sys",
@@ -863,13 +864,14 @@ def test_cli_import_and_validation_leave_scipy_unimported():
         "for path in paths:",
         "    assert validate(load_config(path)) == [], path",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print('concurrent.futures' in sys.modules)",
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "False"]
 
 
 SHIPPED_CONFIGS = sorted(p.name for p in (Path(__file__).resolve().parents[1]

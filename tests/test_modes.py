@@ -1,5 +1,8 @@
 """Mode-space detection probabilities against independent Fock-basis oracles."""
 import json
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from biphoton.modes import (
     _audit_chunks,
     _audit_draws,
     _coeff_from_rng,
+    _contract,
     _draw_chunk,
     _mode_from_rng,
     forward_prob_general,
@@ -480,6 +484,118 @@ def test_audit_draws_reuse_one_buffer():
     first, second, last = next(chunks), next(chunks), next(chunks)
     assert np.shares_memory(first, second) and np.shares_memory(first, last)
     assert len(last) == 1
+
+
+# ------------------------------------------------- arithmetic on the pool
+
+
+def serial_chunks(n, trials, seed):
+    """The audit's per-chunk arithmetic on this thread, one chunk after another."""
+    for draws in _audit_draws(n, trials, seed):
+        fc, f1, f2 = _draw_chunk(draws, n)
+        overlap = _contract(f1.conj(), fc, f2.conj())
+        reverse = _contract(f1, fc.conj(), f2)
+        vdot = (f1.conj()[:, None, :] @ f2[:, :, None])[:, 0, 0]
+        k = 1 / np.sqrt(1 + np.abs(vdot) ** 2)
+        yield 4 * k**2 * np.abs(overlap) ** 2, 4 * k**2 * np.abs(reverse) ** 2
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_pipelined_chunks_bit_identical_to_serial_arithmetic(n, monkeypatch):
+    # each default chunk size (6144, 768 and 64 rows) is crossed
+    trials, seed = audit_chunk_trials(n) + 33, 23
+    for rows in (1, 7, audit_chunk_trials(n)):
+        monkeypatch.setattr(modes, "audit_chunk_trials", lambda n_modes: rows)
+        got = list(_audit_chunks(n, trials, seed))
+        want = list(serial_chunks(n, trials, seed))
+        assert len(got) == len(want) == -(-trials // rows)
+        for g, w in zip(got, want):
+            for g_side, w_side in zip(g, w):
+                assert np.array_equal(g_side.view(np.uint64), w_side.view(np.uint64)), (n, rows)
+
+
+def test_successive_audits_start_no_threads():
+    # the chunks run on the one kept pool, one chunk at a time
+    time_reversal_audit(16, 1000, 1)
+    after_first = threading.active_count()
+    for seed in range(2, 21):
+        time_reversal_audit(16, 1000, seed)
+    assert threading.active_count() <= after_first
+
+
+def test_audit_raises_for_a_bad_middle_chunk_and_runs_again(monkeypatch):
+    # chunk 3 of 5 holds all-zero draws, which normalize to NaN
+    n, seed = 4, 9
+    trials = 5 * audit_chunk_trials(n)
+    want = time_reversal_audit(n, trials, seed)
+    drawn = []
+    draws = modes._audit_draws
+
+    def zero_third_chunk(*args):
+        for chunk in draws(*args):
+            drawn.append(len(chunk))
+            if len(drawn) == 3:
+                chunk[:] = 0.0
+            yield chunk
+
+    monkeypatch.setattr(modes, "_audit_draws", zero_third_chunk)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="exchange-symmetric"):
+        time_reversal_audit(n, trials, seed)
+    # at most one chunk is drawn past the bad one before it raises
+    assert len(drawn) <= 4
+    monkeypatch.setattr(modes, "_audit_draws", draws)
+    assert time_reversal_audit(n, trials, seed) == want == looped_audit(n, trials, seed)
+
+
+def test_audit_takes_each_chunk_before_submitting_the_next(monkeypatch):
+    # one chunk in flight: results come back in order on one pool thread
+    unread = []
+
+    class Watched(Future):
+        def result(self, timeout=None):
+            unread.remove(self)
+            return super().result(timeout)
+
+    class InlinePool:
+        def submit(self, fn, *args):
+            assert not unread, "a chunk went to the pool before the last one was taken"
+            unread.append(Watched())
+            unread[-1].set_result(fn(*args))
+            return unread[-1]
+
+    monkeypatch.setattr(modes, "_row_pool", lambda pid, workers: InlinePool())
+    n, seed = 4, 5
+    trials = 3 * audit_chunk_trials(n) + 1
+    assert time_reversal_audit(n, trials, seed) == looped_audit(n, trials, seed)
+    assert not unread
+
+
+def test_closing_the_chunk_generator_waits_for_the_chunk_in_flight(monkeypatch):
+    finished = []
+    values = modes._chunk_values
+
+    def slow_values(*stacks):
+        time.sleep(0.05)
+        finished.append(values(*stacks))
+        return finished[-1]
+
+    monkeypatch.setattr(modes, "_chunk_values", slow_values)
+    chunks = _audit_chunks(4, 3 * audit_chunk_trials(4), 1)
+    next(chunks)  # chunk 1 is taken and chunk 2 is in flight
+    chunks.close()
+    assert len(finished) == 2
+
+
+def test_pool_arithmetic_follows_the_callers_errstate(monkeypatch):
+    # the normalization of all-zero draws divides by zero on the pool thread
+    n = 2
+
+    def zero_draws(n_modes, trials, seed):
+        yield np.zeros((trials, 2 * n_modes * n_modes + 4 * n_modes))
+
+    monkeypatch.setattr(modes, "_audit_draws", zero_draws)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="divide by zero"):
+        time_reversal_audit(n, 3, 0)
 
 
 @pytest.mark.parametrize("seed", [-1, -2**64, 1.5, None, "7", True, False])
