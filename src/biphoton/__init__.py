@@ -4,28 +4,29 @@ Layers, roughly bottom to top:
 
 - ``grid``: sampled fields and the unitary centered Fourier transform
 - ``elements``: optical elements and pinhole-readout trains
-- ``analytic``: closed-form fringes, focal spots, the disk transform, stage fields
+- ``analytic``: closed-form fringes, focal spots, the disk transform
 - ``forward``: two-photon amplitude evolution and the equivalence sweep
-- ``modes``: discrete-mode detection probabilities and the randomized audit
+- ``modes``: the randomized audit of the discrete-mode detection probabilities
 - ``config`` / ``cli``: JSON experiment configs and the ``biphoton`` command
+- ``oracles``: slow or scalar references of the fast paths, for tests only;
+  their names here resolve on first use, so no run imports them
+
+Every value class derives from ``_value.Value`` (frozen, no generated code).
 """
 import types
 
+from . import _value
 from .analytic import (
-    DeltaComb,
     FocusParams,
     YoungParams,
     disk_transform_table,
-    focus_stage_field,
     fwhm,
     sinc,
     somb,
     spot_axial,
     spot_lateral,
     spot_offaxis_two_photon,
-    uniform_disk_transform,
     young_classical,
-    young_stage_field,
     young_two_photon,
 )
 from .config import (
@@ -72,14 +73,8 @@ from .errors import (
 )
 from .forward import (
     EquivalenceReport,
-    SingleParticleKernel,
-    TwoPhotonAmplitude,
-    coincidence_diagonal,
-    evolve,
     forward_vs_reversed_young,
     forward_young,
-    kernel_of,
-    spdc_initial,
     young_coincidence_at,
 )
 from .grid import (
@@ -91,25 +86,21 @@ from .grid import (
     power,
     unitary_fourier,
 )
-from .modes import (
-    AuditReport,
-    FinalMode,
-    MixtureWeights,
-    TwoPhotonCoeff,
-    forward_prob_general,
-    forward_prob_single,
-    mixed_reconstruction,
-    norm_factor,
-    pair_overlap,
-    random_coeff,
-    random_mode,
-    reversed_intensity_conditional,
-    reversed_intensity_single,
-    time_reversal_audit,
-)
+from .modes import AuditReport, time_reversal_audit
 
 __version__ = "0.1.0"
 
-# The public names are exactly what the imports above bind.
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
+_ORACLES = (
+    "DeltaComb", "focus_stage_field", "uniform_disk_transform", "young_stage_field",
+    "SingleParticleKernel", "TwoPhotonAmplitude", "coincidence_diagonal", "evolve",
+    "kernel_of", "spdc_initial",
+    "FinalMode", "MixtureWeights", "TwoPhotonCoeff", "forward_prob_general",
+    "forward_prob_single", "mixed_reconstruction", "norm_factor", "pair_overlap",
+    "random_coeff", "random_mode", "reversed_intensity_conditional",
+    "reversed_intensity_single")
+__getattr__ = _value.lazy_oracles(__name__, _ORACLES)
+
+# The public names are what the imports above bind, and the oracles.
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+                 + list(_ORACLES))

@@ -1,9 +1,10 @@
 """Closed-form reference patterns for the two-slit and focused-spot systems.
 
 The analytic laws the numerical pipeline must reproduce: fringe profiles,
-somb/sinc focal-spot laws, the off-axis disk integral (a Lommel series, with
-Gauss-Legendre panels as its scalar oracle) and the stage-by-stage fields of
-the pinhole-readout trains in their ideal point-source/delta-slit limit.
+somb/sinc focal-spot laws and the off-axis disk integral (a Lommel series).
+Its scalar oracle on Gauss-Legendre panels and the stage-by-stage fields of
+the pinhole-readout trains in their ideal point-source/delta-slit limit are
+in ``oracles``; their names here resolve on first use.
 
 The Bessel functions J0 and J1 behind the somb and disk laws are numpy
 polynomial evaluations, split at |x| = 8 into a polynomial in x^2 and a
@@ -12,11 +13,9 @@ coefficients with mpmath.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 
+from ._value import Value, lazy_oracles
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -149,8 +148,7 @@ def j1(x):
     return _bessel(x, 1)
 
 
-@dataclass(frozen=True)
-class YoungParams:
+class YoungParams(Value):
     """Two-slit geometry: slit half-separation x1, lens focal length f."""
 
     x1: float
@@ -163,8 +161,7 @@ class YoungParams:
                 raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class FocusParams:
+class FocusParams(Value):
     """Focusing geometry: aperture diameter D, lens focal length f."""
 
     D: float
@@ -247,20 +244,6 @@ def spot_axial(z0, p: FocusParams, kind: str):
 
 # ---------------------------------------------------------------- disk integral
 
-# The 8-point Gauss-Legendre rule bit for bit as np.polynomial.legendre.leggauss(8)
-# gives it (nodes odd, weights even); written out so that importing the
-# package does not load numpy.polynomial.
-_GL_NODES = np.array([
-    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
-    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
-_GL_WEIGHTS = np.array([
-    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
-    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
-# The disk quadrature accepts a value when two panel doublings agree to
-# QUAD_ATOL + QUAD_RTOL*|J|, and gives up past MAX_PANELS panels.
-QUAD_RTOL = 1e-9
-QUAD_ATOL = 1e-9
-MAX_PANELS = 65536
 # disk_transform_table refuses b*R needing Bessel orders past _MAX_ORDER and
 # |c|*R^2 past _MAX_GAMMA, where its phases' rounding passes 1e-9 rad. b*R
 # below _BETA_FLOOR is raised to it (J moves by <= 2^-55), so a recurrence
@@ -285,45 +268,8 @@ def _disk_arguments(b, c, R: float) -> tuple:
     return beta, gamma
 
 
-def uniform_disk_transform(b: float, c: float, R: float) -> complex:
-    """Dimensionless chirped transform of a uniform disk of radius R.
-
-    Evaluates J = (2/R^2) * integral_0^R rho J0(b rho) exp(-i c rho^2) d rho,
-    the azimuthally reduced form of the disk integral
-    (1/(pi R^2)) * integral_{|r|<=R} exp(-i c |r|^2 - i b x) dr.
-    J(0, 0) = 1; J(b, 0) = 2 J1(bR)/(bR); J(0, c) with g = c R^2 is
-    exp(-i g/2) sinc(g/2).
-
-    Composite 8-point Gauss-Legendre panels, doubled from 256 until two
-    refinements agree to ``QUAD_ATOL + QUAD_RTOL*|J|``.
-
-    Raises
-    ------
-    NonFiniteError
-        If ``b*R`` or ``c*R*R`` is not finite.
-    QuadratureError
-        If the doubling sequence passes ``MAX_PANELS`` without converging.
-    """
-    beta, gamma = _disk_arguments(b, c, R)
-    prev = None
-    panels = 256
-    while panels <= MAX_PANELS:
-        half = 0.5 / panels
-        centers = (2 * np.arange(panels) + 1) * half
-        t = centers[:, None] + half * _GL_NODES[None, :]
-        val = 2 * half * np.sum(_GL_WEIGHTS * t * j0(beta * t)
-                                * np.exp(-1j * gamma * t * t))
-        if prev is not None and abs(val - prev) <= QUAD_ATOL + QUAD_RTOL * abs(val):
-            return complex(val)
-        prev = val
-        panels *= 2
-    raise QuadratureError(
-        f"disk transform did not converge below {QUAD_ATOL:.1e}+{QUAD_RTOL:.1e}*|J| "
-        f"within {MAX_PANELS} panels (b={b:.3g}, c={c:.3g}, R={R:.3g})")
-
-
 def disk_transform_table(b, c, R: float) -> np.ndarray:
-    """``uniform_disk_transform`` at every pair (b[i], c[k]), as one table.
+    """``oracles.uniform_disk_transform`` at every pair (b[i], c[k]), as one table.
 
     Returns the complex (len(b), len(c)) array of J as the Lommel series of
     the defocused Airy integral (Born & Wolf, Principles of Optics, 8.8):
@@ -472,107 +418,9 @@ def fwhm(x, y) -> float:
     return float(right - left)
 
 
-# ---------------------------------------------------------------- staged fields
-
-@dataclass(frozen=True)
-class DeltaComb:
-    """Ideal point sources: a field proportional to sum_i w_i delta(x - loc_i).
-
-    ``locations`` holds floats (1-D planes) or (x, y) pairs (2-D planes).
-    """
-
-    locations: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        if len(self.locations) != len(self.weights):
-            raise ConfigurationError("locations and weights must have equal length")
-
-
-StageField = Union[complex, DeltaComb]
-
-
-def _check_stage(stage: int, L1: float, L2: float) -> None:
-    if stage not in range(6):
-        raise ConfigurationError(f"stage must be 0..5, got {stage}")
-    if not (L1 > 0 and L2 > 0):
-        raise ConfigurationError(f"path lengths must be > 0, got L1={L1}, L2={L2}")
-
-
-def young_stage_field(stage: int, x: float, x0: float, p: YoungParams,
-                      L1: float, L2: float) -> StageField:
-    """Closed-form field after each stage of the pinhole-readout slit train.
-
-    Point source at x0, delta slits; constants are dropped. Stages:
-    0 source, 1 slit plane (after the first lens), 2 behind the slits,
-    3 crystal plane (after the L1 path and second lens, a demagnifier by
-    -f/L1), 4 second harmonic, 5 far field over L2. Stages 0 and 2-4 are
-    point combs and return a DeltaComb; stages 1 and 5 return the complex
-    field at ``x``. The squared modulus of stage 5 at x=0 is the half-period
-    fringe in x0.
-    """
-    _check_stage(stage, L1, L2)
-    wl = p.wavelength
-    theta = 2 * np.pi * x0 * p.x1 / (p.f * wl)
-    x_img = p.x1 * p.f / L1
-    if stage == 0:
-        return DeltaComb((x0,), (1 + 0j,))
-    if stage == 1:
-        return complex(np.exp(-2j * np.pi * x0 * x / (p.f * wl)))
-    if stage == 2:
-        return DeltaComb((p.x1, -p.x1), (np.exp(-1j * theta), np.exp(1j * theta)))
-    if stage == 3:
-        return DeltaComb((-x_img, x_img), (np.exp(-1j * theta), np.exp(1j * theta)))
-    if stage == 4:
-        # SHG squares each weight; the second harmonic is at wl/2.
-        return DeltaComb((-x_img, x_img), (np.exp(-2j * theta), np.exp(2j * theta)))
-    spatial = 4 * np.pi * p.f * p.x1 * x / (L1 * L2 * wl)
-    return complex(2 * np.cos(2 * theta - spatial))
-
-
-def focus_stage_field(stage: int, r, r0, z0: float, p: FocusParams,
-                      L1: float, L2: float) -> StageField:
-    """Closed-form field after each stage of the pinhole-readout focus train.
-
-    Point source at lateral r0 = (x, y) and axial offset z0, hard aperture D.
-    Stages: 0 source, 1 back focal plane of the first lens, 2 behind the
-    aperture, 3 crystal plane (demagnified by -f/L1), 4 second harmonic,
-    5 far field over L2 at position r. Amplitude factors follow the
-    power-preserving element conventions (relative factor 1 + z0/f); the
-    squared modulus of stage 5 at r=0 matches spot_offaxis_two_photon up to
-    one global constant.
-    """
-    _check_stage(stage, L1, L2)
-    if abs(z0) >= p.f:
-        raise DomainError(f"axial offset must satisfy |z0| < f = {p.f}")
-    wl = p.wavelength
-    f = p.f
-    factor = 1 + z0 / f
-    if stage == 0:
-        return DeltaComb((tuple(r0),), (1 + 0j,))
-    x0, y0 = r0
-    if stage in (1, 2):
-        x, y = r
-        rsq = x * x + y * y
-        val = factor * np.exp(-1j * np.pi * z0 * rsq / (f**2 * wl)) \
-            * np.exp(-2j * np.pi * (x0 * x + y0 * y) / (f * wl))
-        if stage == 2 and rsq > (p.D / 2) ** 2:
-            return 0j
-        return complex(val)
-    mag = L1 / f                      # 1/|M| for the -f/L1 demagnifier
-    R_crystal = f * p.D / (2 * L1)
-    chirp = np.pi * z0 * L1**2 / (f**4 * wl)
-    lin = 2 * np.pi * L1 / (f**2 * wl)
-    if stage in (3, 4):
-        x, y = r
-        rsq = x * x + y * y
-        if rsq > R_crystal**2:
-            return 0j
-        val = mag * factor * np.exp(-1j * chirp * rsq) \
-            * np.exp(1j * lin * (x0 * x + y0 * y))
-        return complex(val if stage == 3 else val * val)
-    x, y = r
-    ux = 4 * np.pi * x / (L2 * wl) - 2 * lin * x0
-    uy = 4 * np.pi * y / (L2 * wl) - 2 * lin * y0
-    J = uniform_disk_transform(float(np.hypot(ux, uy)), 2 * chirp, R_crystal)
-    return complex((mag * factor) ** 2 * np.pi * R_crystal**2 * J)
+# The scalar disk transform and the stage fields, in ``oracles`` since no run
+# uses them, resolve here on first use.
+__getattr__ = lazy_oracles(__name__, (
+    "_GL_NODES", "_GL_WEIGHTS", "QUAD_RTOL", "QUAD_ATOL", "MAX_PANELS",
+    "uniform_disk_transform", "DeltaComb", "StageField", "young_stage_field",
+    "focus_stage_field"))

@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
+from ._value import asdict
 from .analytic import (
     FocusParams,
     YoungParams,

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ._value import Value
 from .analytic import YoungParams
 from .elements import DoubleSlit, _double_slit_mask, _relay_grid
 from .errors import ConfigurationError, DomainError
@@ -98,8 +98,7 @@ def _integer(value, field: str) -> int:
     return int(x)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Value):
     """One linear sweep axis: `count` points from `start` to `stop` (meters)."""
 
     axis: str
@@ -119,8 +118,7 @@ class SweepSpec:
                          _integer(d["count"], context + ".count"), second)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Value):
     """Simulation grid: n samples at dx meters (per axis for 2-D runs)."""
 
     n: int
@@ -132,8 +130,7 @@ class GridSpec:
         return GridSpec(_integer(d["n"], "grid.n"), _finite(d["dx"], "grid.dx"))
 
 
-@dataclass(frozen=True)
-class AuditSpec:
+class AuditSpec(Value):
     """Size of the randomized mode-space audit."""
 
     n_modes: int
@@ -146,8 +143,7 @@ class AuditSpec:
                          _integer(d["trials"], "audit.trials"))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Value):
     experiment: str
     mode: str
     wavelength: Optional[float] = None

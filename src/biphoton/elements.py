@@ -2,10 +2,10 @@
 
 All spectral stages (lens in 2-f configuration, long free-space path) are
 far-field transforms with the kernel ``exp(-i 2 pi x y / (dist wl))``; no
-general Fresnel propagator is provided. Elements are small frozen dataclasses
-so trains are immutable and comparable. Each dataclass holds its element's
-parameter rules; one table maps the class to its tag and its field function,
-and drives ``apply_element``.
+general Fresnel propagator is provided. Elements are small frozen value
+classes (``_value.Value``), so trains are immutable and comparable. Each
+class holds its element's parameter rules; one table maps the class to its
+tag and its field function, and drives ``apply_element``.
 
 ``run_train`` applies a train to one field and is the reference.
 ``run_train_batch`` reads the pinhole for many point sources at once, by
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
 
+from ._value import Value, fields
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -46,8 +46,7 @@ from .grid import (
 
 # ---------------------------------------------------------------- element types
 
-@dataclass(frozen=True)
-class _Element:
+class _Element(Value):
     """Rule shared by every element, checked before the class's ``_validate``.
 
     A field with a bool default holds a bool; every other field holds a
@@ -73,7 +72,6 @@ class _Element:
         """Rules of one element class; none by default."""
 
 
-@dataclass(frozen=True)
 class FourierLens(_Element):
     """Ideal lens of focal length ``f`` used in 2-f configuration."""
 
@@ -84,7 +82,6 @@ class FourierLens(_Element):
             raise ConfigurationError(f"focal length must be > 0, got {self.f}")
 
 
-@dataclass(frozen=True)
 class FreeSpaceFourier(_Element):
     """Far-field (Fraunhofer) free-space path of length ``L``."""
 
@@ -95,7 +92,6 @@ class FreeSpaceFourier(_Element):
             raise ConfigurationError(f"propagation distance must be > 0, got {self.L}")
 
 
-@dataclass(frozen=True)
 class TwoFWithOffset(_Element):
     """2-f stage whose far plane is displaced ``z`` from the focal plane.
 
@@ -115,7 +111,6 @@ class TwoFWithOffset(_Element):
             raise ConfigurationError(f"focal length must be > 0, got {self.f}")
 
 
-@dataclass(frozen=True)
 class DoubleSlit(_Element):
     """Binary mask with openings centered at +-x1.
 
@@ -138,7 +133,6 @@ class DoubleSlit(_Element):
                     f"slits overlap: x1={self.x1} <= slit_width/2={self.slit_width / 2}")
 
 
-@dataclass(frozen=True)
 class CircularAperture(_Element):
     """Hard circular stop of diameter ``D``: transmits |r| <= D/2."""
 
@@ -149,7 +143,6 @@ class CircularAperture(_Element):
             raise ConfigurationError(f"aperture diameter must be > 0, got {self.D}")
 
 
-@dataclass(frozen=True)
 class Magnifier(_Element):
     """Imaging stage of magnification ``M`` (negative M inverts the image)."""
 
@@ -160,12 +153,10 @@ class Magnifier(_Element):
             raise ConfigurationError("magnification must be nonzero")
 
 
-@dataclass(frozen=True)
 class SHG(_Element):
     """Thin-crystal second-harmonic stage: squares the field pointwise."""
 
 
-@dataclass(frozen=True)
 class PinholeSample(_Element):
     """Terminal intensity pickup at the origin; radius 0 reads one sample."""
 
@@ -180,8 +171,7 @@ OpticalElement = Union[FourierLens, FreeSpaceFourier, TwoFWithOffset, DoubleSlit
                        CircularAperture, Magnifier, SHG, PinholeSample]
 
 
-@dataclass(frozen=True)
-class OpticalTrain:
+class OpticalTrain(Value):
     """Ordered sequence of elements applied left to right.
 
     At most one SHG stage; a PinholeSample, if present, must be last (it
@@ -406,7 +396,7 @@ def pinhole_intensity(field: SampledField, radius: float = 0.0) -> float:
 
 # Element class -> (tag, field function). The tag names the element's spans
 # in perfbench/tracer.py. A field function takes the field, then the
-# element's dataclass fields in their declared order.
+# element's fields in their declared order.
 _TABLE = {
     FourierLens: ("fourier_lens", apply_fourier_lens),
     FreeSpaceFourier: ("free_space", free_space_fourier),
@@ -421,7 +411,7 @@ _TAGS = {cls: tag for cls, (tag, _) in _TABLE.items()}
 
 
 def _params(element: OpticalElement) -> dict:
-    """The element's dataclass fields, name -> value, in declared order."""
+    """The element's fields, name -> value, in declared order."""
     return {f.name: getattr(element, f.name) for f in fields(element)}
 
 

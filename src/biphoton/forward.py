@@ -13,30 +13,22 @@ closed form of the reversed train (``run_train_batch``, tested against
 looped ``run_train``). The relayed pair state stays the forward side of that
 compare: it shares no closed form with the reversed side, while
 ``young_coincidence_at`` computes the same sum as the closed form and is
-never compared with it. The dense ``kernel_of``/``evolve`` chain is the
-O(n^3) reference.
+never compared with it. The dense O(n^3) reference, the
+``TwoPhotonAmplitude``/``kernel_of``/``evolve`` chain, is in ``oracles``;
+its names here resolve on first use.
 """
 from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._value import Value, lazy_oracles
 from .analytic import YoungParams
 from .elements import (
-    DoubleSlit,
-    FourierLens,
-    FreeSpaceFourier,
-    Magnifier,
-    OpticalElement,
-    TwoFWithOffset,
     _double_slit_mask,
-    _flip_index,
-    _offset_chirp,
-    _params,
     _relay_grid,
     _relay_phase,
     _source_indices,
@@ -44,13 +36,7 @@ from .elements import (
     run_train,  # noqa: F401  (re-exported: callers look it up here)
     run_train_batch,
 )
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    GridMismatchError,
-    SamplingError,
-    UnsupportedElementError,
-)
+from .errors import ConfigurationError, DomainError, SamplingError
 from .grid import Grid1D, _spectral_axis, point_source  # noqa: F401  (point_source re-exported)
 
 # Bytes of one relay block: a chunk relays its rows this many at a time in
@@ -58,8 +44,6 @@ from .grid import Grid1D, _spectral_axis, point_source  # noqa: F401  (point_sou
 # young compare (85 rows) takes 320-640 faults per run instead of 1430 and
 # the full grid 2.2-5.1k; 128 KiB blocks made the full grid 1.6x slower.
 _BLOCK_BYTES = 512 * 1024
-# Elements that are one far-field relay over their one length
-_RELAYS = (FourierLens, FreeSpaceFourier)
 
 
 def _workers() -> int:
@@ -107,122 +91,6 @@ def _map_row_chunks(fn: Callable[[slice], object], n_rows: int) -> list:
     size = max(1, -(-n_rows // workers))
     chunks = [slice(i, min(i + size, n_rows)) for i in range(0, max(n_rows, 1), size)]
     return list(_row_pool(os.getpid(), workers).map(fn, chunks))
-
-
-@dataclass(frozen=True, eq=False)
-class TwoPhotonAmplitude:
-    """Symmetric pair amplitude psi(x_i, x_j) on a 1-D grid (units 1/m).
-
-    Exchange symmetry psi = psi^T is required exactly; ``evolve`` keeps it
-    by explicit symmetrization. ``forward_young`` streams its state in row
-    blocks and never builds one of these.
-    """
-
-    grid: Grid1D
-    psi: np.ndarray
-
-    def __post_init__(self):
-        psi = np.array(self.psi, dtype=np.complex128)
-        n = self.grid.n
-        if psi.shape != (n, n):
-            raise GridMismatchError(f"psi shape {psi.shape} does not match grid ({n}, {n})")
-        if not np.all(np.isfinite(psi)):
-            raise ValueError("pair amplitudes must be finite")
-        if not np.array_equal(psi, psi.T):
-            raise ValueError("pair amplitude must be exchange-symmetric (psi == psi.T)")
-        psi.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
-
-
-@dataclass(frozen=True, eq=False)
-class SingleParticleKernel:
-    """Matrix of one linear element acting on one photon: out = K @ in."""
-
-    grid_in: Grid1D
-    grid_out: Grid1D
-    K: np.ndarray
-
-    def __post_init__(self):
-        K = np.array(self.K, dtype=np.complex128)
-        if K.shape != (self.grid_out.n, self.grid_in.n):
-            raise GridMismatchError(
-                f"kernel shape {K.shape} does not match grids "
-                f"({self.grid_out.n}, {self.grid_in.n})")
-        K.setflags(write=False)
-        object.__setattr__(self, "K", K)
-
-
-def spdc_initial(grid: Grid1D) -> TwoPhotonAmplitude:
-    """Ideal position-correlated pair: psi(i, j) = delta_ij / dx.
-
-    Both photons sit at the same sample with uniform marginal; infinite
-    phase-matching bandwidth is assumed.
-    """
-    return TwoPhotonAmplitude(grid, np.eye(grid.n, dtype=complex) / grid.dx)
-
-
-def _relay_kernel(grid: Grid1D, dist: float, wavelength: float):
-    dx_out = dist * wavelength / (grid.n * grid.dx)
-    grid_out = Grid1D(grid.n, dx_out)
-    x_out = grid_out.coords
-    K = np.exp(-2j * np.pi * np.outer(x_out, grid.coords) / (dist * wavelength)) \
-        * (grid.dx / np.sqrt(dist * wavelength))
-    return grid_out, K
-
-
-def kernel_of(element: OpticalElement, grid: Grid1D,
-              wavelength: float) -> SingleParticleKernel:
-    """Sampled matrix of a linear element on a 1-D grid.
-
-    Integral kernels carry the dx quadrature weight, so ``K @ amp``
-    reproduces the corresponding field operation. Nonlinear or terminal
-    elements (SHG, PinholeSample) and inherently 2-D ones have no 1-D
-    matrix and are rejected.
-    """
-    if isinstance(element, _RELAYS):
-        (dist,) = _params(element).values()
-        grid_out, K = _relay_kernel(grid, dist, wavelength)
-        return SingleParticleKernel(grid, grid_out, K)
-    if isinstance(element, TwoFWithOffset):
-        f, z = element.f, element.z
-        factor = 1 + z / f
-        grid_out, K = _relay_kernel(grid, f, wavelength)
-        if not element.transpose:
-            K = K * (factor * _offset_chirp(grid, z, f, wavelength))[None, :]
-        else:
-            K = (factor * _offset_chirp(grid_out, z, f, wavelength))[:, None] * K
-        return SingleParticleKernel(grid, grid_out, K)
-    if isinstance(element, DoubleSlit):
-        mask = _double_slit_mask(grid, element.x1, element.slit_width)
-        return SingleParticleKernel(grid, grid, np.diag(mask).astype(complex))
-    if isinstance(element, Magnifier):
-        M = element.M
-        a = abs(M)
-        grid_out = Grid1D(grid.n, a * grid.dx)
-        K = np.zeros((grid.n, grid.n), dtype=complex)
-        rows = np.arange(grid.n)
-        cols = _flip_index(grid.n) if M < 0 else rows
-        K[rows, cols] = 1 / np.sqrt(a)
-        return SingleParticleKernel(grid, grid_out, K)
-    raise UnsupportedElementError(
-        f"no 1-D single-particle matrix for {type(element).__name__}")
-
-
-def evolve(state: TwoPhotonAmplitude, k: SingleParticleKernel) -> TwoPhotonAmplitude:
-    """Apply the kernel to each photon: psi' = K psi K^T (then symmetrize)."""
-    if state.grid != k.grid_in:
-        raise GridMismatchError("state grid does not match kernel input grid")
-    d = np.diagonal(k.K)
-    if k.grid_out == state.grid and np.array_equal(k.K, np.diag(d)):
-        a = d[:, None] * state.psi * d[None, :]  # diagonal kernel, O(n^2)
-    else:
-        a = k.K @ state.psi @ k.K.T
-    return TwoPhotonAmplitude(k.grid_out, (a + a.T) / 2)
-
-
-def coincidence_diagonal(state: TwoPhotonAmplitude) -> np.ndarray:
-    """Both-photons-at-one-point counting rate 2 |psi(k, k)|^2, unnormalized."""
-    return 2 * np.abs(np.diagonal(state.psi)) ** 2
 
 
 def forward_young(p: YoungParams, grid: Grid1D,
@@ -351,8 +219,7 @@ def young_coincidence_at(p: YoungParams, grid: Grid1D, positions,
     return 2 * np.abs(diag) ** 2
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Value):
     """Outcome of a forward-vs-reconstruction sweep over ``n_points`` samples."""
 
     max_rel_err: float
@@ -387,3 +254,10 @@ def forward_vs_reversed_young(p: YoungParams, grid: Grid1D,
     rev = rev / rev.max()
     return EquivalenceReport(max_rel_err=float(np.max(np.abs(fwd - rev))),
                              n_points=len(sources))
+
+
+# The dense pair-state chain, in ``oracles`` since no run uses it, resolves
+# here on first use.
+__getattr__ = lazy_oracles(__name__, (
+    "TwoPhotonAmplitude", "SingleParticleKernel", "spdc_initial", "kernel_of",
+    "evolve", "coincidence_diagonal"))

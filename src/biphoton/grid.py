@@ -12,11 +12,11 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
+from ._value import Value
 from .errors import ConfigurationError, DomainError, GridMismatchError
 
 
@@ -26,8 +26,7 @@ def _axis_ends(n: int, d: float) -> tuple:
     return (0 - n // 2) * d, (n - 1 - n // 2) * d
 
 
-@dataclass(frozen=True)
-class Grid1D:
+class Grid1D(Value):
     """Uniform 1-D sampling grid. Lengths are in meters."""
 
     n: int
@@ -84,8 +83,7 @@ class Grid1D:
         return np.unique(idx, return_inverse=True)
 
 
-@dataclass(frozen=True)
-class Grid2D:
+class Grid2D(Value):
     """Uniform 2-D sampling grid; arrays are indexed ``[iy, ix]``."""
 
     nx: int
@@ -149,8 +147,7 @@ def _grid_from_axes(axes) -> Grid:
     return Grid2D(x.n, y.n, x.dx, y.dx)
 
 
-@dataclass(frozen=True, eq=False)
-class SampledField:
+class SampledField(Value, eq=False):
     """Complex scalar field sampled on a grid, tagged with its wavelength.
 
     Immutable: ``amp`` is copied and write-protected on construction, and all

@@ -5,168 +5,27 @@ symmetric coefficient matrix f(s1, s2) over N modes. The forward detection
 probabilities and the classically measured reversed intensities are simple
 contractions of f; this module computes both sides and audits their exact
 proportionality on random instances, all drawn from one seeded generator.
+
+The audit runs stacked over chunks of trials. Its scalar reference, the
+value classes ``TwoPhotonCoeff``/``FinalMode`` and one function per
+probability and intensity, is in ``oracles``; its names here resolve on
+first use.
 """
 from __future__ import annotations
 
 import contextvars
 import json
 import os
-from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
+from ._value import Value, lazy_oracles
 from .config import MAX_ARRAY_BYTES, audit_array_bytes, audit_chunk_trials
 from .errors import ConfigurationError
 from .forward import _row_pool, _workers
 
 
-@dataclass(frozen=True, eq=False)
-class TwoPhotonCoeff:
-    """Pair-emission coefficients f(s1, s2) for one pump mode.
-
-    Exchange symmetry f == f.T must hold exactly; 2 sum|f|^2 = 1 fixes the
-    total pair-emission probability to one.
-    """
-
-    f: np.ndarray
-
-    def __post_init__(self):
-        f = np.array(self.f, dtype=np.complex128)
-        if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] < 1:
-            raise ValueError(f"coefficients must be a square matrix, got {f.shape}")
-        if not np.array_equal(f, f.T):
-            raise ValueError("pair coefficients must be exchange-symmetric (f == f.T)")
-        total = 2 * np.sum(np.abs(f) ** 2)
-        if abs(total - 1) > 1e-12:
-            raise ValueError(f"2*sum|f|^2 = {total!r}, expected 1 within 1e-12")
-        f.setflags(write=False)
-        object.__setattr__(self, "f", f)
-
-    @property
-    def n_modes(self) -> int:
-        return self.f.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class FinalMode:
-    """Normalized single-photon mode function over the N mode labels."""
-
-    psi: np.ndarray
-
-    def __post_init__(self):
-        psi = np.array(self.psi, dtype=np.complex128)
-        if psi.ndim != 1 or psi.size < 1:
-            raise ValueError("mode function must be a nonempty vector")
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1) > 1e-12:
-            raise ValueError(f"mode function norm {norm!r} is not 1 within 1e-12")
-        psi.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
-
-
-@dataclass(frozen=True)
-class MixtureWeights:
-    """Convex combination of pure detection cases."""
-
-    cases: Tuple[Tuple[float, object], ...]
-
-    def __post_init__(self):
-        cases = tuple((float(w), case) for w, case in self.cases)
-        if not cases:
-            raise ConfigurationError("mixture needs at least one case")
-        if any(w < 0 for w, _ in cases):
-            raise ConfigurationError("mixture weights must be nonnegative")
-        total = sum(w for w, _ in cases)
-        if abs(total - 1) > 1e-12:
-            raise ConfigurationError(f"mixture weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "cases", cases)
-
-
-def _coeff_from_rng(n: int, rng: np.random.Generator) -> TwoPhotonCoeff:
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    g = (g + g.T) / 2
-    return TwoPhotonCoeff(g / np.sqrt(2 * np.sum(np.abs(g) ** 2)))
-
-
-def random_coeff(n: int, seed: int) -> TwoPhotonCoeff:
-    """Random normalized symmetric coefficient matrix, deterministic per seed."""
-    if n < 1:
-        raise ConfigurationError(f"mode count must be >= 1, got {n}")
-    return _coeff_from_rng(n, np.random.default_rng(seed))
-
-
-def _mode_from_rng(n: int, rng: np.random.Generator) -> FinalMode:
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return FinalMode(v / np.linalg.norm(v))
-
-
-def random_mode(n: int, seed: int) -> FinalMode:
-    """Random normalized mode function, deterministic per seed."""
-    if n < 1:
-        raise ConfigurationError(f"mode count must be >= 1, got {n}")
-    return _mode_from_rng(n, np.random.default_rng(seed))
-
-
-def _check_index(fc: TwoPhotonCoeff, s_f: int) -> None:
-    if not 0 <= s_f < fc.n_modes:
-        raise IndexError(f"mode index {s_f} out of range for N={fc.n_modes}")
-
-
-def forward_prob_single(fc: TwoPhotonCoeff, s_f: int) -> float:
-    """Probability of finding both photons in mode s_f: 2 |f(s_f, s_f)|^2."""
-    _check_index(fc, s_f)
-    return float(2 * np.abs(fc.f[s_f, s_f]) ** 2)
-
-
-def pair_overlap(fc: TwoPhotonCoeff, f1: FinalMode, f2: FinalMode) -> complex:
-    """Contraction sum_{s1 s2} psi_f1*(s1) psi_f2*(s2) f(s1, s2)."""
-    return complex(f1.psi.conj() @ fc.f @ f2.psi.conj())
-
-
-def norm_factor(f1: FinalMode, f2: FinalMode) -> float:
-    """k = [1 + |<psi_f1, psi_f2>|^2]^(-1/2) of the two-mode pair state."""
-    return float(1 / np.sqrt(1 + np.abs(np.vdot(f1.psi, f2.psi)) ** 2))
-
-
-def forward_prob_general(fc: TwoPhotonCoeff, f1: FinalMode, f2: FinalMode) -> float:
-    """Probability of one photon in mode f1 and one in f2: 4 k^2 |contraction|^2.
-
-    With f1 == f2 == basis vector e_s this reduces exactly to
-    forward_prob_single(s) (k^2 = 1/2 cancels the 4 to the factor 2).
-    """
-    k = norm_factor(f1, f2)
-    return float(4 * k**2 * np.abs(pair_overlap(fc, f1, f2)) ** 2)
-
-
-def reversed_intensity_single(fc: TwoPhotonCoeff, s_f: int) -> float:
-    """Upconverted intensity with a coherent beam in mode s_f: |f(s_f, s_f)|^2.
-
-    The driving-amplitude constant is fixed to one, so the forward
-    probability is exactly twice this wherever nonzero.
-    """
-    _check_index(fc, s_f)
-    return float(np.abs(fc.f[s_f, s_f]) ** 2)
-
-
-def reversed_intensity_conditional(fc: TwoPhotonCoeff, f1: FinalMode,
-                                   f2: FinalMode) -> float:
-    """Intensity after pairwise-only upconversion of beams in modes f1, f2.
-
-    |sum_{s1 s2} f*(s1, s2) psi_f1(s1) psi_f2(s2)|^2, proportional to
-    forward_prob_general with ratio 4 k^2.
-    """
-    return float(np.abs(f1.psi @ fc.f.conj() @ f2.psi) ** 2)
-
-
-def mixed_reconstruction(weights: MixtureWeights,
-                         evaluator: Callable[[object], float]) -> float:
-    """Weighted sum of pure-case values: sum_i w_i evaluator(case_i)."""
-    return float(sum(w * evaluator(case) for w, case in weights.cases))
-
-
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Value):
     """Result of a randomized forward-vs-reversed proportionality audit."""
 
     n_modes: int
@@ -379,3 +238,12 @@ def _norm_sq(v: np.ndarray) -> np.ndarray:
 def _contract(u: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """u @ f @ w per trial, as stacked matmuls (the scalar path's gemv, then dot)."""
     return (u[:, None, :] @ f @ w[:, :, None])[:, 0, 0]
+
+
+# The scalar mode check, in ``oracles`` since no run uses it, resolves here
+# on first use.
+__getattr__ = lazy_oracles(__name__, (
+    "TwoPhotonCoeff", "FinalMode", "MixtureWeights", "_coeff_from_rng", "random_coeff",
+    "_mode_from_rng", "random_mode", "forward_prob_single", "pair_overlap",
+    "norm_factor", "forward_prob_general", "reversed_intensity_single",
+    "reversed_intensity_conditional", "mixed_reconstruction"))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import j0 as scipy_j0, j1 as scipy_j1
 
-from biphoton import analytic
+from biphoton import analytic, oracles
 from biphoton.analytic import (
     DeltaComb,
     FocusParams,
@@ -353,7 +353,7 @@ def test_disk_table_matches_looped_scalar_transform(monkeypatch):
     c = 2 * np.pi * DEEP_Z0 / (FP.f**2 * WL)
     R = FP.D / 2
     with monkeypatch.context() as m, pytest.raises(QuadratureError):
-        m.setattr(analytic, "MAX_PANELS", 512)  # the lattice reaches past 512 panels
+        m.setattr(oracles, "MAX_PANELS", 512)  # the lattice reaches past 512 panels
         uniform_disk_transform(b[0], c[-1], R)
     table = disk_transform_table(b, c, R)
     ref = np.array([[uniform_disk_transform(bi, ck, R) for ck in c] for bi in b])

@@ -853,7 +853,8 @@ def test_cli_import_and_validation_leave_scipy_unimported():
     # scipy.special costs about 0.3 s to import and only the Bessel
     # functions need it; importing the CLI and validating every shipped
     # config must not load it, nor concurrent.futures, which only the
-    # thread pool needs.
+    # thread pool needs, nor dataclasses (its generated methods cost about
+    # 15 ms of start-up) or the test oracles.
     root = Path(__file__).resolve().parents[1]
     code = "\n".join([
         "import glob, sys",
@@ -865,13 +866,15 @@ def test_cli_import_and_validation_leave_scipy_unimported():
         "    assert validate(load_config(path)) == [], path",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         "print('concurrent.futures' in sys.modules)",
+        "print('dataclasses' in sys.modules)",
+        "print('biphoton.oracles' in sys.modules)",
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "False"]
+    assert proc.stdout.split() == ["[]", "False", "False", "False"]
 
 
 SHIPPED_CONFIGS = sorted(p.name for p in (Path(__file__).resolve().parents[1]
@@ -881,7 +884,8 @@ SHIPPED_CONFIGS = sorted(p.name for p in (Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
 def test_shipped_config_runs_without_scipy(tmp_path, name):
     # numpy is the only runtime dependency: with scipy unimportable every
-    # shipped config still runs, and none loads scipy or numpy.polynomial.
+    # shipped config still runs, and none loads scipy, numpy.polynomial,
+    # dataclasses or the test oracles.
     root = Path(__file__).resolve().parents[1]
     code = "\n".join([
         "import sys",
@@ -889,7 +893,8 @@ def test_shipped_config_runs_without_scipy(tmp_path, name):
         "from biphoton.cli import main",
         "code = main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]])",
         "print(sorted(m for m, mod in sys.modules.items() if mod is not None and (",
-        "    m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'polynomial'])))",
+        "    m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'polynomial']",
+        "    or m in ('dataclasses', 'biphoton.oracles'))))",
         "sys.exit(code)",
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
