@@ -47,19 +47,11 @@ from .elements import (
     OpticalTrain,
     PinholeSample,
     TwoFWithOffset,
-    apply_circular_aperture,
-    apply_double_slit,
     apply_element,
-    apply_fourier_lens,
-    free_space_fourier,
-    magnify,
-    pinhole_intensity,
     reversed_focus_train,
     reversed_young_train,
     run_train,
     run_train_batch,
-    shg,
-    two_f_with_offset,
 )
 from .errors import (
     ConfigurationError,
@@ -94,10 +86,9 @@ _ORACLES = (
     "DeltaComb", "focus_stage_field", "uniform_disk_transform", "young_stage_field",
     "SingleParticleKernel", "TwoPhotonAmplitude", "coincidence_diagonal", "evolve",
     "kernel_of", "spdc_initial",
-    "FinalMode", "MixtureWeights", "TwoPhotonCoeff", "forward_prob_general",
-    "forward_prob_single", "mixed_reconstruction", "norm_factor", "pair_overlap",
-    "random_coeff", "random_mode", "reversed_intensity_conditional",
-    "reversed_intensity_single")
+    "FinalMode", "TwoPhotonCoeff", "forward_prob_general", "forward_prob_single",
+    "norm_factor", "pair_overlap", "random_coeff", "random_mode",
+    "reversed_intensity_conditional", "reversed_intensity_single")
 __getattr__ = _value.lazy_oracles(__name__, _ORACLES)
 
 # The public names are what the imports above bind, and the oracles.

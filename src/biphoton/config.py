@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from ._value import Value
 from .analytic import YoungParams
-from .elements import DoubleSlit, _double_slit_mask, _relay_grid
+from .elements import DoubleSlit, _relay_grid
 from .errors import ConfigurationError, DomainError
 from .forward import snap_young_sweep
 from .grid import Grid1D
@@ -257,8 +257,8 @@ def _young_diags(cfg: ExperimentConfig) -> List[str]:
         det = _relay_grid(grid, cfg.f, cfg.wavelength)
         planes.append(_relay_grid(det, cfg.f, cfg.wavelength))
     try:
-        DoubleSlit(cfg.x1, cfg.slit_width)
-        masks = [_double_slit_mask(plane, cfg.x1, cfg.slit_width) for plane in planes]
+        slit = DoubleSlit(cfg.x1, cfg.slit_width)
+        masks = [slit.mask(plane) for plane in planes]
     except ConfigurationError as exc:
         return [f"slit_width: {exc}"]
     except DomainError as exc:

@@ -4,8 +4,11 @@ All spectral stages (lens in 2-f configuration, long free-space path) are
 far-field transforms with the kernel ``exp(-i 2 pi x y / (dist wl))``; no
 general Fresnel propagator is provided. Elements are small frozen value
 classes (``_value.Value``), so trains are immutable and comparable. Each
-class holds its element's parameter rules; one table maps the class to its
-tag and its field function, and drives ``apply_element``.
+class is the one definition of its element: its parameter rules, checked
+once when it is built; its ``tag``, a class attribute that names its spans
+in ``perfbench/tracer.py``; and its field operator ``apply``, which
+``apply_element`` calls. ``DoubleSlit.mask`` and ``CircularAperture.mask``
+also serve the closed forms and checks that hold no field.
 
 ``run_train`` applies a train to one field and is the reference.
 ``run_train_batch`` reads the pinhole for many point sources at once, by
@@ -73,46 +76,79 @@ class _Element(Value):
 
 
 class FourierLens(_Element):
-    """Ideal lens of focal length ``f`` used in 2-f configuration."""
+    """Ideal lens of focal length ``f`` used in 2-f configuration.
+
+    ``apply`` transforms a 1-D or 2-D field from the front to the back
+    focal plane, onto the conjugate grid of spacing ``f*wl/(n*dx_in)`` per
+    axis; power is preserved exactly.
+    """
 
     f: float
+    tag = "fourier_lens"
 
     def _validate(self):
         if not self.f > 0:
             raise ConfigurationError(f"focal length must be > 0, got {self.f}")
 
+    def apply(self, field: SampledField) -> SampledField:
+        return _fourier_relay(field, self.f)
+
 
 class FreeSpaceFourier(_Element):
-    """Far-field (Fraunhofer) free-space path of length ``L``."""
+    """Far-field (Fraunhofer) free-space path of length ``L``.
+
+    The same map as a lens of focal length ``L``; valid in the Fraunhofer
+    regime only (long L), as this package never needs the Fresnel form.
+    """
 
     L: float
+    tag = "free_space"
 
     def _validate(self):
         if not self.L > 0:
             raise ConfigurationError(f"propagation distance must be > 0, got {self.L}")
 
+    def apply(self, field: SampledField) -> SampledField:
+        return _fourier_relay(field, self.L)
+
 
 class TwoFWithOffset(_Element):
     """2-f stage whose far plane is displaced ``z`` from the focal plane.
 
-    The kernel is the focal-plane transform with an extra quadratic (chirp)
-    phase and a relative amplitude factor ``1 + z/f``; ``z`` may be negative.
-    With ``transpose`` the adjoint-direction kernel is applied instead: the
-    chirp sits on the output plane, which models a point emitter on the
-    displaced plane propagating back into the back focal plane.
+    The kernel is the focal-plane transform with the chirp
+    ``exp(-i pi z r^2/(f^2 wl))`` and the relative amplitude ``1 + z/f``
+    on the input plane; ``z`` may be negative, and at z=0 ``apply`` equals
+    :class:`FourierLens` bit for bit. With ``transpose`` the
+    adjoint-direction kernel is applied instead: the chirp sits on the
+    output plane, which models a point emitter on the displaced plane
+    propagating back into the back focal plane. ``apply`` raises
+    SamplingError where the chirp phase advances by more than pi per
+    sample on the chirped plane (aliasing).
     """
 
     f: float
     z: float
     transpose: bool = False
+    tag = "two_f_offset"
 
     def _validate(self):
         if not self.f > 0:
             raise ConfigurationError(f"focal length must be > 0, got {self.f}")
 
+    def apply(self, field: SampledField) -> SampledField:
+        f, z, wl = self.f, self.z, field.wavelength
+        factor = 1 + z / f
+        if not self.transpose:
+            chirp = _offset_chirp(field.grid, z, f, wl)
+            out = _fourier_relay(SampledField(field.grid, wl, field.amp * chirp), f)
+            return SampledField(out.grid, wl, out.amp * factor)
+        out = _fourier_relay(field, f)
+        chirp = _offset_chirp(out.grid, z, f, wl)
+        return SampledField(out.grid, wl, out.amp * factor * chirp)
+
 
 class DoubleSlit(_Element):
-    """Binary mask with openings centered at +-x1.
+    """Binary mask with openings centered at +-x1, on 1-D fields only.
 
     ``slit_width=None`` means one grid cell at apply time: each slit passes
     exactly the sample nearest its center (the idealized delta slit).
@@ -120,6 +156,7 @@ class DoubleSlit(_Element):
 
     x1: float
     slit_width: Optional[float] = None
+    tag = "double_slit"
 
     def _validate(self):
         if not self.x1 > 0:
@@ -132,43 +169,117 @@ class DoubleSlit(_Element):
                 raise ConfigurationError(
                     f"slits overlap: x1={self.x1} <= slit_width/2={self.slit_width / 2}")
 
+    def mask(self, grid: Grid1D) -> np.ndarray:
+        """0/1 transmission on the samples of ``grid``; DomainError if a
+        delta slit lies outside it."""
+        mask = np.zeros(grid.n)
+        if self.slit_width is None:
+            for pos in (self.x1, -self.x1):
+                if not grid.contains(pos):
+                    raise DomainError(f"slit at {pos} lies outside the grid")
+                mask[grid.index_of(pos)] = 1.0
+        else:
+            x = grid.coords
+            mask[np.abs(x - self.x1) <= self.slit_width / 2] = 1.0
+            mask[np.abs(x + self.x1) <= self.slit_width / 2] = 1.0
+        return mask
+
+    def apply(self, field: SampledField) -> SampledField:
+        if not isinstance(field.grid, Grid1D):
+            raise UnsupportedElementError("double slit acts on 1-D fields only")
+        return SampledField(field.grid, field.wavelength,
+                            field.amp * self.mask(field.grid))
+
 
 class CircularAperture(_Element):
-    """Hard circular stop of diameter ``D``: transmits |r| <= D/2."""
+    """Hard circular stop of diameter ``D`` on 2-D fields: transmits |r| <= D/2."""
 
     D: float
+    tag = "circular_aperture"
 
     def _validate(self):
         if not self.D > 0:
             raise ConfigurationError(f"aperture diameter must be > 0, got {self.D}")
 
+    def mask(self, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Transmission at each ``(y, x)`` of two coordinate axes, shape (ny, nx)."""
+        return ys[:, None] ** 2 + xs[None, :] ** 2 <= (self.D / 2) ** 2
+
+    def apply(self, field: SampledField) -> SampledField:
+        grid = field.grid
+        if not isinstance(grid, Grid2D):
+            raise UnsupportedElementError("circular aperture acts on 2-D fields only")
+        return SampledField(grid, field.wavelength,
+                            field.amp * self.mask(grid.ys, grid.xs))
+
 
 class Magnifier(_Element):
-    """Imaging stage of magnification ``M`` (negative M inverts the image)."""
+    """Imaging stage of magnification ``M`` (negative M inverts the image).
+
+    ``apply`` is the pure coordinate remap E'(x) = E(x/M) |M|^(-d/2), with
+    power preserved, done as grid metadata: spacings scale by |M|, and
+    negative M reverses sample order about the center sample.
+    """
 
     M: float
+    tag = "magnifier"
 
     def _validate(self):
         if self.M == 0:
             raise ConfigurationError("magnification must be nonzero")
 
+    def apply(self, field: SampledField) -> SampledField:
+        a = abs(self.M)
+        amp = field.amp
+        axes = field.grid.axes
+        if self.M < 0:
+            amp = amp[np.ix_(*(_flip_index(g.n) for g in axes))]
+        grid = _grid_from_axes([Grid1D(g.n, a * g.dx) for g in axes])
+        return SampledField(grid, field.wavelength, amp / np.sqrt(a) ** len(axes))
+
 
 class SHG(_Element):
-    """Thin-crystal second-harmonic stage: squares the field pointwise."""
+    """Thin-crystal second-harmonic stage: squares the field pointwise and
+    halves the wavelength (undepleted pump; power is not conserved)."""
+
+    tag = "shg"
+
+    def apply(self, field: SampledField) -> SampledField:
+        return SampledField(field.grid, field.wavelength / 2, field.amp ** 2)
 
 
 class PinholeSample(_Element):
-    """Terminal intensity pickup at the origin; radius 0 reads one sample."""
+    """Terminal intensity pickup centered on the origin.
+
+    ``apply`` returns a float. Radius 0 reads the origin, sample ``n//2`` of
+    each axis, as ``|E(0)|^2``; a finite radius integrates
+    ``|amp|^2 * cell`` over the samples within it.
+    """
 
     radius: float = 0.0
+    tag = "pinhole"
 
     def _validate(self):
         if self.radius < 0:
             raise ConfigurationError(f"pinhole radius must be >= 0, got {self.radius}")
 
+    def apply(self, field: SampledField) -> float:
+        grid = field.grid
+        if self.radius == 0.0:
+            return float(abs(field.amp[tuple(s // 2 for s in grid.shape)]) ** 2)
+        if isinstance(grid, Grid1D):
+            sel = np.abs(grid.coords) <= self.radius
+        else:
+            sel = grid.radius_sq() <= self.radius ** 2
+        return float(np.sum(np.abs(field.amp[sel]) ** 2) * grid.cell)
 
-OpticalElement = Union[FourierLens, FreeSpaceFourier, TwoFWithOffset, DoubleSlit,
-                       CircularAperture, Magnifier, SHG, PinholeSample]
+
+_ELEMENTS = (FourierLens, FreeSpaceFourier, TwoFWithOffset, DoubleSlit,
+             CircularAperture, Magnifier, SHG, PinholeSample)
+OpticalElement = Union[_ELEMENTS]
+# The classes apply_element accepts, with the tags perfbench/tracer.py names
+# their spans by.
+_TAGS = {cls: cls.tag for cls in _ELEMENTS}
 
 
 class OpticalTrain(Value):
@@ -211,36 +322,6 @@ def _relay_phase(grid: Grid1D, dist: float, wavelength: float) -> np.ndarray:
     return _spectral_phase(grid, dist * wavelength / (2 * np.pi))
 
 
-def apply_fourier_lens(field: SampledField, f: float) -> SampledField:
-    """Transform from front to back focal plane of an ideal lens.
-
-    Parameters
-    ----------
-    field : SampledField
-        Input field (1-D or 2-D).
-    f : float
-        Focal length in meters.
-
-    Returns
-    -------
-    SampledField
-        Field on the conjugate grid with spacing
-        ``f*wl/(n*dx_in)`` per axis. Power is preserved exactly.
-    """
-    FourierLens(f)  # parameter validation
-    return _fourier_relay(field, f)
-
-
-def free_space_fourier(field: SampledField, L: float) -> SampledField:
-    """Far-field free-space propagation over ``L``; same map as a lens of f=L.
-
-    Valid in the Fraunhofer regime only (long L); this package never needs
-    the general Fresnel form.
-    """
-    FreeSpaceFourier(L)  # parameter validation
-    return _fourier_relay(field, L)
-
-
 def _axis_chirps(grid, z: float, f: float, wl: float) -> list:
     """Offset chirp ``exp(-i pi z c^2/(f^2 wl))`` per axis of ``grid``, x first.
 
@@ -276,153 +357,19 @@ def _offset_chirp(grid, z: float, f: float, wl: float) -> np.ndarray:
     return np.outer(cy, cx)  # indexed [iy, ix]
 
 
-def two_f_with_offset(field: SampledField, f: float, z: float,
-                      transpose: bool = False) -> SampledField:
-    """2-f transform onto a plane displaced ``z`` from the back focal plane.
-
-    Chirp phase ``exp(-i pi z r^2/(f^2 wl))`` and relative amplitude
-    ``1 + z/f`` applied on the input plane, then the focal-plane kernel.
-    At z=0 this reduces to :func:`apply_fourier_lens` bit for bit. With
-    ``transpose=True`` the adjoint-direction kernel (chirp on the output
-    plane) is applied instead.
-
-    Raises
-    ------
-    SamplingError
-        If the chirp phase advances by more than pi per sample anywhere
-        on the chirped plane (aliasing).
-    """
-    TwoFWithOffset(f, z, transpose)  # parameter validation
-    wl = field.wavelength
-    factor = 1 + z / f
-    if not transpose:
-        chirp = _offset_chirp(field.grid, z, f, wl)
-        out = _fourier_relay(SampledField(field.grid, wl, field.amp * chirp), f)
-        return SampledField(out.grid, wl, out.amp * factor)
-    out = _fourier_relay(field, f)
-    chirp = _offset_chirp(out.grid, z, f, wl)
-    return SampledField(out.grid, wl, out.amp * factor * chirp)
-
-
-# ---------------------------------------------------------------- masks
-
-def apply_double_slit(field: SampledField, x1: float,
-                      slit_width: Optional[float] = None) -> SampledField:
-    """Binary double-slit mask at +-x1 on a 1-D field.
-
-    ``slit_width=None`` passes exactly one sample per slit (delta slits).
-    """
-    if not isinstance(field.grid, Grid1D):
-        raise UnsupportedElementError("double slit acts on 1-D fields only")
-    return SampledField(field.grid, field.wavelength,
-                        field.amp * _double_slit_mask(field.grid, x1, slit_width))
-
-
-def _double_slit_mask(g: Grid1D, x1: float, slit_width: Optional[float]) -> np.ndarray:
-    """0/1 transmission of the double slit on the samples of ``g``."""
-    DoubleSlit(x1, slit_width)  # parameter validation
-    mask = np.zeros(g.n)
-    if slit_width is None:
-        for pos in (x1, -x1):
-            if not g.contains(pos):
-                raise DomainError(f"slit at {pos} lies outside the grid")
-            mask[g.index_of(pos)] = 1.0
-    else:
-        x = g.coords
-        mask[np.abs(x - x1) <= slit_width / 2] = 1.0
-        mask[np.abs(x + x1) <= slit_width / 2] = 1.0
-    return mask
-
-
-def apply_circular_aperture(field: SampledField, D: float) -> SampledField:
-    """Hard circular stop on a 2-D field: zero outside |r| <= D/2."""
-    if not isinstance(field.grid, Grid2D):
-        raise UnsupportedElementError("circular aperture acts on 2-D fields only")
-    CircularAperture(D)  # parameter validation
-    mask = field.grid.radius_sq() <= (D / 2) ** 2
-    return SampledField(field.grid, field.wavelength, field.amp * mask)
-
-
-# ---------------------------------------------------------------- remaps
-
 def _flip_index(n: int) -> np.ndarray:
     # Exact mirror about the center sample n//2; for even n the unpaired
     # edge sample wraps onto itself, matching a double Fourier transform.
     return (2 * (n // 2) - np.arange(n)) % n
 
 
-def magnify(field: SampledField, M: float) -> SampledField:
-    """Pure coordinate remap E'(x) = E(x/M) |M|^(-d/2); power preserved.
-
-    Implemented as grid metadata: spacings scale by |M|, and negative M
-    reverses sample order about the center sample.
-    """
-    Magnifier(M)  # parameter validation
-    a = abs(M)
-    amp = field.amp
-    axes = field.grid.axes
-    if M < 0:
-        amp = amp[np.ix_(*(_flip_index(g.n) for g in axes))]
-    grid = _grid_from_axes([Grid1D(g.n, a * g.dx) for g in axes])
-    return SampledField(grid, field.wavelength, amp / np.sqrt(a) ** len(axes))
-
-
-def shg(field: SampledField) -> SampledField:
-    """Second-harmonic stage: square the field, halve the wavelength.
-
-    Undepleted-pump thin-crystal model; power is not conserved.
-    """
-    return SampledField(field.grid, field.wavelength / 2, field.amp ** 2)
-
-
-def pinhole_intensity(field: SampledField, radius: float = 0.0) -> float:
-    """Intensity collected by a pinhole centered on the origin.
-
-    radius 0 reads the origin, sample ``n//2`` of each axis, as ``|E(0)|^2``;
-    a finite radius integrates ``|amp|^2 * cell`` over samples within it.
-    """
-    PinholeSample(radius)  # parameter validation
-    grid = field.grid
-    if radius == 0.0:
-        return float(abs(field.amp[tuple(s // 2 for s in grid.shape)]) ** 2)
-    if isinstance(grid, Grid1D):
-        sel = np.abs(grid.coords) <= radius
-    else:
-        sel = grid.radius_sq() <= radius ** 2
-    return float(np.sum(np.abs(field.amp[sel]) ** 2) * grid.cell)
-
-
-# ---------------------------------------------------------------- element table
-
-# Element class -> (tag, field function). The tag names the element's spans
-# in perfbench/tracer.py. A field function takes the field, then the
-# element's fields in their declared order.
-_TABLE = {
-    FourierLens: ("fourier_lens", apply_fourier_lens),
-    FreeSpaceFourier: ("free_space", free_space_fourier),
-    TwoFWithOffset: ("two_f_offset", two_f_with_offset),
-    DoubleSlit: ("double_slit", apply_double_slit),
-    CircularAperture: ("circular_aperture", apply_circular_aperture),
-    Magnifier: ("magnifier", magnify),
-    SHG: ("shg", shg),
-    PinholeSample: ("pinhole", pinhole_intensity),
-}
-_TAGS = {cls: tag for cls, (tag, _) in _TABLE.items()}
-
-
-def _params(element: OpticalElement) -> dict:
-    """The element's fields, name -> value, in declared order."""
-    return {f.name: getattr(element, f.name) for f in fields(element)}
-
-
 # ---------------------------------------------------------------- trains
 
 def apply_element(field: SampledField, element: OpticalElement):
     """Apply one element; returns a field, or a float for PinholeSample."""
-    if type(element) not in _TABLE:
+    if type(element) not in _TAGS:
         raise UnsupportedElementError(f"unknown element {element!r}")
-    _, apply = _TABLE[type(element)]
-    return apply(field, *_params(element).values())
+    return element.apply(field)
 
 
 def run_train(source: SampledField, train: OpticalTrain):
@@ -572,7 +519,7 @@ def _young_totals(grid: Grid1D, wl: float, indices: np.ndarray, train: OpticalTr
     """
     opening, slit, path1, lens = train.elements[:4]
     path2 = train.elements[-2]
-    kept = np.flatnonzero(_double_slit_mask(slits, slit.x1, slit.slit_width))
+    kept = np.flatnonzero(slit.mask(slits))
     rows = _relayed_delta(grid.n, grid.dx, indices, opening.f, wl, cols=kept)
     rows *= np.sqrt(1.0 / grid.cell) * np.sqrt(path1.L / lens.f)
     _check_finite(rows)
@@ -607,14 +554,15 @@ def _focus_totals(grid: Grid2D, wl: float, indices: np.ndarray, train: OpticalTr
     path2 = train.elements[-2]
     f, z = opening.f, opening.z
     cx, cy = _axis_chirps(pupil, z, f, wl)
-    # The aperture passes no sample outside the rows and columns kept here:
-    # floating-point y^2 + x^2 is never below y^2 or x^2.
-    r2_max = (aperture.D / 2) ** 2
-    ky = np.flatnonzero(pupil.ys ** 2 <= r2_max)
-    kx = np.flatnonzero(pupil.xs ** 2 <= r2_max)
+    # The aperture passes no sample outside the rows and columns kept here,
+    # those it passes on the x and y axes: floating-point y^2 + x^2 is never
+    # below y^2 or x^2, and y^2 + 0.0 is y^2.
+    zero = np.zeros(1)
+    ky = np.flatnonzero(aperture.mask(pupil.ys, zero))
+    kx = np.flatnonzero(aperture.mask(zero, pupil.xs))
     weight = np.outer(cy[ky], cx[kx])
     weight *= (1 + z / f) * (path1.L / lens.f)
-    weight *= pupil.ys[ky, None] ** 2 + pupil.xs[None, kx] ** 2 <= r2_max
+    weight *= aperture.mask(pupil.ys[ky], pupil.xs[kx])
     on_axis = image.dx * image.dy / (path2.L * wl_out)
 
     amp0 = np.sqrt(1.0 / grid.cell)

@@ -28,7 +28,7 @@ import numpy as np
 from ._value import Value, lazy_oracles
 from .analytic import YoungParams
 from .elements import (
-    _double_slit_mask,
+    DoubleSlit,
     _relay_grid,
     _relay_phase,
     _source_indices,
@@ -143,7 +143,7 @@ def forward_young(p: YoungParams, grid: Grid1D,
     # on the diagonal, since the mask is 0/1. Its other columns are zero
     # and the FFT of a zero column is exactly zero, so the axis-0 relay runs
     # on the kept columns only.
-    kept = np.flatnonzero(_double_slit_mask(grid, p.x1, slit_width))
+    kept = np.flatnonzero(DoubleSlit(p.x1, slit_width).mask(grid))
     cols = np.zeros((n, len(kept)), dtype=complex)
     cols[kept, np.arange(len(kept))] = 1 / grid.dx
     phase = _relay_phase(grid, p.f, p.wavelength)
@@ -208,7 +208,7 @@ def young_coincidence_at(p: YoungParams, grid: Grid1D, positions,
     there is no snapping and no fringe-resolution precondition. The kernel
     rows are built on the samples the slits pass only.
     """
-    mask = _double_slit_mask(grid, p.x1, slit_width)
+    mask = DoubleSlit(p.x1, slit_width).mask(grid)
     kept = np.flatnonzero(mask)
     positions = np.atleast_1d(np.asarray(positions, dtype=float))
     flam = p.f * p.wavelength

@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from ._value import Value, lazy_oracles
+from ._value import Value, asdict, lazy_oracles
 from .config import MAX_ARRAY_BYTES, audit_array_bytes, audit_chunk_trials
 from .errors import ConfigurationError
 from .forward import _row_pool, _workers
@@ -39,14 +39,7 @@ class AuditReport(Value):
         return self.max_ratio_dev <= self.tolerance
 
     def to_dict(self) -> dict:
-        return {
-            "n_modes": self.n_modes,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_ratio_dev": self.max_ratio_dev,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -93,10 +86,11 @@ def time_reversal_audit(n: int, trials: int, seed: int) -> AuditReport:
 def _audit_chunks(n: int, trials: int, seed: int):
     """(forward, 4 k^2 * reversed) arrays for successive chunks of trials.
 
-    ``_draw_chunk`` repeats the scalar arithmetic and checks on the rows of
-    ``_audit_draws``, so the coefficients and modes equal the scalar
-    functions' exactly; the contractions and the tail run stacked, within
-    rounding of them, and give each trial the same bits at any chunk size.
+    ``_unpack_draws`` and ``_normalize_chunk`` repeat the scalar arithmetic
+    and checks on the rows of ``_audit_draws``, so the coefficients and
+    modes equal the scalar functions' exactly; the contractions and the tail
+    run stacked, within rounding of them, and give each trial the same bits
+    at any chunk size.
 
     This thread copies each chunk out of the draws buffer
     (``_unpack_draws``); the rest (``_chunk_values``) runs on the shared
@@ -156,26 +150,14 @@ def _audit_draws(n: int, trials: int, seed: int):
         yield draws
 
 
-def _draw_chunk(draws: np.ndarray, n: int):
-    """Coefficient matrices and two final modes per row of raw normal draws.
-
-    Row layout: Re g, Im g (n x n each), then Re/Im of each mode vector.
-    The values equal those of ``_coeff_from_rng`` and ``_mode_from_rng`` bit
-    for bit, for draws without -0.0 (as ``normal()`` gives). Complex ``+``
-    adds the parts one by one, so ``g + g.T`` for ``g = a + 1j * b`` is
-    ``a + a.T`` and ``b + b.T`` written into the real and imaginary parts;
-    ``* 0.5`` on the float view is ``/ 2``; and ``_divide_stack`` is numpy's
-    complex-by-real ``/``. Raises the ``ValueError`` of ``TwoPhotonCoeff``
-    or ``FinalMode`` for the first trial that fails their checks.
-    """
-    return _normalize_chunk(*_unpack_draws(draws, n))
-
-
 def _unpack_draws(draws: np.ndarray, n: int):
     """``g + g.T`` and the two raw mode vectors of each row, in new arrays.
 
-    Nothing returned shares memory with ``draws``, so the next chunk may
-    overwrite it.
+    Row layout: Re g, Im g (n x n each), then Re/Im of each mode vector.
+    Complex ``+`` adds the parts one by one, so ``g + g.T`` for
+    ``g = a + 1j * b`` is ``a + a.T`` and ``b + b.T`` written into the real
+    and imaginary parts. Nothing returned shares memory with ``draws``, so
+    the next chunk may overwrite it.
     """
     m, nn = draws.shape[0], n * n
     ab = draws[:, :2 * nn].reshape(m, 2, n, n)
@@ -191,7 +173,12 @@ def _unpack_draws(draws: np.ndarray, n: int):
 def _normalize_chunk(fc: np.ndarray, psi: np.ndarray):
     """Halve and normalize ``_unpack_draws``'s stacks in place and check them.
 
-    Returns the coefficient matrices and the two final modes of each trial.
+    Returns the coefficient matrices and the two final modes of each trial,
+    equal to those of ``_coeff_from_rng`` and ``_mode_from_rng`` bit for bit
+    for draws without -0.0 (as ``normal()`` gives): ``* 0.5`` on the float
+    view is ``/ 2``, and ``_divide_stack`` is numpy's complex-by-real ``/``.
+    Raises the ``ValueError`` of ``TwoPhotonCoeff`` or ``FinalMode`` for the
+    first trial that fails their checks.
     """
     parts = fc.view(np.float64)
     parts *= 0.5
@@ -243,7 +230,7 @@ def _contract(u: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
 # The scalar mode check, in ``oracles`` since no run uses it, resolves here
 # on first use.
 __getattr__ = lazy_oracles(__name__, (
-    "TwoPhotonCoeff", "FinalMode", "MixtureWeights", "_coeff_from_rng", "random_coeff",
-    "_mode_from_rng", "random_mode", "forward_prob_single", "pair_overlap",
-    "norm_factor", "forward_prob_general", "reversed_intensity_single",
-    "reversed_intensity_conditional", "mixed_reconstruction"))
+    "TwoPhotonCoeff", "FinalMode", "_coeff_from_rng", "random_coeff", "_mode_from_rng",
+    "random_mode", "forward_prob_single", "pair_overlap", "norm_factor",
+    "forward_prob_general", "reversed_intensity_single",
+    "reversed_intensity_conditional"))

@@ -19,12 +19,12 @@ import kernel_of`` still works.
 """
 from __future__ import annotations
 
-from typing import Callable, Tuple, Union
+from typing import Union
 
 import numpy as np
 
 from . import analytic
-from ._value import Value
+from ._value import Value, asdict
 from .analytic import FocusParams, YoungParams, _disk_arguments
 from .elements import (
     DoubleSlit,
@@ -33,10 +33,8 @@ from .elements import (
     Magnifier,
     OpticalElement,
     TwoFWithOffset,
-    _double_slit_mask,
     _flip_index,
     _offset_chirp,
-    _params,
 )
 from .errors import (
     ConfigurationError,
@@ -285,7 +283,7 @@ def kernel_of(element: OpticalElement, grid: Grid1D,
     matrix and are rejected.
     """
     if isinstance(element, _RELAYS):
-        (dist,) = _params(element).values()
+        (dist,) = asdict(element).values()
         grid_out, K = _relay_kernel(grid, dist, wavelength)
         return SingleParticleKernel(grid, grid_out, K)
     if isinstance(element, TwoFWithOffset):
@@ -298,7 +296,7 @@ def kernel_of(element: OpticalElement, grid: Grid1D,
             K = (factor * _offset_chirp(grid_out, z, f, wavelength))[:, None] * K
         return SingleParticleKernel(grid, grid_out, K)
     if isinstance(element, DoubleSlit):
-        mask = _double_slit_mask(grid, element.x1, element.slit_width)
+        mask = element.mask(grid)
         return SingleParticleKernel(grid, grid, np.diag(mask).astype(complex))
     if isinstance(element, Magnifier):
         M = element.M
@@ -372,23 +370,6 @@ class FinalMode(Value, eq=False):
             raise ValueError(f"mode function norm {norm!r} is not 1 within 1e-12")
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
-
-
-class MixtureWeights(Value):
-    """Convex combination of pure detection cases."""
-
-    cases: Tuple[Tuple[float, object], ...]
-
-    def __post_init__(self):
-        cases = tuple((float(w), case) for w, case in self.cases)
-        if not cases:
-            raise ConfigurationError("mixture needs at least one case")
-        if any(w < 0 for w, _ in cases):
-            raise ConfigurationError("mixture weights must be nonnegative")
-        total = sum(w for w, _ in cases)
-        if abs(total - 1) > 1e-12:
-            raise ConfigurationError(f"mixture weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "cases", cases)
 
 
 def _coeff_from_rng(n: int, rng: np.random.Generator) -> TwoPhotonCoeff:
@@ -466,8 +447,3 @@ def reversed_intensity_conditional(fc: TwoPhotonCoeff, f1: FinalMode,
     """
     return float(np.abs(f1.psi @ fc.f.conj() @ f2.psi) ** 2)
 
-
-def mixed_reconstruction(weights: MixtureWeights,
-                         evaluator: Callable[[object], float]) -> float:
-    """Weighted sum of pure-case values: sum_i w_i evaluator(case_i)."""
-    return float(sum(w * evaluator(case) for w, case in weights.cases))

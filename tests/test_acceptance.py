@@ -20,8 +20,8 @@ from biphoton.analytic import (
 from biphoton.cli import run as run_experiment
 from biphoton.config import load_config
 from biphoton.elements import (
-    apply_double_slit,
-    apply_fourier_lens,
+    DoubleSlit,
+    FourierLens,
     reversed_focus_train,
     reversed_young_train,
     run_train,
@@ -33,10 +33,8 @@ from biphoton.forward import (
 from biphoton.grid import Grid1D, Grid2D, SampledField, point_source
 from biphoton.modes import (
     FinalMode,
-    MixtureWeights,
     forward_prob_general,
     forward_prob_single,
-    mixed_reconstruction,
     norm_factor,
     random_coeff,
     random_mode,
@@ -69,7 +67,7 @@ def test_criterion_1_fringe_period_halving():
         det, pair = forward_young(p, g)
         period_pair = mean_peak_spacing(det, pair)
         plane = SampledField(g, wl, np.ones(n))
-        classical = apply_fourier_lens(apply_double_slit(plane, x1), f)
+        classical = FourierLens(f).apply(DoubleSlit(x1).apply(plane))
         period_classical = mean_peak_spacing(classical.grid,
                                              np.abs(classical.amp) ** 2)
         assert abs(period_pair - f * wl / (4 * x1)) < det.dx
@@ -221,9 +219,7 @@ def test_criterion_8_mixture_vs_density_matrix():
             rho_final += wi * np.outer(v, v.conj())
         v_pair = fock_vector(fc.f)
         want = float(np.trace(rho_final @ np.outer(v_pair, v_pair.conj())).real)
-        got = mixed_reconstruction(
-            MixtureWeights(tuple(cases)),
-            lambda case: forward_prob_general(fc, case[0], case[1]))
+        got = sum(wi * forward_prob_general(fc, f1, f2) for wi, (f1, f2) in cases)
         worst = max(worst, abs(got - want) / want)
         assert got == pytest.approx(want, rel=1e-12)
     print(f"criterion 8: worst mixture deviation {worst:.3e}")

@@ -27,7 +27,7 @@ from biphoton.config import (
     load_config,
     validate,
 )
-from biphoton.elements import _double_slit_mask, reversed_focus_train, run_train_batch
+from biphoton.elements import DoubleSlit, reversed_focus_train, run_train_batch
 from biphoton.errors import (
     ConfigurationError,
     DomainError,
@@ -154,7 +154,7 @@ def test_validate_bounds_young_compare_by_the_kept_slit_columns():
                              (600, 3e-6, 4e-5, 3e-5), (64, 1e-5, 2e-4, 3e-4)]:
         doc = young_doc("compare", x1=x1, slit_width=width, grid={"n": n, "dx": dx},
                         sweep={"axis": "x0", "start": -1e-9, "stop": 1e-9, "count": 2})
-        kept = _double_slit_mask(Grid1D(n, dx), x1, width).sum()
+        kept = DoubleSlit(x1, width).mask(Grid1D(n, dx)).sum()
         bound = _largest_array_bytes(ExperimentConfig.from_dict(doc)) / (16 * n)
         assert kept <= bound <= (n if n == 64 else kept + 4)
 
@@ -255,7 +255,7 @@ def test_validate_flags_a_compare_whose_slits_pass_no_sample(tmp_path, monkeypat
     # forward side used to raise while running
     monkeypatch.chdir(tmp_path)
     doc = young_doc("compare", slit_width=1e-5, x1=2.3e-4, grid={"n": 512, "dx": 4e-5})
-    assert not _double_slit_mask(Grid1D(512, 4e-5), 2.3e-4, 1e-5).any()
+    assert not DoubleSlit(2.3e-4, 1e-5).mask(Grid1D(512, 4e-5)).any()
     diags = validate(ExperimentConfig.from_dict(doc))
     assert len(diags) == 1 and "pass no sample" in diags[0]
     path = write_config(tmp_path, "dark.json", doc)

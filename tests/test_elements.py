@@ -13,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import j1
 
 import biphoton.elements as elements
+from biphoton._value import fields
+from biphoton.analytic import YoungParams
+from biphoton.config import load_config, validate
 from biphoton.elements import (
     CircularAperture,
     DoubleSlit,
@@ -23,18 +26,10 @@ from biphoton.elements import (
     PinholeSample,
     SHG,
     TwoFWithOffset,
-    apply_circular_aperture,
-    apply_double_slit,
-    apply_fourier_lens,
-    free_space_fourier,
-    magnify,
-    pinhole_intensity,
     reversed_focus_train,
     reversed_young_train,
     run_train,
     run_train_batch,
-    shg,
-    two_f_with_offset,
 )
 from biphoton.errors import (
     ConfigurationError,
@@ -42,7 +37,9 @@ from biphoton.errors import (
     SamplingError,
     UnsupportedElementError,
 )
+from biphoton.forward import forward_young, young_coincidence_at
 from biphoton.grid import Grid1D, Grid2D, SampledField, _spectral_axis, point_source, power
+from biphoton.oracles import kernel_of
 
 WL = 780e-9
 F = 50e-3
@@ -76,7 +73,7 @@ def somb(u):
 def test_lens_matches_direct_quadrature():
     g = Grid1D(n=257, dx=11e-6)
     f = random_field(g, seed=1)
-    out = apply_fourier_lens(f, F)
+    out = FourierLens(F).apply(f)
     ref, x_out = direct_relay(f, F)
     np.testing.assert_allclose(out.amp, ref, atol=1e-12 * np.abs(ref).max())
     np.testing.assert_allclose(out.grid.coords, x_out, rtol=1e-12)
@@ -90,7 +87,7 @@ def test_lens_on_1d_field_equals_batched_relay_bit_for_bit(n):
     # for the compare.
     g = Grid1D(n=n, dx=11e-6)
     f = random_field(g, seed=n)
-    out = apply_fourier_lens(f, F)
+    out = FourierLens(F).apply(f)
     phase = elements._relay_phase(g, F, WL)
     np.testing.assert_array_equal(out.amp, _spectral_axis(f.amp, phase, 0))
     assert out.grid == elements._relay_grid(g, F, WL)
@@ -101,13 +98,13 @@ def test_lens_on_1d_field_equals_batched_relay_bit_for_bit(n):
 
 def test_lens_output_spacing():
     g = Grid1D(n=256, dx=10e-6)
-    out = apply_fourier_lens(random_field(g, seed=2), F)
+    out = FourierLens(F).apply(random_field(g, seed=2))
     assert out.grid.dx == pytest.approx(F * WL / (256 * 10e-6))
 
 
 def test_lens_centered_delta_gives_flat_output():
     g = Grid1D(n=128, dx=5e-6)
-    out = apply_fourier_lens(point_source(g, 0.0, 1.0, WL), F)
+    out = FourierLens(F).apply(point_source(g, 0.0, 1.0, WL))
     assert np.allclose(np.abs(out.amp), np.abs(out.amp[0]))
 
 
@@ -118,7 +115,7 @@ def test_lens_plane_wave_focuses_to_offset_delta():
     dx_out = F * WL / (256 * 10e-6)
     x0 = 20 * dx_out
     f = SampledField(g, WL, np.exp(-2j * np.pi * x0 * g.coords / (F * WL)))
-    out = apply_fourier_lens(f, F)
+    out = FourierLens(F).apply(f)
     i = int(np.argmax(np.abs(out.amp)))
     assert out.grid.coords[i] == pytest.approx(-x0, rel=1e-12)
     others = np.delete(np.abs(out.amp), i)
@@ -130,7 +127,7 @@ def test_lens_gaussian_waist():
     g = Grid1D(n=1024, dx=10e-6)
     w = 0.5e-3
     f = SampledField(g, WL, np.exp(-(g.coords / w) ** 2))
-    out = apply_fourier_lens(f, F)
+    out = FourierLens(F).apply(f)
     w_out = F * WL / (np.pi * w)
     profile = np.abs(out.amp) / np.abs(out.amp).max()
     np.testing.assert_allclose(profile, np.exp(-(out.grid.coords / w_out) ** 2),
@@ -140,8 +137,8 @@ def test_lens_gaussian_waist():
 def test_free_space_same_kernel_as_lens():
     g = Grid1D(n=128, dx=8e-6)
     f = random_field(g, seed=3)
-    a = free_space_fourier(f, 0.7)
-    b = apply_fourier_lens(f, 0.7)
+    a = FreeSpaceFourier(0.7).apply(f)
+    b = FourierLens(0.7).apply(f)
     np.testing.assert_allclose(a.amp, b.amp, rtol=1e-15)
     assert a.grid == b.grid
 
@@ -149,7 +146,7 @@ def test_free_space_same_kernel_as_lens():
 def test_double_lens_is_parity_flip():
     g = Grid1D(n=128, dx=8e-6)
     f = random_field(g, seed=4)
-    out = apply_fourier_lens(apply_fourier_lens(f, F), F)
+    out = FourierLens(F).apply(FourierLens(F).apply(f))
     flip = (2 * (128 // 2) - np.arange(128)) % 128
     ratio = out.amp / f.amp[flip]
     assert np.abs(ratio - ratio[0]).max() < 1e-10 * np.abs(ratio[0])
@@ -160,8 +157,8 @@ def test_lens_then_free_space_is_magnifier():
     g = Grid1D(n=96, dx=12e-6)
     f = random_field(g, seed=5)
     L = 0.8
-    composed = free_space_fourier(apply_fourier_lens(f, F), L)
-    direct = magnify(f, -L / F)
+    composed = FreeSpaceFourier(L).apply(FourierLens(F).apply(f))
+    direct = Magnifier(-L / F).apply(f)
     np.testing.assert_allclose(composed.amp, direct.amp,
                                atol=1e-10 * np.abs(direct.amp).max())
     assert composed.grid.dx == pytest.approx(direct.grid.dx, rel=1e-12)
@@ -171,7 +168,7 @@ def test_lens_then_free_space_is_magnifier():
 @given(seed=st.integers(0, 2**31), dist=st.floats(0.01, 10.0))
 def test_relay_preserves_power(seed, dist):
     f = random_field(Grid1D(n=64, dx=7e-6), seed=seed)
-    assert power(free_space_fourier(f, dist)) == pytest.approx(power(f), rel=1e-12)
+    assert power(FreeSpaceFourier(dist).apply(f)) == pytest.approx(power(f), rel=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -181,8 +178,8 @@ def test_relay_linearity(seed):
     a, b = random_field(g, seed=seed), random_field(g, seed=seed + 1)
     al, be = 1.3 - 0.4j, -0.7 + 2.1j
     mixed = SampledField(g, WL, al * a.amp + be * b.amp)
-    lhs = apply_fourier_lens(mixed, F).amp
-    rhs = al * apply_fourier_lens(a, F).amp + be * apply_fourier_lens(b, F).amp
+    lhs = FourierLens(F).apply(mixed).amp
+    rhs = al * FourierLens(F).apply(a).amp + be * FourierLens(F).apply(b).amp
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * np.abs(rhs).max())
 
 
@@ -195,8 +192,8 @@ def disk_field(n, extent, wavelength=WL):
 
 def test_two_f_zero_offset_reduces_to_lens():
     f = random_field(Grid2D(nx=64, ny=64, dx=2e-4, dy=2e-4), seed=6)
-    a = two_f_with_offset(f, F, 0.0)
-    b = apply_fourier_lens(f, F)
+    a = TwoFWithOffset(F, 0.0).apply(f)
+    b = FourierLens(F).apply(f)
     assert np.array_equal(a.amp, b.amp)
     assert a.grid == b.grid
 
@@ -204,12 +201,12 @@ def test_two_f_zero_offset_reduces_to_lens():
 def test_two_f_axial_profile_of_disk():
     # On-axis response of a uniformly lit disk vs (1+z/f) sinc(pi D^2 z/(8 f^2 wl)).
     D = 12.7e-3
-    src = apply_circular_aperture(disk_field(n=512, extent=1.32 * D), D)
+    src = CircularAperture(D).apply(disk_field(n=512, extent=1.32 * D))
     z_half = 8 * F**2 * WL / (np.pi * D**2)           # half-period of the sinc arg
     zs = np.linspace(-4, 4, 17) * z_half
     on_axis = []
     for z in zs:
-        out = two_f_with_offset(src, F, z)
+        out = TwoFWithOffset(F, z).apply(src)
         on_axis.append(out.amp[out.grid.ny // 2, out.grid.nx // 2])
     on_axis = np.abs(on_axis)
     expected = np.abs((1 + zs / F) * np.sinc(D**2 * zs / (8 * F**2 * WL)))
@@ -222,8 +219,8 @@ def test_two_f_lateral_profile_of_disk():
     D = 12.7e-3
     n = 1024
     extent = F * WL / 0.75e-6                          # sets output spacing 0.75 um
-    src = apply_circular_aperture(disk_field(n=n, extent=extent), D)
-    out = two_f_with_offset(src, F, 0.0)
+    src = CircularAperture(D).apply(disk_field(n=n, extent=extent))
+    out = TwoFWithOffset(F, 0.0).apply(src)
     row = np.abs(out.amp[n // 2])
     x = out.grid.xs
     sel = np.abs(x) <= 15e-6
@@ -236,7 +233,7 @@ def test_two_f_transpose_on_point_source():
     g = Grid2D(nx=128, ny=128, dx=4e-6, dy=4e-6)
     x0, y0 = 12e-6, -20e-6
     z = 30e-6
-    out = two_f_with_offset(point_source(g, (x0, y0), 1.0, WL), F, z, transpose=True)
+    out = TwoFWithOffset(F, z, transpose=True).apply(point_source(g, (x0, y0), 1.0, WL))
     xs, ys = out.grid.xs, out.grid.ys
     rsq = out.grid.radius_sq()
     expected = ((1 + z / F) * np.exp(-1j * np.pi * z * rsq / (F**2 * WL))
@@ -248,13 +245,13 @@ def test_two_f_transpose_on_point_source():
 def test_two_f_chirp_aliasing_guard():
     f = random_field(Grid2D(nx=64, ny=64, dx=1e-3, dy=1e-3), seed=7)
     with pytest.raises(SamplingError):
-        two_f_with_offset(f, F, 1e-3)
-    two_f_with_offset(f, F, 1e-8)  # well-sampled chirp passes
+        TwoFWithOffset(F, 1e-3).apply(f)
+    TwoFWithOffset(F, 1e-8).apply(f)  # well-sampled chirp passes
 
 
 def test_two_f_works_in_1d():
     g = Grid1D(n=256, dx=5e-5)
-    out = two_f_with_offset(random_field(g, seed=8), F, 1e-5)
+    out = TwoFWithOffset(F, 1e-5).apply(random_field(g, seed=8))
     assert out.grid.n == 256
 
 
@@ -263,7 +260,7 @@ def test_two_f_works_in_1d():
 def test_double_slit_support():
     g = Grid1D(n=512, dx=10e-6)
     f = SampledField(g, WL, np.ones(512))
-    out = apply_double_slit(f, x1=0.5e-3, slit_width=60e-6)
+    out = DoubleSlit(x1=0.5e-3, slit_width=60e-6).apply(f)
     x = g.coords
     open_ = (np.abs(x - 0.5e-3) <= 30e-6) | (np.abs(x + 0.5e-3) <= 30e-6)
     assert np.array_equal(out.amp != 0, open_)
@@ -272,7 +269,7 @@ def test_double_slit_support():
 def test_double_slit_power_fraction():
     g = Grid1D(n=512, dx=10e-6)
     f = SampledField(g, WL, np.ones(512))
-    out = apply_double_slit(f, x1=0.5e-3, slit_width=60e-6)
+    out = DoubleSlit(x1=0.5e-3, slit_width=60e-6).apply(f)
     x = g.coords
     n_open = int(np.sum((np.abs(x - 0.5e-3) <= 30e-6) | (np.abs(x + 0.5e-3) <= 30e-6)))
     assert power(out) == pytest.approx(power(f) * n_open / 512, rel=1e-12)
@@ -281,7 +278,7 @@ def test_double_slit_power_fraction():
 def test_double_slit_default_is_single_cell():
     g = Grid1D(n=512, dx=10e-6)
     f = SampledField(g, WL, np.ones(512))
-    out = apply_double_slit(f, x1=0.5e-3)
+    out = DoubleSlit(x1=0.5e-3).apply(f)
     idx = np.flatnonzero(out.amp)
     assert len(idx) == 2
     assert list(g.coords[idx]) == pytest.approx([-0.5e-3, 0.5e-3])
@@ -290,25 +287,54 @@ def test_double_slit_default_is_single_cell():
 def test_double_slit_overlap_rejected():
     f = SampledField(Grid1D(n=64, dx=1e-5), WL, np.ones(64))
     with pytest.raises(ConfigurationError):
-        apply_double_slit(f, x1=1e-5, slit_width=4e-5)
+        DoubleSlit(x1=1e-5, slit_width=4e-5).apply(f)
 
 
 def test_double_slit_outside_grid():
     f = SampledField(Grid1D(n=64, dx=1e-5), WL, np.ones(64))
     with pytest.raises(DomainError):
-        apply_double_slit(f, x1=1.0)
+        DoubleSlit(x1=1.0).apply(f)
 
 
 def test_double_slit_needs_1d():
     f = SampledField(Grid2D(nx=8, ny=8, dx=1e-5, dy=1e-5), WL, np.ones((8, 8)))
     with pytest.raises(UnsupportedElementError):
-        apply_double_slit(f, x1=2e-5)
+        DoubleSlit(x1=2e-5).apply(f)
+
+
+SLIT_P = YoungParams(x1=1.6e-4, f=F, wavelength=WL)  # 8 cells, 8 samples per fringe
+SLIT_GRID = Grid1D(n=256, dx=2e-5)
+YOUNG_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "young_compare.json"
+
+
+@pytest.mark.parametrize("caller", [
+    lambda: forward_young(SLIT_P, SLIT_GRID),
+    lambda: young_coincidence_at(SLIT_P, SLIT_GRID, [0.0, 1e-5]),
+    lambda: run_train_batch(SLIT_GRID, WL, [128, 130],
+                            reversed_young_train(F, SLIT_P.x1, L1=0.25, L2=0.5)),
+    lambda: validate(load_config(str(YOUNG_CONFIG))),
+    lambda: kernel_of(DoubleSlit(SLIT_P.x1), SLIT_GRID, WL),
+], ids=["forward_young", "young_coincidence_at", "young_closed_form", "validate",
+        "kernel_of"])
+def test_every_slit_mask_is_the_element_mask(monkeypatch, caller):
+    # Each run path and check that masks the slit plane without a field
+    # takes the transmission from DoubleSlit.mask, the one slit definition
+    grids = []
+    mask = DoubleSlit.mask
+
+    def spy(self, grid):
+        grids.append(grid)
+        return mask(self, grid)
+
+    monkeypatch.setattr(DoubleSlit, "mask", spy)
+    caller()
+    assert grids
 
 
 def test_aperture_identity_when_larger_than_grid():
     g = Grid2D(nx=32, ny=32, dx=1e-4, dy=1e-4)
     f = random_field(g, seed=9)
-    out = apply_circular_aperture(f, D=1.0)
+    out = CircularAperture(D=1.0).apply(f)
     np.testing.assert_array_equal(out.amp, f.amp)
 
 
@@ -316,7 +342,7 @@ def test_aperture_power_ratio_counts_samples():
     g = Grid2D(nx=128, ny=128, dx=1e-4, dy=1e-4)
     f = SampledField(g, WL, np.ones((128, 128)))
     D = 6e-3
-    out = apply_circular_aperture(f, D)
+    out = CircularAperture(D).apply(f)
     n_in = int(np.sum(g.radius_sq() <= (D / 2) ** 2))
     assert power(out) == pytest.approx(n_in * g.cell, rel=1e-12)
 
@@ -324,21 +350,21 @@ def test_aperture_power_ratio_counts_samples():
 def test_aperture_blocks_outside_point():
     g = Grid2D(nx=64, ny=64, dx=1e-4, dy=1e-4)
     f = point_source(g, (2.5e-3, 0.0), 1.0, WL)
-    out = apply_circular_aperture(f, D=2e-3)
+    out = CircularAperture(D=2e-3).apply(f)
     assert not np.any(out.amp)
 
 
 def test_aperture_needs_2d():
     f = SampledField(Grid1D(n=16, dx=1e-4), WL, np.ones(16))
     with pytest.raises(UnsupportedElementError):
-        apply_circular_aperture(f, D=1e-3)
+        CircularAperture(D=1e-3).apply(f)
 
 
 # ---------------------------------------------------------------- magnifier / SHG / pinhole
 
 def test_magnify_identity():
     f = random_field(Grid1D(n=64, dx=1e-5), seed=10)
-    out = magnify(f, 1.0)
+    out = Magnifier(1.0).apply(f)
     np.testing.assert_array_equal(out.amp, f.amp)
     assert out.grid == f.grid
 
@@ -346,7 +372,7 @@ def test_magnify_identity():
 def test_magnify_flip():
     g = Grid1D(n=64, dx=1e-5)
     f = point_source(g, 5e-5, 1.0, WL)
-    out = magnify(f, -1.0)
+    out = Magnifier(-1.0).apply(f)
     assert out.grid.coords[int(np.argmax(np.abs(out.amp)))] == pytest.approx(-5e-5)
     assert power(out) == pytest.approx(power(f), rel=1e-12)
 
@@ -354,7 +380,7 @@ def test_magnify_flip():
 def test_magnify_moves_delta():
     g = Grid1D(n=64, dx=1e-5)
     f = point_source(g, 8e-5, 1.0, WL)
-    out = magnify(f, 2.5)
+    out = Magnifier(2.5).apply(f)
     assert out.grid.coords[int(np.argmax(np.abs(out.amp)))] == pytest.approx(2.5 * 8e-5)
 
 
@@ -363,13 +389,13 @@ def test_magnify_moves_delta():
        M=st.floats(-10, 10).filter(lambda m: abs(m) > 1e-3))
 def test_magnify_preserves_power(seed, M):
     f = random_field(Grid1D(n=48, dx=1e-5), seed=seed)
-    assert power(magnify(f, M)) == pytest.approx(power(f), rel=1e-12)
+    assert power(Magnifier(M).apply(f)) == pytest.approx(power(f), rel=1e-12)
 
 
 def test_magnify_2d_flip():
     g = Grid2D(nx=32, ny=32, dx=1e-5, dy=1e-5)
     f = point_source(g, (3e-5, -4e-5), 1.0, WL)
-    out = magnify(f, -2.0)
+    out = Magnifier(-2.0).apply(f)
     iy, ix = np.unravel_index(int(np.argmax(np.abs(out.amp))), out.amp.shape)
     assert out.grid.xs[ix] == pytest.approx(-6e-5)
     assert out.grid.ys[iy] == pytest.approx(8e-5)
@@ -380,7 +406,7 @@ def test_shg_squares_field_and_halves_wavelength():
     g = Grid1D(n=32, dx=1e-5)
     rng = np.random.default_rng(11)
     f = SampledField(g, WL, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    out = shg(f)
+    out = SHG().apply(f)
     assert out.wavelength == WL / 2
     np.testing.assert_allclose(out.amp, f.amp ** 2, rtol=1e-15)
     np.testing.assert_allclose(np.abs(out.amp), np.abs(f.amp) ** 2, rtol=1e-12)
@@ -392,20 +418,20 @@ def test_shg_doubles_two_delta_phases():
     amp = np.zeros(64, dtype=complex)
     i_plus, i_minus = g.index_of(2e-4), g.index_of(-2e-4)
     amp[i_plus], amp[i_minus] = np.exp(-1j * theta), np.exp(1j * theta)
-    out = shg(SampledField(g, WL, amp))
+    out = SHG().apply(SampledField(g, WL, amp))
     assert np.angle(out.amp[i_plus]) == pytest.approx(-2 * theta)
     assert np.angle(out.amp[i_minus]) == pytest.approx(2 * theta)
 
 
 def test_pinhole_zero_field():
     f = SampledField(Grid1D(n=16, dx=1e-5), WL, np.zeros(16))
-    assert pinhole_intensity(f, 0.0) == 0.0
-    assert pinhole_intensity(f, 1.0) == 0.0
+    assert PinholeSample(0.0).apply(f) == 0.0
+    assert PinholeSample(1.0).apply(f) == 0.0
 
 
 def test_pinhole_radius_covering_grid_gives_power():
     f = random_field(Grid1D(n=64, dx=1e-5), seed=12)
-    assert pinhole_intensity(f, radius=1.0) == pytest.approx(power(f), rel=1e-12)
+    assert PinholeSample(radius=1.0).apply(f) == pytest.approx(power(f), rel=1e-12)
 
 
 def test_pinhole_zero_radius_reads_on_axis_sample():
@@ -416,7 +442,7 @@ def test_pinhole_zero_radius_reads_on_axis_sample():
                       (Grid2D(nx=48, ny=40, dx=1e-5, dy=2e-5), (20, 24))):
         f = random_field(g, seed=13)
         assert all(a.coords[i] == 0.0 for a, i in zip(g.axes, origin))
-        assert pinhole_intensity(f, 0.0) == pytest.approx(abs(f.amp[origin]) ** 2)
+        assert PinholeSample(0.0).apply(f) == pytest.approx(abs(f.amp[origin]) ** 2)
 
 
 def test_pinhole_finite_radius_2d():
@@ -424,7 +450,7 @@ def test_pinhole_finite_radius_2d():
     f = random_field(g, seed=14)
     r = 5.5e-5
     expected = np.sum(np.abs(f.amp[g.radius_sq() <= r**2]) ** 2) * g.cell
-    assert pinhole_intensity(f, r) == pytest.approx(expected, rel=1e-12)
+    assert PinholeSample(r).apply(f) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------- trains
@@ -438,7 +464,7 @@ def test_empty_train_is_identity():
 def test_single_element_train():
     f = random_field(Grid1D(n=64, dx=1e-5), seed=16)
     out = run_train(f, OpticalTrain((FourierLens(F),)))
-    np.testing.assert_array_equal(out.amp, apply_fourier_lens(f, F).amp)
+    np.testing.assert_array_equal(out.amp, FourierLens(F).apply(f).amp)
 
 
 def test_train_rejects_two_shg():
@@ -612,7 +638,7 @@ def test_run_train_batch_2d_nonfinite_stage_raises(monkeypatch, value):
         run_train_batch(g, WL, [(32, 32), (30, 35)], train)
 
 
-# ---------------------------------------------------------------- element table
+# ---------------------------------------------------------------- element rules
 
 @pytest.mark.parametrize("cls,args", [
     (FourierLens, (np.inf,)),
@@ -626,31 +652,22 @@ def test_run_train_batch_2d_nonfinite_stage_raises(monkeypatch, value):
     (FourierLens, ("abc",)),
     (FourierLens, (True,)),
     (DoubleSlit, (None,)),
+    (DoubleSlit, (np.inf,)),
 ])
 def test_elements_reject_nonfinite_parameters(cls, args):
     with pytest.raises(ConfigurationError, match="finite"):
         cls(*args)
 
 
-def test_field_functions_share_the_element_rules():
-    f1 = random_field(Grid1D(n=64, dx=1e-5), seed=30)
-    f2 = random_field(Grid2D(nx=16, ny=16, dx=1e-5, dy=1e-5), seed=31)
-    calls = [
-        lambda: apply_fourier_lens(f1, np.inf),
-        lambda: free_space_fourier(f1, np.nan),
-        lambda: two_f_with_offset(f1, F, np.nan),
-        lambda: two_f_with_offset(f1, F, 0.0, transpose="no"),
-        lambda: apply_double_slit(f1, np.inf),
-        lambda: apply_circular_aperture(f2, np.inf),
-        lambda: magnify(f1, np.nan),
-        lambda: pinhole_intensity(f1, np.nan),
-        lambda: apply_fourier_lens(f1, -F),
-        lambda: magnify(f1, 0.0),
-        lambda: pinhole_intensity(f1, -1e-6),
-    ]
-    for call in calls:
-        with pytest.raises(ConfigurationError):
-            call()
+@pytest.mark.parametrize("cls,args", [
+    (FourierLens, (-F,)),
+    (Magnifier, (0.0,)),
+    (PinholeSample, (-1e-6,)),
+    (TwoFWithOffset, (F, 0.0, "no")),
+])
+def test_elements_reject_out_of_range_parameters(cls, args):
+    with pytest.raises(ConfigurationError):
+        cls(*args)
 
 
 def test_benchmark_tracer_hooks_into_elements():
@@ -668,6 +685,29 @@ def test_benchmark_tracer_hooks_into_elements():
                      Magnifier(-2.0), SHG(), PinholeSample())
     assert {type(e) for e in every_element} == set(elements._TAGS)
     assert all(isinstance(tag, str) for tag in elements._TAGS.values())
+    # the tag is a class attribute, not a field, and apply_element is the
+    # element's own apply, bit for bit, on every field the element accepts
+    on_1d = random_field(Grid1D(n=64, dx=2e-5), seed=32)
+    on_2d = random_field(Grid2D(nx=16, ny=12, dx=2e-5, dy=3e-5), seed=33)
+    for e in every_element:
+        assert e.tag == elements._TAGS[type(e)]
+        assert "tag" not in [f.name for f in fields(e)]
+        accepted = 0
+        for fld in (on_1d, on_2d):
+            try:
+                want = e.apply(fld)
+            except UnsupportedElementError:  # a slit on 2-D, an aperture on 1-D
+                continue
+            got = elements.apply_element(fld, e)
+            accepted += 1
+            if isinstance(e, PinholeSample):
+                assert got == want
+            else:
+                assert got.grid == want.grid and got.wavelength == want.wavelength
+                np.testing.assert_array_equal(got.amp, want.amp)
+        assert accepted
+    with pytest.raises(UnsupportedElementError):
+        elements.apply_element(on_1d, object())
     tracer = Tracer()
     tracer.install()
     try:

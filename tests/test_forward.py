@@ -24,14 +24,10 @@ from biphoton.elements import (
     PinholeSample,
     SHG,
     TwoFWithOffset,
-    apply_fourier_lens,
-    free_space_fourier,
-    magnify,
     reversed_focus_train,
     reversed_young_train,
     run_train,
     run_train_batch,
-    two_f_with_offset,
 )
 from biphoton.errors import (
     ConfigurationError,
@@ -158,7 +154,7 @@ def test_forward_young_state_is_exactly_symmetric(slit_cells):
     # bit. 12-cell slits keep 26 columns.
     p, g = young_setup(n=300, x1_cells=8)
     slit_width = None if slit_cells is None else slit_cells * g.dx
-    kept = np.flatnonzero(elements._double_slit_mask(g, p.x1, slit_width))
+    kept = np.flatnonzero(DoubleSlit(p.x1, slit_width).mask(g))
     cols = np.zeros((g.n, len(kept)), dtype=complex)
     cols[kept, np.arange(len(kept))] = 1 / g.dx
     phase = elements._relay_phase(g, p.f, p.wavelength)
@@ -284,11 +280,11 @@ def test_kernel_shape_must_match_grids():
 
 
 @pytest.mark.parametrize("element,op", [
-    (FourierLens(F), lambda fld: apply_fourier_lens(fld, F)),
-    (FreeSpaceFourier(0.35), lambda fld: free_space_fourier(fld, 0.35)),
-    (TwoFWithOffset(F, 2e-4), lambda fld: two_f_with_offset(fld, F, 2e-4)),
+    (FourierLens(F), lambda fld: FourierLens(F).apply(fld)),
+    (FreeSpaceFourier(0.35), lambda fld: FreeSpaceFourier(0.35).apply(fld)),
+    (TwoFWithOffset(F, 2e-4), lambda fld: TwoFWithOffset(F, 2e-4).apply(fld)),
     (TwoFWithOffset(F, -2e-4, transpose=True),
-     lambda fld: two_f_with_offset(fld, F, -2e-4, transpose=True)),
+     lambda fld: TwoFWithOffset(F, -2e-4, transpose=True).apply(fld)),
 ])
 def test_kernel_matrix_reproduces_field_operation(element, op):
     g = Grid1D(128, 5e-6)
@@ -323,7 +319,7 @@ def test_magnifier_kernel_matches_field_operation():
     g = Grid1D(32, 2e-6)
     fld = random_field(g, WL, seed=3)
     k = kernel_of(Magnifier(-0.5), g, WL)
-    want = magnify(fld, -0.5)
+    want = Magnifier(-0.5).apply(fld)
     assert k.grid_out == want.grid
     assert np.allclose(k.K @ fld.amp, want.amp, rtol=1e-14)
 
@@ -470,7 +466,7 @@ def test_forward_young_finite_slits_keep_dark_fringes():
 
 def full_row_coincidence(p, grid, positions, slit_width):
     """The coincidence rate with kernel rows over every grid sample."""
-    mask = elements._double_slit_mask(grid, p.x1, slit_width)
+    mask = DoubleSlit(p.x1, slit_width).mask(grid)
     flam = p.f * p.wavelength
     rows = np.exp(-4j * np.pi * np.outer(positions, grid.coords) / flam)
     return 2 * np.abs((grid.dx / flam) * (rows @ mask.astype(complex) ** 2)) ** 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biphoton.elements import apply_fourier_lens, two_f_with_offset
+from biphoton.elements import FourierLens, TwoFWithOffset
 from biphoton.errors import ConfigurationError, DomainError, GridMismatchError
 from biphoton.grid import (
     Grid1D,
@@ -268,8 +268,8 @@ def test_transform_2d_separable():
     # offset 2-f stage applies its amplitude factor 1 + z/f once per field.
     transforms = [
         (unitary_fourier, 1.0),
-        (lambda f: apply_fourier_lens(f, F), 1.0),
-        (lambda f: two_f_with_offset(f, F, Z, transpose=True), 1 + Z / F),
+        (FourierLens(F).apply, 1.0),
+        (TwoFWithOffset(F, Z, transpose=True).apply, 1 + Z / F),
     ]
     gx = Grid1D(n=32, dx=1.1e-5)
     gy = Grid1D(n=16, dx=1.7e-5)

@@ -15,17 +15,16 @@ from biphoton.errors import ConfigurationError
 from biphoton.modes import (
     AuditReport,
     FinalMode,
-    MixtureWeights,
     TwoPhotonCoeff,
     _audit_chunks,
     _audit_draws,
     _coeff_from_rng,
     _contract,
-    _draw_chunk,
     _mode_from_rng,
+    _normalize_chunk,
+    _unpack_draws,
     forward_prob_general,
     forward_prob_single,
-    mixed_reconstruction,
     norm_factor,
     random_coeff,
     random_mode,
@@ -236,26 +235,6 @@ def test_forward_is_4k2_times_reversed_across_sweep():
 # --------------------------------------------------------------- mixtures
 
 
-def test_mixture_single_case_is_identity():
-    w = MixtureWeights(((1.0, "case"),))
-    assert mixed_reconstruction(w, lambda c: 0.625) == 0.625
-
-
-def test_mixture_equal_weights_average():
-    w = MixtureWeights(((0.5, 1.0), (0.5, 3.0)))
-    assert mixed_reconstruction(w, lambda c: c) == 2.0
-
-
-@pytest.mark.parametrize("cases", [
-    (),
-    ((0.7, "a"), (0.7, "b")),
-    ((-0.2, "a"), (1.2, "b")),
-])
-def test_mixture_rejects_invalid_weights(cases):
-    with pytest.raises(ConfigurationError):
-        MixtureWeights(cases)
-
-
 def test_mixture_matches_density_matrix_oracle():
     # Tr[rho_final rho_pair] with rho_final the weighted final-state mixture.
     for seed in range(8):
@@ -275,9 +254,7 @@ def test_mixture_matches_density_matrix_oracle():
         v_pair = fock_vector(fc.f)
         rho_pair = np.outer(v_pair, v_pair.conj())
         want = np.trace(rho_final @ rho_pair).real
-        got = mixed_reconstruction(
-            MixtureWeights(tuple(cases)),
-            lambda case: forward_prob_general(fc, case[0], case[1]))
+        got = sum(wi * forward_prob_general(fc, f1, f2) for wi, (f1, f2) in cases)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -348,7 +325,7 @@ def looped_audit(n, trials, seed, tolerance=1e-9):
 @pytest.mark.parametrize("n,seed", [(1, 3), (2, 8), (16, 21)])
 def test_chunk_draws_bit_identical_to_scalar_draws(n, seed):
     draws = np.random.default_rng(seed).normal(size=(5, 2 * n * n + 4 * n))
-    fc, f1, f2 = _draw_chunk(draws, n)
+    fc, f1, f2 = _normalize_chunk(*_unpack_draws(draws, n))
     for i, (coeff, m1, m2, _, _) in enumerate(scalar_trials(n, 5, seed)):
         assert np.array_equal(fc[i], coeff.f)
         assert np.array_equal(f1[i], m1.psi)
@@ -358,7 +335,7 @@ def test_chunk_draws_bit_identical_to_scalar_draws(n, seed):
 def test_chunk_rejects_draws_the_dataclasses_reject():
     # all-zero draws normalize to NaN, which the symmetry check refuses
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="exchange-symmetric"):
-        _draw_chunk(np.zeros((2, 2 * 9 + 4 * 3)), 3)
+        _normalize_chunk(*_unpack_draws(np.zeros((2, 2 * 9 + 4 * 3)), 3))
 
 
 @pytest.mark.parametrize("n,trials,seed", [(1, 40, 2), (4, 2 * audit_chunk_trials(4) + 7, 11),
@@ -492,7 +469,7 @@ def test_audit_draws_reuse_one_buffer():
 def serial_chunks(n, trials, seed):
     """The audit's per-chunk arithmetic on this thread, one chunk after another."""
     for draws in _audit_draws(n, trials, seed):
-        fc, f1, f2 = _draw_chunk(draws, n)
+        fc, f1, f2 = _normalize_chunk(*_unpack_draws(draws, n))
         overlap = _contract(f1.conj(), fc, f2.conj())
         reverse = _contract(f1, fc.conj(), f2)
         vdot = (f1.conj()[:, None, :] @ f2[:, :, None])[:, 0, 0]

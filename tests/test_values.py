@@ -33,7 +33,6 @@ from biphoton.modes import AuditReport
 from biphoton.oracles import (
     DeltaComb,
     FinalMode,
-    MixtureWeights,
     SingleParticleKernel,
     TwoPhotonAmplitude,
     TwoPhotonCoeff,
@@ -76,7 +75,6 @@ VALUES = [
     (EquivalenceReport, {"max_rel_err": 1e-15, "n_points": 9}, {}, True),
     (TwoPhotonCoeff, {"f": F2}, {}, False),
     (FinalMode, {"psi": MODE}, {}, False),
-    (MixtureWeights, {"cases": ((0.25, "a"), (0.75, "b"))}, {}, True),
     (AuditReport, {"n_modes": 4, "trials": 10, "seed": 0, "max_ratio_dev": 0.0,
                    "tolerance": 1e-9}, {}, True),
 ]
