@@ -491,8 +491,8 @@ def _relayed_delta(n: int, d: float, m: np.ndarray, dist: float,
     equals the full row's entry bit for bit.
 
     The array is built as (samples, sources) and returned transposed, the
-    column-major layout ``full[:, cols]`` has: a matrix product or row sum
-    over it then keeps the summation order it has over that slice.
+    column-major layout ``full[:, cols]`` has: a row sum or prefix sum over
+    it then keeps the summation order it has over that slice.
     """
     c = n // 2
     j = (np.arange(n) if cols is None else np.asarray(cols, dtype=np.intp)) - c
@@ -537,18 +537,22 @@ def _focus_totals(grid: Grid2D, wl: float, indices: np.ndarray, train: OpticalTr
 
     1. the transposed offset 2-f stage relays the spike to a separable plane
        wave, the outer product of one :func:`_relayed_delta` row per axis;
-    2. the chirp with ``1 + z/f``, the aperture mask and the ``1/|M|`` of
-       step 3 do not depend on the source: one weight ``w`` per call, held
-       on the rows and columns the aperture reaches (it is zero elsewhere);
+    2. the chirp is separable too, so each axis row takes its axis's chirp;
+       ``1 + z/f`` and the ``1/|M|`` of step 3 are one scalar gain; the
+       rows are held on the pupil rows and columns the aperture reaches;
     3. free path L1 then lens f is ``Magnifier(-f/L1)``; its flip commutes
        with the final relay and the radius-0 pinhole reading is symmetric
        under it, so the flip is skipped;
     4. SHG squares the field and halves the wavelength; with p = 2 (SHG) or
-       1, the field is ``ry^p[y] rx^p[x] w^p[y, x]``, so ``w^p`` is built
-       once and each source's two axis rows are raised to p once;
-    5. the final relay read at the origin is ``sum(amp) dx dy/(L2 wl)``,
-       the bilinear form ``ry^p . (w^p @ rx^p)``: all sources are read by
-       one matrix product and a row-wise dot, with no per-source 2-D array.
+       1, the field is ``gain^p ry^p[y] rx^p[x]`` where the aperture passes
+       (y, x) and 0 elsewhere, so each axis row and the gain are raised to
+       p once;
+    5. the final relay read at the origin is ``sum(amp) dx dy/(L2 wl)``.
+       The aperture passes one run ``[lo_y, hi_y)`` of each kept row, so
+       the sum is ``gain^p sum_y ry^p[y] (C[hi_y] - C[lo_y])``, with ``C``
+       the prefix sums of ``rx^p`` along x: O(ky + kx) per source, with no
+       per-source 2-D array, no pupil-sized complex array and no matrix
+       product.
     """
     opening, aperture, path1, lens = train.elements[:4]
     path2 = train.elements[-2]
@@ -560,21 +564,30 @@ def _focus_totals(grid: Grid2D, wl: float, indices: np.ndarray, train: OpticalTr
     zero = np.zeros(1)
     ky = np.flatnonzero(aperture.mask(pupil.ys, zero))
     kx = np.flatnonzero(aperture.mask(zero, pupil.xs))
-    weight = np.outer(cy[ky], cx[kx])
-    weight *= (1 + z / f) * (path1.L / lens.f)
-    weight *= aperture.mask(pupil.ys[ky], pupil.xs[kx])
+    # Each kept row passes one run of columns holding the centre column x = 0:
+    # floating-point y^2 + x^2 grows with |x| on each side of sample n//2.
+    passes = aperture.mask(pupil.ys[ky], pupil.xs[kx])
+    lo = passes.argmax(axis=1)
+    hi = lo + np.count_nonzero(passes, axis=1)
+    gain = (1 + z / f) * (path1.L / lens.f)
     on_axis = image.dx * image.dy / (path2.L * wl_out)
 
     amp0 = np.sqrt(1.0 / grid.cell)
     ry = _relayed_delta(grid.ny, grid.dy, indices[:, 0], f, wl, cols=ky)
     rx = _relayed_delta(grid.nx, grid.dx, indices[:, 1], f, wl, cols=kx)
+    ry *= cy[ky]
+    rx *= cx[kx]
     rx *= amp0
     if wl_out != wl:  # SHG
-        for a in (weight, ry, rx):
+        gain *= gain
+        for a in (ry, rx):
             np.square(a, out=a)
-    for a in (weight, ry, rx):
+    for a in (gain, ry, rx):
         _check_finite(a)
-    return np.sum(ry * (weight @ rx.T).T, axis=1) * on_axis
+    prefix = np.zeros((len(indices), len(kx) + 1), dtype=rx.dtype)
+    np.cumsum(rx, axis=1, out=prefix[:, 1:])
+    runs = prefix[:, hi] - prefix[:, lo]
+    return np.sum(ry * runs, axis=1) * gain * on_axis
 
 
 def reversed_young_train(f: float, x1: float, L1: float, L2: float, *,

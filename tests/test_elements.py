@@ -5,6 +5,7 @@ Spectral stages are checked against direct O(n^2) quadrature of the
 closed-form axial/lateral profiles of a uniformly lit disk.
 """
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -543,17 +544,27 @@ def looped_readings(g, train, sources):
 @pytest.mark.parametrize("second_harmonic", [True, False])
 def test_run_train_batch_2d_non_square_grid(second_harmonic):
     # nx != ny and dx != dy, so a swapped pair of axes fails on shape or value;
-    # the aperture cuts both pupil axes and repeated sources read alike
-    g = Grid2D(nx=96, ny=64, dx=1.1e-6, dy=0.8e-6)
+    # the aperture cuts both pupil axes and repeated sources read alike; on
+    # even and odd sizes, the centre sample n//2 and the edges
     train = reversed_focus_train(F, 12.7e-3, 3e-5, 0.25, 0.5,
                                  second_harmonic=second_harmonic)
-    sources = [(32, 48), (30, 51), (32, 48), (35, 44), (30, 51), (0, 95), (63, 0)]
-    got = run_train_batch(g, WL, sources, train)
-    want = looped_readings(g, train, sources)
-    assert len(set(want)) == 5
-    assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
-    assert got[2] == pytest.approx(got[0], rel=1e-12)
-    assert got[4] == pytest.approx(got[1], rel=1e-12)
+    for nx, ny in ((96, 64), (97, 63)):
+        g = Grid2D(nx=nx, ny=ny, dx=1.1e-6, dy=0.8e-6)
+        cy, cx = ny // 2, nx // 2
+        sources = [(cy, cx), (cy - 2, cx + 3), (cy, cx), (cy + 3, cx - 4),
+                   (cy - 2, cx + 3), (0, nx - 1), (ny - 1, 0)]
+        # on an odd grid the two corners mirror each other through the
+        # centre sample, and mirror images read alike
+        mirrored = nx % 2 == 1 and ny % 2 == 1
+        got = run_train_batch(g, WL, sources, train)
+        want = looped_readings(g, train, sources)
+        distinct = want[:6] if mirrored else want
+        assert len(set(distinct)) == (4 if mirrored else 5)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+        assert got[2] == pytest.approx(got[0], rel=1e-12)
+        assert got[4] == pytest.approx(got[1], rel=1e-12)
+        if mirrored:
+            assert got[6] == pytest.approx(got[5], rel=1e-12)
 
 
 @pytest.mark.parametrize("second_harmonic", [True, False])
@@ -571,6 +582,56 @@ def test_run_train_batch_2d_aperture_rim_sample_passes(second_harmonic):
     got = run_train_batch(g, WL, sources, train)
     want = looped_readings(g, train, sources)
     assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), nx=st.integers(2, 160), ny=st.integers(2, 160),
+       dx=st.floats(1e-7, 1e-3), dy=st.floats(1e-7, 1e-3))
+def test_aperture_rows_are_runs_through_the_centre_column(data, nx, ny, dx, dy):
+    # The batched focus reader sums each kept pupil row over one run of
+    # columns: on the rows and columns the aperture passes on the axes, it
+    # must pass one run per row holding the centre column n//2, and nothing
+    # off them; on even and odd sizes, also where D/2 is a sample coordinate
+    g = Grid2D(nx=nx, ny=ny, dx=dx, dy=dy)
+    if data.draw(st.booleans(), label="rim-exact"):
+        axis = data.draw(st.sampled_from([g.xs, g.ys]), label="rim axis")
+        D = 2 * abs(data.draw(st.sampled_from(axis[axis != 0].tolist()), label="rim"))
+    else:
+        D = data.draw(st.floats(1e-3, 1.5), label="fill") * max(nx * dx, ny * dy)
+    aperture = CircularAperture(D)
+    zero = np.zeros(1)
+    ky = np.flatnonzero(aperture.mask(g.ys, zero))
+    kx = np.flatnonzero(aperture.mask(zero, g.xs))
+    centre = int(np.searchsorted(kx, nx // 2))
+    assert kx[centre] == nx // 2
+    passes = aperture.mask(g.ys[ky], g.xs[kx])
+    assert np.count_nonzero(aperture.mask(g.ys, g.xs)) == np.count_nonzero(passes)
+    for row in passes:
+        cols = np.flatnonzero(row)
+        assert cols[0] <= centre <= cols[-1]
+        np.testing.assert_array_equal(cols, np.arange(cols[0], cols[-1] + 1))
+
+
+def test_run_train_batch_2d_holds_no_pupil_sized_complex_array():
+    # One 9-source read on a 1024^2 grid (the shipped focus compare) peaks
+    # below one complex array over the pupil rows and columns the aperture
+    # reaches
+    g = Grid2D(nx=1024, ny=1024, dx=1e-6, dy=1e-6)
+    D = 12.7e-3
+    train = reversed_focus_train(F, D, 2e-5, 0.25, 0.5)
+    sources = [(512, 512 + k) for k in range(-4, 5)]
+    run_train_batch(g, WL, sources, train)  # warm-up
+    tracemalloc.start()
+    try:
+        run_train_batch(g, WL, sources, train)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    opening = OpticalTrain(train.elements[:1])
+    pupil = run_train(point_source(g, (0.0, 0.0), 1.0, WL), opening).grid
+    ky = np.count_nonzero(np.abs(pupil.ys) <= D / 2)
+    kx = np.count_nonzero(np.abs(pupil.xs) <= D / 2)
+    assert peak < 16 * ky * kx
 
 
 def test_offset_chirp_2d_is_separable_and_keeps_the_guard():
