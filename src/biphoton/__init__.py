@@ -9,13 +9,12 @@ Layers, roughly bottom to top:
 - ``modes``: the randomized audit of the discrete-mode detection probabilities
 - ``config`` / ``cli``: JSON experiment configs and the ``biphoton`` command
 - ``oracles``: slow or scalar references of the fast paths, for tests only;
-  their names here resolve on first use, so no run imports them
+  no run imports them
 
 Every value class derives from ``_value.Value`` (frozen, no generated code).
 """
 import types
 
-from . import _value
 from .analytic import (
     FocusParams,
     YoungParams,
@@ -82,16 +81,6 @@ from .modes import AuditReport, time_reversal_audit
 
 __version__ = "0.1.0"
 
-_ORACLES = (
-    "DeltaComb", "focus_stage_field", "uniform_disk_transform", "young_stage_field",
-    "SingleParticleKernel", "TwoPhotonAmplitude", "coincidence_diagonal", "evolve",
-    "kernel_of", "spdc_initial",
-    "FinalMode", "TwoPhotonCoeff", "forward_prob_general", "forward_prob_single",
-    "norm_factor", "pair_overlap", "random_coeff", "random_mode",
-    "reversed_intensity_conditional", "reversed_intensity_single")
-__getattr__ = _value.lazy_oracles(__name__, _ORACLES)
-
-# The public names are what the imports above bind, and the oracles.
-__all__ = sorted([name for name, value in globals().items()
-                  if not name.startswith("_") and not isinstance(value, types.ModuleType)]
-                 + list(_ORACLES))
+# The public names are what the imports above bind.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

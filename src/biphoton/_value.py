@@ -21,7 +21,8 @@ shares the generic methods below, with the semantics of
 
 :func:`fields` and :func:`asdict` stand in for their ``dataclasses``
 namesakes. :func:`lazy_oracles` keeps the test oracles, which no run uses,
-off the import path while their old module names still resolve.
+off the import path while the few old module names ``perfbench`` reaches
+still resolve.
 """
 from __future__ import annotations
 

@@ -31,7 +31,7 @@ MAX_ARRAY_BYTES = 4 * 2 ** 30
 # AUDIT_CHUNK_BYTES of draws per chunk.
 AUDIT_CHUNK = 32
 # Draw bytes per audit chunk when that is more than AUDIT_CHUNK trials: 64
-# trials at 16 modes. With each chunk's arithmetic on the thread pool while
+# trials at 16 modes. With each chunk's arithmetic on a pool thread while
 # the next is drawn, a 10000-trial audit at 16 modes took 0.176-0.201 s in
 # chunks of 32, 0.139-0.146 s in 64, 0.134-0.136 s in 128 and 0.132-0.158 s
 # in 512 (medians of 15 in-process runs on a 2-core host, two sweeps); 128
@@ -62,6 +62,40 @@ def audit_array_bytes(n_modes: int, trials: int) -> float:
     except OverflowError:  # an integer beyond the float range
         return math.inf
     return 8.0 * min(audit_chunk_trials(n_modes), trials) * (2 * n * n + 4 * n)
+
+
+def audit_diags(n_modes, trials, seed,
+                names: Tuple[str, str, str] = ("audit.n_modes", "audit.trials", "seed")
+                ) -> List[str]:
+    """What keeps an audit of ``n_modes`` modes and ``trials`` trials drawn
+    from ``seed`` from running, one string per problem, each led by its
+    field's name from ``names``.
+
+    The counts must be integers >= 1 and the seed a nonnegative integer,
+    none of them a bool, and the largest array of a chunk of trials
+    (``audit_array_bytes``) must fit ``MAX_ARRAY_BYTES``. ``validate`` and
+    ``modes.time_reversal_audit`` both apply this rule, so a config passes
+    ``validate`` exactly when its audit runs.
+    """
+    n_name, trials_name, seed_name = names
+    diags = []
+    for value, name in ((n_modes, n_name), (trials, trials_name)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            diags.append(f"{name}: must be an integer, got {value!r}")
+        elif value < 1:
+            diags.append(f"{name}: must be >= 1, got {value}")
+    if not diags:
+        size = audit_array_bytes(n_modes, trials)
+        if size > MAX_ARRAY_BYTES:
+            diags.append(f"{n_name}: {n_modes} modes need a {size / 2 ** 30:.3g} GiB "
+                         f"array, above the {MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB limit")
+    return diags + _seed_diags(seed, seed_name)
+
+
+def _seed_diags(seed, name: str = "seed") -> List[str]:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        return [f"{name}: must be a nonnegative integer, got {seed!r}"]
+    return []
 
 
 def _take(d: dict, context: str, required: Tuple[str, ...],
@@ -222,7 +256,7 @@ def _largest_array_bytes(cfg: ExperimentConfig) -> float:
 
     The focus field is n x n; a young sweep holds one n-sample row per
     point. A young ``compare`` also relays the n x |kept| slit columns of
-    its pair state, then blocks of ``forward._BLOCK_BYTES`` (at least one
+    its pair state, then one block of ``forward._BLOCK_BYTES`` (at least one
     row, at most one per sweep point). This runs before any mask is built
     (a huge n must not allocate one), so |kept| is bounded: 2 for delta
     slits, else two slits of w/dx + 2 samples (one more for rounding at the
@@ -313,23 +347,11 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     if cfg.mode not in MODES:
         diags.append(f"mode: must be one of {list(MODES)}, got {cfg.mode!r}")
         return diags
-    if cfg.seed < 0:
-        diags.append(f"seed: must be nonnegative, got {cfg.seed}")
-
+    if cfg.experiment == "modes-audit" and cfg.audit is not None:
+        return audit_diags(cfg.audit.n_modes, cfg.audit.trials, cfg.seed)
+    diags += _seed_diags(cfg.seed)
     if cfg.experiment == "modes-audit":
-        if cfg.audit is None:
-            diags.append("audit: required for modes-audit (n_modes, trials)")
-        else:
-            if cfg.audit.n_modes < 1:
-                diags.append(f"audit.n_modes: must be >= 1, got {cfg.audit.n_modes}")
-            if cfg.audit.trials < 1:
-                diags.append(f"audit.trials: must be >= 1, got {cfg.audit.trials}")
-            elif cfg.audit.n_modes >= 1:
-                size = audit_array_bytes(cfg.audit.n_modes, cfg.audit.trials)
-                if size > MAX_ARRAY_BYTES:
-                    diags.append(f"audit.n_modes: {cfg.audit.n_modes} needs a "
-                                 f"{size / 2 ** 30:.3g} GiB array, above the "
-                                 f"{MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB limit")
+        diags.append("audit: required for modes-audit (n_modes, trials)")
         return diags
 
     needs_grid = cfg.mode in ("forward", "reversed", "compare")

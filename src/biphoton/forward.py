@@ -6,22 +6,19 @@ coincidence detection at a single point reads the diagonal. This is the
 numerical counterpart of the classical pinhole-readout trains, used to check
 that both produce identical patterns.
 
-``forward_young`` relays psi by FFTs along each axis, in row chunks on a
-kept thread pool, and holds no n x n array. The reversed side of
+``forward_young`` relays psi by FFTs along each axis, in blocks of rows
+on the calling thread, and holds no n x n array. The reversed side of
 ``forward_vs_reversed_young`` reads the same detection samples through the
 closed form of the reversed train (``run_train_batch``, tested against
 looped ``run_train``). The relayed pair state stays the forward side of that
 compare: it shares no closed form with the reversed side, while
 ``young_coincidence_at`` computes the same sum as the closed form and is
 never compared with it. The dense O(n^3) reference, the
-``TwoPhotonAmplitude``/``kernel_of``/``evolve`` chain, is in ``oracles``;
-its names here resolve on first use.
+``TwoPhotonAmplitude``/``kernel_of``/``evolve`` chain, is in ``oracles``.
 """
 from __future__ import annotations
 
-import functools
-import os
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,58 +36,17 @@ from .elements import (
 from .errors import ConfigurationError, DomainError, SamplingError
 from .grid import Grid1D, _spectral_axis, point_source  # noqa: F401  (point_source re-exported)
 
-# Bytes of one relay block: a chunk relays its rows this many at a time in
-# one buffer it allocates once. 512 KiB is 16 rows at n=2048, where the
-# young compare (85 rows) takes 320-640 faults per run instead of 1430 and
-# the full grid 2.2-5.1k; 128 KiB blocks made the full grid 1.6x slower.
+# Bytes of one relay block: ``forward_young`` relays its rows this many at
+# a time in one buffer it allocates once per call. 512 KiB is 16 rows at
+# n=2048, where the young compare (85 rows) took 320-640 faults per run
+# instead of 1430 and the full grid 2.2-5.1k (measured with one block per
+# CPU); 128 KiB blocks made the full grid 1.6x slower.
 _BLOCK_BYTES = 512 * 1024
-
-
-def _workers() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@functools.lru_cache(maxsize=1)
-def _row_pool(pid: int, workers: int) -> "ThreadPoolExecutor":
-    """The pool of :func:`_map_row_chunks` and the mode audit, made on first use and kept.
-
-    Threads made per call left each run's buffers in a new malloc arena,
-    which made peak RSS drift by 10% from run to run. The key holds the pid,
-    since a pool's threads do not survive a fork; an evicted pool's idle
-    threads exit when it is collected. ``concurrent.futures`` is imported
-    here, so a run that never uses the pool does not load it.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=workers)
 
 
 def _block_rows(n: int) -> int:
     """Rows of n complex samples in one ``_BLOCK_BYTES`` relay block (at least 1)."""
     return max(1, _BLOCK_BYTES // (16 * n))
-
-
-def _map_row_chunks(fn: Callable[[slice], object], n_rows: int) -> list:
-    """``[fn(rows) ...]`` over consecutive row slices, in order.
-
-    The slices cut ``range(n_rows)``, the positions in the caller's list of
-    rows; ``forward_young`` maps them to the detection samples it reads.
-    Each slice holds ``ceil(n_rows / workers)`` rows (the last one may hold
-    fewer): one chunk per worker.
-
-    The chunks run on a shared pool of one thread per usable CPU; numpy's
-    FFT and ufuncs release the GIL, so they run in parallel. ``fn`` must not
-    itself call this function. An exception in any chunk re-raises here.
-    Zero rows still make one empty chunk.
-    """
-    workers = _workers()
-    size = max(1, -(-n_rows // workers))
-    chunks = [slice(i, min(i + size, n_rows)) for i in range(0, max(n_rows, 1), size)]
-    return list(_row_pool(os.getpid(), workers).map(fn, chunks))
 
 
 def forward_young(p: YoungParams, grid: Grid1D,
@@ -102,11 +58,11 @@ def forward_young(p: YoungParams, grid: Grid1D,
     coordinates and is absorbed). Chain: correlated pairs -> slit mask ->
     focal-plane relay on each photon -> diagonal coincidence. The relay runs
     as an FFT along each axis of psi, O(n^2 log n), on the columns the slits
-    keep and then in row chunks, one block of rows at a time; ``kernel_of``
-    and ``evolve`` give the same state densely. ``samples`` lists the
-    detection-plane samples to read (default: all n); only their rows are
-    relayed along axis 1, and each diagonal entry is bit-identical to the
-    same entry of the full run. Each block's relayed rows are checked for
+    keep and then one block of rows at a time, on the calling thread;
+    ``kernel_of`` and ``evolve`` give the same state densely. ``samples``
+    lists the detection-plane samples to read (default: all n); only their
+    rows are relayed along axis 1, and each diagonal entry is bit-identical
+    to the same entry of the full run. Each block's relayed rows are checked for
     finiteness and only their diagonal entries are kept, so the n x n state
     is never held; the diagonal needs no symmetrization, as ``(a + a.T)/2``
     leaves it unchanged. The relay's phase vector is computed once per call.
@@ -150,21 +106,16 @@ def forward_young(p: YoungParams, grid: Grid1D,
     cols = _spectral_axis(cols, phase, 0)
     diag = np.empty(len(sel), dtype=complex)
     height = _block_rows(n)
-
-    def relay_rows(rows: slice) -> None:
-        # one small block per chunk, reused for each run of its rows
-        block = np.empty((min(height, rows.stop - rows.start), n), dtype=complex)
-        for lo in range(rows.start, rows.stop, height):
-            idx = sel[lo:min(lo + height, rows.stop)]
-            part = block[:len(idx)]
-            part.fill(0)
-            part[:, kept] = cols[idx]
-            _spectral_axis(part, phase, 1, out=part)
-            if not np.all(np.isfinite(part)):
-                raise ValueError("pair amplitudes must be finite")
-            diag[lo:lo + len(idx)] = part[np.arange(len(idx)), idx]
-
-    _map_row_chunks(relay_rows, len(sel))
+    block = np.empty((min(height, len(sel)), n), dtype=complex)
+    for lo in range(0, len(sel), height):
+        idx = sel[lo:lo + height]
+        part = block[:len(idx)]
+        part.fill(0)
+        part[:, kept] = cols[idx]
+        _spectral_axis(part, phase, 1, out=part)
+        if not np.all(np.isfinite(part)):
+            raise ValueError("pair amplitudes must be finite")
+        diag[lo:lo + len(idx)] = part[np.arange(len(idx)), idx]
     curve = 2 * np.abs(diag) ** 2
     peak = curve.max()
     if peak == 0:
@@ -256,8 +207,8 @@ def forward_vs_reversed_young(p: YoungParams, grid: Grid1D,
                              n_points=len(sources))
 
 
-# The dense pair-state chain, in ``oracles`` since no run uses it, resolves
-# here on first use.
+# Part of the dense pair-state chain, in ``oracles`` since no run uses it,
+# resolves here on first use only because ``perfbench`` still reaches it
+# here (ROADMAP items 1 and 14); tests import it from ``oracles``.
 __getattr__ = lazy_oracles(__name__, (
-    "TwoPhotonAmplitude", "SingleParticleKernel", "spdc_initial", "kernel_of",
-    "evolve", "coincidence_diagonal"))
+    "TwoPhotonAmplitude", "spdc_initial", "kernel_of", "evolve", "coincidence_diagonal"))

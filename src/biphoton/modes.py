@@ -8,21 +8,20 @@ proportionality on random instances, all drawn from one seeded generator.
 
 The audit runs stacked over chunks of trials. Its scalar reference, the
 value classes ``TwoPhotonCoeff``/``FinalMode`` and one function per
-probability and intensity, is in ``oracles``; its names here resolve on
-first use.
+probability and intensity, is in ``oracles``.
 """
 from __future__ import annotations
 
 import contextvars
+import functools
 import json
 import os
 
 import numpy as np
 
 from ._value import Value, asdict, lazy_oracles
-from .config import MAX_ARRAY_BYTES, audit_array_bytes, audit_chunk_trials
+from .config import audit_chunk_trials, audit_diags
 from .errors import ConfigurationError
-from .forward import _row_pool, _workers
 
 
 class AuditReport(Value):
@@ -57,22 +56,12 @@ def time_reversal_audit(n: int, trials: int, seed: int) -> AuditReport:
     ``_coeff_from_rng`` and two ``_mode_from_rng`` calls draw when called
     trial after trial on that generator, at any chunk size.
 
-    The seed must be a nonnegative integer, not a bool, and the largest
-    array of a chunk of trials (``config.audit_array_bytes``) must fit
-    ``config.MAX_ARRAY_BYTES``; anything else raises ``ConfigurationError``
-    before a draw.
+    Arguments that break ``config.audit_diags``, the rule ``validate``
+    applies to an audit config, raise ``ConfigurationError`` before a draw.
     """
-    if n < 1:
-        raise ConfigurationError(f"mode count must be >= 1, got {n}")
-    if trials < 1:
-        raise ConfigurationError(f"trials: must be >= 1, got {trials}")
-    size = audit_array_bytes(n, trials)
-    if size > MAX_ARRAY_BYTES:
-        raise ConfigurationError(
-            f"n: {n} modes need a {size / 2 ** 30:.3g} GiB array, above the "
-            f"{MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB limit")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigurationError(f"seed: must be a nonnegative integer, got {seed!r}")
+    diags = audit_diags(n, trials, seed, ("n", "trials", "seed"))
+    if diags:
+        raise ConfigurationError("; ".join(diags))
     max_dev = 0.0
     for fwd, scaled in _audit_chunks(n, trials, seed):
         denom = np.maximum(fwd, scaled)
@@ -93,15 +82,14 @@ def _audit_chunks(n: int, trials: int, seed: int):
     at any chunk size.
 
     This thread copies each chunk out of the draws buffer
-    (``_unpack_draws``); the rest (``_chunk_values``) runs on the shared
-    pool of ``forward._row_pool`` while this thread draws the next chunk,
-    since ``standard_normal`` releases the GIL. One chunk at most is in
-    flight, and its result is taken before the next is submitted, so one
-    pool thread at a time works on the audit, the chunks come back in
-    order and the first trial that fails a check raises its
+    (``_unpack_draws``); the rest (``_chunk_values``) runs on the one thread
+    of ``_chunk_pool`` while this thread draws the next chunk, since
+    ``standard_normal`` releases the GIL. One chunk at most is in flight,
+    and its result is taken before the next is submitted, so the chunks
+    come back in order and the first trial that fails a check raises its
     ``ValueError`` here.
     """
-    pool = _row_pool(os.getpid(), _workers())
+    pool = _chunk_pool(os.getpid())
     future = None
     try:
         for draws in _audit_draws(n, trials, seed):
@@ -116,6 +104,21 @@ def _audit_chunks(n: int, trials: int, seed: int):
     finally:
         if future is not None:
             future.exception()  # a generator closed early still waits for its chunk
+
+
+@functools.lru_cache(maxsize=1)
+def _chunk_pool(pid: int) -> "ThreadPoolExecutor":
+    """The one-thread pool of :func:`_audit_chunks`, made on first use and kept.
+
+    Threads made per audit left each run's buffers in a new malloc arena,
+    which made peak RSS drift by 10% from run to run. The key holds the pid,
+    since a pool's thread does not survive a fork; an evicted pool's idle
+    thread exits when it is collected. ``concurrent.futures`` is imported
+    here, so a run that never audits does not load it.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def _chunk_values(fc: np.ndarray, psi: np.ndarray):
@@ -227,10 +230,9 @@ def _contract(u: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ f @ w[:, :, None])[:, 0, 0]
 
 
-# The scalar mode check, in ``oracles`` since no run uses it, resolves here
-# on first use.
+# Part of the scalar mode check, in ``oracles`` since no run uses it,
+# resolves here on first use only because ``perfbench`` still reaches it
+# here (ROADMAP items 1 and 14); tests import it from ``oracles``.
 __getattr__ = lazy_oracles(__name__, (
-    "TwoPhotonCoeff", "FinalMode", "_coeff_from_rng", "random_coeff", "_mode_from_rng",
-    "random_mode", "forward_prob_single", "pair_overlap", "norm_factor",
-    "forward_prob_general", "reversed_intensity_single",
+    "_coeff_from_rng", "_mode_from_rng", "forward_prob_general", "norm_factor",
     "reversed_intensity_conditional"))

@@ -13,9 +13,9 @@ run compiles them:
   check and their random instances, the reference of the stacked
   arithmetic of ``modes.time_reversal_audit``.
 
-``analytic``, ``forward``, ``modes`` and the package itself resolve these
-names on first use (a module ``__getattr__``), so ``from biphoton.forward
-import kernel_of`` still works.
+Tests import them from here. The few names ``perfbench`` reaches in
+``analytic``, ``forward`` and ``modes`` resolve there on first use (a
+module ``__getattr__``).
 """
 from __future__ import annotations
 

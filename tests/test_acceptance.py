@@ -10,12 +10,10 @@ import pytest
 from biphoton.analytic import (
     FocusParams,
     YoungParams,
-    focus_stage_field,
     fwhm,
     spot_axial,
     spot_lateral,
     spot_offaxis_two_photon,
-    young_stage_field,
 )
 from biphoton.cli import run as run_experiment
 from biphoton.config import load_config
@@ -31,14 +29,16 @@ from biphoton.forward import (
     forward_young,
 )
 from biphoton.grid import Grid1D, Grid2D, SampledField, point_source
-from biphoton.modes import (
+from biphoton.modes import time_reversal_audit
+from biphoton.oracles import (
     FinalMode,
+    focus_stage_field,
     forward_prob_general,
     forward_prob_single,
     norm_factor,
     random_coeff,
     random_mode,
-    time_reversal_audit,
+    young_stage_field,
 )
 
 WL = 7.8e-7

@@ -16,11 +16,9 @@ from scipy.special import j0 as scipy_j0, j1 as scipy_j1
 
 from biphoton import analytic, oracles
 from biphoton.analytic import (
-    DeltaComb,
     FocusParams,
     YoungParams,
     disk_transform_table,
-    focus_stage_field,
     fwhm,
     j0,
     j1,
@@ -29,9 +27,7 @@ from biphoton.analytic import (
     spot_axial,
     spot_lateral,
     spot_offaxis_two_photon,
-    uniform_disk_transform,
     young_classical,
-    young_stage_field,
     young_two_photon,
 )
 from biphoton.errors import (
@@ -40,6 +36,12 @@ from biphoton.errors import (
     NonFiniteError,
     QuadratureError,
     ShapeError,
+)
+from biphoton.oracles import (
+    DeltaComb,
+    focus_stage_field,
+    uniform_disk_transform,
+    young_stage_field,
 )
 
 WL = 780e-9
@@ -144,8 +146,8 @@ def test_bessel_scalar_in_scalar_out_and_shapes():
 
 def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
     nodes, weights = np.polynomial.legendre.leggauss(8)
-    assert analytic._GL_NODES.tobytes() == nodes.tobytes()
-    assert analytic._GL_WEIGHTS.tobytes() == weights.tobytes()
+    assert oracles._GL_NODES.tobytes() == nodes.tobytes()
+    assert oracles._GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 # ---------------------------------------------------------------- somb / sinc

@@ -380,19 +380,18 @@ def test_young_compare_exits_3_above_tolerance(tmp_path, monkeypatch, capsys):
 
 def test_young_compare_exits_3_when_forward_side_skews(tmp_path, monkeypatch, capsys):
     # The compare relays only the pair-state rows its sweep snaps to, here
-    # 21 rows in one chunk per worker, 11 + 10 on 2 workers; at n = 600 a
-    # relay block holds 54 rows, so each chunk is one block. The relayed
-    # rows of the last, short chunk, which does not hold the fringe peak,
-    # grow by 1e-9; the curve there then grows by about 2e-9.
+    # 21 rows, in 8-row blocks: 8 + 8 + 5. The relayed rows of the last,
+    # short block, which does not hold the fringe peak, grow by 1e-9; the
+    # curve there then grows by about 2e-9.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(forward, "_workers", lambda: 2)
     n = 600
+    monkeypatch.setattr(forward, "_BLOCK_BYTES", 16 * n * 8)
     doc = young_doc("compare", grid={"n": n, "dx": 2e-5})
     p = YoungParams(x1=doc["x1"], f=doc["f"], wavelength=doc["wavelength"])
     _, sources, _ = forward.snap_young_sweep(p, Grid1D(n, 2e-5),
                                              np.linspace(-4e-5, 4e-5, 21))
-    tail = len(sources) // 2
-    assert 0 < tail < len(sources) - tail < forward._block_rows(n)
+    tail = len(sources) % forward._block_rows(n)
+    assert len(sources) == 21 and tail == 5
     assert n // 2 < sources[-tail]  # the peak sits on the centre row
     spectral_axis = forward._spectral_axis
 
@@ -905,6 +904,29 @@ def test_shipped_config_runs_without_scipy(tmp_path, name):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert out.exists()
+
+
+def test_compares_start_no_thread_and_the_audit_at_most_one(tmp_path):
+    # The young and focus compares run on the calling thread and never load
+    # concurrent.futures; the audit keeps one pool thread for its chunks.
+    root = Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import sys, threading",
+        "from biphoton.cli import run",
+        "from biphoton.config import load_config",
+        "for name in ('young_compare', 'focus_compare', 'modes_audit'):",
+        "    run(load_config(f'{sys.argv[1]}/{name}.json'), out=f'{name}.out')",
+        "    print(name, 'concurrent.futures' in sys.modules, threading.active_count())",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "configs")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = [line.split() for line in proc.stdout.splitlines()
+            if line.split()[0] in ("young_compare", "focus_compare", "modes_audit")]
+    assert seen[:2] == [["young_compare", "False", "1"], ["focus_compare", "False", "1"]]
+    assert seen[2][0] == "modes_audit" and int(seen[2][2]) <= 2
 
 
 @pytest.mark.parametrize("command", ["simulate", "validate"])

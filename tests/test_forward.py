@@ -1,9 +1,5 @@
 """Two-photon forward evolution and its agreement with the classical trains."""
-import multiprocessing
-import os
 import re
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -36,17 +32,16 @@ from biphoton.errors import (
     SamplingError,
     UnsupportedElementError,
 )
-from biphoton.forward import (
+from biphoton.forward import forward_vs_reversed_young, forward_young
+from biphoton.grid import Grid1D, Grid2D, SampledField, point_source
+from biphoton.oracles import (
     SingleParticleKernel,
     TwoPhotonAmplitude,
     coincidence_diagonal,
     evolve,
-    forward_vs_reversed_young,
-    forward_young,
     kernel_of,
     spdc_initial,
 )
-from biphoton.grid import Grid1D, Grid2D, SampledField, point_source
 
 WL = 780e-9
 F = 50e-3
@@ -105,53 +100,37 @@ def test_nonfinite_amplitude_rejected():
 
 def forward_young_rows(monkeypatch, p, g, slit_width, samples=None):
     """``forward_young``'s relayed pair-state rows in the order of ``samples``
-    (default: every row), the heights of the relay blocks of each row chunk
-    in row order, and its curve.
+    (default: every row), the heights of its relay blocks in row order, and
+    its curve.
 
-    Spies on the axis-1 relay of each block; the chunk's first row is
-    tagged per thread by a wrapper of the chunk map.
+    Spies on the axis-1 relay of each block.
     """
-    blocks, local = {}, threading.local()
-    relay, map_chunks = forward._spectral_axis, forward._map_row_chunks
+    blocks = []
+    relay = forward._spectral_axis
 
     def spy_relay(amp, phase, axis, out=None):
         out = relay(amp, phase, axis, out=out)
         if axis == 1:
-            blocks[local.rows.start].append(out.copy())
+            blocks.append(out.copy())
         return out
-
-    def spy_map(fn, n_rows):
-        def tagged(rows):
-            local.rows = rows
-            blocks[rows.start] = []
-            return fn(rows)
-        return map_chunks(tagged, n_rows)
 
     with monkeypatch.context() as m:
         m.setattr(forward, "_spectral_axis", spy_relay)
-        m.setattr(forward, "_map_row_chunks", spy_map)
         _, curve = forward_young(p, g, slit_width, samples)
-    chunks = [blocks[i] for i in sorted(blocks)]
-    rows = np.concatenate([b for chunk in chunks for b in chunk])
-    return rows, [[len(b) for b in chunk] for chunk in chunks], curve
+    return np.concatenate(blocks), [len(b) for b in blocks], curve
 
 
-def chunk_layout(n_rows, workers, height):
-    """Block heights per chunk that ``forward_young`` should relay."""
-    size = -(-n_rows // workers)
-    layout = []
-    for lo in range(0, n_rows, size):
-        rows = min(size, n_rows - lo)
-        layout.append([min(height, rows - b) for b in range(0, rows, height)])
-    return layout
+def block_layout(n_rows, height):
+    """Heights of the blocks ``forward_young`` should relay ``n_rows`` rows in."""
+    return [min(height, n_rows - lo) for lo in range(0, n_rows, height)]
 
 
 @pytest.mark.parametrize("slit_cells", [None, 12])
 def test_forward_young_state_is_exactly_symmetric(slit_cells):
     # The full state built the old way, unchunked: kept-column relay, axis-1
     # relay, then (a + a.T)/2. forward_young never builds it; on a grid of
-    # several row chunks its curve must be this state's diagonal bit for
-    # bit. 12-cell slits keep 26 columns.
+    # several relay blocks (109, 109 and 82 rows) its curve must be this
+    # state's diagonal bit for bit. 12-cell slits keep 26 columns.
     p, g = young_setup(n=300, x1_cells=8)
     slit_width = None if slit_cells is None else slit_cells * g.dx
     kept = np.flatnonzero(DoubleSlit(p.x1, slit_width).mask(g))
@@ -171,12 +150,11 @@ def test_forward_young_state_is_exactly_symmetric(slit_cells):
     np.testing.assert_array_equal(curve, want / want.max())
 
 
-def test_forward_young_holds_no_n_by_n_array(monkeypatch):
-    # On one thread one row chunk is live at a time; the full pair state
-    # would take n*n*16 B = 64 MiB.
-    monkeypatch.setattr(forward, "_workers", lambda: 1)
+def test_forward_young_holds_no_n_by_n_array():
+    # One relay block is live at a time; the full pair state would take
+    # n*n*16 B = 64 MiB.
     p, g = young_setup(n=2048, x1_cells=16)
-    forward_young(p, g)  # the pool and the FFT plan caches are made outside the trace
+    forward_young(p, g)  # the FFT plan caches are made outside the trace
     tracemalloc.start()
     try:
         forward_young(p, g)
@@ -190,20 +168,19 @@ def test_forward_young_holds_no_n_by_n_array(monkeypatch):
 @pytest.mark.parametrize("slit_cells", [None, 4])
 def test_forward_young_on_samples_reads_the_full_runs_entries(monkeypatch, n,
                                                               slit_cells):
-    # Only the rows of the selected samples are relayed, in chunks of their
-    # own: on 2 workers, unsorted selections of 308 and 90 samples make
-    # chunks of 154 and 45 rows, relayed in blocks of at most 16 and 54
-    # rows; each chunk of 154 ends in a short block. Each raw diagonal
-    # entry is the full run's bit for bit, and the curve is normalized by
-    # its peak over the selection.
-    monkeypatch.setattr(forward, "_workers", lambda: 2)
+    # Only the rows of the selected samples are relayed: unsorted
+    # selections of 308 and 90 samples are relayed in blocks of at most 16
+    # and 54 rows, each ending in a short block (4 and 36 rows). Each raw
+    # diagonal entry is the full run's bit for bit, and the curve is
+    # normalized by its peak over the selection.
     p, g = young_setup(n=n, x1_cells=16)
     slit_width = None if slit_cells is None else slit_cells * g.dx
     sel = np.random.default_rng(n).choice(n, size=n // 4 - n // 10, replace=False)
     full, _, _ = forward_young_rows(monkeypatch, p, g, slit_width)
     rows, layout, curve = forward_young_rows(monkeypatch, p, g, slit_width, sel)
     assert rows.shape == (len(sel), n)
-    assert layout == chunk_layout(len(sel), 2, forward._block_rows(n))
+    assert layout == block_layout(len(sel), forward._block_rows(n))
+    assert layout[-1] == {2048: 4, 600: 36}[n]
     raw = rows[np.arange(len(sel)), sel]
     np.testing.assert_array_equal(raw, full[sel, sel])
     want = 2 * np.abs(raw) ** 2
@@ -220,38 +197,32 @@ def compare_samples(n=2048):
     return p, g, sources
 
 
-def test_compare_rows_split_over_two_workers_bit_identical(monkeypatch):
-    # The 85 rows make one chunk per worker (43 + 42 rows, each relayed in
-    # 16-row blocks), and rows and curve equal the
-    # one-thread run in one chunk and one block, bit for bit, under a short
-    # switch interval.
+def test_compare_rows_bit_identical_at_block_heights_1_16_85(monkeypatch):
+    # The 85 rows relayed one at a time, in the default 16-row blocks
+    # (five and a 5-row tail) or in one block give the same rows and
+    # curve, bit for bit.
     p, g, sources = compare_samples()
-    with monkeypatch.context() as m:
-        m.setattr(forward, "_workers", lambda: 1)
-        m.setattr(forward, "_BLOCK_BYTES", 16 * g.n * len(sources))
-        want, layout, want_curve = forward_young_rows(monkeypatch, p, g, None, sources)
-    assert layout == [[85]]
-    monkeypatch.setattr(forward, "_workers", lambda: 2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        rows, layout, curve = forward_young_rows(monkeypatch, p, g, None, sources)
-    finally:
-        sys.setswitchinterval(interval)
-    assert layout == [[16, 16, 11], [16, 16, 10]]
-    np.testing.assert_array_equal(rows, want)
-    np.testing.assert_array_equal(curve, want_curve)
+    assert forward._block_rows(g.n) == 16
+    runs = []
+    for height in (1, 16, 85):
+        with monkeypatch.context() as m:
+            m.setattr(forward, "_BLOCK_BYTES", 16 * g.n * height)
+            rows, layout, curve = forward_young_rows(monkeypatch, p, g, None, sources)
+        assert layout == block_layout(len(sources), height)
+        runs.append((rows, curve))
+    (want, want_curve), *others = runs
+    for rows, curve in others:
+        np.testing.assert_array_equal(rows, want)
+        np.testing.assert_array_equal(curve, want_curve)
 
 
-def test_compare_relay_memory_is_bounded_by_its_blocks(monkeypatch):
-    # Each of 2 workers holds one relay block, the FFT output of one block
-    # and numpy's buffers for the phase multiply (3 operands of
-    # getbufsize() items) at a time: 2.75 MiB at n = 2048, with 512 KiB
-    # left for the kept columns, their relay and the small per-block
-    # arrays. Relaying each chunk as one block took 5.8 MiB.
-    monkeypatch.setattr(forward, "_workers", lambda: 2)
+def test_compare_relay_memory_is_bounded_by_its_blocks():
+    # One relay block, the FFT output of one block and numpy's buffers for
+    # the phase multiply (3 operands of getbufsize() items) are live at a
+    # time: 1.375 MiB at n = 2048, with 512 KiB left for the kept columns,
+    # their relay and the small per-block arrays.
     p, g, sources = compare_samples()
-    forward_young(p, g, None, sources)  # pool and FFT plans made outside the trace
+    forward_young(p, g, None, sources)  # FFT plans made outside the trace
     tracemalloc.start()
     try:
         forward_young(p, g, None, sources)
@@ -260,7 +231,7 @@ def test_compare_relay_memory_is_bounded_by_its_blocks(monkeypatch):
         tracemalloc.stop()
     block = 16 * g.n * forward._block_rows(g.n)
     buffers = 3 * 16 * np.getbufsize()
-    assert peak < 2 * (2 * block + buffers) + 512 * 1024
+    assert peak < 2 * block + buffers + 512 * 1024
 
 
 @pytest.mark.parametrize("samples", [[-1], [0, 64], [[1, 2]], []])
@@ -734,57 +705,15 @@ def test_closed_form_young_readings_nonfinite_stage_raises(monkeypatch, value):
         run_train_batch(det, WL, np.arange(det.n), train)
 
 
-def pool_setup():
-    # 300 rows, not a multiple of 8 workers or of a 16-row block; 12-cell slits
-    p, g = young_setup(n=300, x1_cells=8)
-    return p, g, 12 * g.dx
-
-
-@pytest.mark.parametrize("workers", [1, 2, 8])
-def test_batch_is_bit_identical_across_chunks_and_workers(monkeypatch, workers):
-    # Any chunking, blocking and thread count gives the one-chunk,
-    # one-block, one-thread rows and curve, also with more threads than
-    # rows per chunk and a short switch interval.
-    p, g, slit_width = pool_setup()
-    with monkeypatch.context() as m:
-        m.setattr(forward, "_workers", lambda: 1)
-        m.setattr(forward, "_BLOCK_BYTES", 16 * g.n * g.n)
-        want, layout, want_curve = forward_young_rows(monkeypatch, p, g, slit_width)
-    assert layout == [[g.n]]
-    monkeypatch.setattr(forward, "_workers", lambda: workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        rows, layout, curve = forward_young_rows(monkeypatch, p, g, slit_width)
-    finally:
-        sys.setswitchinterval(interval)
-    assert layout == chunk_layout(g.n, workers, forward._block_rows(g.n))
-    assert len(layout) == workers
-    np.testing.assert_array_equal(rows, want)
-    np.testing.assert_array_equal(curve, want_curve)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_batch_runs_in_a_forked_child_of_a_process_that_used_the_pool():
-    # Pool threads do not survive a fork; a child that reused the parent's
-    # pool would queue its chunks forever.
-    p, g, slit_width = pool_setup()
-    _, curve = forward_young(p, g, slit_width)
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        child = pool.apply_async(forward_young, (p, g, slit_width))
-        np.testing.assert_array_equal(child.get(timeout=60)[1], curve)
-
-
 def test_batch_nonfinite_stage_in_one_chunk_raises(monkeypatch):
-    # A NaN injected by the relay of the short last block of the last,
-    # shorter chunk only: 7 workers cut 300 rows into six chunks of 43 and
-    # one of 42, and 16-row blocks end each 43 in 11 rows and the 42 in 10.
-    p, g, slit_width = pool_setup()
-    monkeypatch.setattr(forward, "_workers", lambda: 7)
+    # A NaN injected by the relay of the short last block only: 16-row
+    # blocks cut 300 rows into 18 full blocks and one of 12. 12-cell slits.
+    p, g = young_setup(n=300, x1_cells=8)
+    slit_width = 12 * g.dx
     monkeypatch.setattr(forward, "_BLOCK_BYTES", 16 * 16 * g.n)
-    layout = chunk_layout(g.n, 7, forward._block_rows(g.n))
-    tail = layout[-1][-1]
-    assert layout == [[16, 16, 11]] * 6 + [[16, 16, 10]] and tail == 10
+    layout = block_layout(g.n, forward._block_rows(g.n))
+    tail = layout[-1]
+    assert layout == [16] * 18 + [12] and tail == 12
     relay = forward._spectral_axis
 
     def poisoned(amp, phase, axis, out=None):

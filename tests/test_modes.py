@@ -1,5 +1,7 @@
 """Mode-space detection probabilities against independent Fock-basis oracles."""
 import json
+import multiprocessing
+import os
 import threading
 import time
 from concurrent.futures import Future
@@ -14,15 +16,18 @@ from biphoton.config import AUDIT_CHUNK, audit_chunk_trials
 from biphoton.errors import ConfigurationError
 from biphoton.modes import (
     AuditReport,
-    FinalMode,
-    TwoPhotonCoeff,
     _audit_chunks,
     _audit_draws,
-    _coeff_from_rng,
     _contract,
-    _mode_from_rng,
     _normalize_chunk,
     _unpack_draws,
+    time_reversal_audit,
+)
+from biphoton.oracles import (
+    FinalMode,
+    TwoPhotonCoeff,
+    _coeff_from_rng,
+    _mode_from_rng,
     forward_prob_general,
     forward_prob_single,
     norm_factor,
@@ -30,7 +35,6 @@ from biphoton.modes import (
     random_mode,
     reversed_intensity_conditional,
     reversed_intensity_single,
-    time_reversal_audit,
 )
 
 
@@ -500,6 +504,16 @@ def test_successive_audits_start_no_threads():
     assert threading.active_count() <= after_first
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_audit_runs_in_a_forked_child_of_a_process_that_ran_one():
+    # A pool's thread does not survive a fork; a child that reused the
+    # parent's pool would queue its chunks forever.
+    want = time_reversal_audit(16, 1000, 1)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        child = pool.apply_async(time_reversal_audit, (16, 1000, 1))
+        assert child.get(timeout=60) == want
+
+
 def test_audit_raises_for_a_bad_middle_chunk_and_runs_again(monkeypatch):
     # chunk 3 of 5 holds all-zero draws, which normalize to NaN
     n, seed = 4, 9
@@ -540,7 +554,7 @@ def test_audit_takes_each_chunk_before_submitting_the_next(monkeypatch):
             unread[-1].set_result(fn(*args))
             return unread[-1]
 
-    monkeypatch.setattr(modes, "_row_pool", lambda pid, workers: InlinePool())
+    monkeypatch.setattr(modes, "_chunk_pool", lambda pid: InlinePool())
     n, seed = 4, 5
     trials = 3 * audit_chunk_trials(n) + 1
     assert time_reversal_audit(n, trials, seed) == looped_audit(n, trials, seed)
@@ -594,3 +608,20 @@ def test_audit_rejects_a_chunk_beyond_the_array_limit(monkeypatch):
     for n, trials in ((10**6, 1), (2896, 32), (10**400, 1)):
         with pytest.raises(ConfigurationError, match=r"^n: \d+ modes need"):
             time_reversal_audit(n, trials=trials, seed=0)
+
+
+def test_audit_rejects_counts_that_are_not_integers_before_drawing(monkeypatch):
+    # these raised numpy's bare TypeError after the first chunk was drawn
+    def no_draws(*args):
+        raise AssertionError("drew before rejecting the counts")
+
+    monkeypatch.setattr(modes, "_audit_chunks", no_draws)
+    for n, trials, field in ((2, 2.5, "trials"), (2.0, 3, "n"), (True, 3, "n"),
+                             (2, False, "trials"), (2, "3", "trials")):
+        with pytest.raises(ConfigurationError, match=rf"^{field}: must be an integer"):
+            time_reversal_audit(n, trials, 0)
+
+
+def test_audit_accepts_numpy_integer_counts():
+    assert time_reversal_audit(np.int64(2), np.int32(3), 5) == \
+        time_reversal_audit(2, 3, 5)
