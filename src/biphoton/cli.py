@@ -2,10 +2,14 @@
 
 Three subcommands: ``simulate`` runs a sweep from a JSON config, ``audit``
 runs the randomized mode-space identity check, ``validate`` reports config
-diagnostics without running. Exit codes: 0 success, 2 configuration problem,
-3 tripped numerical guard or failed check (an audit deviation above
-``modes.AUDIT_TOLERANCE``, a ``compare`` deviation above ``YOUNG_COMPARE_TOL``
-or ``FOCUS_COMPARE_TOL``; the report, CSV and summary are written first).
+diagnostics without running. A sweep computes every column and check
+before it writes, and ``_write`` is the one place that opens an output file.
+Exit codes: 0 success; 2 configuration problem or an output path that cannot
+be written (a summary that cannot be written leaves its CSV behind); 3
+tripped numerical guard (nothing is written) or failed check (an audit
+deviation above ``modes.AUDIT_TOLERANCE``, a ``compare`` deviation above
+``YOUNG_COMPARE_TOL`` or ``FOCUS_COMPARE_TOL``; the report, CSV and summary
+are written first).
 """
 from __future__ import annotations
 
@@ -65,6 +69,16 @@ def _format_length(meters: float) -> str:
     return f"{meters * 1e3:.4g} mm"
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``: the one place this module opens an output
+    file. An OSError becomes a ConfigurationError that names the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: str, header: List[str], rows) -> None:
     """Write ``rows`` with every value as ``.17g``; pass Python floats
     (``ndarray.tolist()``), which format faster than numpy scalars.
@@ -73,34 +87,27 @@ def _write_csv(path: str, header: List[str], rows) -> None:
     quote or newline, so these are the bytes ``csv.writer`` wrote.
     """
     line = ",".join(["{:.17g}"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line.format(*row) for row in rows)
+    _write(path, ",".join(header) + "\n" + "".join(line.format(*row) for row in rows))
 
 
 def _write_summary(csv_path: str, summary: dict) -> str:
     path = str(Path(csv_path).with_suffix(".summary.json"))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write(path, json.dumps(summary, indent=2) + "\n")
     return path
 
 
-def _normalize(columns: Dict[str, np.ndarray], raw: bool) -> Dict[str, np.ndarray]:
-    """Peak-normalize each column unless ``raw``; NonFiniteError names the
-    first column holding a NaN or Inf, so no such value reaches the CSV."""
+def _normalize(columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Peak-normalize each column; NonFiniteError names the first column
+    holding a NaN or Inf, so no such value reaches the CSV."""
     for name, vals in columns.items():
         if not np.all(np.isfinite(vals)):
             raise NonFiniteError(f"the {name} column leaves the float range (NaN or Inf)")
-    if raw:
-        return columns
     return {name: vals / vals.max() if vals.max() > 0 else vals
             for name, vals in columns.items()}
 
 
-def _peak_positions(coords: np.ndarray, columns: Dict[str, np.ndarray]) -> dict:
-    return {name: float(coords[int(np.argmax(vals))])
-            for name, vals in columns.items()}
+def _peak_at(coords: np.ndarray, vals: np.ndarray) -> float:
+    return float(coords[int(np.argmax(vals))])
 
 
 def _distinct(coords: np.ndarray, columns: Dict[str, np.ndarray]) -> tuple:
@@ -143,7 +150,7 @@ def _shared_radii(r0: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------- young
 
 
-def _run_young(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
+def _run_young(cfg: ExperimentConfig) -> tuple:
     p = YoungParams(x1=cfg.x1, f=cfg.f, wavelength=cfg.wavelength)
     x = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
     g = None if cfg.mode == "analytic" else Grid1D(cfg.grid.n, cfg.grid.dx)
@@ -163,45 +170,22 @@ def _run_young(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
         x = det.coords[sources][row]
         columns["reversed"] = run_train_batch(det, p.wavelength, sources, train)[row]
 
-    columns = _normalize(columns, raw)
-    _write_csv(out, ["x0_m"] + list(columns),
-               zip(x.tolist(), *(v.tolist() for v in columns.values())))
+    fields = {"period_m": {"two_photon": p.f * p.wavelength / (4 * p.x1),
+                           "classical": p.f * p.wavelength / (2 * p.x1)},
+              "period_measured_m": _measured_period, "peak_position_m": _peak_at}
 
-    xs, cut = _distinct(x, columns)
-    summary = {
-        "experiment": cfg.experiment,
-        "mode": cfg.mode,
-        "csv": out,
-        "n_rows": len(x),
-        "columns": list(columns),
-        "period_m": {
-            "two_photon": p.f * p.wavelength / (4 * p.x1),
-            "classical": p.f * p.wavelength / (2 * p.x1),
-        },
-        "period_measured_m": {name: _measured_period(xs, vals)
-                              for name, vals in cut.items()},
-        "peak_position_m": _peak_positions(xs, cut),
-    }
-    if cfg.mode == "compare":
+    def deviation(normal: Dict[str, np.ndarray]) -> dict:
         # measured on the distinct detection samples the sweep snaps to
         report = forward_vs_reversed_young(p, g, cfg.slit_width, cfg.L1, cfg.L2, x)
-        summary["max_deviation"] = report.max_rel_err
-        summary["deviation_points"] = report.n_points
-        summary["tolerance"] = YOUNG_COMPARE_TOL
-        summary["passed"] = report.max_rel_err <= YOUNG_COMPARE_TOL
+        return {"max_deviation": report.max_rel_err, "deviation_points": report.n_points}
 
-    print(f"two-photon fringe period {_format_length(summary['period_m']['two_photon'])}"
-          f", classical {_format_length(summary['period_m']['classical'])}")
-    if "max_deviation" in summary:
-        print(f"forward vs reversed max deviation {summary['max_deviation']:.3e} "
-              f"(tolerance {YOUNG_COMPARE_TOL:.0e})")
-    return summary
+    return {"x0_m": x}, columns, fields, deviation if cfg.mode == "compare" else None
 
 
 # ------------------------------------------------------------------- focus
 
 
-def _run_focus(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
+def _run_focus(cfg: ExperimentConfig) -> tuple:
     p = FocusParams(D=cfg.D, f=cfg.f, wavelength=cfg.wavelength)
     first = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
     sw2 = cfg.sweep.second
@@ -241,47 +225,16 @@ def _run_focus(cfg: ExperimentConfig, raw: bool, out: str) -> dict:
             for z0 in z_axis])
         columns["reversed"] = readings[iz, r_row[ir]]
 
-    columns = _normalize(columns, raw)
-    _write_csv(out, heads + list(columns), zip(*(axes[h].tolist() for h in heads),
-                                               *(v.tolist() for v in columns.values())))
-
-    summary = {
-        "experiment": cfg.experiment,
-        "mode": cfg.mode,
-        "csv": out,
-        "n_rows": len(coords),
-        "columns": list(columns),
-    }
-    if second is None:
-        distinct, cut = _distinct(coords, columns)
-        summary["peak_position_m"] = _peak_positions(distinct, cut)
-        summary["fwhm_m"] = {name: _try_fwhm(distinct, vals)
-                             for name, vals in cut.items()}
-        for name, val in summary["fwhm_m"].items():
-            if val is not None:
-                print(f"{name} FWHM {_format_length(val)}")
-    if cfg.mode == "compare":
-        dev = float(np.max(np.abs(columns["two_photon"] - columns["reversed"])))
-        summary["max_deviation"] = dev
-        summary["tolerance"] = FOCUS_COMPARE_TOL
-        summary["passed"] = dev <= FOCUS_COMPARE_TOL
-        print(f"analytic vs reversed max deviation {dev:.3e} "
-              f"(tolerance {FOCUS_COMPARE_TOL:.0e})")
-    return summary
+    fields = {"peak_position_m": _peak_at, "fwhm_m": _try_fwhm} if second is None else {}
+    return ({h: axes[h] for h in heads}, columns, fields,
+            _focus_deviation if cfg.mode == "compare" else None)
 
 
-# ------------------------------------------------------------------- audit
+def _focus_deviation(normal: Dict[str, np.ndarray]) -> dict:
+    return {"max_deviation": float(np.max(np.abs(normal["two_photon"] - normal["reversed"])))}
 
 
-def _run_audit(cfg: ExperimentConfig, out: str) -> dict:
-    report = time_reversal_audit(cfg.audit.n_modes, cfg.audit.trials, cfg.seed)
-    summary = report.to_dict()
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
-    print(f"audit {'passed' if report.passed else 'FAILED'}: "
-          f"max ratio deviation {report.max_ratio_dev:.3e} over "
-          f"{report.trials} trials (N={report.n_modes})")
-    return summary
+# ------------------------------------------------------------------- run
 
 
 def run(cfg: ExperimentConfig, raw: bool = False,
@@ -289,7 +242,14 @@ def run(cfg: ExperimentConfig, raw: bool = False,
     """Execute a validated config; returns the summary dict.
 
     Writes the CSV (or audit JSON) to ``out``/config ``output``/a default
-    name, plus a ``.summary.json`` next to it for sweep experiments.
+    name, plus a ``.summary.json`` next to it for sweep experiments. A sweep's
+    runner computes its coordinate axes, raw columns, own summary fields (a
+    value, or a function of the distinct coordinates and one column) and, for
+    a compare, its deviation as a function of the normalized columns. Here the
+    columns are peak-normalized, and the summary fields and the compare
+    verdict are taken on them; only then are the CSV (unnormalized with
+    ``raw``, which changes nothing else) and the summary written, so a tripped
+    guard writes nothing.
     """
     diags = validate_config(cfg)
     if diags:
@@ -297,11 +257,48 @@ def run(cfg: ExperimentConfig, raw: bool = False,
     ext = "json" if cfg.experiment == "modes-audit" else "csv"
     out = out or cfg.output or f"{cfg.experiment.replace('-', '_')}_{cfg.mode}.{ext}"
     if cfg.experiment == "modes-audit":
-        return _run_audit(cfg, out)
-    runner = _run_young if cfg.experiment == "young" else _run_focus
-    summary = runner(cfg, raw, out)
+        report = time_reversal_audit(cfg.audit.n_modes, cfg.audit.trials, cfg.seed)
+        _write(out, report.to_json() + "\n")
+        print(f"audit {'passed' if report.passed else 'FAILED'}: "
+              f"max ratio deviation {report.max_ratio_dev:.3e} over "
+              f"{report.trials} trials (N={report.n_modes})")
+        return report.to_dict()
+
+    young = cfg.experiment == "young"
+    axes, columns, fields, deviation = (_run_young if young else _run_focus)(cfg)
+    normal = _normalize(columns)
+    coords = next(iter(axes.values()))
+    summary = {
+        "experiment": cfg.experiment,
+        "mode": cfg.mode,
+        "csv": out,
+        "n_rows": len(coords),
+        "columns": list(columns),
+    }
+    distinct, cut = _distinct(coords, normal)
+    for key, field in fields.items():
+        summary[key] = ({name: field(distinct, vals) for name, vals in cut.items()}
+                        if callable(field) else field)
+    if deviation is not None:
+        summary.update(deviation(normal))
+        summary["tolerance"] = tol = YOUNG_COMPARE_TOL if young else FOCUS_COMPARE_TOL
+        summary["passed"] = summary["max_deviation"] <= tol
     summary["config"] = asdict(cfg)
+
+    _write_csv(out, list(axes) + list(columns),
+               zip(*(v.tolist() for v in axes.values()),
+                   *(v.tolist() for v in (columns if raw else normal).values())))
     path = _write_summary(out, summary)
+    if young:
+        period = summary["period_m"]
+        print(f"two-photon fringe period {_format_length(period['two_photon'])}"
+              f", classical {_format_length(period['classical'])}")
+    for name, width in summary.get("fwhm_m", {}).items():
+        if width is not None:
+            print(f"{name} FWHM {_format_length(width)}")
+    if deviation is not None:
+        print(f"{'forward' if young else 'analytic'} vs reversed max deviation "
+              f"{summary['max_deviation']:.3e} (tolerance {tol:.0e})")
     print(f"wrote {out} and {path}")
     return summary
 
@@ -334,7 +331,8 @@ def exit_code(task: Callable[[], Union[dict, int]]) -> int:
 
     ``task`` returns an exit code or a summary. A summary whose ``passed``
     is False gives 3: its outputs are written, but the run fails its stated
-    tolerance. ``ConfigurationError`` and ``DomainError`` give 2,
+    tolerance. ``ConfigurationError`` (an output that cannot be written
+    too) and ``DomainError`` give 2,
     ``SamplingError``, ``QuadratureError`` (disk transform bounds) and
     ``NonFiniteError`` 3; each names its cause on stderr. The example
     scripts end through here too.
@@ -358,10 +356,9 @@ def exit_code(task: Callable[[], Union[dict, int]]) -> int:
 
 def _audit(args: argparse.Namespace) -> dict:
     report = time_reversal_audit(args.n, args.trials, args.seed)
-    print(report.to_json())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        _write(args.out, report.to_json() + "\n")
+    print(report.to_json())
     return report.to_dict()
 
 

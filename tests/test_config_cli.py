@@ -978,6 +978,81 @@ def test_main_sampling_guard_exit_3(tmp_path, monkeypatch, capsys):
     assert "samples per fringe" in capsys.readouterr().err
 
 
+def test_a_guard_tripped_by_the_compare_check_writes_nothing(tmp_path, capsys):
+    # The shipped young compare on 256 samples of 20 um: its columns are
+    # finite, and only the forward-vs-reversed check trips its guard.
+    # validate does not predict this guard yet.
+    doc = shipped("young_compare")
+    doc["grid"] = {"n": 256, "dx": 2e-5}
+    path = write_config(tmp_path, "coarse.json", doc)
+    out = tmp_path / "coarse.csv"
+    assert main(["validate", "--config", path]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical guard:"), err
+    assert "only 2.56 detection samples per fringe" in err[0]
+    assert captured.out == ""
+    assert not out.exists() and not out.with_suffix(".summary.json").exists()
+
+
+@pytest.mark.parametrize("name", ["young_compare", "focus_compare"])
+def test_raw_compare_changes_only_the_csv(tmp_path, capsys, name):
+    path = str(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+    runs = {}
+    for raw in (False, True):
+        out = tmp_path / f"{name}_{raw}.csv"
+        code = main(["simulate", "--config", path, "--out", str(out)] + ["--raw"] * raw)
+        summary = json.loads(out.with_suffix(".summary.json").read_text(encoding="utf-8"))
+        runs[raw] = code, summary, np.genfromtxt(out, delimiter=",", names=True)
+    (code, summary, norm), (raw_code, raw_summary, raw_rows) = runs[False], runs[True]
+    assert code == raw_code == 0
+    assert raw_summary["passed"] is summary["passed"] is True
+    assert (np.float64(raw_summary["max_deviation"]).view(np.uint64)
+            == np.float64(summary["max_deviation"]).view(np.uint64))
+    # the whole summary but its CSV name: JSON floats round-trip exactly
+    assert raw_summary.pop("csv") != summary.pop("csv")
+    assert raw_summary == summary
+    # the raw CSV holds the unnormalized columns, the other one their peak ratios
+    for column in summary["columns"]:
+        assert norm[column].max() == 1.0
+        np.testing.assert_array_equal(raw_rows[column] / raw_rows[column].max(),
+                                      norm[column])
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "configs/young_compare.json", "--out", "{missing}/x.csv"],
+    ["simulate", "--config", "configs/young_compare.json", "--out", "{dir}"],
+    ["simulate", "--config", "configs/modes_audit.json", "--out", "{missing}/a.json"],
+    ["audit", "--n", "2", "--trials", "3", "--out", "{missing}/a.json"],
+], ids=["sweep-missing-dir", "sweep-is-a-dir", "audit-config", "audit-subcommand"])
+def test_an_unwritable_output_exits_2_and_names_the_path(tmp_path, monkeypatch, capsys,
+                                                         argv):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    (tmp_path / "dir").mkdir()
+    places = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path / "dir")}
+    argv = [arg.format(**places) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {argv[-1]!r}: "), err
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+    assert list(tmp_path.rglob("*")) == [tmp_path / "dir"]
+
+
+def test_an_unwritable_summary_leaves_the_csv(tmp_path, capsys):
+    path = str(Path(__file__).resolve().parents[1] / "configs" / "young_compare.json")
+    out = tmp_path / "y.csv"
+    out.with_suffix(".summary.json").mkdir()
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {str(out.with_suffix('.summary.json'))!r}: "
+                   "Is a directory"]
+    assert out.read_text(encoding="utf-8").startswith("x0_m,two_photon,classical,forward\n")
+
+
 def test_main_audit_stdout_json(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = main(["audit", "--n", "6", "--trials", "40", "--seed", "9",
