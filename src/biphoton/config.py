@@ -23,8 +23,8 @@ from .grid import Grid1D
 
 EXPERIMENTS = ("young", "focus", "modes-audit")
 MODES = ("forward", "reversed", "analytic", "compare")
-# Ceiling on the largest single array a run may allocate, checked by
-# ``validate`` so an oversized grid exits before anything is allocated.
+# Ceiling on the largest single array a run may allocate and on a sweep's CSV
+# text, checked by ``validate`` so an oversized run exits before it allocates.
 MAX_ARRAY_BYTES = 4 * 2 ** 30
 # Fewest trials an audit draws and contracts together
 # (``modes.time_reversal_audit``); small mode counts take more, up to
@@ -272,6 +272,16 @@ def _largest_array_bytes(cfg: ExperimentConfig) -> float:
     return 16.0 * n * rows
 
 
+def _csv_text_bytes(cfg: ExperimentConfig) -> float:
+    """Bound on a sweep's CSV text, the largest allocation of a long sweep: 25 B
+    a value (``.17g`` and a separator); a row holds its axes and at most 2, 3 or
+    1 columns in ``analytic``, ``compare`` or another mode. A float, inf if huge."""
+    second = cfg.sweep.second
+    axes, rows = (1, 1.0) if second is None else (2, float(second.count))
+    columns = {"analytic": 2, "compare": 3}.get(cfg.mode, 1)
+    return 25.0 * (axes + columns) * rows * cfg.sweep.count
+
+
 def _young_diags(cfg: ExperimentConfig) -> List[str]:
     """What keeps a young run from its slits or its detection samples.
 
@@ -391,6 +401,9 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                 if spec is not None and spec.axis == "z0" and cfg.f is not None:
                     if max(abs(spec.start), abs(spec.stop)) >= cfg.f:
                         diags.append(f"{prefix}: |z0| values must stay below f")
+    if not diags and (size := _csv_text_bytes(cfg)) > MAX_ARRAY_BYTES:
+        diags.append(f"sweep.count: the CSV text needs {size / 2 ** 30:.3g} GiB, "
+                     f"above the {MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB limit")
     if needs_grid and not diags:
         size = _largest_array_bytes(cfg)
         if size > MAX_ARRAY_BYTES:

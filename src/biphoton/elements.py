@@ -12,11 +12,11 @@ also serve the closed forms and checks that hold no field.
 
 ``run_train`` applies a train to one field and is the reference.
 ``run_train_batch`` reads the pinhole for many point sources at once, by
-exact closed forms of the two reversed trains with a radius-0 pinhole: the
-Young train on a 1-D grid and the focus train on a 2-D grid, SHG on or off.
-It uses no FFT and no SampledField, and agrees with looped ``run_train`` to
-1e-12 of the sweep peak. Every other train, finite pinholes included, runs
-through looped ``run_train``.
+exact closed forms of the two reversed trains the runs read, with SHG and a
+radius-0 pinhole: the Young train on a 1-D grid and the focus train on a
+2-D grid. It uses no FFT and no SampledField, and agrees with looped
+``run_train`` to 1e-12 of the sweep peak. Every other train, SHG-off trains
+and finite pinholes included, runs through looped ``run_train``.
 """
 from __future__ import annotations
 
@@ -151,7 +151,7 @@ class DoubleSlit(_Element):
     """Binary mask with openings centered at +-x1, on 1-D fields only.
 
     ``slit_width=None`` means one grid cell at apply time: each slit passes
-    exactly the sample nearest its center (the idealized delta slit).
+    exactly the sample nearest its center, one sample each (the delta slit).
     """
 
     x1: float
@@ -171,13 +171,15 @@ class DoubleSlit(_Element):
 
     def mask(self, grid: Grid1D) -> np.ndarray:
         """0/1 transmission on the samples of ``grid``; DomainError if a
-        delta slit lies outside it."""
+        delta slit lies outside it, or both fall on one sample."""
         mask = np.zeros(grid.n)
         if self.slit_width is None:
             for pos in (self.x1, -self.x1):
                 if not grid.contains(pos):
                     raise DomainError(f"slit at {pos} lies outside the grid")
                 mask[grid.index_of(pos)] = 1.0
+            if mask.sum() < 2:
+                raise DomainError(f"delta slits at +-{self.x1} m share one grid sample")
         else:
             x = grid.coords
             mask[np.abs(x - self.x1) <= self.slit_width / 2] = 1.0
@@ -390,8 +392,8 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
     """Pinhole readings of unit-power point sources on the samples ``indices``.
 
     Entry i stands for ``run_train(point_source(grid, <sample indices[i]>,
-    1.0, wavelength), train)``. The train must end in a radius-0 pinhole and
-    have one of two shapes, SHG on or off:
+    1.0, wavelength), train)``. The train must be one of two shapes, with
+    SHG and a radius-0 pinhole, as the builders' defaults give:
 
     - on a :class:`Grid1D`, the shape :func:`reversed_young_train` builds;
       ``indices`` lists sample indices;
@@ -415,46 +417,26 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
     NonFiniteError
         If a stage or a reading overflows the float range.
     UnsupportedElementError
-        For any other train shape or a finite pinhole radius.
+        For any other train, SHG-off trains and finite pinholes included:
+        looped ``run_train`` reads those.
     """
     if not wavelength > 0:
         raise ConfigurationError(f"wavelength must be > 0, got {wavelength}")
-    kinds = tuple(type(e) for e in train.elements)
-    if isinstance(grid, Grid1D):
-        supported, read = kinds in _YOUNG_TRAIN_KINDS, _young_totals
-    else:
-        supported = kinds in _FOCUS_TRAIN_KINDS and train.elements[0].transpose
-        read = _focus_totals
-    if not supported:
+    young = isinstance(grid, Grid1D)
+    elements = train.elements
+    if (tuple(map(type, elements)) != (_YOUNG_KINDS if young else _FOCUS_KINDS)
+            or not (young or elements[0].transpose) or elements[-1].radius != 0.0):
         raise UnsupportedElementError(
-            "a batched train must have the shape reversed_young_train (1-D grid) "
-            "or reversed_focus_train (2-D grid) builds")
-    opening, _, path1, lens = train.elements[:4]
-    pinhole = train.elements[-1]
-    if pinhole.radius != 0.0:
-        raise UnsupportedElementError(
-            f"a batched train needs a radius-0 pinhole, got {pinhole.radius}")
+            "a batched train must be the SHG, radius-0 pinhole train that "
+            "reversed_young_train (1-D grid) or reversed_focus_train (2-D grid) "
+            "builds; run_train reads any other train")
     indices = _source_indices(grid, indices)
-
-    pupil = _relay_grid(grid, opening.f, wavelength)
-    image = _relay_grid(_relay_grid(pupil, path1.L, wavelength), lens.f, wavelength)
-    wl_out = wavelength / 2 if SHG in kinds else wavelength
     # each stage and the readings are checked; the checks name an overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        readings = np.abs(read(grid, wavelength, indices, train, pupil, image, wl_out)) ** 2
+        readings = np.abs((_young_totals if young else _focus_totals)(
+            grid, wavelength, indices, train)) ** 2
     _check_finite(readings)
     return readings
-
-
-def _reversed_train_kinds(*head: type) -> tuple:
-    """Element classes of a reversed train: ``head``, SHG or not, path, pinhole."""
-    return tuple(head + shg + (FreeSpaceFourier, PinholeSample) for shg in ((), (SHG,)))
-
-
-_FOCUS_TRAIN_KINDS = _reversed_train_kinds(
-    TwoFWithOffset, CircularAperture, FreeSpaceFourier, FourierLens)
-_YOUNG_TRAIN_KINDS = _reversed_train_kinds(
-    FourierLens, DoubleSlit, FreeSpaceFourier, FourierLens)
 
 
 def _source_indices(grid: Grid, indices) -> np.ndarray:
@@ -500,8 +482,8 @@ def _relayed_delta(n: int, d: float, m: np.ndarray, dist: float,
     return (np.exp(-2j * np.pi * turns / n) * (d / np.sqrt(dist * wavelength))).T
 
 
-def _young_totals(grid: Grid1D, wl: float, indices: np.ndarray, train: OpticalTrain,
-                  slits: Grid1D, image: Grid1D, wl_out: float) -> np.ndarray:
+def _young_totals(grid: Grid1D, wl: float, indices: np.ndarray,
+                  train: OpticalTrain) -> np.ndarray:
     """On-axis amplitudes of the reversed Young train, one per source.
 
     Exact rewrites of the chain, for a source ``sqrt(1/dx)`` at sample m:
@@ -513,24 +495,23 @@ def _young_totals(grid: Grid1D, wl: float, indices: np.ndarray, train: OpticalTr
        not depend on sample order;
     3. SHG squares the field and halves the wavelength;
     4. the final relay read by a radius-0 pinhole at the origin is
-       ``sum(amp) dx3/sqrt(L2 wl_out)``.
+       ``sum(amp) dx3/sqrt(L2 wl/2)``.
 
     That is n_src x |kept| exponentials.
     """
-    opening, slit, path1, lens = train.elements[:4]
-    path2 = train.elements[-2]
+    opening, slit, path1, lens, _, path2, _ = train.elements
+    slits = _relay_grid(grid, opening.f, wl)
     kept = np.flatnonzero(slit.mask(slits))
     rows = _relayed_delta(grid.n, grid.dx, indices, opening.f, wl, cols=kept)
     rows *= np.sqrt(1.0 / grid.cell) * np.sqrt(path1.L / lens.f)
+    np.square(rows, out=rows)
     _check_finite(rows)
-    if wl_out != wl:  # SHG
-        np.square(rows, out=rows)
-        _check_finite(rows)
-    return rows.sum(axis=1) * (image.dx / np.sqrt(path2.L * wl_out))
+    image = _relay_grid(_relay_grid(slits, path1.L, wl), lens.f, wl)
+    return rows.sum(axis=1) * (image.dx / np.sqrt(path2.L * (wl / 2)))
 
 
-def _focus_totals(grid: Grid2D, wl: float, indices: np.ndarray, train: OpticalTrain,
-                  pupil: Grid2D, image: Grid2D, wl_out: float) -> np.ndarray:
+def _focus_totals(grid: Grid2D, wl: float, indices: np.ndarray,
+                  train: OpticalTrain) -> np.ndarray:
     """On-axis amplitudes of the reversed focus train, one per source.
 
     Exact rewrites of the chain, for a source ``sqrt(1/cell)`` at (y0, x0):
@@ -543,20 +524,19 @@ def _focus_totals(grid: Grid2D, wl: float, indices: np.ndarray, train: OpticalTr
     3. free path L1 then lens f is ``Magnifier(-f/L1)``; its flip commutes
        with the final relay and the radius-0 pinhole reading is symmetric
        under it, so the flip is skipped;
-    4. SHG squares the field and halves the wavelength; with p = 2 (SHG) or
-       1, the field is ``gain^p ry^p[y] rx^p[x]`` where the aperture passes
-       (y, x) and 0 elsewhere, so each axis row and the gain are raised to
-       p once;
-    5. the final relay read at the origin is ``sum(amp) dx dy/(L2 wl)``.
+    4. SHG squares the field and halves the wavelength: the field is
+       ``gain^2 ry^2[y] rx^2[x]`` where the aperture passes (y, x) and 0
+       elsewhere, so each axis row and the gain are squared once;
+    5. the final relay read at the origin is ``sum(amp) dx dy/(L2 wl/2)``.
        The aperture passes one run ``[lo_y, hi_y)`` of each kept row, so
-       the sum is ``gain^p sum_y ry^p[y] (C[hi_y] - C[lo_y])``, with ``C``
-       the prefix sums of ``rx^p`` along x: O(ky + kx) per source, with no
+       the sum is ``gain^2 sum_y ry^2[y] (C[hi_y] - C[lo_y])``, with ``C``
+       the prefix sums of ``rx^2`` along x: O(ky + kx) per source, with no
        per-source 2-D array, no pupil-sized complex array and no matrix
        product.
     """
-    opening, aperture, path1, lens = train.elements[:4]
-    path2 = train.elements[-2]
+    opening, aperture, path1, lens, _, path2, _ = train.elements
     f, z = opening.f, opening.z
+    pupil = _relay_grid(grid, f, wl)
     cx, cy = _axis_chirps(pupil, z, f, wl)
     # The aperture passes no sample outside the rows and columns kept here,
     # those it passes on the x and y axes: floating-point y^2 + x^2 is never
@@ -570,7 +550,8 @@ def _focus_totals(grid: Grid2D, wl: float, indices: np.ndarray, train: OpticalTr
     lo = passes.argmax(axis=1)
     hi = lo + np.count_nonzero(passes, axis=1)
     gain = (1 + z / f) * (path1.L / lens.f)
-    on_axis = image.dx * image.dy / (path2.L * wl_out)
+    image = _relay_grid(_relay_grid(pupil, path1.L, wl), lens.f, wl)
+    on_axis = image.dx * image.dy / (path2.L * (wl / 2))
 
     amp0 = np.sqrt(1.0 / grid.cell)
     ry = _relayed_delta(grid.ny, grid.dy, indices[:, 0], f, wl, cols=ky)
@@ -578,10 +559,9 @@ def _focus_totals(grid: Grid2D, wl: float, indices: np.ndarray, train: OpticalTr
     ry *= cy[ky]
     rx *= cx[kx]
     rx *= amp0
-    if wl_out != wl:  # SHG
-        gain *= gain
-        for a in (ry, rx):
-            np.square(a, out=a)
+    gain *= gain
+    for a in (ry, rx):
+        np.square(a, out=a)
     for a in (gain, ry, rx):
         _check_finite(a)
     prefix = np.zeros((len(indices), len(kx) + 1), dtype=rx.dtype)
@@ -626,3 +606,8 @@ def reversed_focus_train(f: float, D: float, z: float, L1: float, L2: float, *,
         elements.append(SHG())
     elements += [FreeSpaceFourier(L2), PinholeSample(pinhole_radius)]
     return OpticalTrain(tuple(elements))
+
+
+# The element classes of the two trains run_train_batch reads, from their builders
+_YOUNG_KINDS, _FOCUS_KINDS = (tuple(map(type, t.elements)) for t in (
+    reversed_young_train(1, 1, 1, 1), reversed_focus_train(1, 1, 0, 1, 1)))

@@ -224,6 +224,11 @@ def shipped(name):
     ({"slit_width": 1.2e-3}, "slit_width: slits overlap: x1=0.0005 <= slit_width/2=0.0006"),
     # the shipped grid spans 20.5 mm, so a slit at 20 mm lies off it
     ({"x1": 2e-2}, "x1: slit at 0.02 lies outside the grid"),
+    # delta slits closer than dx/2 = 10 um to the axis both round to the
+    # centre sample, so both sides read one slit: the compare used to pass
+    # with a 0 deviation and a measured period of 1 um
+    ({"x1": 8e-6}, "x1: delta slits at +-8e-06 m share one grid sample"),
+    ({"x1": 9.999e-6}, "x1: delta slits at +-9.999e-06 m share one grid sample"),
 ])
 def test_young_slits_the_run_cannot_build_exit_2(tmp_path, monkeypatch, capsys, command,
                                                  change, message):
@@ -236,6 +241,15 @@ def test_young_slits_the_run_cannot_build_exit_2(tmp_path, monkeypatch, capsys, 
     out = capsys.readouterr()
     assert message in out.out + out.err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_delta_slits_half_a_cell_off_axis_still_run(tmp_path, monkeypatch):
+    # x1 = dx/2 puts the two delta slits on samples 511 and 512
+    monkeypatch.chdir(tmp_path)
+    doc = dict(shipped("young_compare"), x1=1e-5)
+    assert main(["simulate", "--config", write_config(tmp_path, "half.json", doc)]) == 0
+    summary = json.loads((tmp_path / "young_compare.summary.json").read_text())
+    assert summary["passed"] is True
 
 
 @pytest.mark.parametrize("mode", ["analytic", "forward", "reversed", "compare"])
@@ -946,6 +960,38 @@ def test_main_rejects_grid_above_memory_ceiling(tmp_path, monkeypatch, capsys, c
     assert main([command, "--config", path]) == 2
     out = capsys.readouterr()
     assert "inf GiB" in out.out + out.err
+
+
+@pytest.mark.parametrize("doc,size", [
+    # a 200000 x 200000 analytic focus map and a 10^12-point analytic young
+    # sweep; validate used to print "ok" and simulate to fail allocating
+    (dict(shipped("focus_map_two_photon"),
+          sweep={"axis": "r0", "start": -3e-6, "stop": 3e-6, "count": 200000,
+                 "second": {"axis": "z0", "start": -6e-5, "stop": 6e-5, "count": 200000}}),
+     "3.73e+03 GiB"),
+    (young_doc(sweep={"axis": "x0", "start": -4e-5, "stop": 4e-5, "count": 10 ** 12}),
+     "6.98e+04 GiB"),
+    # each count a valid float, their product past the float range
+    (focus_doc(sweep={"axis": "r0", "start": -3e-6, "stop": 3e-6, "count": 10 ** 200,
+                      "second": {"axis": "z0", "start": 0.0, "stop": 1e-5,
+                                 "count": 10 ** 200}}), "inf GiB"),
+])
+def test_validate_holds_every_sweep_to_the_array_limit(tmp_path, capsys, doc, size):
+    path = write_config(tmp_path, "long.json", doc)
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().out == (f"sweep.count: the CSV text needs {size}, "
+                                       "above the 4 GiB limit\n")
+
+
+def test_sweep_array_limit_counts_25_bytes_a_value():
+    # an analytic young sweep writes 3 values a row: 57266230 rows of 75 B
+    # fit the 4 GiB limit, one more row does not
+    doc = young_doc(sweep={"axis": "x0", "start": -4e-5, "stop": 4e-5,
+                           "count": MAX_ARRAY_BYTES // 75})
+    assert validate(ExperimentConfig.from_dict(doc)) == []
+    doc["sweep"]["count"] += 1
+    diags = validate(ExperimentConfig.from_dict(doc))
+    assert len(diags) == 1 and diags[0].startswith("sweep.count: ")
 
 
 @pytest.mark.parametrize("doc,message", [
