@@ -22,6 +22,7 @@ from .errors import (
     NonFiniteError,
     QuadratureError,
     ShapeError,
+    chirp_scale,
 )
 
 
@@ -361,10 +362,7 @@ def spot_offaxis_two_photon(r0, z0, p: FocusParams):
     r_vals, r_row = np.unique(np.abs(r0).ravel(), return_inverse=True)
     z_vals, z_col = np.unique(z0.ravel(), return_inverse=True)
     b = 4 * np.pi * r_vals / (p.f * p.wavelength)
-    try:
-        c = 2 * np.pi * z_vals / (p.f**2 * p.wavelength)
-    except OverflowError:
-        raise NonFiniteError(f"f**2 overflows the float range at f = {p.f!r} m") from None
+    c = 2 * np.pi * z_vals / chirp_scale(p.f, p.wavelength)
     J = disk_transform_table(b, c, p.D / 2)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         val = (p.f + z0) ** 4 * np.abs(J[r_row, z_col].reshape(z0.shape)) ** 2

@@ -79,15 +79,29 @@ def _write(path: str, text: str) -> None:
         raise ConfigurationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
-def _write_csv(path: str, header: List[str], rows) -> None:
-    """Write ``rows`` with every value as ``.17g``; pass Python floats
-    (``ndarray.tolist()``), which format faster than numpy scalars.
+def _write_csv(path: str, axes: Dict[str, tuple],
+               columns: Dict[str, np.ndarray]) -> None:
+    """Write the coordinate columns, then the value columns, every number as
+    ``.17g``.
 
-    One format string writes each row. A ``.17g`` number holds no comma,
-    quote or newline, so these are the bytes ``csv.writer`` wrote.
+    ``axes`` maps each coordinate column to its runner's ``(axis, index)``
+    pair: the column is ``axis[index]``. Each axis value is formatted once
+    and its text repeated on the rows that index it, so a map's few
+    distinct coordinates are not formatted on every row, and -0.0 and 0.0
+    keep their own texts. The value columns are formatted row by row from
+    Python floats (``ndarray.tolist()``), which format faster than numpy
+    scalars; one format string, mapped over the columns, writes each row. A
+    ``.17g`` number holds no comma, quote or newline, so these are the bytes
+    ``csv.writer`` wrote.
     """
-    line = ",".join(["{:.17g}"] * len(header)) + "\n"
-    _write(path, ",".join(header) + "\n" + "".join(line.format(*row) for row in rows))
+    texts = []
+    for axis, index in axes.values():
+        labels = [f"{v:.17g}" for v in axis.tolist()]
+        texts.append([labels[i] for i in index.tolist()])
+    line = ",".join(["{}"] * len(axes) + ["{:.17g}"] * len(columns)) + "\n"
+    values = [v.tolist() for v in columns.values()]
+    _write(path, ",".join([*axes, *columns]) + "\n"
+           + "".join(map(line.format, *texts, *values)))
 
 
 def _write_summary(csv_path: str, summary: dict) -> str:
@@ -163,11 +177,12 @@ def _run_young(cfg: ExperimentConfig) -> tuple:
             columns["classical"] = young_classical(x, p)
         if cfg.mode in ("forward", "compare"):
             columns["forward"] = young_coincidence_at(p, g, x, cfg.slit_width)
+    axis = (x, np.arange(len(x)))
     if cfg.mode == "reversed":
         det, sources, row = snap_young_sweep(p, g, x)
         train = reversed_young_train(p.f, p.x1, cfg.L1, cfg.L2,
                                      slit_width=cfg.slit_width)
-        x = det.coords[sources][row]
+        axis = (det.coords[sources], row)
         columns["reversed"] = run_train_batch(det, p.wavelength, sources, train)[row]
 
     fields = {"period_m": {"two_photon": p.f * p.wavelength / (4 * p.x1),
@@ -179,7 +194,7 @@ def _run_young(cfg: ExperimentConfig) -> tuple:
         report = forward_vs_reversed_young(p, g, cfg.slit_width, cfg.L1, cfg.L2, x)
         return {"max_deviation": report.max_rel_err, "deviation_points": report.n_points}
 
-    return {"x0_m": x}, columns, fields, deviation if cfg.mode == "compare" else None
+    return {"x0_m": axis}, columns, fields, deviation if cfg.mode == "compare" else None
 
 
 # ------------------------------------------------------------------- focus
@@ -203,9 +218,10 @@ def _run_focus(cfg: ExperimentConfig) -> tuple:
     # output rows: the first sweep axis is the slow (outer) one
     slow, fast = np.divmod(np.arange(len(first) * len(inner)), len(inner))
     ir, iz = (slow, fast) if cfg.sweep.axis == "r0" else (fast, slow)
-    axes = {"r0_m": r_axis[ir], "z0_m": z_axis[iz]}
+    axes = {"r0_m": (r_axis, ir), "z0_m": (z_axis, iz)}
     heads = list(axes) if second is not None else [f"{cfg.sweep.axis}_m"]
-    z0s, coords = axes["z0_m"], axes[heads[0]]
+    axis, index = axes[heads[0]]
+    z0s, coords = z_axis[iz], axis[index]
 
     columns: Dict[str, np.ndarray] = {}
     if cfg.mode in ("analytic", "compare"):
@@ -245,7 +261,9 @@ def run(cfg: ExperimentConfig, raw: bool = False,
     name, plus a ``.summary.json`` next to it for sweep experiments. A sweep's
     runner computes its coordinate axes, raw columns, own summary fields (a
     value, or a function of the distinct coordinates and one column) and, for
-    a compare, its deviation as a function of the normalized columns. Here the
+    a compare, its deviation as a function of the normalized columns; each
+    coordinate column comes as an ``(axis, index)`` pair, the column being
+    ``axis[index]``, which ``_write_csv`` formats once per axis value. Here the
     columns are peak-normalized, and the summary fields and the compare
     verdict are taken on them; only then are the CSV (unnormalized with
     ``raw``, which changes nothing else) and the summary written, so a tripped
@@ -267,7 +285,8 @@ def run(cfg: ExperimentConfig, raw: bool = False,
     young = cfg.experiment == "young"
     axes, columns, fields, deviation = (_run_young if young else _run_focus)(cfg)
     normal = _normalize(columns)
-    coords = next(iter(axes.values()))
+    axis, index = next(iter(axes.values()))
+    coords = axis[index]
     summary = {
         "experiment": cfg.experiment,
         "mode": cfg.mode,
@@ -285,9 +304,7 @@ def run(cfg: ExperimentConfig, raw: bool = False,
         summary["passed"] = summary["max_deviation"] <= tol
     summary["config"] = asdict(cfg)
 
-    _write_csv(out, list(axes) + list(columns),
-               zip(*(v.tolist() for v in axes.values()),
-                   *(v.tolist() for v in (columns if raw else normal).values())))
+    _write_csv(out, axes, columns if raw else normal)
     path = _write_summary(out, summary)
     if young:
         period = summary["period_m"]

@@ -31,11 +31,14 @@ MAX_ARRAY_BYTES = 4 * 2 ** 30
 # AUDIT_CHUNK_BYTES of draws per chunk.
 AUDIT_CHUNK = 32
 # Draw bytes per audit chunk when that is more than AUDIT_CHUNK trials: 64
-# trials at 16 modes. With each chunk's arithmetic on a pool thread while
-# the next is drawn, a 10000-trial audit at 16 modes took 0.176-0.201 s in
-# chunks of 32, 0.139-0.146 s in 64, 0.134-0.136 s in 128 and 0.132-0.158 s
-# in 512 (medians of 15 in-process runs on a 2-core host, two sweeps); 128
-# and 512 are within the spread of 64 and hold 2 and 8 times the memory.
+# trials at 16 modes. With each chunk's copy and arithmetic on a pool thread
+# while the next is drawn into a second buffer, and the two threads held on
+# different CPUs of a 2-core host, a 10000-trial audit at 16 modes took
+# 83-101 ms (median 92) in chunks of 32, 77-96 (89) in 64, 75-84 (79) in 128
+# and 79-97 (85) in 512 (five sweeps, each a median of 15 or 21 in-process
+# runs). A bare fill of the same draws took 72-93 ms from process to
+# process, so only 32 stands apart; 128 and 512 hold 2 and 8 times the two
+# buffers' memory.
 AUDIT_CHUNK_BYTES = 64 * 8 * (2 * 16 ** 2 + 4 * 16)
 
 
@@ -54,8 +57,10 @@ def audit_array_bytes(n_modes: int, trials: int) -> float:
     That is the chunk's float64 draws, ``min(audit_chunk_trials(n), trials)``
     rows of 2n^2 + 4n values; its complex n x n stacks are smaller. That is
     at most ``AUDIT_CHUNK_BYTES`` below 23 modes and ``AUDIT_CHUNK`` rows
-    from there up. A float, so a size beyond the float range reads inf
-    instead of raising.
+    from there up. An audit of more than one chunk also holds a second
+    draws buffer of at most this size, since the next chunk is drawn while
+    the last is read; the bound is on the largest single array. A float, so
+    a size beyond the float range reads inf instead of raising.
     """
     try:
         n = float(n_modes)

@@ -33,6 +33,7 @@ from .errors import (
     NonFiniteError,
     SamplingError,
     UnsupportedElementError,
+    chirp_scale,
 )
 from .grid import (
     Grid,
@@ -329,13 +330,10 @@ def _axis_chirps(grid, z: float, f: float, wl: float) -> list:
 
     Raises SamplingError where the phase advances by more than pi per
     sample: beyond pi the chirp aliases and the z-sweep silently folds back;
-    NonFiniteError where f**2 * wl is beyond the float range.
+    NonFiniteError where f**2 is beyond the float range (``chirp_scale``).
     """
     axes = [(a.coords, a.dx) for a in reversed(grid.axes)]
-    try:
-        scale = f ** 2 * wl
-    except OverflowError:
-        raise NonFiniteError(f"f**2 overflows the float range at f = {f!r} m") from None
+    scale = chirp_scale(f, wl)
     for coords, step in axes:
         inc = 2 * np.pi * abs(z) * np.abs(coords).max() * step / scale
         if inc > np.pi:

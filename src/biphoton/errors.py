@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one guard two layers share.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
 numerical-guard trips (aliasing, disk transform bounds, overflow) with 3.
@@ -36,3 +36,16 @@ class ShapeError(ValueError):
 
 class NonFiniteError(ValueError):
     """A computed field or value overflowed the float range or became NaN."""
+
+
+def chirp_scale(f: float, wl: float) -> float:
+    """f**2 * wl, the scale of the focus chirp ``exp(-i pi z r^2/(f^2 wl))``.
+
+    The closed form (``analytic.spot_offaxis_two_photon``) and the reversed
+    train (``elements._axis_chirps``) both divide by it. Raises
+    NonFiniteError where f**2 is beyond the float range.
+    """
+    try:
+        return f ** 2 * wl
+    except OverflowError:
+        raise NonFiniteError(f"f**2 overflows the float range at f = {f!r} m") from None

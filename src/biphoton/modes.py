@@ -81,22 +81,22 @@ def _audit_chunks(n: int, trials: int, seed: int):
     run stacked, within rounding of them, and give each trial the same bits
     at any chunk size.
 
-    This thread copies each chunk out of the draws buffer
-    (``_unpack_draws``); the rest (``_chunk_values``) runs on the one thread
-    of ``_chunk_pool`` while this thread draws the next chunk, since
-    ``standard_normal`` releases the GIL. One chunk at most is in flight,
-    and its result is taken before the next is submitted, so the chunks
-    come back in order and the first trial that fails a check raises its
-    ``ValueError`` here.
+    This thread only draws: each chunk's arithmetic (``_chunk_values``, its
+    copy out of the draws buffer included) runs on the one thread of
+    ``_chunk_pool`` while this thread draws the next chunk into the other
+    buffer of ``_audit_draws``, since ``standard_normal`` releases the GIL.
+    One chunk at most is in flight, and its result is taken before the next
+    is submitted, so the chunks come back in order, a buffer is refilled
+    only after the chunk drawn into it is read, and the first trial that
+    fails a check raises its ``ValueError`` here.
     """
     pool = _chunk_pool(os.getpid())
     future = None
     try:
         for draws in _audit_draws(n, trials, seed):
-            stacks = _unpack_draws(draws, n)
             ready = None if future is None else future.result()
             # the copied context carries the caller's np.errstate to the pool
-            future = pool.submit(contextvars.copy_context().run, _chunk_values, *stacks)
+            future = pool.submit(contextvars.copy_context().run, _chunk_values, draws, n)
             if ready is not None:
                 yield ready
         if future is not None:
@@ -121,9 +121,9 @@ def _chunk_pool(pid: int) -> "ThreadPoolExecutor":
     return ThreadPoolExecutor(max_workers=1)
 
 
-def _chunk_values(fc: np.ndarray, psi: np.ndarray):
-    """(forward, 4 k^2 * reversed) per trial of one ``_unpack_draws`` chunk."""
-    fc, f1, f2 = _normalize_chunk(fc, psi)
+def _chunk_values(draws: np.ndarray, n: int):
+    """(forward, 4 k^2 * reversed) per trial of one ``_audit_draws`` chunk."""
+    fc, f1, f2 = _normalize_chunk(*_unpack_draws(draws, n))
     overlap = _contract(f1.conj(), fc, f2.conj())
     reverse = _contract(f1, fc.conj(), f2)
     vdot = (f1.conj()[:, None, :] @ f2[:, :, None])[:, 0, 0]
@@ -139,15 +139,19 @@ def _audit_draws(n: int, trials: int, seed: int):
     those ziggurat values z as ``0.0 + 1.0 * z``, which turns z = -0.0 into
     +0.0; the ``+= 0.0`` does the same, so every bit matches ``normal()``.
 
-    Every chunk is a view of one buffer, overwritten by the next: a fresh
-    array per chunk was faulted back in each time (about 8000 minor faults
-    per 10000-trial audit at 16 modes).
+    Chunk k is a view of buffer k % 2 and is overwritten by chunk k + 2, so
+    one chunk may still be read while the next is drawn. The second buffer
+    is made when a second chunk is drawn. A fresh array per chunk was
+    faulted back in each time (about 8000 minor faults per 10000-trial
+    audit at 16 modes).
     """
-    rows = audit_chunk_trials(n)
+    rows, width = audit_chunk_trials(n), 2 * n * n + 4 * n
     fill = np.random.default_rng(seed).standard_normal
-    buf = np.empty((min(rows, trials), 2 * n * n + 4 * n))
-    for start in range(0, trials, rows):
-        draws = buf[:min(rows, trials - start)]
+    bufs = [np.empty((min(rows, trials), width))]
+    for k, start in enumerate(range(0, trials, rows)):
+        if k == 1:
+            bufs.append(np.empty((min(rows, trials - start), width)))
+        draws = bufs[k % 2][:min(rows, trials - start)]
         fill(out=draws)
         draws += 0.0
         yield draws
@@ -160,7 +164,8 @@ def _unpack_draws(draws: np.ndarray, n: int):
     Complex ``+`` adds the parts one by one, so ``g + g.T`` for
     ``g = a + 1j * b`` is ``a + a.T`` and ``b + b.T`` written into the real
     and imaginary parts. Nothing returned shares memory with ``draws``, so
-    the next chunk may overwrite it.
+    ``_normalize_chunk`` works in place and the buffer may be refilled once
+    this returns.
     """
     m, nn = draws.shape[0], n * n
     ab = draws[:, :2 * nn].reshape(m, 2, n, n)

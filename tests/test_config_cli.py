@@ -425,7 +425,8 @@ def test_young_compare_exits_3_when_forward_side_skews(tmp_path, monkeypatch, ca
 
 
 def test_csv_bytes_pin_17_significant_digits(tmp_path):
-    # Python floats from tolist() write the same bytes as numpy scalars did
+    # an axis and a value column write the bytes csv.writer wrote from numpy
+    # scalars
     x = np.array([-0.0, 5e-324, 1e308, 0.1, -1.5, 2.0 / 3.0, 123456789.0])
     y = x[::-1] * -1
     want = ("x,y\n"
@@ -436,10 +437,17 @@ def test_csv_bytes_pin_17_significant_digits(tmp_path):
             "-1.5,-1e+308\n"
             "0.66666666666666663,-4.9406564584124654e-324\n"
             "123456789,0\n")
-    for name, rows in [("list.csv", zip(x.tolist(), y.tolist())),
-                       ("numpy.csv", zip(x, y))]:
-        cli._write_csv(str(tmp_path / name), ["x", "y"], rows)
-        assert (tmp_path / name).read_bytes() == want.encode()
+    cli._write_csv(str(tmp_path / "pin.csv"), {"x": (x, np.arange(len(x)))}, {"y": y})
+    assert (tmp_path / "pin.csv").read_bytes() == want.encode()
+    # an axis value is formatted once for all the rows that index it; -0.0
+    # and 0.0 (equal as floats) and 1 and the next float up each keep their
+    # own text, as the value column written from the same rows shows
+    axis = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0)])
+    index = np.array([1, 0, 3, 2, 2, 1, 0, 3, 1])
+    cli._write_csv(str(tmp_path / "axis.csv"), {"a": (axis, index)}, {"v": axis[index]})
+    texts = ["0", "-0", "1", "1.0000000000000002"]
+    want = "a,v\n" + "".join(f"{texts[i]},{texts[i]}\n" for i in index)
+    assert (tmp_path / "axis.csv").read_text(encoding="utf-8") == want
 
 
 def test_reversed_mode_snaps_and_matches_formula(tmp_path, monkeypatch):

@@ -15,9 +15,9 @@ test kills them:
 - in ``analytic.spot_offaxis_two_photon``, ``c = 2 pi z/(f^2 wavelength)``
   changed to ``2 pi z/(f wavelength)/0.05``: the scaled focus_axial,
   focus_compare and focus_map ``two_photon`` columns change;
-- in ``elements._axis_chirps``, ``scale = f**2 * wl`` changed to
-  ``f * wl * 0.05``: the scaled focus_compare ``reversed`` column changes
-  and its compare fails.
+- in ``elements._axis_chirps``, ``scale = chirp_scale(f, wl)`` (f**2 * wl)
+  changed to ``f * wl * 0.05``: the scaled focus_compare ``reversed``
+  column changes and its compare fails.
 
 Two further relations hold to rounding, and are pinned where they were
 measured bit-exact: the relay lengths L1 and L2 do not change a reversed

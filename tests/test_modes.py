@@ -458,13 +458,19 @@ def test_audit_stream_state_equals_pcg64_of_seed_after_each_chunk(seed, monkeypa
             assert done == trials
 
 
-def test_audit_draws_reuse_one_buffer():
+def test_audit_draws_alternate_two_buffers():
     # a fresh array per chunk was returned to the system and faulted back in
-    # on every chunk
-    chunks = _audit_draws(16, 2 * audit_chunk_trials(16) + 1, 7)
-    first, second, last = next(chunks), next(chunks), next(chunks)
-    assert np.shares_memory(first, second) and np.shares_memory(first, last)
-    assert len(last) == 1
+    # on every chunk; chunk k is drawn into buffer k % 2, so the chunk before
+    # it may still be read while it is drawn
+    rows = audit_chunk_trials(16)
+    chunks = list(_audit_draws(16, 4 * rows + 1, 7))
+    assert [len(c) for c in chunks] == [rows] * 4 + [1]
+    for k, chunk in enumerate(chunks):
+        for j, other in enumerate(chunks[:k]):
+            assert np.shares_memory(chunk, other) == ((k - j) % 2 == 0), (j, k)
+    # the second buffer holds only the rows of a short second chunk
+    first, second = _audit_draws(16, rows + 1, 7)
+    assert first.base.shape == (rows, 576) and second.base.shape == (1, 576)
 
 
 # ------------------------------------------------- arithmetic on the pool
@@ -493,6 +499,45 @@ def test_pipelined_chunks_bit_identical_to_serial_arithmetic(n, monkeypatch):
         for g, w in zip(got, want):
             for g_side, w_side in zip(g, w):
                 assert np.array_equal(g_side.view(np.uint64), w_side.view(np.uint64)), (n, rows)
+
+
+def test_a_chunk_in_flight_is_not_overwritten_by_the_next_draw(monkeypatch):
+    # Chunk k's arithmetic, its copy out of the draws included, is held on
+    # the pool until chunk k + 1 is drawn (or the draws end): a buffer that
+    # two successive chunks shared would hand chunk k the draws of k + 1.
+    n, seed = 4, 3
+    trials = 5 * audit_chunk_trials(n)
+    drawn = [0]
+    ready = threading.Condition()
+    draws, values = modes._audit_draws, modes._chunk_values
+
+    def counted_draws(*args):
+        for chunk in draws(*args):
+            with ready:
+                drawn[0] += 1
+                ready.notify_all()
+            yield chunk
+        with ready:
+            drawn[0] += 1  # past the last chunk
+            ready.notify_all()
+
+    taken = []
+
+    def values_after_the_next_draw(chunk, n_modes):
+        with ready:
+            assert ready.wait_for(lambda: drawn[0] >= len(taken) + 2, timeout=60)
+        taken.append(values(chunk, n_modes))
+        return taken[-1]
+
+    monkeypatch.setattr(modes, "_audit_draws", counted_draws)
+    monkeypatch.setattr(modes, "_chunk_values", values_after_the_next_draw)
+    got = list(_audit_chunks(n, trials, seed))
+    monkeypatch.setattr(modes, "_audit_draws", draws)
+    want = list(serial_chunks(n, trials, seed))
+    assert len(got) == len(want) == 5
+    for k, (g, w) in enumerate(zip(got, want)):
+        for g_side, w_side in zip(g, w):
+            assert np.array_equal(g_side.view(np.uint64), w_side.view(np.uint64)), k
 
 
 def test_successive_audits_start_no_threads():
