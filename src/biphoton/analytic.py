@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._value import Value, lazy_oracles
+from ._value import Value, fields, lazy_oracles
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -149,30 +149,29 @@ def j1(x):
     return _bessel(x, 1)
 
 
-class YoungParams(Value):
+class _PositiveParams(Value):
+    """Rule of the geometry classes: every field is > 0, checked in order."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ConfigurationError(f"{f.name} must be > 0, got {getattr(self, f.name)}")
+
+
+class YoungParams(_PositiveParams):
     """Two-slit geometry: slit half-separation x1, lens focal length f."""
 
     x1: float
     f: float
     wavelength: float
 
-    def __post_init__(self):
-        for name in ("x1", "f", "wavelength"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
 
-
-class FocusParams(Value):
+class FocusParams(_PositiveParams):
     """Focusing geometry: aperture diameter D, lens focal length f."""
 
     D: float
     f: float
     wavelength: float
-
-    def __post_init__(self):
-        for name in ("D", "f", "wavelength"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 def _scalar_or_array(x, val):

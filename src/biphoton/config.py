@@ -277,14 +277,16 @@ def _largest_array_bytes(cfg: ExperimentConfig) -> float:
     return 16.0 * n * rows
 
 
-def _csv_text_bytes(cfg: ExperimentConfig) -> float:
-    """Bound on a sweep's CSV text, the largest allocation of a long sweep: 25 B
-    a value (``.17g`` and a separator); a row holds its axes and at most 2, 3 or
-    1 columns in ``analytic``, ``compare`` or another mode. A float, inf if huge."""
+def _sweep_write_bytes(cfg: ExperimentConfig) -> float:
+    """Bound on a long sweep's peak allocation while it writes its CSV: 200 B a
+    written value; a row holds its axes and at most 2, 3 or 1 columns in
+    ``analytic``, ``compare`` or another mode. Under tracemalloc at 2e5 rows
+    every experiment and mode peaks at most 166 B a value (a focus
+    ``reversed`` z0 cut), against about 21 B of text. A float, inf if huge."""
     second = cfg.sweep.second
     axes, rows = (1, 1.0) if second is None else (2, float(second.count))
     columns = {"analytic": 2, "compare": 3}.get(cfg.mode, 1)
-    return 25.0 * (axes + columns) * rows * cfg.sweep.count
+    return 200.0 * (axes + columns) * rows * cfg.sweep.count
 
 
 def _young_diags(cfg: ExperimentConfig) -> List[str]:
@@ -406,8 +408,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                 if spec is not None and spec.axis == "z0" and cfg.f is not None:
                     if max(abs(spec.start), abs(spec.stop)) >= cfg.f:
                         diags.append(f"{prefix}: |z0| values must stay below f")
-    if not diags and (size := _csv_text_bytes(cfg)) > MAX_ARRAY_BYTES:
-        diags.append(f"sweep.count: the CSV text needs {size / 2 ** 30:.3g} GiB, "
+    if not diags and (size := _sweep_write_bytes(cfg)) > MAX_ARRAY_BYTES:
+        diags.append(f"sweep.count: writing the CSV needs {size / 2 ** 30:.3g} GiB, "
                      f"above the {MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB limit")
     if needs_grid and not diags:
         size = _largest_array_bytes(cfg)

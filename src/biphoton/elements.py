@@ -7,16 +7,17 @@ classes (``_value.Value``), so trains are immutable and comparable. Each
 class is the one definition of its element: its parameter rules, checked
 once when it is built; its ``tag``, a class attribute that names its spans
 in ``perfbench/tracer.py``; and its field operator ``apply``, which
-``apply_element`` calls. ``DoubleSlit.mask`` and ``CircularAperture.mask``
-also serve the closed forms and checks that hold no field.
+``apply_element`` calls. The stops' ``mask`` and ``runs`` also serve the
+closed forms and checks that hold no field.
 
 ``run_train`` applies a train to one field and is the reference.
-``run_train_batch`` reads the pinhole for many point sources at once, by
-exact closed forms of the two reversed trains the runs read, with SHG and a
-radius-0 pinhole: the Young train on a 1-D grid and the focus train on a
-2-D grid. It uses no FFT and no SampledField, and agrees with looped
-``run_train`` to 1e-12 of the sweep peak. Every other train, SHG-off trains
-and finite pinholes included, runs through looped ``run_train``.
+``run_train_batch`` reads the pinhole for many point sources at once, by one
+exact closed form of the chain both reversed trains share, with SHG and a
+radius-0 pinhole; its stop is the Young train's double slit on a 1-D grid or
+the focus train's aperture on a 2-D grid, and states what it passes as runs.
+It uses no FFT and no SampledField, and agrees with looped ``run_train`` to
+1e-12 of the sweep peak. Every other train, SHG-off trains and finite
+pinholes included, runs through looped ``run_train``.
 """
 from __future__ import annotations
 
@@ -187,6 +188,12 @@ class DoubleSlit(_Element):
             mask[np.abs(x + self.x1) <= self.slit_width / 2] = 1.0
         return mask
 
+    def runs(self, grid: Grid1D) -> tuple:
+        """What the slits pass on ``grid``, in the form of
+        :meth:`CircularAperture.runs`: the kept samples, as one run."""
+        kept = np.flatnonzero(self.mask(grid))
+        return (kept,), np.array([0]), np.array([len(kept)])
+
     def apply(self, field: SampledField) -> SampledField:
         if not isinstance(field.grid, Grid1D):
             raise UnsupportedElementError("double slit acts on 1-D fields only")
@@ -207,6 +214,22 @@ class CircularAperture(_Element):
     def mask(self, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Transmission at each ``(y, x)`` of two coordinate axes, shape (ny, nx)."""
         return ys[:, None] ** 2 + xs[None, :] ** 2 <= (self.D / 2) ** 2
+
+    def runs(self, grid: Grid2D) -> tuple:
+        """What the stop passes on ``grid``: ``((ky, kx), lo, hi)``.
+
+        ``ky`` and ``kx`` are the rows and columns it passes on the y and x
+        axes, and it passes no sample off them: floating-point y^2 + x^2 is
+        never below y^2 or x^2, and y^2 + 0.0 is y^2. Row ``ky[i]`` passes
+        the columns ``kx[lo[i]:hi[i]]``, one run holding the centre column:
+        floating-point y^2 + x^2 grows with |x| on each side of sample n//2.
+        """
+        zero = np.zeros(1)
+        ky = np.flatnonzero(self.mask(grid.ys, zero))
+        kx = np.flatnonzero(self.mask(zero, grid.xs))
+        passes = self.mask(grid.ys[ky], grid.xs[kx])
+        lo = passes.argmax(axis=1)
+        return (ky, kx), lo, lo + np.count_nonzero(passes, axis=1)
 
     def apply(self, field: SampledField) -> SampledField:
         grid = field.grid
@@ -398,8 +421,9 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
     - on a :class:`Grid2D`, the shape :func:`reversed_focus_train` builds
       (any ``z``); ``indices`` lists ``(iy, ix)`` rows.
 
-    Exact closed forms of the chain read all sources at once, with no FFT
-    and no SampledField; the grids come from the relay chain's own
+    One exact closed form of the chain both shapes share reads all sources
+    at once, with no FFT and no SampledField; the stop states what it
+    passes as runs, and the grids come from the relay chain's own
     arithmetic. The readings agree with the looped trains, which stay the
     reference, to 1e-12 of the sweep peak (floating-point order differs).
 
@@ -431,8 +455,7 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
     indices = _source_indices(grid, indices)
     # each stage and the readings are checked; the checks name an overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        readings = np.abs((_young_totals if young else _focus_totals)(
-            grid, wavelength, indices, train)) ** 2
+        readings = np.abs(_pinhole_totals(grid, wavelength, indices, train)) ** 2
     _check_finite(readings)
     return readings
 
@@ -480,92 +503,77 @@ def _relayed_delta(n: int, d: float, m: np.ndarray, dist: float,
     return (np.exp(-2j * np.pi * turns / n) * (d / np.sqrt(dist * wavelength))).T
 
 
-def _young_totals(grid: Grid1D, wl: float, indices: np.ndarray,
-                  train: OpticalTrain) -> np.ndarray:
-    """On-axis amplitudes of the reversed Young train, one per source.
+def _pinhole_totals(grid: Grid, wl: float, indices: np.ndarray,
+                    train: OpticalTrain) -> np.ndarray:
+    """On-axis amplitudes of a reversed train, one per source.
 
-    Exact rewrites of the chain, for a source ``sqrt(1/dx)`` at sample m:
+    Both reversed trains are one chain: an opening 2-f relay (offset by
+    ``z`` for focus), a stop, free path L1 then lens f, SHG, a far field
+    over L2 and a radius-0 pinhole. Exact rewrites of it, for a source
+    ``sqrt(1/cell)`` on one sample of each axis:
 
-    1. the first lens relays the spike to one :func:`_relayed_delta` row,
-       built only on the samples the slit mask keeps (it zeroes the rest);
-    2. free path L1 then lens f is ``Magnifier(-f/L1)``, a factor
-       ``sqrt(L1/f)``; its flip is skipped, since the sum in step 4 does
-       not depend on sample order;
-    3. SHG squares the field and halves the wavelength;
-    4. the final relay read by a radius-0 pinhole at the origin is
-       ``sum(amp) dx3/sqrt(L2 wl/2)``.
+    1. the opening relays the spike to a separable plane wave, one
+       :func:`_relayed_delta` row per axis, built only on the pupil samples
+       the stop reaches; the offset chirp is separable too, so each row
+       takes its axis's chirp, and ``1 + z/f`` joins the gain;
+    2. free path L1 then lens f is ``Magnifier(-f/L1)``, a gain
+       ``(L1/f)^(d/2)`` on d axes; its flip commutes with the final relay,
+       and the radius-0 reading is symmetric under it, so it is skipped;
+    3. SHG squares each row and the gain once and halves the wavelength;
+    4. the final relay read at the origin is ``sum(amp) cell/(L2 wl/2)^(d/2)``
+       on the image grid. The stop passes one run ``[lo, hi)`` of the last
+       axis per kept sample of the first (one run on one axis), so the sum
+       is ``sum_y ry^2[y] (C[hi_y] - C[lo_y])``, with ``C`` the prefix sums
+       of ``rx^2``: O(ky + kx) per source, with no per-source 2-D array.
 
-    That is n_src x |kept| exponentials.
+    The gain keeps each grid's rounding order: on one axis ``sqrt(L1/f)``
+    rides with the source amplitude before squaring; on two, ``(1 + z/f)
+    L1/f`` is squared as one scalar.
     """
-    opening, slit, path1, lens, _, path2, _ = train.elements
-    slits = _relay_grid(grid, opening.f, wl)
-    kept = np.flatnonzero(slit.mask(slits))
-    rows = _relayed_delta(grid.n, grid.dx, indices, opening.f, wl, cols=kept)
-    rows *= np.sqrt(1.0 / grid.cell) * np.sqrt(path1.L / lens.f)
-    np.square(rows, out=rows)
-    _check_finite(rows)
-    image = _relay_grid(_relay_grid(slits, path1.L, wl), lens.f, wl)
-    return rows.sum(axis=1) * (image.dx / np.sqrt(path2.L * (wl / 2)))
-
-
-def _focus_totals(grid: Grid2D, wl: float, indices: np.ndarray,
-                  train: OpticalTrain) -> np.ndarray:
-    """On-axis amplitudes of the reversed focus train, one per source.
-
-    Exact rewrites of the chain, for a source ``sqrt(1/cell)`` at (y0, x0):
-
-    1. the transposed offset 2-f stage relays the spike to a separable plane
-       wave, the outer product of one :func:`_relayed_delta` row per axis;
-    2. the chirp is separable too, so each axis row takes its axis's chirp;
-       ``1 + z/f`` and the ``1/|M|`` of step 3 are one scalar gain; the
-       rows are held on the pupil rows and columns the aperture reaches;
-    3. free path L1 then lens f is ``Magnifier(-f/L1)``; its flip commutes
-       with the final relay and the radius-0 pinhole reading is symmetric
-       under it, so the flip is skipped;
-    4. SHG squares the field and halves the wavelength: the field is
-       ``gain^2 ry^2[y] rx^2[x]`` where the aperture passes (y, x) and 0
-       elsewhere, so each axis row and the gain are squared once;
-    5. the final relay read at the origin is ``sum(amp) dx dy/(L2 wl/2)``.
-       The aperture passes one run ``[lo_y, hi_y)`` of each kept row, so
-       the sum is ``gain^2 sum_y ry^2[y] (C[hi_y] - C[lo_y])``, with ``C``
-       the prefix sums of ``rx^2`` along x: O(ky + kx) per source, with no
-       per-source 2-D array, no pupil-sized complex array and no matrix
-       product.
-    """
-    opening, aperture, path1, lens, _, path2, _ = train.elements
-    f, z = opening.f, opening.z
+    opening, stop, path1, lens, _, path2, _ = train.elements
+    f = opening.f
     pupil = _relay_grid(grid, f, wl)
-    cx, cy = _axis_chirps(pupil, z, f, wl)
-    # The aperture passes no sample outside the rows and columns kept here,
-    # those it passes on the x and y axes: floating-point y^2 + x^2 is never
-    # below y^2 or x^2, and y^2 + 0.0 is y^2.
-    zero = np.zeros(1)
-    ky = np.flatnonzero(aperture.mask(pupil.ys, zero))
-    kx = np.flatnonzero(aperture.mask(zero, pupil.xs))
-    # Each kept row passes one run of columns holding the centre column x = 0:
-    # floating-point y^2 + x^2 grows with |x| on each side of sample n//2.
-    passes = aperture.mask(pupil.ys[ky], pupil.xs[kx])
-    lo = passes.argmax(axis=1)
-    hi = lo + np.count_nonzero(passes, axis=1)
-    gain = (1 + z / f) * (path1.L / lens.f)
+    kept, lo, hi = stop.runs(pupil)
+    rows = [_relayed_delta(a.n, a.dx, m, f, wl, cols=k) for a, m, k in
+            zip(grid.axes, indices.reshape(len(indices), len(kept)).T, kept)]
+    factor = 1.0
+    if isinstance(opening, TwoFWithOffset):
+        factor += opening.z / f
+        chirps = reversed(_axis_chirps(pupil, opening.z, f, wl))  # (y, x)
+        for row, chirp, k in zip(rows, chirps, kept):
+            row *= chirp[k]
     image = _relay_grid(_relay_grid(pupil, path1.L, wl), lens.f, wl)
-    on_axis = image.dx * image.dy / (path2.L * (wl / 2))
-
+    spread = path2.L * (wl / 2)
     amp0 = np.sqrt(1.0 / grid.cell)
-    ry = _relayed_delta(grid.ny, grid.dy, indices[:, 0], f, wl, cols=ky)
-    rx = _relayed_delta(grid.nx, grid.dx, indices[:, 1], f, wl, cols=kx)
-    ry *= cy[ky]
-    rx *= cx[kx]
-    rx *= amp0
-    gain *= gain
-    for a in (ry, rx):
-        np.square(a, out=a)
-    for a in (gain, ry, rx):
-        _check_finite(a)
-    prefix = np.zeros((len(indices), len(kx) + 1), dtype=rx.dtype)
-    np.cumsum(rx, axis=1, out=prefix[:, 1:])
+    if len(rows) == 1:
+        rows[0] *= amp0 * (factor * np.sqrt(path1.L / lens.f))
+        scales = [image.dx / np.sqrt(spread)]
+    else:
+        rows[-1] *= amp0
+        gain = factor * (path1.L / lens.f)
+        scales = [gain * gain, image.dx * image.dy / spread]
+    for a in rows:
+        _check_finite(np.square(a, out=a))
+    _check_finite(scales)
+    prefix = np.zeros((len(indices), len(kept[-1]) + 1), dtype=rows[-1].dtype)
+    np.cumsum(rows[-1], axis=1, out=prefix[:, 1:])
     runs = prefix[:, hi] - prefix[:, lo]
-    return np.sum(ry * runs, axis=1) * gain * on_axis
+    totals = runs[:, 0] if len(rows) == 1 else np.sum(rows[0] * runs, axis=1)
+    for scale in scales:
+        totals = totals * scale
+    return totals
+
+
+def _reversed_train(opening, stop, f: float, L1: float, L2: float,
+                    second_harmonic: bool, pinhole_radius: float) -> OpticalTrain:
+    """The chain both reversed trains share: ``opening`` -> ``stop`` -> free
+    path L1 -> lens f (the two spectral stages demagnify the stop onto the
+    crystal plane) -> optional SHG -> far field over L2 -> on-axis pinhole."""
+    elements = [opening, stop, FreeSpaceFourier(L1), FourierLens(f)]
+    if second_harmonic:
+        elements.append(SHG())
+    elements += [FreeSpaceFourier(L2), PinholeSample(pinhole_radius)]
+    return OpticalTrain(tuple(elements))
 
 
 def reversed_young_train(f: float, x1: float, L1: float, L2: float, *,
@@ -574,18 +582,12 @@ def reversed_young_train(f: float, x1: float, L1: float, L2: float, *,
                          pinhole_radius: float = 0.0) -> OpticalTrain:
     """Train reconstructing the two-slit pattern from a scanned point source.
 
-    Source plane -> lens f -> double slit -> free path L1 -> lens f (the two
-    spectral stages demagnify the slits onto the crystal plane) -> optional
-    SHG -> far field over L2 -> on-axis pinhole. With ``second_harmonic``
-    off, the same geometry read out at the fundamental gives the ordinary
-    (double-period) two-slit fringe.
+    Source plane -> lens f -> double slit, then the shared reversed chain.
+    With ``second_harmonic`` off, the same geometry read out at the
+    fundamental gives the ordinary (double-period) two-slit fringe.
     """
-    elements = [FourierLens(f), DoubleSlit(x1, slit_width),
-                FreeSpaceFourier(L1), FourierLens(f)]
-    if second_harmonic:
-        elements.append(SHG())
-    elements += [FreeSpaceFourier(L2), PinholeSample(pinhole_radius)]
-    return OpticalTrain(tuple(elements))
+    return _reversed_train(FourierLens(f), DoubleSlit(x1, slit_width), f, L1, L2,
+                           second_harmonic, pinhole_radius)
 
 
 def reversed_focus_train(f: float, D: float, z: float, L1: float, L2: float, *,
@@ -595,15 +597,10 @@ def reversed_focus_train(f: float, D: float, z: float, L1: float, L2: float, *,
 
     The source sits a displacement ``z`` from the focal plane of the first
     lens, so the opening stage is the transposed offset 2-f kernel into the
-    aperture plane; then free path L1 -> lens f -> optional SHG -> far field
-    over L2 -> on-axis pinhole.
+    aperture plane; then the circular aperture and the shared reversed chain.
     """
-    elements = [TwoFWithOffset(f, z, transpose=True), CircularAperture(D),
-                FreeSpaceFourier(L1), FourierLens(f)]
-    if second_harmonic:
-        elements.append(SHG())
-    elements += [FreeSpaceFourier(L2), PinholeSample(pinhole_radius)]
-    return OpticalTrain(tuple(elements))
+    return _reversed_train(TwoFWithOffset(f, z, transpose=True), CircularAperture(D),
+                           f, L1, L2, second_harmonic, pinhole_radius)
 
 
 # The element classes of the two trains run_train_batch reads, from their builders

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import biphoton.cli as cli
+import biphoton.config as config
 import biphoton.forward as forward
 import biphoton.modes as modes
 from biphoton.analytic import FocusParams, YoungParams, young_two_photon
@@ -976,9 +978,9 @@ def test_main_rejects_grid_above_memory_ceiling(tmp_path, monkeypatch, capsys, c
     (dict(shipped("focus_map_two_photon"),
           sweep={"axis": "r0", "start": -3e-6, "stop": 3e-6, "count": 200000,
                  "second": {"axis": "z0", "start": -6e-5, "stop": 6e-5, "count": 200000}}),
-     "3.73e+03 GiB"),
+     "2.98e+04 GiB"),
     (young_doc(sweep={"axis": "x0", "start": -4e-5, "stop": 4e-5, "count": 10 ** 12}),
-     "6.98e+04 GiB"),
+     "5.59e+05 GiB"),
     # each count a valid float, their product past the float range
     (focus_doc(sweep={"axis": "r0", "start": -3e-6, "stop": 3e-6, "count": 10 ** 200,
                       "second": {"axis": "z0", "start": 0.0, "stop": 1e-5,
@@ -987,19 +989,57 @@ def test_main_rejects_grid_above_memory_ceiling(tmp_path, monkeypatch, capsys, c
 def test_validate_holds_every_sweep_to_the_array_limit(tmp_path, capsys, doc, size):
     path = write_config(tmp_path, "long.json", doc)
     assert main(["validate", "--config", path]) == 2
-    assert capsys.readouterr().out == (f"sweep.count: the CSV text needs {size}, "
+    assert capsys.readouterr().out == (f"sweep.count: writing the CSV needs {size}, "
                                        "above the 4 GiB limit\n")
 
 
-def test_sweep_array_limit_counts_25_bytes_a_value():
-    # an analytic young sweep writes 3 values a row: 57266230 rows of 75 B
+def test_sweep_array_limit_counts_200_bytes_a_value():
+    # an analytic young sweep writes 3 values a row: 7158278 rows of 600 B
     # fit the 4 GiB limit, one more row does not
     doc = young_doc(sweep={"axis": "x0", "start": -4e-5, "stop": 4e-5,
-                           "count": MAX_ARRAY_BYTES // 75})
+                           "count": MAX_ARRAY_BYTES // 600})
     assert validate(ExperimentConfig.from_dict(doc)) == []
     doc["sweep"]["count"] += 1
     diags = validate(ExperimentConfig.from_dict(doc))
     assert len(diags) == 1 and diags[0].startswith("sweep.count: ")
+
+
+PEAK_ROWS = 10 ** 5
+
+
+def _sweep(axis, start, stop, count=PEAK_ROWS, **second):
+    return {"axis": axis, "start": start, "stop": stop, "count": count, **second}
+
+
+@pytest.mark.parametrize("doc", [
+    young_doc(sweep=_sweep("x0", -4e-5, 4e-5)),
+    young_doc("forward", sweep=_sweep("x0", -4e-5, 4e-5)),
+    young_doc("reversed", sweep=_sweep("x0", -4e-5, 4e-5)),
+    young_doc("compare", sweep=_sweep("x0", -4e-5, 4e-5)),
+    focus_doc(sweep=_sweep("r0", -4e-6, 4e-6)),
+    focus_doc(sweep=_sweep("z0", -1e-4, 1e-4)),
+    focus_doc(sweep=_sweep("r0", -3e-6, 3e-6, 400, second=_sweep("z0", -6e-5, 6e-5, 250))),
+    focus_doc("reversed", L1=0.25, L2=0.5, z0=2e-5, grid={"n": 64, "dx": 1e-6},
+              sweep=_sweep("r0", -4e-6, 4e-6)),
+    focus_doc("compare", L1=0.25, L2=0.5, grid={"n": 64, "dx": 1e-6},
+              sweep=_sweep("r0", -4e-6, 4e-6)),
+], ids=["young_analytic", "young_forward", "young_reversed", "young_compare",
+        "focus_analytic_r0", "focus_analytic_z0", "focus_analytic_map",
+        "focus_reversed_r0", "focus_compare_r0"])
+def test_sweep_peak_stays_under_the_validate_bound(tmp_path, capsys, doc):
+    # validate bounds a sweep's memory by the values it writes; the run's
+    # peak, traced while it computes and writes 1e5 rows, must stay below
+    # that bound. At 25 B a value it peaked 2.8 to 6.4 times above it.
+    cfg = ExperimentConfig.from_dict(doc)
+    assert validate(cfg) == []
+    tracemalloc.start()
+    try:
+        run(cfg, out=str(tmp_path / "sweep.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < config._sweep_write_bytes(cfg)
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -613,10 +613,11 @@ def test_run_train_batch_2d_aperture_rim_sample_passes(second_harmonic):
 @given(data=st.data(), nx=st.integers(2, 160), ny=st.integers(2, 160),
        dx=st.floats(1e-7, 1e-3), dy=st.floats(1e-7, 1e-3))
 def test_aperture_rows_are_runs_through_the_centre_column(data, nx, ny, dx, dy):
-    # The batched focus reader sums each kept pupil row over one run of
-    # columns: on the rows and columns the aperture passes on the axes, it
-    # must pass one run per row holding the centre column n//2, and nothing
-    # off them; on even and odd sizes, also where D/2 is a sample coordinate
+    # The batched reader sums each kept pupil row over the run of columns
+    # the stop's runs name: on the rows and columns the aperture passes on
+    # the axes, it must pass one run per row holding the centre column n//2,
+    # and nothing off them; on even and odd sizes, also where D/2 is a
+    # sample coordinate. The slits' runs are their kept samples, as one run.
     g = Grid2D(nx=nx, ny=ny, dx=dx, dy=dy)
     if data.draw(st.booleans(), label="rim-exact"):
         axis = data.draw(st.sampled_from([g.xs, g.ys]), label="rim axis")
@@ -624,17 +625,29 @@ def test_aperture_rows_are_runs_through_the_centre_column(data, nx, ny, dx, dy):
     else:
         D = data.draw(st.floats(1e-3, 1.5), label="fill") * max(nx * dx, ny * dy)
     aperture = CircularAperture(D)
-    zero = np.zeros(1)
-    ky = np.flatnonzero(aperture.mask(g.ys, zero))
-    kx = np.flatnonzero(aperture.mask(zero, g.xs))
+    (ky, kx), lo, hi = aperture.runs(g)
     centre = int(np.searchsorted(kx, nx // 2))
     assert kx[centre] == nx // 2
     passes = aperture.mask(g.ys[ky], g.xs[kx])
     assert np.count_nonzero(aperture.mask(g.ys, g.xs)) == np.count_nonzero(passes)
-    for row in passes:
+    assert len(lo) == len(hi) == len(ky)
+    for row, start, stop in zip(passes, lo, hi):
         cols = np.flatnonzero(row)
         assert cols[0] <= centre <= cols[-1]
         np.testing.assert_array_equal(cols, np.arange(cols[0], cols[-1] + 1))
+        np.testing.assert_array_equal(cols, np.arange(start, stop))
+
+    line = g.axes[1]
+    positive = line.coords[line.coords > 0]
+    if positive.size and data.draw(st.booleans(), label="delta slits"):
+        slit = DoubleSlit(data.draw(st.sampled_from(positive.tolist()), label="x1"))
+    else:
+        x1 = data.draw(st.floats(1e-3, 1.5), label="x1 fill") * nx * dx
+        width = data.draw(st.floats(0.01, 0.99), label="width fill") * 2 * x1
+        slit = DoubleSlit(x1, width)
+    (kept,), lo, hi = slit.runs(line)
+    np.testing.assert_array_equal(kept, np.flatnonzero(slit.mask(line)))
+    assert lo.tolist() == [0] and hi.tolist() == [len(kept)]
 
 
 def test_run_train_batch_2d_holds_no_pupil_sized_complex_array():
