@@ -43,9 +43,9 @@ from .elements import (
     FourierLens,
     FreeSpaceFourier,
     Magnifier,
+    OffsetChirp,
     OpticalTrain,
     PinholeSample,
-    TwoFWithOffset,
     apply_element,
     reversed_focus_train,
     reversed_young_train,

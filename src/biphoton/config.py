@@ -138,7 +138,8 @@ def _integer(value, field: str) -> int:
 
 
 class SweepSpec(Value):
-    """One linear sweep axis: `count` points from `start` to `stop` (meters)."""
+    """One linear sweep axis: `count` points from `start` to `stop` (meters),
+    with an optional `second` axis, which takes no `second` of its own."""
 
     axis: str
     start: float
@@ -148,7 +149,8 @@ class SweepSpec(Value):
 
     @staticmethod
     def from_dict(d: dict, context: str = "sweep") -> "SweepSpec":
-        _take(d, context, ("axis", "start", "stop", "count"), ("second",))
+        _take(d, context, ("axis", "start", "stop", "count"),
+              ("second",) if context == "sweep" else ())
         second = None
         if d.get("second") is not None:
             second = SweepSpec.from_dict(d["second"], context + ".second")
@@ -401,6 +403,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             _check_axis(diags, cfg.sweep, ("r0", "z0"))
             if cfg.sweep.second is not None:
                 _check_axis(diags, cfg.sweep.second, ("r0", "z0"), "sweep.second")
+                if cfg.sweep.second.second is not None:
+                    diags.append("sweep.second: takes no second sweep of its own")
                 if cfg.sweep.second.axis == cfg.sweep.axis:
                     diags.append("sweep.second.axis: must differ from sweep.axis")
             for spec, prefix in ((cfg.sweep, "sweep"),

@@ -10,6 +10,11 @@ in ``perfbench/tracer.py``; and its field operator ``apply``, which
 ``apply_element`` calls. The stops' ``mask`` and ``runs`` also serve the
 closed forms and checks that hold no field.
 
+Each experiment has one forward system, ``(DoubleSlit, FourierLens)`` or
+``(CircularAperture, OffsetChirp, FourierLens)``, and its reversed train is
+that system read backwards (``_time_reversed``): a relay is again a relay,
+and the slits, the aperture and the chirp screen are diagonal.
+
 ``run_train`` applies a train to one field and is the reference.
 ``run_train_batch`` reads the pinhole for many point sources at once, by one
 exact closed form of the chain both reversed trains share, with SHG and a
@@ -52,25 +57,18 @@ from .grid import (
 # ---------------------------------------------------------------- element types
 
 class _Element(Value):
-    """Rule shared by every element, checked before the class's ``_validate``.
-
-    A field with a bool default holds a bool; every other field holds a
-    finite real number, or None where None is its default.
+    """Rule shared by every element, checked before the class's ``_validate``:
+    each field holds a finite real number, or None where None is its default.
     """
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(f.default, bool):
-                kind, ok = "a bool", isinstance(value, bool)
-            else:
-                kind = "a finite real number"
-                ok = (value is None and f.default is None) or (
+            if not ((value is None and f.default is None) or (
                     isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value))
-            if not ok:
-                raise ConfigurationError(
-                    f"{type(self).__name__}.{f.name} must be {kind}, got {value!r}")
+                    and math.isfinite(value))):
+                raise ConfigurationError(f"{type(self).__name__}.{f.name} must be "
+                                         f"a finite real number, got {value!r}")
         self._validate()
 
     def _validate(self):
@@ -114,39 +112,30 @@ class FreeSpaceFourier(_Element):
         return _fourier_relay(field, self.L)
 
 
-class TwoFWithOffset(_Element):
-    """2-f stage whose far plane is displaced ``z`` from the focal plane.
+class OffsetChirp(_Element):
+    """Chirp screen that, next to a ``FourierLens(f)``, offsets its 2-f stage.
 
-    The kernel is the focal-plane transform with the chirp
-    ``exp(-i pi z r^2/(f^2 wl))`` and the relative amplitude ``1 + z/f``
-    on the input plane; ``z`` may be negative, and at z=0 ``apply`` equals
-    :class:`FourierLens` bit for bit. With ``transpose`` the
-    adjoint-direction kernel is applied instead: the chirp sits on the
-    output plane, which models a point emitter on the displaced plane
-    propagating back into the back focal plane. ``apply`` raises
-    SamplingError where the chirp phase advances by more than pi per
-    sample on the chirped plane (aliasing).
+    ``apply`` multiplies a field on the plane it sits on by
+    ``(1 + z/f) exp(-i pi z r^2/(f^2 wl))``: ``[OffsetChirp, FourierLens]``
+    relays a field onto the plane ``z`` past the focal plane, and
+    ``[FourierLens, OffsetChirp]`` relays a point emitter on that plane back
+    into the front focal plane. ``z`` may be negative. ``apply`` raises
+    SamplingError where the chirp phase advances by more than pi per sample
+    (aliasing).
     """
 
     f: float
     z: float
-    transpose: bool = False
-    tag = "two_f_offset"
+    tag = "offset_chirp"
 
     def _validate(self):
         if not self.f > 0:
             raise ConfigurationError(f"focal length must be > 0, got {self.f}")
 
     def apply(self, field: SampledField) -> SampledField:
-        f, z, wl = self.f, self.z, field.wavelength
-        factor = 1 + z / f
-        if not self.transpose:
-            chirp = _offset_chirp(field.grid, z, f, wl)
-            out = _fourier_relay(SampledField(field.grid, wl, field.amp * chirp), f)
-            return SampledField(out.grid, wl, out.amp * factor)
-        out = _fourier_relay(field, f)
-        chirp = _offset_chirp(out.grid, z, f, wl)
-        return SampledField(out.grid, wl, out.amp * factor * chirp)
+        chirp = _offset_chirp(field.grid, self.z, self.f, field.wavelength)
+        return SampledField(field.grid, field.wavelength,
+                            field.amp * (1 + self.z / self.f) * chirp)
 
 
 class DoubleSlit(_Element):
@@ -154,6 +143,9 @@ class DoubleSlit(_Element):
 
     ``slit_width=None`` means one grid cell at apply time: each slit passes
     exactly the sample nearest its center, one sample each (the delta slit).
+    Within 1e-9 of a cell, a delta slit's tie rounds down and a finite slit
+    passes its edge samples, so a double relay that moves dx by an ulp
+    keeps the same samples.
     """
 
     x1: float
@@ -175,17 +167,18 @@ class DoubleSlit(_Element):
         """0/1 transmission on the samples of ``grid``; DomainError if a
         delta slit lies outside it, or both fall on one sample."""
         mask = np.zeros(grid.n)
+        margin = 1e-9 * grid.dx
         if self.slit_width is None:
             for pos in (self.x1, -self.x1):
                 if not grid.contains(pos):
                     raise DomainError(f"slit at {pos} lies outside the grid")
-                mask[grid.index_of(pos)] = 1.0
+                mask[grid.index_of(pos - margin)] = 1.0
             if mask.sum() < 2:
                 raise DomainError(f"delta slits at +-{self.x1} m share one grid sample")
         else:
-            x = grid.coords
-            mask[np.abs(x - self.x1) <= self.slit_width / 2] = 1.0
-            mask[np.abs(x + self.x1) <= self.slit_width / 2] = 1.0
+            x, half = grid.coords, self.slit_width / 2 + margin
+            mask[np.abs(x - self.x1) <= half] = 1.0
+            mask[np.abs(x + self.x1) <= half] = 1.0
         return mask
 
     def runs(self, grid: Grid1D) -> tuple:
@@ -300,7 +293,7 @@ class PinholeSample(_Element):
         return float(np.sum(np.abs(field.amp[sel]) ** 2) * grid.cell)
 
 
-_ELEMENTS = (FourierLens, FreeSpaceFourier, TwoFWithOffset, DoubleSlit,
+_ELEMENTS = (FourierLens, FreeSpaceFourier, OffsetChirp, DoubleSlit,
              CircularAperture, Magnifier, SHG, PinholeSample)
 OpticalElement = Union[_ELEMENTS]
 # The classes apply_element accepts, with the tags perfbench/tracer.py names
@@ -447,7 +440,7 @@ def run_train_batch(grid: Grid, wavelength: float, indices,
     young = isinstance(grid, Grid1D)
     elements = train.elements
     if (tuple(map(type, elements)) != (_YOUNG_KINDS if young else _FOCUS_KINDS)
-            or not (young or elements[0].transpose) or elements[-1].radius != 0.0):
+            or elements[-1].radius != 0.0):
         raise UnsupportedElementError(
             "a batched train must be the SHG, radius-0 pinhole train that "
             "reversed_young_train (1-D grid) or reversed_focus_train (2-D grid) "
@@ -507,15 +500,15 @@ def _pinhole_totals(grid: Grid, wl: float, indices: np.ndarray,
                     train: OpticalTrain) -> np.ndarray:
     """On-axis amplitudes of a reversed train, one per source.
 
-    Both reversed trains are one chain: an opening 2-f relay (offset by
-    ``z`` for focus), a stop, free path L1 then lens f, SHG, a far field
+    Both reversed trains are one chain: an opening lens, the chirp screen
+    of a focus train, a stop, free path L1 then lens f, SHG, a far field
     over L2 and a radius-0 pinhole. Exact rewrites of it, for a source
     ``sqrt(1/cell)`` on one sample of each axis:
 
-    1. the opening relays the spike to a separable plane wave, one
+    1. the opening lens relays the spike to a separable plane wave, one
        :func:`_relayed_delta` row per axis, built only on the pupil samples
-       the stop reaches; the offset chirp is separable too, so each row
-       takes its axis's chirp, and ``1 + z/f`` joins the gain;
+       the stop reaches; the screen's chirp is separable too, so each row
+       takes its axis's chirp, and its ``1 + z/f`` joins the gain;
     2. free path L1 then lens f is ``Magnifier(-f/L1)``, a gain
        ``(L1/f)^(d/2)`` on d axes; its flip commutes with the final relay,
        and the radius-0 reading is symmetric under it, so it is skipped;
@@ -530,16 +523,15 @@ def _pinhole_totals(grid: Grid, wl: float, indices: np.ndarray,
     rides with the source amplitude before squaring; on two, ``(1 + z/f)
     L1/f`` is squared as one scalar.
     """
-    opening, stop, path1, lens, _, path2, _ = train.elements
-    f = opening.f
-    pupil = _relay_grid(grid, f, wl)
+    opening, *screen, stop, path1, lens, _, path2, _ = train.elements
+    pupil = _relay_grid(grid, opening.f, wl)
     kept, lo, hi = stop.runs(pupil)
-    rows = [_relayed_delta(a.n, a.dx, m, f, wl, cols=k) for a, m, k in
+    rows = [_relayed_delta(a.n, a.dx, m, opening.f, wl, cols=k) for a, m, k in
             zip(grid.axes, indices.reshape(len(indices), len(kept)).T, kept)]
     factor = 1.0
-    if isinstance(opening, TwoFWithOffset):
-        factor += opening.z / f
-        chirps = reversed(_axis_chirps(pupil, opening.z, f, wl))  # (y, x)
+    for s in screen:  # the focus train's chirp screen
+        factor += s.z / s.f
+        chirps = reversed(_axis_chirps(pupil, s.z, s.f, wl))  # (y, x)
         for row, chirp, k in zip(rows, chirps, kept):
             row *= chirp[k]
     image = _relay_grid(_relay_grid(pupil, path1.L, wl), lens.f, wl)
@@ -564,12 +556,13 @@ def _pinhole_totals(grid: Grid, wl: float, indices: np.ndarray,
     return totals
 
 
-def _reversed_train(opening, stop, f: float, L1: float, L2: float,
-                    second_harmonic: bool, pinhole_radius: float) -> OpticalTrain:
-    """The chain both reversed trains share: ``opening`` -> ``stop`` -> free
-    path L1 -> lens f (the two spectral stages demagnify the stop onto the
-    crystal plane) -> optional SHG -> far field over L2 -> on-axis pinhole."""
-    elements = [opening, stop, FreeSpaceFourier(L1), FourierLens(f)]
+def _time_reversed(forward: tuple, L1: float, L2: float, second_harmonic: bool,
+                   pinhole_radius: float) -> OpticalTrain:
+    """The forward system ``forward``, which ends in a lens, read backwards
+    from a point source, then free path L1 -> that lens again (the two
+    spectral stages demagnify the stop onto the crystal plane) -> optional
+    SHG -> far field over L2 -> on-axis pinhole."""
+    elements = [*reversed(forward), FreeSpaceFourier(L1), forward[-1]]
     if second_harmonic:
         elements.append(SHG())
     elements += [FreeSpaceFourier(L2), PinholeSample(pinhole_radius)]
@@ -582,12 +575,12 @@ def reversed_young_train(f: float, x1: float, L1: float, L2: float, *,
                          pinhole_radius: float = 0.0) -> OpticalTrain:
     """Train reconstructing the two-slit pattern from a scanned point source.
 
-    Source plane -> lens f -> double slit, then the shared reversed chain.
-    With ``second_harmonic`` off, the same geometry read out at the
-    fundamental gives the ordinary (double-period) two-slit fringe.
+    The forward system, double slit -> lens f, read backwards, then the
+    shared tail. With ``second_harmonic`` off, the fundamental readout gives
+    the ordinary (double-period) two-slit fringe.
     """
-    return _reversed_train(FourierLens(f), DoubleSlit(x1, slit_width), f, L1, L2,
-                           second_harmonic, pinhole_radius)
+    return _time_reversed((DoubleSlit(x1, slit_width), FourierLens(f)), L1, L2,
+                          second_harmonic, pinhole_radius)
 
 
 def reversed_focus_train(f: float, D: float, z: float, L1: float, L2: float, *,
@@ -595,12 +588,12 @@ def reversed_focus_train(f: float, D: float, z: float, L1: float, L2: float, *,
                          pinhole_radius: float = 0.0) -> OpticalTrain:
     """Train reconstructing the focal spot from a point source near the focus.
 
-    The source sits a displacement ``z`` from the focal plane of the first
-    lens, so the opening stage is the transposed offset 2-f kernel into the
-    aperture plane; then the circular aperture and the shared reversed chain.
+    The forward system, circular aperture -> chirp screen -> lens f (the 2-f
+    stage onto the plane ``z`` past the focal plane), read backwards, then
+    the shared tail.
     """
-    return _reversed_train(TwoFWithOffset(f, z, transpose=True), CircularAperture(D),
-                           f, L1, L2, second_harmonic, pinhole_radius)
+    return _time_reversed((CircularAperture(D), OffsetChirp(f, z), FourierLens(f)),
+                          L1, L2, second_harmonic, pinhole_radius)
 
 
 # The element classes of the two trains run_train_batch reads, from their builders

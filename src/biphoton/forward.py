@@ -157,7 +157,9 @@ def young_coincidence_at(p: YoungParams, grid: Grid1D, positions,
     Same chain as forward_young, but the focal-plane kernel row is evaluated
     directly at each requested position instead of on the conjugate grid, so
     there is no snapping and no fringe-resolution precondition. The kernel
-    rows are built on the samples the slits pass only.
+    rows are built on the samples the slits pass only, in blocks of about
+    ``_BLOCK_BYTES`` and at least 2 rows (a 1-row product takes another BLAS
+    route), whose products are the full product's rows bit for bit.
     """
     mask = DoubleSlit(p.x1, slit_width).mask(grid)
     kept = np.flatnonzero(mask)
@@ -165,9 +167,11 @@ def young_coincidence_at(p: YoungParams, grid: Grid1D, positions,
     flam = p.f * p.wavelength
     # diagonal of K psi K^T with psi = diag(mask^2)/dx and K the sampled
     # focal-plane kernel; the squared kernel doubles the phase argument
-    rows = np.exp(-4j * np.pi * np.outer(positions, grid.coords[kept]) / flam)
-    diag = (grid.dx / flam) * (rows @ mask[kept].astype(complex) ** 2)
-    return 2 * np.abs(diag) ** 2
+    coords, weights = grid.coords[kept], mask[kept].astype(complex) ** 2
+    blocks = len(positions) // max(2, _block_rows(max(1, len(kept))))
+    diag = np.concatenate([np.exp(-4j * np.pi * np.outer(block, coords) / flam) @ weights
+                           for block in np.array_split(positions, max(1, blocks))])
+    return 2 * np.abs((grid.dx / flam) * diag) ** 2
 
 
 class EquivalenceReport(Value):

@@ -61,8 +61,9 @@ class Grid1D(Value):
         return first - self.dx / 2 <= pos <= last + self.dx / 2
 
     def index_of(self, pos: float) -> int:
-        """Index of the sample nearest ``pos`` (ties round toward -inf)."""
-        return int(np.ceil(pos / self.dx - 0.5)) + self.n // 2
+        """Index of the sample nearest ``pos`` (ties round toward -inf, but
+        the grid's lower outer cell edge, which :meth:`contains` admits, is 0)."""
+        return max(0, int(np.ceil(pos / self.dx - 0.5)) + self.n // 2)
 
     def snap(self, positions, point: str, where: str) -> tuple:
         """:meth:`contains` and :meth:`index_of` on every position at once,
@@ -79,7 +80,7 @@ class Grid1D(Value):
         if outside.any():
             first_out = float(x[outside.argmax()])
             raise DomainError(f"{point} {first_out!r} m is outside {where}")
-        idx = np.ceil(x / self.dx - 0.5).astype(np.intp) + self.n // 2
+        idx = np.maximum(np.ceil(x / self.dx - 0.5).astype(np.intp) + self.n // 2, 0)
         return np.unique(idx, return_inverse=True)
 
 

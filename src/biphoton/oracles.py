@@ -31,8 +31,8 @@ from .elements import (
     FourierLens,
     FreeSpaceFourier,
     Magnifier,
+    OffsetChirp,
     OpticalElement,
-    TwoFWithOffset,
     _flip_index,
     _offset_chirp,
 )
@@ -286,18 +286,11 @@ def kernel_of(element: OpticalElement, grid: Grid1D,
         (dist,) = asdict(element).values()
         grid_out, K = _relay_kernel(grid, dist, wavelength)
         return SingleParticleKernel(grid, grid_out, K)
-    if isinstance(element, TwoFWithOffset):
-        f, z = element.f, element.z
-        factor = 1 + z / f
-        grid_out, K = _relay_kernel(grid, f, wavelength)
-        if not element.transpose:
-            K = K * (factor * _offset_chirp(grid, z, f, wavelength))[None, :]
-        else:
-            K = (factor * _offset_chirp(grid_out, z, f, wavelength))[:, None] * K
-        return SingleParticleKernel(grid, grid_out, K)
-    if isinstance(element, DoubleSlit):
-        mask = element.mask(grid)
-        return SingleParticleKernel(grid, grid, np.diag(mask).astype(complex))
+    if isinstance(element, (DoubleSlit, OffsetChirp)):  # diagonal
+        diag = (element.mask(grid) if isinstance(element, DoubleSlit)
+                else (1 + element.z / element.f)
+                * _offset_chirp(grid, element.z, element.f, wavelength))
+        return SingleParticleKernel(grid, grid, np.diag(diag).astype(complex))
     if isinstance(element, Magnifier):
         M = element.M
         a = abs(M)

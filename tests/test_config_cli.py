@@ -23,13 +23,14 @@ from biphoton.config import (
     AUDIT_CHUNK,
     MAX_ARRAY_BYTES,
     ExperimentConfig,
+    SweepSpec,
     _largest_array_bytes,
     audit_array_bytes,
     audit_chunk_trials,
     load_config,
     validate,
 )
-from biphoton.elements import DoubleSlit, reversed_focus_train, run_train_batch
+from biphoton.elements import DoubleSlit, _relay_grid, reversed_focus_train, run_train_batch
 from biphoton.errors import (
     ConfigurationError,
     DomainError,
@@ -161,6 +162,47 @@ def test_validate_bounds_young_compare_by_the_kept_slit_columns():
         assert kept <= bound <= (n if n == 64 else kept + 4)
 
 
+def test_wide_slit_forward_sweep_peaks_under_the_validate_bound():
+    # 4 mm slits keep 402 of 512 samples; the 2000-row forward column used
+    # to build its 2000 x 402 kernel rows at once and peaked at 25.6 MB,
+    # above the 16.4 MB validate allows; it now sums them in blocks
+    doc = young_doc("forward", x1=2.5e-3, slit_width=4e-3,
+                    sweep={"axis": "x0", "start": -4e-5, "stop": 4e-5, "count": 2000})
+    cfg = ExperimentConfig.from_dict(doc)
+    assert validate(cfg) == []
+    p = YoungParams(x1=cfg.x1, f=cfg.f, wavelength=cfg.wavelength)
+    grid = Grid1D(cfg.grid.n, cfg.grid.dx)
+    x = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
+    forward.young_coincidence_at(p, grid, x, cfg.slit_width)  # warm-up
+    tracemalloc.start()
+    try:
+        forward.young_coincidence_at(p, grid, x, cfg.slit_width)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < _largest_array_bytes(cfg)
+
+
+@pytest.mark.parametrize("mode", ["reversed", "compare"])
+def test_young_sweep_from_the_lower_cell_edge_runs(tmp_path, capsys, mode):
+    # contains() admits the lower outer cell edge of the detection grid, and
+    # index_of's ties round toward -inf, so the edge snapped to sample -1:
+    # validate printed ok and the run exited 2 with "source indices must be
+    # a 1-D list within [0, 512)"; the edge is sample 0
+    doc = young_doc(mode)
+    p = YoungParams(x1=doc["x1"], f=F, wavelength=WL)
+    det, _, _ = forward.snap_young_sweep(p, Grid1D(512, 2e-5), [0.0])
+    lo = float(det.coords[0] - det.dx / 2)
+    assert det.index_of(lo) == 0 and det.snap([lo], "p", "g")[0].tolist() == [0]
+    doc["sweep"] = {"axis": "x0", "start": lo, "stop": 0.0, "count": 21}
+    cfg = ExperimentConfig.from_dict(doc)
+    assert validate(cfg) == []
+    summary = run(cfg, out=str(tmp_path / "edge.csv"))
+    capsys.readouterr()
+    assert summary["n_rows"] == 21
+    assert summary.get("passed", True) is True
+
+
 @pytest.mark.parametrize("mode", ["reversed", "compare"])
 def test_validate_flags_young_sweep_end_off_the_detection_grid(mode):
     # validate snaps the ends as the run does: the outer cell edges of the
@@ -252,6 +294,79 @@ def test_delta_slits_half_a_cell_off_axis_still_run(tmp_path, monkeypatch):
     assert main(["simulate", "--config", write_config(tmp_path, "half.json", doc)]) == 0
     summary = json.loads((tmp_path / "young_compare.summary.json").read_text())
     assert summary["passed"] is True
+
+
+def test_young_compare_with_a_slit_edge_on_a_sample_passes(tmp_path, monkeypatch, capsys):
+    # x1 = 5 cells and slit_width/2 = 2 cells put both edges of each slit on
+    # samples. The reversed side masks the double relay of the grid, where dx
+    # reads 1.3000000000000001e-05, so an exact edge test kept samples 3..7
+    # on the forward side and 3..6 on the reversed one: the compare failed
+    # with a deviation of 0.253
+    monkeypatch.chdir(tmp_path)
+    doc = dict(shipped("young_compare"), x1=6.5e-5, slit_width=5.2e-5,
+               sweep={"axis": "x0", "start": -4.0e-4, "stop": 4.0e-4, "count": 81},
+               grid={"n": 256, "dx": 1.3e-5})
+    path = write_config(tmp_path, "edge.json", doc)
+    assert main(["validate", "--config", path]) == 0
+    assert main(["simulate", "--config", path]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "young_compare.summary.json").read_text())
+    assert summary["passed"] is True and summary["max_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize("n,dx,x1", [(868, 1.56e-5, 2.262e-4), (279, 3.5e-5, 2.975e-4),
+                                      (737, 6.1e-6, 3.355e-5)])
+def test_young_compare_with_delta_slits_at_a_half_cell_passes(n, dx, x1):
+    # x1 is 14.5, 8.5 and 5.5 cells: each delta slit ties between two
+    # samples, and the double relay's dx, an ulp off, used to break the tie
+    # the other way on one slit, so the compare deviated by 0.98 to 1.0
+    p = YoungParams(x1=x1, f=F, wavelength=WL)
+    assert forward_vs_reversed_young(p, Grid1D(n, dx)).max_rel_err <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(8, 4096), dx=st.floats(1e-7, 1e-4),
+       f=st.floats(1e-3, 1.0), wl=st.floats(2e-7, 2e-6))
+def test_slit_mask_is_the_same_on_the_grid_and_its_double_relay(data, n, dx, f, wl):
+    # A young compare masks the slits on the slit-plane grid (forward) and
+    # on its relay's relay (reversed), whose dx can differ by an ulp. With
+    # x1 and slit_width/2 whole or half cells, edges fall on samples and a
+    # delta slit at a half cell ties between two; a shifted width puts the
+    # edges off the samples. Delta slits stay inside the grid.
+    if data.draw(st.booleans(), label="delta slits"):
+        slit = DoubleSlit(data.draw(st.integers(1, n - 2), label="x1 in half cells") * dx / 2)
+    else:
+        half_cells = data.draw(st.integers(2, 2 * n), label="x1 in half cells")
+        width_cells = data.draw(st.integers(1, half_cells - 1), label="width in cells")
+        shift = data.draw(st.sampled_from([0.0, 0.3, -0.3]), label="width shift in cells")
+        slit = DoubleSlit(half_cells * dx / 2, (width_cells + shift) * dx)
+    grid = Grid1D(n, dx)
+    relayed = _relay_grid(_relay_grid(grid, f, wl), f, wl)
+    np.testing.assert_array_equal(slit.mask(grid), slit.mask(relayed))
+
+
+def test_a_third_sweep_level_is_refused(tmp_path, monkeypatch, capsys):
+    # the second sweep takes no second sweep of its own: it used to load,
+    # validate and run, and the summary recorded a sweep that never ran
+    monkeypatch.chdir(tmp_path)
+    doc = shipped("focus_map_two_photon")
+    doc["sweep"]["second"]["second"] = {"axis": "r0", "start": 0.0, "stop": 1e-6,
+                                        "count": 3}
+    path = write_config(tmp_path, "third.json", doc)
+    with pytest.raises(ConfigurationError, match=r"sweep\.second: unknown keys \['second'\]"):
+        load_config(path)
+    for command in ("validate", "simulate"):
+        assert main([command, "--config", path]) == 2
+        out = capsys.readouterr()
+        assert "sweep.second" in out.out + out.err
+    assert [p.name for p in tmp_path.iterdir()] == ["third.json"]
+    # a sweep built in code is held to the same rule
+    doc = shipped("focus_map_two_photon")
+    inner = SweepSpec(**doc["sweep"]["second"])
+    doc["sweep"] = SweepSpec(**dict(doc["sweep"], second=SweepSpec(
+        inner.axis, inner.start, inner.stop, inner.count, second=inner)))
+    cfg = ExperimentConfig(**doc)
+    assert validate(cfg) == ["sweep.second: takes no second sweep of its own"]
 
 
 @pytest.mark.parametrize("mode", ["analytic", "forward", "reversed", "compare"])

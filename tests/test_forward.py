@@ -16,10 +16,10 @@ from biphoton.elements import (
     FourierLens,
     FreeSpaceFourier,
     Magnifier,
+    OffsetChirp,
     OpticalTrain,
     PinholeSample,
     SHG,
-    TwoFWithOffset,
     reversed_focus_train,
     reversed_young_train,
     run_train,
@@ -253,9 +253,8 @@ def test_kernel_shape_must_match_grids():
 @pytest.mark.parametrize("element,op", [
     (FourierLens(F), lambda fld: FourierLens(F).apply(fld)),
     (FreeSpaceFourier(0.35), lambda fld: FreeSpaceFourier(0.35).apply(fld)),
-    (TwoFWithOffset(F, 2e-4), lambda fld: TwoFWithOffset(F, 2e-4).apply(fld)),
-    (TwoFWithOffset(F, -2e-4, transpose=True),
-     lambda fld: TwoFWithOffset(F, -2e-4, transpose=True).apply(fld)),
+    (OffsetChirp(F, 2e-4), lambda fld: OffsetChirp(F, 2e-4).apply(fld)),
+    (OffsetChirp(F, -2e-4), lambda fld: OffsetChirp(F, -2e-4).apply(fld)),
 ])
 def test_kernel_matrix_reproduces_field_operation(element, op):
     g = Grid1D(128, 5e-6)
@@ -298,7 +297,7 @@ def test_magnifier_kernel_matches_field_operation():
 def test_two_f_kernel_shares_chirp_guard():
     g = Grid1D(64, 2e-4)  # coarse enough to alias the quadratic phase
     with pytest.raises(SamplingError):
-        kernel_of(TwoFWithOffset(F, 5e-3), g, WL)
+        kernel_of(OffsetChirp(F, 5e-3), g, WL)
 
 
 @pytest.mark.parametrize("element", [SHG(), PinholeSample(0.0), CircularAperture(0.01)])
@@ -645,13 +644,14 @@ def test_closed_form_young_readings_match_looped_trains(slit_cells, shg, L1, L2,
 
 def test_batched_train_rejects_what_it_cannot_run():
     # Trains of neither closed-form shape are read by looped run_train only,
-    # on either grid; so is a focus train with an untransposed 2-f stage.
+    # on either grid; so is a focus train whose chirp screen comes before its
+    # opening lens (the forward 2-f stage).
     g, g2 = Grid1D(32, 1e-5), Grid2D(8, 8, 1e-6, 1e-6)
     focus = reversed_focus_train(F, 12.7e-3, 0.0, 0.25, 0.5).elements
-    untransposed = OpticalTrain((TwoFWithOffset(F, 0.0),) + focus[1:])
+    screen_first = OpticalTrain((focus[1], focus[0]) + focus[2:])
     for train in (OpticalTrain((Magnifier(2.0), PinholeSample())),
                   OpticalTrain((FourierLens(F),)),
-                  untransposed):
+                  screen_first):
         with pytest.raises(UnsupportedElementError):
             run_train_batch(g, WL, [0], train)
         with pytest.raises(UnsupportedElementError):
@@ -727,3 +727,19 @@ def test_batch_nonfinite_stage_in_one_chunk_raises(monkeypatch):
     monkeypatch.setattr(forward, "_spectral_axis", poisoned)
     with pytest.raises(ValueError, match="pair amplitudes must be finite"):
         forward_young(p, g, slit_width)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 80, 81, 159, 2000])
+def test_young_coincidence_at_in_blocks_equals_one_product(count):
+    # 4 mm slits at 2.5 mm keep 413 samples, so the sum runs in blocks of
+    # about 79 rows, at least 2 each; every reading is the one full
+    # product's bit for bit (a 1-row product takes another BLAS route)
+    p, g = young_setup(n=512, x1_cells=250)
+    x = np.linspace(-4e-5, 4e-5, count)
+    mask = DoubleSlit(p.x1, 4e-3).mask(g)
+    kept = np.flatnonzero(mask)
+    flam = p.f * p.wavelength
+    kernel = np.exp(-4j * np.pi * np.outer(x, g.coords[kept]) / flam)
+    want = 2 * np.abs((g.dx / flam) * (kernel @ mask[kept].astype(complex) ** 2)) ** 2
+    got = forward.young_coincidence_at(p, g, x, 4e-3)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

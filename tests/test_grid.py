@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biphoton.elements import FourierLens, TwoFWithOffset
+from biphoton.elements import FourierLens, OffsetChirp, OpticalTrain, run_train
 from biphoton.errors import ConfigurationError, DomainError, GridMismatchError
 from biphoton.grid import (
     Grid1D,
@@ -165,6 +165,20 @@ def test_point_source_tie_rounds_down():
     assert np.flatnonzero(f.amp)[0] == 16 // 2 + 2
 
 
+@pytest.mark.parametrize("n", [8, 7, 2])
+def test_lower_cell_edge_is_sample_0(n):
+    # contains() admits half a cell below the first sample; the tie there
+    # used to round to index -1, which numpy reads as the last sample, so a
+    # point source on the edge lit the grid's far end
+    g = Grid1D(n=n, dx=1.0)
+    edge = g.coords[0] - 0.5
+    assert g.contains(edge) and not g.contains(np.nextafter(edge, -np.inf))
+    assert g.index_of(edge) == 0
+    assert g.snap([edge, g.coords[-1] + 0.5], "p", "g")[0].tolist() == [0, n - 1]
+    f = point_source(g, pos=edge, total_power=1.0, wavelength=WL)
+    assert np.flatnonzero(f.amp).tolist() == [0]
+
+
 def test_point_source_outside_grid():
     g = Grid1D(n=8, dx=1.0)
     edge = g.coords[-1]
@@ -269,7 +283,8 @@ def test_transform_2d_separable():
     transforms = [
         (unitary_fourier, 1.0),
         (FourierLens(F).apply, 1.0),
-        (TwoFWithOffset(F, Z, transpose=True).apply, 1 + Z / F),
+        (lambda fld: run_train(fld, OpticalTrain((FourierLens(F), OffsetChirp(F, Z)))),
+         1 + Z / F),
     ]
     gx = Grid1D(n=32, dx=1.1e-5)
     gy = Grid1D(n=16, dx=1.7e-5)

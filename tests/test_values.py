@@ -21,8 +21,8 @@ from biphoton.elements import (
     FreeSpaceFourier,
     Magnifier,
     OpticalTrain,
+    OffsetChirp,
     PinholeSample,
-    TwoFWithOffset,
     _Element,
     reversed_focus_train,
 )
@@ -52,7 +52,7 @@ VALUES = [
     (_Element, {}, {}, True),
     (FourierLens, {"f": 0.05}, {}, True),
     (FreeSpaceFourier, {"L": 0.25}, {}, True),
-    (TwoFWithOffset, {"f": 0.05, "z": 1e-5}, {"transpose": False}, True),
+    (OffsetChirp, {"f": 0.05, "z": 1e-5}, {}, True),
     (DoubleSlit, {"x1": 5e-4}, {"slit_width": None}, True),
     (CircularAperture, {"D": 0.0127}, {}, True),
     (Magnifier, {"M": -0.2}, {}, True),
@@ -158,8 +158,6 @@ def test_value_repr_and_normalized_fields():
 
 
 def test_element_rules_still_name_a_mistyped_field():
-    with pytest.raises(ConfigurationError, match=r"TwoFWithOffset\.transpose must be a bool"):
-        TwoFWithOffset(0.05, 0.0, transpose=1)
     with pytest.raises(ConfigurationError, match=r"DoubleSlit\.slit_width must be a finite"):
         DoubleSlit(5e-4, "1e-5")
 
