@@ -1,20 +1,19 @@
-"""Regenerate the J0/J1 coefficient literals of ``biphoton.analytic``.
+"""Regenerate the J1 coefficient literals of ``biphoton.analytic``.
 
     PYTHONPATH=src python scripts/bessel_coefficients.py
 
 Needs mpmath, which the package never imports, and runs offline in under a
-minute. ``analytic.j0``/``j1`` split the axis at |x| = 8:
+minute. ``analytic.j1`` splits the axis at |x| = 8:
 
-* |x| <= 8: J0(x) = 1 + s g0(u) and J1(x) = x g1(u), with
-  s = 2 x^2/8^2 = x^2/32 and u = s - 1 in [-1, 1];
-* |x| > 8: J_n(x) = sqrt(2/(pi x)) (P_n cos chi - (8/x) Q_n sin chi), with
-  chi = x - (2n + 1) pi/4 and P_n, Q_n polynomials in v = 2 (8/x)^2 - 1,
-  which runs over (-1, 1] as x runs from infinity down to 8.
+* |x| <= 8: J1(x) = x g(u), with u = 2 x^2/8^2 - 1 = x^2/32 - 1 in [-1, 1];
+* |x| > 8: J1(x) = sqrt(2/(pi x)) (P cos chi - (8/x) Q sin chi), with
+  chi = x - 3 pi/4 and P, Q polynomials in v = 2 (8/x)^2 - 1, which runs
+  over (-1, 1] as x runs from infinity down to 8.
 
-Each of the six polynomials comes from ``mpmath.chebyfit`` on [-1, 1] and is
-printed as a tuple, highest degree first, ready to paste into analytic.py.
-The script then evaluates ``analytic.j0``/``j1`` in float64 with the new
-literals and prints their largest absolute error against mpmath.
+Each of the three polynomials comes from ``mpmath.chebyfit`` on [-1, 1] and
+is printed as a tuple, highest degree first, ready to paste into
+analytic.py. The script then evaluates ``analytic.j1`` in float64 with the
+new literals and prints its largest absolute error against mpmath.
 """
 import mpmath as mp
 import numpy as np
@@ -31,40 +30,31 @@ def _x_near(u):
     return X0 * mp.sqrt((u + 1) / 2)
 
 
-def g0(u):
-    """(J0(x) - 1) / s, whose limit at x = 0 is -X0^2/8."""
-    s = u + 1
-    return -mp.mpf(X0) ** 2 / 8 if s == 0 else (mp.besselj(0, _x_near(u)) - 1) / s
-
-
-def g1(u):
+def g(u):
     """J1(x) / x, whose limit at x = 0 is 1/2."""
     x = _x_near(u)
     return mp.mpf(1) / 2 if x == 0 else mp.besselj(1, x) / x
 
 
-def _far(n, part):
-    """P_n(v) (part 0) or Q_n(v) (part 1) from mpmath's J_n and Y_n."""
+def _far(part):
+    """P(v) (part 0) or Q(v) (part 1) from mpmath's J1 and Y1."""
     def fn(v):
-        if v == -1:            # x = infinity: P = 1, Q (8/x) ~ (4n^2 - 1)/(8x)
-            return mp.mpf(1) if part == 0 else mp.mpf(4 * n * n - 1) / (8 * X0)
+        if v == -1:            # x = infinity: P = 1, Q (8/x) ~ 3/(8x)
+            return mp.mpf(1) if part == 0 else mp.mpf(3) / (8 * X0)
         x = X0 / mp.sqrt((v + 1) / 2)
-        chi = x - (2 * n + 1) * mp.pi / 4
-        jn, yn = mp.besselj(n, x), mp.bessely(n, x)
+        chi = x - 3 * mp.pi / 4
+        j, y = mp.besselj(1, x), mp.bessely(1, x)
         scale = mp.sqrt(mp.pi * x / 2)
         if part == 0:
-            return scale * (jn * mp.cos(chi) + yn * mp.sin(chi))
-        return scale * (yn * mp.cos(chi) - jn * mp.sin(chi)) * x / X0
+            return scale * (j * mp.cos(chi) + y * mp.sin(chi))
+        return scale * (y * mp.cos(chi) - j * mp.sin(chi)) * x / X0
     return fn
 
 
 FITS = {
-    "_J0_NEAR": (g0, NEAR_TERMS),
-    "_J1_NEAR": (g1, NEAR_TERMS),
-    "_P0": (_far(0, 0), FAR_TERMS),
-    "_Q0": (_far(0, 1), FAR_TERMS),
-    "_P1": (_far(1, 0), FAR_TERMS),
-    "_Q1": (_far(1, 1), FAR_TERMS),
+    "_J1_NEAR": (g, NEAR_TERMS),
+    "_P1": (_far(0), FAR_TERMS),
+    "_Q1": (_far(1), FAR_TERMS),
 }
 
 
@@ -74,11 +64,9 @@ def _literal(name, coeffs):
 
 
 def max_error(xs):
-    """Largest |j0 - J0| and |j1 - J1| of analytic's float64 code on ``xs``."""
-    ref0 = np.array([float(mp.besselj(0, mp.mpf(x))) for x in xs])
-    ref1 = np.array([float(mp.besselj(1, mp.mpf(x))) for x in xs])
-    return (float(np.max(np.abs(analytic.j0(xs) - ref0))),
-            float(np.max(np.abs(analytic.j1(xs) - ref1))))
+    """Largest |j1 - J1| of analytic's float64 code on ``xs``."""
+    ref = np.array([float(mp.besselj(1, mp.mpf(x))) for x in xs])
+    return float(np.max(np.abs(analytic.j1(xs) - ref)))
 
 
 def main():
@@ -91,8 +79,7 @@ def main():
     near = np.linspace(0, X0, 4001)
     far = np.geomspace(X0, 1e4, 4001)[1:]
     for label, xs in ((f"|x| <= {X0:g}", near), (f"{X0:g} < |x| <= 1e4", far)):
-        e0, e1 = max_error(xs)
-        print(f"# max |error| on {label}: J0 {e0:.3g}, J1 {e1:.3g}")
+        print(f"# max |error| on {label}: {max_error(xs):.3g}")
 
 
 if __name__ == "__main__":

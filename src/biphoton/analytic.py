@@ -6,12 +6,14 @@ Its scalar oracle on Gauss-Legendre panels and the stage-by-stage fields of
 the pinhole-readout trains in their ideal point-source/delta-slit limit are
 in ``oracles``.
 
-The Bessel functions J0 and J1 behind the somb and disk laws are numpy
-polynomial evaluations, split at |x| = 8 into a polynomial in x^2 and a
-modulus/phase form; ``scripts/bessel_coefficients.py`` regenerates their
-coefficients with mpmath.
+The Bessel function J1 behind the somb law is a numpy polynomial
+evaluation, split at |x| = 8 into a polynomial in x^2 and a modulus/phase
+form; ``scripts/bessel_coefficients.py`` regenerates its coefficients with
+mpmath. The disk series needs no J0: its Miller recurrence makes its own.
 """
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -26,23 +28,15 @@ from .errors import (
 )
 
 
-# J0 and J1 in numpy alone: importing scipy.special for them cost each
-# focus process 0.3 s and 24 MB of resident memory. The axis splits at
-# |x| = _X0. Below, with s = 2 x^2/_X0^2 and u = s - 1 in [-1, 1],
-# J0 = 1 + s g0(u), so j0(0) is exactly 1 and the rounding of u near x = 0
-# is damped by s, and J1 = x g1(u), so J1(x)/x keeps its relative accuracy
-# near 0. Above, the modulus/phase form sqrt(2/(pi x)) (P cos chi -
-# (_X0/x) Q sin chi) with P and Q polynomials in v = 2 (_X0/x)^2 - 1.
-# Coefficients, highest degree first, are mpmath.chebyfit fits made by
-# scripts/bessel_coefficients.py, which also prints their float64 error.
+# J1 in numpy alone: importing scipy.special for it cost each focus process
+# 0.3 s and 24 MB of resident memory. The axis splits at |x| = _X0. Below,
+# J1 = x g(u) with u = 2 x^2/_X0^2 - 1 in [-1, 1], so J1(x)/x keeps its
+# relative accuracy near 0. Above, the modulus/phase form sqrt(2/(pi x))
+# (P cos chi - (_X0/x) Q sin chi) with P and Q polynomials in
+# v = 2 (_X0/x)^2 - 1. Coefficients, highest degree first, are
+# mpmath.chebyfit fits made by scripts/bessel_coefficients.py, which also
+# prints their float64 error.
 _X0 = 8.0
-_J0_NEAR = (
-    2.943898162808492e-16, -1.1674985248496527e-14, 4.107265509297084e-13,
-    -1.2795370733037728e-11, 3.4914261256206243e-10, -8.264550338692803e-09,
-    1.678256388726179e-07, -2.8855747839074786e-06, 4.135877264133189e-05,
-    -0.000484904695114048, 0.004542983684254527, -0.0330157022951241,
-    0.17900455086271683, -0.6864725967098189, 1.72485205785354,
-    -2.532940865523227, 1.8844715824360434, -0.9541703351401862)
 _J1_NEAR = (
     -3.237828825886891e-16, 1.2095547763548495e-14, -3.9908120700697754e-13,
     1.1610590176624424e-11, -2.9430378793535847e-10, 6.431268798326299e-09,
@@ -50,16 +44,6 @@ _J1_NEAR = (
     0.0002494945813909099, -0.002029039494570245, 0.012456814392255438,
     -0.054745818212847276, 0.15858376432721938, -0.2595948652859303,
     0.15151665143806634, 0.08105866038589796, -0.05814382795599107)
-_P0 = (
-    -9.956789357075715e-14, 3.4522133160706755e-13, -1.0238327024264009e-12,
-    4.674986189266031e-12, -2.490341621088381e-11, 1.5506348898107537e-10,
-    -1.212113319927827e-09, 1.2803747958820875e-08, -2.052744819908975e-07,
-    6.13741608125692e-06, -0.000536367319212998, 0.9994572757882519)
-_Q0 = (
-    9.575735875005847e-14, -3.119994376116503e-13, 8.259713596314508e-13,
-    -3.4904977440952908e-12, 1.7051726884410257e-11, -9.475742351179434e-11,
-    6.432736726927442e-10, -5.6687032442267705e-09, 7.106214898484435e-08,
-    -1.4771388337607956e-06, 6.833149099343349e-05, -0.015555113879513503)
 _P1 = (
     1.0611465423215105e-13, -3.6942891113569033e-13, 1.104039648785332e-12,
     -5.072230977922283e-12, 2.722599260495964e-11, -1.7137215568191013e-10,
@@ -82,71 +66,37 @@ def _horner(coeffs, u):
     return acc
 
 
-def _near(x, s, order):
-    """J0 (order 0) or J1 (order 1) at |x| <= _X0, given s; may overwrite s."""
-    if order == 0:
-        acc = _horner(_J0_NEAR, s - 1)
-        acc *= s
-        acc += 1
-    else:
-        s -= 1
-        acc = _horner(_J1_NEAR, s)
-        acc *= x
-    return acc
-
-
-def _far(ax, order):
-    """J0 (order 0) or J1 (order 1) at ax = |x| > _X0.
-
-    cos chi and sin chi, chi = x - (2 order + 1) pi/4, are taken as sums of
-    cos x and sin x over sqrt(2): chi is never rounded, so the phase error
-    does not grow with x.
-    """
-    p, q = (_P0, _Q0) if order == 0 else (_P1, _Q1)
-    z = _X0 / ax
-    v = 2 * z * z - 1
-    pv = _horner(p, v)
-    zq = z * _horner(q, v)
-    with np.errstate(invalid="ignore"):          # cos and sin of inf
-        cos, sin = np.cos(ax), np.sin(ax)
-    plus, minus = pv + zq, pv - zq
-    val = plus * cos + minus * sin if order == 0 else plus * sin - minus * cos
-    val *= np.sqrt(1 / np.pi / ax)
-    val[np.isinf(ax)] = 0.0
-    return val
-
-
-def _bessel(x, order):
-    x = np.asarray(x, dtype=float)
-    s = np.square(x)
-    s *= 2 / _X0**2
-    if s.max(initial=0.0) <= 2:                  # every |x| <= _X0, no nan
-        out = _near(x, s, order)
-    else:
-        out = np.empty_like(x)
-        small = s <= 2
-        out[small] = _near(x[small], s[small], order)
-        big = ~small
-        xb = x[big]
-        far = _far(np.abs(xb), order)
-        out[big] = far * np.sign(xb) if order else far
-    return float(out) if out.ndim == 0 else out
-
-
-def j0(x):
-    """Bessel function J0 of real x; a scalar returns a float.
-
-    Absolute error below 1.1e-15, largest just below |x| = _X0.
-    """
-    return _bessel(x, 0)
-
-
 def j1(x):
     """Bessel function J1 of real x; a scalar returns a float.
 
-    Exactly odd; absolute error below 5e-16.
+    Exactly odd; absolute error below 5e-16. Past _X0, cos chi and sin chi,
+    chi = |x| - 3 pi/4, are taken as sums of cos|x| and sin|x| over
+    sqrt(2): chi is never rounded, so the phase error does not grow with x.
     """
-    return _bessel(x, 1)
+    x = np.asarray(x, dtype=float)
+    u = np.square(x)
+    u *= 2 / _X0**2
+    u -= 1
+    near = u <= 1
+    if near.all():                               # every |x| <= _X0, no nan
+        out = _horner(_J1_NEAR, u)
+        out *= x
+    else:
+        out = np.empty_like(x)
+        out[near] = _horner(_J1_NEAR, u[near]) * x[near]
+        xf = x[~near]
+        ax = np.abs(xf)
+        z = _X0 / ax
+        v = 2 * z * z - 1
+        pv = _horner(_P1, v)
+        zq = z * _horner(_Q1, v)
+        with np.errstate(invalid="ignore"):      # cos and sin of inf
+            cos, sin = np.cos(ax), np.sin(ax)
+        far = (pv + zq) * sin - (pv - zq) * cos
+        far *= np.sqrt(1 / np.pi / ax)
+        far[np.isinf(ax)] = 0.0
+        out[~near] = far * np.sign(xf)
+    return float(out) if out.ndim == 0 else out
 
 
 class _PositiveParams(Value):
@@ -194,16 +144,32 @@ def sinc(x):
     return float(val) if np.ndim(x) == 0 else val
 
 
-def young_two_photon(x0, p: YoungParams):
-    """Pair-detection fringe (1 + cos(8 pi x1 x0/(f wl)))/2; period f*wl/(4*x1)."""
-    val = 0.5 * (1 + np.cos(8 * np.pi * p.x1 * np.asarray(x0) / (p.f * p.wavelength)))
-    return _scalar_or_array(x0, val)
+def _young_fringe(x0, p: YoungParams, scale: int, slit_width: Optional[float]):
+    """(1 + cos(4 pi scale x1 x0/(f wl)))/2 times, for slits of width w, the
+    envelope sinc^2(scale w x0/(f wl)) (numpy's normalized sinc)."""
+    x0 = np.asarray(x0)
+    val = 0.5 * (1 + np.cos(4 * np.pi * scale * p.x1 * x0 / (p.f * p.wavelength)))
+    if slit_width is not None:
+        val = val * np.sinc(scale * slit_width * x0 / (p.f * p.wavelength)) ** 2
+    return val
 
 
-def young_classical(x0, p: YoungParams):
-    """One-photon fringe (1 + cos(4 pi x1 x0/(f wl)))/2; twice the pair period."""
-    val = 0.5 * (1 + np.cos(4 * np.pi * p.x1 * np.asarray(x0) / (p.f * p.wavelength)))
-    return _scalar_or_array(x0, val)
+def young_two_photon(x0, p: YoungParams, slit_width: Optional[float] = None):
+    """Pair-detection fringe (1 + cos(8 pi x1 x0/(f wl)))/2; period f*wl/(4*x1).
+
+    Slits of width ``slit_width`` (default: delta slits) multiply it by
+    sinc^2(2 w x0/(f wl)), the pair's doubled-phase image of one slit.
+    """
+    return _scalar_or_array(x0, _young_fringe(x0, p, 2, slit_width))
+
+
+def young_classical(x0, p: YoungParams, slit_width: Optional[float] = None):
+    """One-photon fringe (1 + cos(4 pi x1 x0/(f wl)))/2; twice the pair period.
+
+    Slits of width ``slit_width`` (default: delta slits) multiply it by
+    sinc^2(w x0/(f wl)), the far-field pattern of one slit.
+    """
+    return _scalar_or_array(x0, _young_fringe(x0, p, 1, slit_width))
 
 
 def _check_kind(kind: str) -> None:
@@ -415,7 +381,8 @@ def fwhm(x, y) -> float:
     return float(right - left)
 
 
-# The scalar disk transform, in ``oracles`` since no run uses it, resolves
-# here on first use only because ``perfbench`` still reaches it here
-# (ROADMAP items 1 and 14); tests import it from ``oracles``.
-__getattr__ = lazy_oracles(__name__, ("uniform_disk_transform",))
+# The scalar disk transform and the J0 of its panels, in ``oracles`` since
+# no run uses them, resolve here on first use only because ``perfbench``
+# still reaches them here (ROADMAP items 1 and 14); tests import them from
+# ``oracles``.
+__getattr__ = lazy_oracles(__name__, ("uniform_disk_transform", "j0"))

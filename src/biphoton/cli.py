@@ -173,8 +173,8 @@ def _run_young(cfg: ExperimentConfig) -> tuple:
     # optics beyond the float range give NaN or Inf here, which _normalize names
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.mode in ("analytic", "compare"):
-            columns["two_photon"] = young_two_photon(x, p)
-            columns["classical"] = young_classical(x, p)
+            columns["two_photon"] = young_two_photon(x, p, cfg.slit_width)
+            columns["classical"] = young_classical(x, p, cfg.slit_width)
         if cfg.mode in ("forward", "compare"):
             columns["forward"] = young_coincidence_at(p, g, x, cfg.slit_width)
     axis = (x, np.arange(len(x)))

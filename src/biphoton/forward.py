@@ -12,8 +12,9 @@ on the calling thread, and holds no n x n array. The reversed side of
 closed form of the reversed train (``run_train_batch``, tested against
 looped ``run_train``). The relayed pair state stays the forward side of that
 compare: it shares no closed form with the reversed side, while
-``young_coincidence_at`` computes the same sum as the closed form and is
-never compared with it. The dense O(n^3) reference, the
+``young_coincidence_at``, the CSV's ``forward`` column, computes the same
+sum as the closed form; the tests hold the two together to 1e-12 of the
+peak on the samples a sweep snaps to. The dense O(n^3) reference, the
 ``TwoPhotonAmplitude``/``kernel_of``/``evolve`` chain, is in ``oracles``.
 """
 from __future__ import annotations

@@ -58,6 +58,13 @@ def time_reversal_audit(n: int, trials: int, seed: int) -> AuditReport:
 
     Arguments that break ``config.audit_diags``, the rule ``validate``
     applies to an audit config, raise ``ConfigurationError`` before a draw.
+
+    ``max_ratio_dev`` reads 0.0 by construction: the forward contraction
+    conj(f1) F conj(f2) is the exact IEEE conjugate of the reversed
+    f1 conj(F) f2, and both are squared with the same k. The audit measures
+    no rounding drift against its tolerance and fails only on a structural
+    error, such as a wrong k or a dropped chunk, until its forward side is
+    computed independently (ROADMAP item 2).
     """
     diags = audit_diags(n, trials, seed, ("n", "trials", "seed"))
     if diags:

@@ -2,11 +2,13 @@
 
 Each one checks a fast path that runs take, and shares no arithmetic with
 it. They live here, off the import path of the ``biphoton`` command, so no
-run compiles them:
+run compiles them or imports scipy, which only this module needs (the
+``test`` extra installs it):
 
-- the scalar disk transform on composite Gauss-Legendre panels, the
-  reference of ``analytic.disk_transform_table``, and the closed-form
-  stage-by-stage fields of the two pinhole-readout trains;
+- the scalar disk transform on composite Gauss-Legendre panels over
+  scipy's Cephes J0, the reference of ``analytic.disk_transform_table``,
+  and the closed-form stage-by-stage fields of the two pinhole-readout
+  trains;
 - the dense pair-state chain (``TwoPhotonAmplitude``, ``kernel_of``,
   ``evolve``), O(n^3), the reference of ``forward.forward_young``;
 - the scalar detection probabilities and reversed intensities of the mode
@@ -22,6 +24,7 @@ from __future__ import annotations
 from typing import Union
 
 import numpy as np
+from scipy.special import j0  # noqa: F401  (analytic.j0 resolves to it)
 
 from . import analytic
 from ._value import Value, asdict
@@ -90,8 +93,9 @@ def uniform_disk_transform(b: float, c: float, R: float) -> complex:
         half = 0.5 / panels
         centers = (2 * np.arange(panels) + 1) * half
         t = centers[:, None] + half * _GL_NODES[None, :]
-        # j0 is looked up on ``analytic`` per call, so a j0 patched there
-        # (perfbench/tracer.py counts its nodes) sees these calls too
+        # scipy's Cephes j0, looked up on ``analytic`` (whose lazy ``j0`` is
+        # this module's) per call, so a j0 patched there (perfbench/tracer.py
+        # counts its nodes) sees these calls too
         val = 2 * half * np.sum(_GL_WEIGHTS * t * analytic.j0(beta * t)
                                 * np.exp(-1j * gamma * t * t))
         if prev is not None and abs(val - prev) <= QUAD_ATOL + QUAD_RTOL * abs(val):

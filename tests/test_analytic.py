@@ -1,7 +1,7 @@
 """Closed-form patterns vs. independent oracles.
 
-Oracles here avoid the implementation's own machinery: scipy's Cephes J0
-and J1 and a power-series J1 for the numpy Bessel functions, bisection on
+Oracles here avoid the implementation's own machinery: scipy's Cephes J1
+and a power-series J1 for the numpy Bessel function, bisection on
 that series for the sombrero zero, plain sin/x bisection for half-max
 points, a polar midpoint Riemann sum (no Bessel reduction) for the
 chirped disk integral, and its Gauss-Legendre scalar transform for the
@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import j0 as scipy_j0, j1 as scipy_j1
+from scipy.special import j1 as scipy_j1
 
 from biphoton import analytic, oracles
 from biphoton.analytic import (
@@ -20,7 +20,6 @@ from biphoton.analytic import (
     YoungParams,
     disk_transform_table,
     fwhm,
-    j0,
     j1,
     sinc,
     somb,
@@ -103,10 +102,9 @@ def bessel_points():
 def test_bessel_matches_scipy_oracle():
     x = bessel_points()
     near = np.abs(x) <= 25
-    for ours, oracle in ((j0, scipy_j0), (j1, scipy_j1)):
-        err = np.abs(ours(x) - oracle(x))
-        assert err[near].max() <= 2e-15, ours.__name__
-        assert err.max() <= 1e-13, ours.__name__
+    err = np.abs(j1(x) - scipy_j1(x))
+    assert err[near].max() <= 2e-15
+    assert err.max() <= 1e-13
 
 
 def test_j1_matches_series_oracle_within_its_rounding():
@@ -121,27 +119,23 @@ def test_j1_matches_series_oracle_within_its_rounding():
 
 def test_bessel_parity_and_special_values():
     x = np.concatenate([np.linspace(0, 40, 4001), np.geomspace(40, 1e6, 500)])
-    np.testing.assert_array_equal(j0(-x), j0(x))
     np.testing.assert_array_equal(j1(-x), -j1(x))
-    assert j0(0.0) == 1.0 and j0(-0.0) == 1.0
     assert j1(0.0) == 0.0
     special = np.array([np.inf, -np.inf, np.nan, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fn in (j0, j1):
-            val = fn(special)
-            assert val[0] == 0.0 and val[1] == 0.0 and np.isnan(val[2])
-            assert val[3] == fn(1.0)
-            assert fn(np.inf) == 0.0 and np.isnan(fn(np.nan))
+        val = j1(special)
+        assert val[0] == 0.0 and val[1] == 0.0 and np.isnan(val[2])
+        assert val[3] == j1(1.0)
+        assert j1(np.inf) == 0.0 and np.isnan(j1(np.nan))
 
 
 def test_bessel_scalar_in_scalar_out_and_shapes():
-    for fn in (j0, j1):
-        for arg in (1.5, 3, np.float64(9.5), np.array(2.0)):
-            assert type(fn(arg)) is float
-        assert fn(np.ones((3, 4))).shape == (3, 4)
-        assert fn(np.empty(0)).shape == (0,)
-        assert fn(np.array([[2.0, 20.0]])).shape == (1, 2)
+    for arg in (1.5, 3, np.float64(9.5), np.array(2.0)):
+        assert type(j1(arg)) is float
+    assert j1(np.ones((3, 4))).shape == (3, 4)
+    assert j1(np.empty(0)).shape == (0,)
+    assert j1(np.array([[2.0, 20.0]])).shape == (1, 2)
 
 
 def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
@@ -217,6 +211,17 @@ def test_young_classical_has_double_period():
     x = YP.f * WL / (8 * YP.x1)
     assert young_two_photon(x, YP) == pytest.approx(0.0, abs=1e-12)
     assert young_classical(x, YP) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_young_law_envelopes_vanish_at_their_first_zeros():
+    # the pair's at f wl/(2 w) and the one-photon's at f wl/w, where both
+    # cosine fringes read (1 + cos(4 pi x1/w))/2 = 0.39
+    w = 7e-5
+    for law in (young_two_photon, young_classical):
+        assert type(law(1e-5, YP, w)) is float
+    assert young_two_photon(YP.f * WL / (2 * w), YP) == pytest.approx(0.389, abs=1e-3)
+    assert young_two_photon(YP.f * WL / (2 * w), YP, w) == pytest.approx(0.0, abs=1e-30)
+    assert young_classical(YP.f * WL / w, YP, w) == pytest.approx(0.0, abs=1e-30)
 
 
 # ---------------------------------------------------------------- focal spots
@@ -460,12 +465,15 @@ def test_disk_transform_refuses_non_finite_arguments_before_any_panel(monkeypatc
     def no_panel(*args):
         raise AssertionError("a quadrature panel or series term ran")
 
+    # the panels look their J0 up on ``analytic`` (its lazy alias of oracles.j0)
     monkeypatch.setattr(analytic, "j0", no_panel)
     monkeypatch.setattr(analytic, "_lommel_sums", no_panel)
     with pytest.raises(NonFiniteError, match=r"b\*R, c\*R\^2"):
         uniform_disk_transform(np.float64(b), np.float64(c), R)
     with pytest.raises(NonFiniteError, match=r"b\*R, c\*R\^2"):
         disk_transform_table([0.0, b], [c, 0.0], R)
+    with pytest.raises(AssertionError, match="panel"):   # finite arguments reach the patch
+        uniform_disk_transform(1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------- width estimate

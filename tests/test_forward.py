@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import biphoton.elements as elements
 import biphoton.forward as forward
-from biphoton.analytic import YoungParams, young_two_photon
+from biphoton.analytic import YoungParams, young_classical, young_two_photon
 from biphoton.elements import (
     CircularAperture,
     DoubleSlit,
@@ -473,6 +473,58 @@ def test_young_coincidence_at_with_no_slit_sample_is_zero():
     p, g = young_setup(n=64, x1_cells=40)  # finite slits beyond the grid edge
     assert np.array_equal(forward.young_coincidence_at(p, g, [0.0, 1e-4], 2e-5),
                           np.zeros(2))
+
+
+def observed_orders(errors):
+    """log2 of the ratio of successive deviations over grid halvings."""
+    return np.log2(np.asarray(errors[:-1]) / np.asarray(errors[1:]))
+
+
+def test_finite_slit_young_laws_converge_at_first_order():
+    # The shipped compare's optics with 80 um slits, the slit plane's width
+    # n*dx fixed while dx halves: the peak-normalized pair law against the
+    # CSV's forward column, and the one-photon law against the SHG-off
+    # reversed train (looped run_train, its reference), both carrying the
+    # slit envelope, close in on the sampled columns at first order in dx.
+    # Without the envelope the deviations stall near 0.09 and 0.025.
+    width = 8e-5
+    p = YoungParams(x1=5e-4, f=F, wavelength=WL)
+    x = np.linspace(-4e-5, 4e-5, 81)
+    pair, single = [], []
+    for n, dx in ((1024, 2e-5), (2048, 1e-5), (4096, 5e-6)):
+        g = Grid1D(n, dx)
+        fwd = forward.young_coincidence_at(p, g, x, width)
+        pair.append(np.max(np.abs(fwd / fwd.max() - young_two_photon(x, p, width))))
+        det, sources, _ = forward.snap_young_sweep(p, g, x)
+        train = reversed_young_train(p.f, p.x1, 0.25, 0.5, slit_width=width,
+                                     second_harmonic=False)
+        rev = np.array([run_train(point_source(det, det.coords[i], 1.0, WL), train)
+                        for i in sources])
+        law = young_classical(det.coords[sources], p, width)
+        single.append(np.max(np.abs(rev / rev.max() - law / law.max())))
+    for errors in (pair, single):
+        assert np.all(np.diff(errors) < 0), errors
+        assert np.all(np.abs(observed_orders(errors) - 1) <= 0.1), errors
+
+
+@pytest.mark.parametrize("n,dx,x1,width,span", [
+    (1024, 2e-5, 5e-4, None, 4e-5),
+    (2048, 2e-5, 24 * 2e-5, None, 4e-5),
+    (2048, 2e-5, 5e-4, 8e-5, 4e-5),
+    (4096, 1e-5, 5e-4, 8e-5, 4e-5),
+    (256, 1.3e-5, 6.5e-5, 5.2e-5, 4e-4),
+])
+def test_forward_column_equals_the_reversed_closed_form(n, dx, x1, width, span):
+    # The CSV's forward column (young_coincidence_at) read on the detection
+    # samples a sweep snaps to, against the reversed train's closed form
+    p = YoungParams(x1=x1, f=F, wavelength=WL)
+    g = Grid1D(n, dx)
+    det, sources, _ = forward.snap_young_sweep(p, g, np.linspace(-span, span, 81))
+    fwd = forward.young_coincidence_at(p, g, det.coords[sources], width)
+    rev = run_train_batch(det, WL, sources,
+                          reversed_young_train(F, x1, 0.25, 0.5, slit_width=width))
+    assert len(sources) >= 43
+    assert np.max(np.abs(fwd / fwd.max() - rev / rev.max())) <= 1e-12
 
 
 # --------------------------------------------- forward vs reversed readout

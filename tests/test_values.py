@@ -197,7 +197,7 @@ def test_every_public_name_resolves():
 @pytest.mark.parametrize("module,names", [
     (forward, ("TwoPhotonAmplitude", "spdc_initial", "kernel_of", "evolve",
                "coincidence_diagonal")),
-    (analytic, ("uniform_disk_transform",)),
+    (analytic, ("uniform_disk_transform", "j0")),
     (modes, ("_coeff_from_rng", "_mode_from_rng", "forward_prob_general", "norm_factor",
              "reversed_intensity_conditional")),
 ])
