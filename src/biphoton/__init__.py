@@ -42,7 +42,6 @@ from .elements import (
     DoubleSlit,
     FourierLens,
     FreeSpaceFourier,
-    Magnifier,
     OffsetChirp,
     OpticalTrain,
     PinholeSample,

@@ -121,7 +121,11 @@ def _normalize(columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 
 
 def _peak_at(coords: np.ndarray, vals: np.ndarray) -> float:
-    return float(coords[int(np.argmax(vals))])
+    """Where ``vals`` peaks: of the maxima tied to within 4 ulps, as on a
+    fringe, the one nearest the centre of the sweep."""
+    peak = vals.max()
+    tied = coords[vals >= peak - 4 * np.spacing(peak)]
+    return float(tied[np.argmin(np.abs(tied - (coords[0] + coords[-1]) / 2))])
 
 
 def _distinct(coords: np.ndarray, columns: Dict[str, np.ndarray]) -> tuple:

@@ -7,13 +7,17 @@ classes (``_value.Value``), so trains are immutable and comparable. Each
 class is the one definition of its element: its parameter rules, checked
 once when it is built; its ``tag``, a class attribute that names its spans
 in ``perfbench/tracer.py``; and its field operator ``apply``, which
-``apply_element`` calls. The stops' ``mask`` and ``runs`` also serve the
-closed forms and checks that hold no field.
+``apply_element`` calls. The lenses, free paths, slits and chirp screen act
+on each axis alone, by one 1-D operator (``axis_op``) that their ``apply``,
+the forward pair evaluator (``forward.forward_pairs``) and the closed form
+all build. The stops' ``mask`` and ``runs`` also serve the closed forms and
+checks that hold no field.
 
 Each experiment has one forward system, ``(DoubleSlit, FourierLens)`` or
 ``(CircularAperture, OffsetChirp, FourierLens)``, and its reversed train is
-that system read backwards (``_time_reversed``): a relay is again a relay,
-and the slits, the aperture and the chirp screen are diagonal.
+that system read backwards (``_time_reversed``). Every linear element is its
+own transpose: a relay is again a relay, and the slits, the aperture and
+the chirp screen are diagonal.
 
 ``run_train`` applies a train to one field and is the reference.
 ``run_train_batch`` reads the pinhole for many point sources at once, by one
@@ -46,9 +50,8 @@ from .grid import (
     Grid1D,
     Grid2D,
     SampledField,
-    _far_field,
     _far_grid,
-    _grid_from_axes,
+    _separable,
     _spectral_phase,
     unitary_fourier,  # noqa: F401  (re-exported: callers look it up here)
 )
@@ -75,7 +78,23 @@ class _Element(Value):
         """Rules of one element class; none by default."""
 
 
-class FourierLens(_Element):
+class _Separable(_Element):
+    """An element that acts on each axis of a field alone, by one 1-D
+    operator that ``axis_op(grid, wl)`` builds as ``(grid_out, step)``: with
+    ``spectral``, ``step`` is the phase ``grid._spectral_axis`` relays with,
+    else the diagonal the axis is multiplied by; ``gain`` multiplies the
+    whole field once. A relay's kernel is symmetric in its two coordinates,
+    so each such operator is its own transpose.
+    """
+
+    spectral = False
+    gain = 1.0
+
+    def apply(self, field: SampledField) -> SampledField:
+        return _separable(field, self.axis_op, self.spectral, self.gain)
+
+
+class FourierLens(_Separable):
     """Ideal lens of focal length ``f`` used in 2-f configuration.
 
     ``apply`` transforms a 1-D or 2-D field from the front to the back
@@ -85,16 +104,17 @@ class FourierLens(_Element):
 
     f: float
     tag = "fourier_lens"
+    spectral = True
 
     def _validate(self):
         if not self.f > 0:
             raise ConfigurationError(f"focal length must be > 0, got {self.f}")
 
-    def apply(self, field: SampledField) -> SampledField:
-        return _fourier_relay(field, self.f)
+    def axis_op(self, grid: Grid1D, wl: float) -> tuple:
+        return _relay_axis(grid, self.f, wl)
 
 
-class FreeSpaceFourier(_Element):
+class FreeSpaceFourier(_Separable):
     """Far-field (Fraunhofer) free-space path of length ``L``.
 
     The same map as a lens of focal length ``L``; valid in the Fraunhofer
@@ -103,16 +123,17 @@ class FreeSpaceFourier(_Element):
 
     L: float
     tag = "free_space"
+    spectral = True
 
     def _validate(self):
         if not self.L > 0:
             raise ConfigurationError(f"propagation distance must be > 0, got {self.L}")
 
-    def apply(self, field: SampledField) -> SampledField:
-        return _fourier_relay(field, self.L)
+    def axis_op(self, grid: Grid1D, wl: float) -> tuple:
+        return _relay_axis(grid, self.L, wl)
 
 
-class OffsetChirp(_Element):
+class OffsetChirp(_Separable):
     """Chirp screen that, next to a ``FourierLens(f)``, offsets its 2-f stage.
 
     ``apply`` multiplies a field on the plane it sits on by
@@ -132,13 +153,28 @@ class OffsetChirp(_Element):
         if not self.f > 0:
             raise ConfigurationError(f"focal length must be > 0, got {self.f}")
 
-    def apply(self, field: SampledField) -> SampledField:
-        chirp = _offset_chirp(field.grid, self.z, self.f, field.wavelength)
-        return SampledField(field.grid, field.wavelength,
-                            field.amp * (1 + self.z / self.f) * chirp)
+    @property
+    def gain(self) -> float:
+        return 1 + self.z / self.f
+
+    def axis_op(self, grid: Grid1D, wl: float) -> tuple:
+        """The chirp ``exp(-i pi z x^2/(f^2 wl))`` on ``grid``.
+
+        Raises SamplingError where the phase advances by more than pi per
+        sample: beyond pi the chirp aliases and the z-sweep silently folds
+        back; NonFiniteError where f**2 is beyond the float range
+        (``chirp_scale``).
+        """
+        x, scale = grid.coords, chirp_scale(self.f, wl)
+        inc = 2 * np.pi * abs(self.z) * np.abs(x).max() * grid.dx / scale
+        if inc > np.pi:
+            raise SamplingError(
+                f"chirp phase step {inc:.3f} rad/sample exceeds pi; "
+                f"refine the grid or reduce |z|={abs(self.z):.3g}")
+        return grid, np.exp(-1j * np.pi * self.z * x ** 2 / scale)
 
 
-class DoubleSlit(_Element):
+class DoubleSlit(_Separable):
     """Binary mask with openings centered at +-x1, on 1-D fields only.
 
     ``slit_width=None`` means one grid cell at apply time: each slit passes
@@ -187,11 +223,13 @@ class DoubleSlit(_Element):
         kept = np.flatnonzero(self.mask(grid))
         return (kept,), np.array([0]), np.array([len(kept)])
 
+    def axis_op(self, grid: Grid1D, wl: float) -> tuple:
+        return grid, self.mask(grid)
+
     def apply(self, field: SampledField) -> SampledField:
         if not isinstance(field.grid, Grid1D):
             raise UnsupportedElementError("double slit acts on 1-D fields only")
-        return SampledField(field.grid, field.wavelength,
-                            field.amp * self.mask(field.grid))
+        return super().apply(field)
 
 
 class CircularAperture(_Element):
@@ -232,31 +270,6 @@ class CircularAperture(_Element):
                             field.amp * self.mask(grid.ys, grid.xs))
 
 
-class Magnifier(_Element):
-    """Imaging stage of magnification ``M`` (negative M inverts the image).
-
-    ``apply`` is the pure coordinate remap E'(x) = E(x/M) |M|^(-d/2), with
-    power preserved, done as grid metadata: spacings scale by |M|, and
-    negative M reverses sample order about the center sample.
-    """
-
-    M: float
-    tag = "magnifier"
-
-    def _validate(self):
-        if self.M == 0:
-            raise ConfigurationError("magnification must be nonzero")
-
-    def apply(self, field: SampledField) -> SampledField:
-        a = abs(self.M)
-        amp = field.amp
-        axes = field.grid.axes
-        if self.M < 0:
-            amp = amp[np.ix_(*(_flip_index(g.n) for g in axes))]
-        grid = _grid_from_axes([Grid1D(g.n, a * g.dx) for g in axes])
-        return SampledField(grid, field.wavelength, amp / np.sqrt(a) ** len(axes))
-
-
 class SHG(_Element):
     """Thin-crystal second-harmonic stage: squares the field pointwise and
     halves the wavelength (undepleted pump; power is not conserved)."""
@@ -294,7 +307,7 @@ class PinholeSample(_Element):
 
 
 _ELEMENTS = (FourierLens, FreeSpaceFourier, OffsetChirp, DoubleSlit,
-             CircularAperture, Magnifier, SHG, PinholeSample)
+             CircularAperture, SHG, PinholeSample)
 OpticalElement = Union[_ELEMENTS]
 # The classes apply_element accepts, with the tags perfbench/tracer.py names
 # their spans by.
@@ -322,61 +335,19 @@ class OpticalTrain(Value):
 
 # ---------------------------------------------------------------- propagation
 
-def _fourier_relay(field: SampledField, dist: float) -> SampledField:
-    """Far-field transform to the plane at ``dist``: x_out = k * dist * wl / (2 pi).
+def _relay_axis(grid: Grid1D, dist: float, wavelength: float) -> tuple:
+    """Far-field relay over ``dist`` on one axis, ``(grid_out, phase)``.
 
     Output sample x picks up the input's spatial frequency 2 pi x/(dist wl);
     the grid rescale keeps power exact, so dx_out = dist*wl/(n*dx_in).
     """
-    return _far_field(field, dist * field.wavelength / (2 * np.pi))
+    scale = dist * wavelength / (2 * np.pi)
+    return _far_grid(grid, scale), _spectral_phase(grid, scale)
 
 
-def _relay_phase(grid: Grid1D, dist: float, wavelength: float) -> np.ndarray:
-    """The spectral phase :func:`_fourier_relay` applies along ``grid``, to
-    compute once for many relays over the same axis.
-
-    ``grid._spectral_axis`` with this phase relays every 1-D slice of an
-    array along one axis with the arithmetic :func:`_fourier_relay` gives a
-    1-D field, bit for bit; :func:`_relay_grid` is the output grid."""
-    return _spectral_phase(grid, dist * wavelength / (2 * np.pi))
-
-
-def _axis_chirps(grid, z: float, f: float, wl: float) -> list:
-    """Offset chirp ``exp(-i pi z c^2/(f^2 wl))`` per axis of ``grid``, x first.
-
-    Raises SamplingError where the phase advances by more than pi per
-    sample: beyond pi the chirp aliases and the z-sweep silently folds back;
-    NonFiniteError where f**2 is beyond the float range (``chirp_scale``).
-    """
-    axes = [(a.coords, a.dx) for a in reversed(grid.axes)]
-    scale = chirp_scale(f, wl)
-    for coords, step in axes:
-        inc = 2 * np.pi * abs(z) * np.abs(coords).max() * step / scale
-        if inc > np.pi:
-            raise SamplingError(
-                f"chirp phase step {inc:.3f} rad/sample exceeds pi; "
-                f"refine the grid or reduce |z|={abs(z):.3g}")
-    return [np.exp(-1j * np.pi * z * coords ** 2 / scale) for coords, _ in axes]
-
-
-def _offset_chirp(grid, z: float, f: float, wl: float) -> np.ndarray:
-    """Offset chirp ``exp(-i pi z r^2/(f^2 wl))`` on ``grid``.
-
-    On a 2-D grid the chirp is separable: the outer product of the per-axis
-    chirps, 2n exponentials instead of n^2. Raises SamplingError as
-    :func:`_axis_chirps` does.
-    """
-    chirps = _axis_chirps(grid, z, f, wl)
-    if len(chirps) == 1:
-        return chirps[0]
-    cx, cy = chirps
-    return np.outer(cy, cx)  # indexed [iy, ix]
-
-
-def _flip_index(n: int) -> np.ndarray:
-    # Exact mirror about the center sample n//2; for even n the unpaired
-    # edge sample wraps onto itself, matching a double Fourier transform.
-    return (2 * (n // 2) - np.arange(n)) % n
+def _relay_grid(g: Grid, dist: float, wavelength: float) -> Grid:
+    """Output grid of a far-field relay over ``dist``."""
+    return _far_grid(g, dist * wavelength / (2 * np.pi))
 
 
 # ---------------------------------------------------------------- trains
@@ -470,11 +441,6 @@ def _source_indices(grid: Grid, indices) -> np.ndarray:
     return indices
 
 
-def _relay_grid(g: Grid, dist: float, wavelength: float) -> Grid:
-    """Output grid of :func:`_fourier_relay` over ``dist``."""
-    return _far_grid(g, dist * wavelength / (2 * np.pi))
-
-
 def _relayed_delta(n: int, d: float, m: np.ndarray, dist: float,
                    wavelength: float, cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Far-field relays of unit spikes at samples ``m`` of a 1-D axis, one row each.
@@ -509,9 +475,11 @@ def _pinhole_totals(grid: Grid, wl: float, indices: np.ndarray,
        :func:`_relayed_delta` row per axis, built only on the pupil samples
        the stop reaches; the screen's chirp is separable too, so each row
        takes its axis's chirp, and its ``1 + z/f`` joins the gain;
-    2. free path L1 then lens f is ``Magnifier(-f/L1)``, a gain
-       ``(L1/f)^(d/2)`` on d axes; its flip commutes with the final relay,
-       and the radius-0 reading is symmetric under it, so it is skipped;
+    2. free path L1 then lens f is a flip and a gain: it mirrors the field
+       about sample n//2 of each axis, scales the spacing by f/L1 and the
+       amplitude by ``(L1/f)^(d/2)`` on d axes; the flip commutes with the
+       final relay, and the radius-0 reading is symmetric under it, so it
+       is skipped;
     3. SHG squares each row and the gain once and halves the wavelength;
     4. the final relay read at the origin is ``sum(amp) cell/(L2 wl/2)^(d/2)``
        on the image grid. The stop passes one run ``[lo, hi)`` of the last
@@ -530,10 +498,9 @@ def _pinhole_totals(grid: Grid, wl: float, indices: np.ndarray,
             zip(grid.axes, indices.reshape(len(indices), len(kept)).T, kept)]
     factor = 1.0
     for s in screen:  # the focus train's chirp screen
-        factor += s.z / s.f
-        chirps = reversed(_axis_chirps(pupil, s.z, s.f, wl))  # (y, x)
-        for row, chirp, k in zip(rows, chirps, kept):
-            row *= chirp[k]
+        factor *= s.gain
+        for row, axis, k in zip(rows, pupil.axes, kept):
+            row *= s.axis_op(axis, wl)[1][k]
     image = _relay_grid(_relay_grid(pupil, path1.L, wl), lens.f, wl)
     spread = path2.L * (wl / 2)
     amp0 = np.sqrt(1.0 / grid.cell)
@@ -569,6 +536,12 @@ def _time_reversed(forward: tuple, L1: float, L2: float, second_harmonic: bool,
     return OpticalTrain(tuple(elements))
 
 
+def _young_system(f: float, x1: float, slit_width: Optional[float] = None) -> tuple:
+    """The forward two-slit system, double slit -> lens f: ``forward_young``
+    runs it forwards and :func:`reversed_young_train` reads it backwards."""
+    return DoubleSlit(x1, slit_width), FourierLens(f)
+
+
 def reversed_young_train(f: float, x1: float, L1: float, L2: float, *,
                          slit_width: Optional[float] = None,
                          second_harmonic: bool = True,
@@ -579,7 +552,7 @@ def reversed_young_train(f: float, x1: float, L1: float, L2: float, *,
     shared tail. With ``second_harmonic`` off, the fundamental readout gives
     the ordinary (double-period) two-slit fringe.
     """
-    return _time_reversed((DoubleSlit(x1, slit_width), FourierLens(f)), L1, L2,
+    return _time_reversed(_young_system(f, x1, slit_width), L1, L2,
                           second_harmonic, pinhole_radius)
 
 

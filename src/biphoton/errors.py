@@ -42,7 +42,7 @@ def chirp_scale(f: float, wl: float) -> float:
     """f**2 * wl, the scale of the focus chirp ``exp(-i pi z r^2/(f^2 wl))``.
 
     The closed form (``analytic.spot_offaxis_two_photon``) and the reversed
-    train (``elements._axis_chirps``) both divide by it. Raises
+    train (``elements.OffsetChirp.axis_op``) both divide by it. Raises
     NonFiniteError where f**2 is beyond the float range.
     """
     try:

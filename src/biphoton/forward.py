@@ -6,16 +6,19 @@ coincidence detection at a single point reads the diagonal. This is the
 numerical counterpart of the classical pinhole-readout trains, used to check
 that both produce identical patterns.
 
-``forward_young`` relays psi by FFTs along each axis, in blocks of rows
-on the calling thread, and holds no n x n array. The reversed side of
-``forward_vs_reversed_young`` reads the same detection samples through the
-closed form of the reversed train (``run_train_batch``, tested against
-looped ``run_train``). The relayed pair state stays the forward side of that
-compare: it shares no closed form with the reversed side, while
-``young_coincidence_at``, the CSV's ``forward`` column, computes the same
-sum as the closed form; the tests hold the two together to 1e-12 of the
-peak on the samples a sweep snaps to. The dense O(n^3) reference, the
-``TwoPhotonAmplitude``/``kernel_of``/``evolve`` chain, is in ``oracles``.
+``forward_pairs`` is the one forward evaluator: it runs a 1-D forward system
+on psi by each element's per-axis operator along both axes, in blocks of
+rows on the calling thread; behind a leading stop it holds no n x n array.
+``forward_young`` is it on the two-slit system that ``reversed_young_train``
+reads backwards. The reversed side of ``forward_vs_reversed_young`` reads
+the same detection samples through the closed form of the reversed train
+(``run_train_batch``, tested against looped ``run_train``). The relayed pair
+state stays the forward side of that compare: it shares no closed form with
+the reversed side, while ``young_coincidence_at``, the CSV's ``forward``
+column, computes the same sum as the closed form; the tests hold the two
+together to 1e-12 of the peak on the samples a sweep snaps to. The dense
+O(n^3) reference, the ``TwoPhotonAmplitude``/``kernel_of``/``evolve``
+chain, is in ``oracles``.
 """
 from __future__ import annotations
 
@@ -28,16 +31,16 @@ from .analytic import YoungParams
 from .elements import (
     DoubleSlit,
     _relay_grid,
-    _relay_phase,
     _source_indices,
+    _young_system,
     reversed_young_train,
     run_train,  # noqa: F401  (re-exported: callers look it up here)
     run_train_batch,
 )
 from .errors import ConfigurationError, DomainError, SamplingError
-from .grid import Grid1D, _spectral_axis, point_source  # noqa: F401  (point_source re-exported)
+from .grid import Grid1D, _axis_step, point_source  # noqa: F401  (point_source re-exported)
 
-# Bytes of one relay block: ``forward_young`` relays its rows this many at
+# Bytes of one relay block: ``forward_pairs`` runs its rows this many at
 # a time in one buffer it allocates once per call. 512 KiB is 16 rows at
 # n=2048, where the young compare (85 rows) took 320-640 faults per run
 # instead of 1430 and the full grid 2.2-5.1k (measured with one block per
@@ -50,61 +53,48 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * n))
 
 
-def forward_young(p: YoungParams, grid: Grid1D,
-                  slit_width: Optional[float] = None, samples=None):
-    """Pair fringe of the forward two-slit system, peak-normalized.
+def forward_pairs(system: tuple, grid: Grid1D, wavelength: float, samples=None):
+    """Coincidence fringe of a 1-D forward system, peak-normalized, and its
+    output grid.
 
-    ``grid`` samples the slit plane, where the pair state is again
-    position-correlated (the imaging stage ahead of the slits only rescales
-    coordinates and is absorbed). Chain: correlated pairs -> slit mask ->
-    focal-plane relay on each photon -> diagonal coincidence. The relay runs
-    as an FFT along each axis of psi, O(n^2 log n), on the columns the slits
-    keep and then one block of rows at a time, on the calling thread;
-    ``kernel_of`` and ``evolve`` give the same state densely. ``samples``
-    lists the detection-plane samples to read (default: all n); only their
-    rows are relayed along axis 1, and each diagonal entry is bit-identical
-    to the same entry of the full run. Each block's relayed rows are checked for
-    finiteness and only their diagonal entries are kept, so the n x n state
-    is never held; the diagonal needs no symmetrization, as ``(a + a.T)/2``
-    leaves it unchanged. The relay's phase vector is computed once per call.
+    ``grid`` samples the plane where the ideal correlated pair state
+    ``psi = delta_ij / dx`` enters ``system``, a tuple of lenses, free paths,
+    double slits and chirp screens; each element acts on each photon by its
+    1-D operator ``gain * axis_op``, built once per call, and coincidence
+    detection reads the diagonal of the final state. The diagonal operators
+    that lead the system fold into the source as ``psi = diag(d^2/dx)``, of
+    which only the nonzero columns are kept (all n where no stop leads).
+    The other operators run along axis 0 on those columns, then along axis 1
+    one block of ``_BLOCK_BYTES`` of rows at a time, on the calling thread;
+    each block is checked for finiteness and only its diagonal entries are
+    kept, so of the final state no more than one block is held. The
+    diagonal needs no symmetrization, as ``(a + a.T)/2`` leaves it
+    unchanged; ``kernel_of`` and ``evolve`` give the same state densely.
+    ``samples`` lists the output samples to read (default: all n); only
+    their rows are run along axis 1, and each diagonal entry is
+    bit-identical to the same entry of the full run; the fringe is
+    normalized by its peak over them.
 
-    Every row read is relayed in full on purpose. A direct sum for the
-    diagonal alone is what ``young_coincidence_at`` and the reversed closed
-    form compute, and the forward side of ``forward_vs_reversed_young`` must
-    not share it.
-
-    Returns
-    -------
-    (Grid1D, ndarray)
-        The detection-plane grid and the fringe on ``samples``, normalized
-        by its peak over them.
-
-    Raises
-    ------
-    DomainError
-        If ``samples`` is empty or not a 1-D list of sample indices.
-    SamplingError
-        If the detection grid resolves the fringe with fewer than 8
-        samples per period.
+    Raises ConfigurationError if the system passes nothing on this grid,
+    DomainError if ``samples`` is empty or not a 1-D list of sample indices.
     """
-    samples_per_fringe = grid.n * grid.dx / (4 * p.x1)
-    if samples_per_fringe < 8:
-        raise SamplingError(
-            f"only {samples_per_fringe:.2f} detection samples per fringe; "
-            "need >= 8 (enlarge n*dx or reduce x1)")
     n = grid.n
     sel = np.arange(n) if samples is None else _source_indices(grid, samples)
     if sel.size == 0:
         raise DomainError("no detection samples to read")
-    # spdc_initial after the diagonal slit kernel: mask^2 / dx = mask / dx
-    # on the diagonal, since the mask is 0/1. Its other columns are zero
-    # and the FFT of a zero column is exactly zero, so the axis-0 relay runs
-    # on the kept columns only.
-    kept = np.flatnonzero(DoubleSlit(p.x1, slit_width).mask(grid))
+    ops, out_grid = [], grid
+    for element in system:
+        out_grid, step = element.axis_op(out_grid, wavelength)
+        ops.append((element.gain * step, element.spectral))
+    d = np.ones(n)
+    while ops and not ops[0][1]:
+        d = d * ops.pop(0)[0]
+    # the FFT of a zero column is exactly zero: only the kept columns are run
+    kept = np.flatnonzero(d)
     cols = np.zeros((n, len(kept)), dtype=complex)
-    cols[kept, np.arange(len(kept))] = 1 / grid.dx
-    phase = _relay_phase(grid, p.f, p.wavelength)
-    cols = _spectral_axis(cols, phase, 0)
+    cols[kept, np.arange(len(kept))] = d[kept] ** 2 / grid.dx
+    for step, spectral in ops:
+        cols = _axis_step(cols, step, 0, spectral)
     diag = np.empty(len(sel), dtype=complex)
     height = _block_rows(n)
     block = np.empty((min(height, len(sel)), n), dtype=complex)
@@ -113,15 +103,41 @@ def forward_young(p: YoungParams, grid: Grid1D,
         part = block[:len(idx)]
         part.fill(0)
         part[:, kept] = cols[idx]
-        _spectral_axis(part, phase, 1, out=part)
+        for step, spectral in ops:
+            _axis_step(part, step, 1, spectral, out=part)
         if not np.all(np.isfinite(part)):
             raise ValueError("pair amplitudes must be finite")
         diag[lo:lo + len(idx)] = part[np.arange(len(idx)), idx]
     curve = 2 * np.abs(diag) ** 2
     peak = curve.max()
     if peak == 0:
-        raise ConfigurationError("slit mask transmitted nothing on this grid")
-    return _relay_grid(grid, p.f, p.wavelength), curve / peak
+        raise ConfigurationError("the forward system transmitted nothing on this grid")
+    return out_grid, curve / peak
+
+
+def forward_young(p: YoungParams, grid: Grid1D,
+                  slit_width: Optional[float] = None, samples=None):
+    """Pair fringe of the forward two-slit system, peak-normalized.
+
+    ``grid`` samples the slit plane, where the pair state is again
+    position-correlated (the imaging stage ahead of the slits only rescales
+    coordinates and is absorbed). :func:`forward_pairs` runs the system that
+    ``reversed_young_train`` reads backwards, slit mask -> focal-plane relay,
+    reads ``samples`` of the detection plane and returns that grid and the
+    fringe; SamplingError if the grid resolves the fringe with fewer than 8
+    samples per period.
+
+    Every row read is relayed in full on purpose. A direct sum for the
+    diagonal alone is what ``young_coincidence_at`` and the reversed closed
+    form compute, and the forward side of ``forward_vs_reversed_young`` must
+    not share it.
+    """
+    samples_per_fringe = grid.n * grid.dx / (4 * p.x1)
+    if samples_per_fringe < 8:
+        raise SamplingError(
+            f"only {samples_per_fringe:.2f} detection samples per fringe; "
+            "need >= 8 (enlarge n*dx or reduce x1)")
+    return forward_pairs(_young_system(p.f, p.x1, slit_width), grid, p.wavelength, samples)
 
 
 def snap_young_sweep(p: YoungParams, grid: Grid1D, positions,

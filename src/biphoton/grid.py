@@ -204,7 +204,8 @@ def inner_product(a: SampledField, b: SampledField) -> complex:
 
 def _spectral_phase(a: Grid1D, scale: float) -> np.ndarray:
     """The n-vector :func:`_spectral_axis` multiplies the shifted FFT of axis
-    ``a`` by, for :func:`_far_field` at ``scale``.
+    ``a`` by, for the far-field transform that places spatial frequency k at
+    ``k * scale``.
 
     Phases fold the index-space FFT into the centered-coordinate kernel;
     every scale factor and the gain ``1/sqrt(scale)`` are folded in too.
@@ -254,25 +255,40 @@ def _spectral_axis(amp: np.ndarray, phase: np.ndarray, axis: int,
 
 
 def _far_grid(g: Grid, scale: float) -> Grid:
-    """Output grid of :func:`_far_field`: per axis, n samples at ``dk * scale``."""
+    """Output grid of the far-field transform at ``scale``: per axis, n
+    samples at ``dk * scale``."""
     return _grid_from_axes([Grid1D(a.n, 2 * np.pi / (a.n * a.dx) * scale)
                            for a in g.axes])
 
 
-def _far_field(f: SampledField, scale: float) -> SampledField:
-    """:func:`_spectral_axis` along every axis of the field, x first, with
-    spatial frequency k placed at ``k * scale``.
+def _axis_step(amp: np.ndarray, step: np.ndarray, axis: int, spectral: bool,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """One 1-D operator along ``axis`` of ``amp``: :func:`_spectral_axis`
+    with the phase ``step`` where ``spectral``, else a multiply by the
+    diagonal ``step``. ``out`` is as for :func:`_spectral_axis`."""
+    if spectral:
+        return _spectral_axis(amp, step, axis, out=out)
+    shape = [1] * amp.ndim
+    shape[axis] = step.size
+    return np.multiply(amp, step.reshape(shape), out=out)
 
-    The gain ``1/sqrt(scale)`` per axis rides in the spectral phase, so
-    power is preserved on the rescaled grid with no extra pass. A 1-D field
-    and each axis of a 2-D one get the same arithmetic.
+
+def _separable(f: SampledField, axis_op, spectral: bool,
+               gain: float = 1.0) -> SampledField:
+    """A separable operator on every axis of the field, x first.
+
+    ``axis_op(axis, wavelength)`` gives ``(axis_out, step)`` for one 1-D
+    axis, applied by :func:`_axis_step`; ``gain`` multiplies the field once,
+    first. A 1-D field and each axis of a 2-D one get the same arithmetic.
     """
-    amp, axes = f.amp, f.grid.axes
+    amp, axes = f.amp, list(f.grid.axes)
+    if gain != 1.0:
+        amp = amp * gain
     for i in reversed(range(len(axes))):  # x is the last array axis
-        # past the first axis ``amp`` is this call's own array: transform in place
-        amp = _spectral_axis(amp, _spectral_phase(axes[i], scale), i,
-                             out=None if amp is f.amp else amp)
-    return SampledField(_far_grid(f.grid, scale), f.wavelength, amp)
+        axes[i], step = axis_op(axes[i], f.wavelength)
+        # past the first step ``amp`` is this call's own array: step in place
+        amp = _axis_step(amp, step, i, spectral, out=None if amp is f.amp else amp)
+    return SampledField(_grid_from_axes(axes), f.wavelength, amp)
 
 
 def unitary_fourier(f: SampledField) -> SampledField:
@@ -282,4 +298,4 @@ def unitary_fourier(f: SampledField) -> SampledField:
     per axis. Equal to the Riemann sum of
     ``integral g(x) exp(-i x k) dx / sqrt(2 pi)`` on the sample points.
     """
-    return _far_field(f, 1.0)
+    return _separable(f, lambda a, wl: (_far_grid(a, 1.0), _spectral_phase(a, 1.0)), True)

@@ -33,11 +33,8 @@ from .elements import (
     DoubleSlit,
     FourierLens,
     FreeSpaceFourier,
-    Magnifier,
     OffsetChirp,
     OpticalElement,
-    _flip_index,
-    _offset_chirp,
 )
 from .errors import (
     ConfigurationError,
@@ -291,19 +288,8 @@ def kernel_of(element: OpticalElement, grid: Grid1D,
         grid_out, K = _relay_kernel(grid, dist, wavelength)
         return SingleParticleKernel(grid, grid_out, K)
     if isinstance(element, (DoubleSlit, OffsetChirp)):  # diagonal
-        diag = (element.mask(grid) if isinstance(element, DoubleSlit)
-                else (1 + element.z / element.f)
-                * _offset_chirp(grid, element.z, element.f, wavelength))
+        diag = element.gain * element.axis_op(grid, wavelength)[1]
         return SingleParticleKernel(grid, grid, np.diag(diag).astype(complex))
-    if isinstance(element, Magnifier):
-        M = element.M
-        a = abs(M)
-        grid_out = Grid1D(grid.n, a * grid.dx)
-        K = np.zeros((grid.n, grid.n), dtype=complex)
-        rows = np.arange(grid.n)
-        cols = _flip_index(grid.n) if M < 0 else rows
-        K[rows, cols] = 1 / np.sqrt(a)
-        return SingleParticleKernel(grid, grid_out, K)
     raise UnsupportedElementError(
         f"no 1-D single-particle matrix for {type(element).__name__}")
 

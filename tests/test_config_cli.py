@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import biphoton.cli as cli
 import biphoton.config as config
 import biphoton.forward as forward
+import biphoton.grid as gridmod
 import biphoton.modes as modes
 from biphoton.analytic import FocusParams, YoungParams, young_two_photon
 from biphoton.cli import FOCUS_COMPARE_TOL, YOUNG_COMPARE_TOL, exit_code, main, run
@@ -417,6 +418,28 @@ def test_young_reversed_period_is_measured_on_distinct_samples(tmp_path, monkeyp
                - summary["period_m"]["two_photon"]) <= step
 
 
+@pytest.mark.parametrize("mode", ["analytic", "forward", "reversed", "compare"])
+def test_delta_slit_fringe_peaks_at_the_centre(tmp_path, monkeypatch, mode):
+    # The shipped young compare's sweep: each column has tied maxima one or
+    # two pair periods apart, and the summary used to name the first of
+    # them, -3.9e-5 m. It names the one nearest the centre of the sweep.
+    monkeypatch.chdir(tmp_path)
+    doc = young_doc(mode, x1=5e-4, grid={"n": 1024, "dx": 2e-5},
+                    sweep={"axis": "x0", "start": -4e-5, "stop": 4e-5, "count": 81})
+    peaks = run(ExperimentConfig.from_dict(doc), out="y.csv")["peak_position_m"]
+    assert peaks and all(abs(x) <= 1e-15 for x in peaks.values()), peaks
+
+
+def test_peak_at_takes_the_tied_maximum_nearest_the_centre():
+    x = np.linspace(-3.0, 5.0, 9)  # centre 1.0
+    vals = np.array([1.0, 0, 1.0, 0, 1 - 2.0**-52, 0, 1.0, 0, 0.5])
+    assert cli._peak_at(x, vals) == 1.0  # one ulp below the peak is a tie
+    vals[4] = 1 - 2.0**-48  # 16 ulps below: -1 and 3 are equally near, the first wins
+    assert cli._peak_at(x, vals) == -1.0
+    vals[0] = 1 + 2.0**-40  # a true maximum wins wherever it lies
+    assert cli._peak_at(x, vals) == -3.0
+
+
 # --------------------------------------------------------------- CSV shape
 
 
@@ -524,7 +547,7 @@ def test_young_compare_exits_3_when_forward_side_skews(tmp_path, monkeypatch, ca
     tail = len(sources) % forward._block_rows(n)
     assert len(sources) == 21 and tail == 5
     assert n // 2 < sources[-tail]  # the peak sits on the centre row
-    spectral_axis = forward._spectral_axis
+    spectral_axis = gridmod._spectral_axis
 
     def skewed_axis(amp, phase, axis, out=None):
         out = spectral_axis(amp, phase, axis, out=out)
@@ -532,7 +555,7 @@ def test_young_compare_exits_3_when_forward_side_skews(tmp_path, monkeypatch, ca
             out *= 1 + 1e-9
         return out
 
-    monkeypatch.setattr(forward, "_spectral_axis", skewed_axis)
+    monkeypatch.setattr(gridmod, "_spectral_axis", skewed_axis)
     path = write_config(tmp_path, "yc.json", doc)
     assert main(["simulate", "--config", path, "--out", "yc.csv"]) == 3
     assert "tolerance" in capsys.readouterr().err
@@ -864,6 +887,28 @@ def test_young_fringes_script_exits_3_on_a_failed_compare(tmp_path, monkeypatch)
     assert script.main() == 3
     summary = json.loads((tmp_path / "y.summary.json").read_text(encoding="utf-8"))
     assert summary["max_deviation"] > YOUNG_COMPARE_TOL and summary["passed"] is False
+
+
+def test_output_sweep_compare_names_what_moves(tmp_path):
+    # --base's comparison of two sweeps: a CSV column's largest change over
+    # its peak, a JSON value's old and new text, a file in one sweep only
+    sweep = load_script("output_sweep")
+    base, head = tmp_path / "base", tmp_path / "head"
+    for d, peak in ((base, -3.9e-5), (head, 0.0)):
+        (d / "sub").mkdir(parents=True)
+        (d / "a.csv").write_text("x_m,v\n-1,0.5\n0,2.0\n1,1.0\n", encoding="utf-8")
+        (d / "sub" / "a.summary.json").write_text(
+            json.dumps({"peak_position_m": {"v": peak}, "n_rows": 3}), encoding="utf-8")
+        (d / "a.exit").write_text("0\n", encoding="utf-8")
+    assert sweep.compare(base, head) == (
+        [("sub/a.summary.json", ["peak_position_m.v: -3.9e-05 -> 0.0"])], 3)
+    (head / "a.csv").write_text("x_m,v\n-1,0.5\n0,2.0\n1,1.5\n", encoding="utf-8")
+    (head / "b.exit").write_text("0\n", encoding="utf-8")
+    differ, total = sweep.compare(base, head)
+    assert total == 4 and differ[0] == ("a.csv", ["v: 0.25"])
+    assert differ[1] == ("b.exit", ["only in the head sweep"])
+    assert sweep.ab(tmp_path / "out", "no-such-revision") == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name,argv,cause", [

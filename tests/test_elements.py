@@ -22,7 +22,6 @@ from biphoton.elements import (
     DoubleSlit,
     FourierLens,
     FreeSpaceFourier,
-    Magnifier,
     OffsetChirp,
     OpticalTrain,
     PinholeSample,
@@ -39,7 +38,15 @@ from biphoton.errors import (
     UnsupportedElementError,
 )
 from biphoton.forward import forward_young, young_coincidence_at
-from biphoton.grid import Grid1D, Grid2D, SampledField, _spectral_axis, point_source, power
+from biphoton.grid import (
+    Grid1D,
+    Grid2D,
+    SampledField,
+    _grid_from_axes,
+    _spectral_axis,
+    point_source,
+    power,
+)
 from biphoton.oracles import kernel_of
 
 WL = 780e-9
@@ -89,9 +96,9 @@ def test_lens_on_1d_field_equals_batched_relay_bit_for_bit(n):
     g = Grid1D(n=n, dx=11e-6)
     f = random_field(g, seed=n)
     out = FourierLens(F).apply(f)
-    phase = elements._relay_phase(g, F, WL)
+    grid_out, phase = FourierLens(F).axis_op(g, WL)
     np.testing.assert_array_equal(out.amp, _spectral_axis(f.amp, phase, 0))
-    assert out.grid == elements._relay_grid(g, F, WL)
+    assert out.grid == grid_out == elements._relay_grid(g, F, WL)
     batch = np.stack([f.amp, 2 * f.amp], axis=1)
     along = _spectral_axis(batch, phase, 0)
     np.testing.assert_array_equal(along[:, 0], out.amp)
@@ -154,15 +161,33 @@ def test_double_lens_is_parity_flip():
     assert out.grid.dx == pytest.approx(g.dx, rel=1e-12)
 
 
+def flip_and_rescale(f, M):
+    """The image of magnification ``M`` < 0: each axis mirrored about sample
+    n//2 (for even n the unpaired edge sample wraps onto itself, as under a
+    double Fourier transform), spacings scaled by |M| and amplitudes by
+    |M|^(-d/2), so power is kept."""
+    a, axes = abs(M), f.grid.axes
+    amp = f.amp[np.ix_(*((2 * (g.n // 2) - np.arange(g.n)) % g.n for g in axes))]
+    grid = _grid_from_axes([Grid1D(g.n, a * g.dx) for g in axes])
+    return SampledField(grid, f.wavelength, amp / np.sqrt(a) ** len(axes))
+
+
+def relay_pair(f, L):
+    """Lens F then free path L: the relay pair the reversed trains end in."""
+    return FreeSpaceFourier(L).apply(FourierLens(F).apply(f))
+
+
 def test_lens_then_free_space_is_magnifier():
-    g = Grid1D(n=96, dx=12e-6)
-    f = random_field(g, seed=5)
-    L = 0.8
-    composed = FreeSpaceFourier(L).apply(FourierLens(F).apply(f))
-    direct = Magnifier(-L / F).apply(f)
-    np.testing.assert_allclose(composed.amp, direct.amp,
-                               atol=1e-10 * np.abs(direct.amp).max())
-    assert composed.grid.dx == pytest.approx(direct.grid.dx, rel=1e-12)
+    # the flip and gain that _pinhole_totals folds the pair into
+    for g in (Grid1D(n=96, dx=12e-6), Grid2D(nx=24, ny=15, dx=12e-6, dy=9e-6)):
+        f = random_field(g, seed=5)
+        L = 0.8
+        composed = relay_pair(f, L)
+        direct = flip_and_rescale(f, -L / F)
+        np.testing.assert_allclose(composed.amp, direct.amp,
+                                   atol=1e-10 * np.abs(direct.amp).max())
+        for got, want in zip(composed.grid.axes, direct.grid.axes):
+            assert got.dx == pytest.approx(want.dx, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -315,6 +340,42 @@ def test_forward_system_elements_read_the_same_backwards(element):
         assert np.allclose(K, K.T, rtol=0, atol=1e-13 * np.abs(K).max())
 
 
+# Each linear element class, and the grids it acts on, up to n = 4096 per axis
+LINEAR_ELEMENTS = (FourierLens(F), FreeSpaceFourier(0.7), OffsetChirp(F, -2e-5),
+                   DoubleSlit(1e-4), DoubleSlit(1e-4, 4e-5), CircularAperture(5e-4))
+TRANSPOSE_GRIDS = (Grid1D(n=4096, dx=3e-6), Grid1D(n=63, dx=1e-5),
+                   Grid2D(nx=4096, ny=3, dx=3e-6, dy=2e-5),
+                   Grid2D(nx=48, ny=63, dx=2e-5, dy=1.5e-5))
+TRANSPOSE_CASES = [(e, g) for e in LINEAR_ELEMENTS for g in TRANSPOSE_GRIDS
+                   if len(g.shape) in {DoubleSlit: (1,), CircularAperture: (2,)}.get(
+                       type(e), (1, 2))]
+
+
+def test_transpose_cases_cover_every_linear_element_class():
+    # SHG squares the field and the pinhole reads a number: neither is a
+    # linear map between fields
+    assert {type(e) for e, _ in TRANSPOSE_CASES} == set(elements._TAGS) - {SHG, PinholeSample}
+
+
+@pytest.mark.parametrize("element,grid", TRANSPOSE_CASES, ids=lambda v: (
+    type(v).__name__ if isinstance(v, elements._Element) else "x".join(map(str, v.shape))))
+def test_every_element_is_its_own_transpose(element, grid):
+    # The dot-product test (Claerbout, Earth Soundings Analysis, 1992) with
+    # the bilinear form of each grid: sum (A x) y cell_out = sum x (A y)
+    # cell_in, where A runs on y from its output grid, back onto the input
+    # grid. Random complex x and y; no matrix is formed.
+    x = random_field(grid, seed=grid.shape[-1])
+    ax = element.apply(x)
+    y = random_field(ax.grid, seed=len(grid.shape))
+    ay = element.apply(y)
+    for back, axis in zip(ay.grid.axes, grid.axes):
+        assert back.dx == pytest.approx(axis.dx, rel=1e-12)
+    lhs = np.sum(ax.amp * y.amp) * ax.grid.cell
+    rhs = np.sum(x.amp * ay.amp) * grid.cell
+    assert abs(lhs) > 0
+    assert abs(lhs - rhs) <= 1e-12 * np.sqrt(power(ax) * power(y))
+
+
 # ---------------------------------------------------------------- masks
 
 # 60 um slits at +-500 um on a 10 um grid: each passes the 7 samples 47..53
@@ -434,19 +495,13 @@ def test_aperture_needs_2d():
         CircularAperture(D=1e-3).apply(f)
 
 
-# ---------------------------------------------------------------- magnifier / SHG / pinhole
-
-def test_magnify_identity():
-    f = random_field(Grid1D(n=64, dx=1e-5), seed=10)
-    out = Magnifier(1.0).apply(f)
-    np.testing.assert_array_equal(out.amp, f.amp)
-    assert out.grid == f.grid
-
+# ---------------------------------------------------------------- relay pair / SHG / pinhole
 
 def test_magnify_flip():
+    # lens F then free path F images at magnification -1
     g = Grid1D(n=64, dx=1e-5)
     f = point_source(g, 5e-5, 1.0, WL)
-    out = Magnifier(-1.0).apply(f)
+    out = relay_pair(f, F)
     assert out.grid.coords[int(np.argmax(np.abs(out.amp)))] == pytest.approx(-5e-5)
     assert power(out) == pytest.approx(power(f), rel=1e-12)
 
@@ -454,22 +509,23 @@ def test_magnify_flip():
 def test_magnify_moves_delta():
     g = Grid1D(n=64, dx=1e-5)
     f = point_source(g, 8e-5, 1.0, WL)
-    out = Magnifier(2.5).apply(f)
-    assert out.grid.coords[int(np.argmax(np.abs(out.amp)))] == pytest.approx(2.5 * 8e-5)
+    out = relay_pair(f, 2.5 * F)
+    assert out.grid.coords[int(np.argmax(np.abs(out.amp)))] == pytest.approx(-2.5 * 8e-5)
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**31),
-       M=st.floats(-10, 10).filter(lambda m: abs(m) > 1e-3))
+@given(seed=st.integers(0, 2**31), M=st.floats(1e-3, 10))
 def test_magnify_preserves_power(seed, M):
     f = random_field(Grid1D(n=48, dx=1e-5), seed=seed)
-    assert power(Magnifier(M).apply(f)) == pytest.approx(power(f), rel=1e-12)
+    out = relay_pair(f, M * F)
+    assert power(out) == pytest.approx(power(f), rel=1e-12)
+    assert out.grid.dx == pytest.approx(M * f.grid.dx, rel=1e-12)
 
 
 def test_magnify_2d_flip():
     g = Grid2D(nx=32, ny=32, dx=1e-5, dy=1e-5)
     f = point_source(g, (3e-5, -4e-5), 1.0, WL)
-    out = Magnifier(-2.0).apply(f)
+    out = relay_pair(f, 2 * F)
     iy, ix = np.unravel_index(int(np.argmax(np.abs(out.amp))), out.amp.shape)
     assert out.grid.xs[ix] == pytest.approx(-6e-5)
     assert out.grid.ys[iy] == pytest.approx(8e-5)
@@ -738,13 +794,17 @@ def test_run_train_batch_2d_holds_no_pupil_sized_complex_array():
 def test_offset_chirp_2d_is_separable_and_keeps_the_guard():
     g = Grid2D(nx=48, ny=40, dx=3e-4, dy=5e-4)
     z = 1e-4
+    f = random_field(g, seed=40)
     direct = np.exp(-1j * np.pi * z * g.radius_sq() / (F**2 * WL))
-    np.testing.assert_allclose(elements._offset_chirp(g, z, F, WL), direct,
-                               rtol=0, atol=1e-14)
+    out = OffsetChirp(F, z).apply(f)
+    assert out.grid == g
+    np.testing.assert_allclose(out.amp, f.amp * (1 + z / F) * direct,
+                               rtol=0, atol=1e-14 * np.abs(f.amp).max())
     # the y axis alone aliases: its phase step passes pi, the x step does not
     tall = Grid2D(nx=48, ny=400, dx=3e-4, dy=5e-4)
+    OffsetChirp(F, z).axis_op(tall.axes[1], WL)
     with pytest.raises(SamplingError):
-        elements._offset_chirp(tall, z, F, WL)
+        OffsetChirp(F, z).apply(random_field(tall, seed=41))
 
 
 @pytest.mark.parametrize("n", [64, 63, 128])
@@ -807,7 +867,7 @@ def test_run_train_batch_2d_nonfinite_stage_raises(monkeypatch, value):
 @pytest.mark.parametrize("cls,args", [
     (FourierLens, (np.inf,)),
     (FreeSpaceFourier, (np.nan,)),
-    (Magnifier, (np.nan,)),
+    (OffsetChirp, (np.nan, 0.0)),
     (OffsetChirp, (F, np.nan)),
     (OffsetChirp, (np.inf, 0.0)),
     (DoubleSlit, (0.5e-3, np.inf)),
@@ -825,7 +885,7 @@ def test_elements_reject_nonfinite_parameters(cls, args):
 
 @pytest.mark.parametrize("cls,args", [
     (FourierLens, (-F,)),
-    (Magnifier, (0.0,)),
+    (FreeSpaceFourier, (0.0,)),
     (PinholeSample, (-1e-6,)),
 ])
 def test_elements_reject_out_of_range_parameters(cls, args):
@@ -845,7 +905,7 @@ def test_benchmark_tracer_hooks_into_elements():
     # every element class has a tag, which names its spans
     every_element = (FourierLens(F), DoubleSlit(0.5e-3), FreeSpaceFourier(0.7),
                      OffsetChirp(F, -2e-5), CircularAperture(12.7e-3),
-                     Magnifier(-2.0), SHG(), PinholeSample())
+                     SHG(), PinholeSample())
     assert {type(e) for e in every_element} == set(elements._TAGS)
     assert all(isinstance(tag, str) for tag in elements._TAGS.values())
     # the tag is a class attribute, not a field, and apply_element is the

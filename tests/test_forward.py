@@ -4,18 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import biphoton.elements as elements
 import biphoton.forward as forward
+import biphoton.grid as gridmod
 from biphoton.analytic import YoungParams, young_classical, young_two_photon
 from biphoton.elements import (
     CircularAperture,
     DoubleSlit,
     FourierLens,
     FreeSpaceFourier,
-    Magnifier,
     OffsetChirp,
     OpticalTrain,
     PinholeSample,
@@ -106,7 +106,7 @@ def forward_young_rows(monkeypatch, p, g, slit_width, samples=None):
     Spies on the axis-1 relay of each block.
     """
     blocks = []
-    relay = forward._spectral_axis
+    relay = gridmod._spectral_axis
 
     def spy_relay(amp, phase, axis, out=None):
         out = relay(amp, phase, axis, out=out)
@@ -115,7 +115,7 @@ def forward_young_rows(monkeypatch, p, g, slit_width, samples=None):
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(forward, "_spectral_axis", spy_relay)
+        m.setattr(gridmod, "_spectral_axis", spy_relay)
         _, curve = forward_young(p, g, slit_width, samples)
     return np.concatenate(blocks), [len(b) for b in blocks], curve
 
@@ -136,12 +136,11 @@ def test_forward_young_state_is_exactly_symmetric(slit_cells):
     kept = np.flatnonzero(DoubleSlit(p.x1, slit_width).mask(g))
     cols = np.zeros((g.n, len(kept)), dtype=complex)
     cols[kept, np.arange(len(kept))] = 1 / g.dx
-    phase = elements._relay_phase(g, p.f, p.wavelength)
-    cols = forward._spectral_axis(cols, phase, 0)
-    det = elements._relay_grid(g, p.f, p.wavelength)
+    det, phase = FourierLens(p.f).axis_op(g, p.wavelength)
+    cols = gridmod._spectral_axis(cols, phase, 0)
     a = np.zeros((g.n, g.n), dtype=complex)
     a[:, kept] = cols
-    a = forward._spectral_axis(a, phase, 1)
+    a = gridmod._spectral_axis(a, phase, 1)
     state = TwoPhotonAmplitude(det, (a + a.T) / 2)
     assert np.array_equal(state.psi, state.psi.T)
     got_grid, curve = forward_young(p, g, slit_width)
@@ -285,15 +284,6 @@ def test_slit_kernel_is_diagonal_mask():
     assert mask[g.index_of(x1)] == 1.0 and mask[g.index_of(-x1)] == 1.0
 
 
-def test_magnifier_kernel_matches_field_operation():
-    g = Grid1D(32, 2e-6)
-    fld = random_field(g, WL, seed=3)
-    k = kernel_of(Magnifier(-0.5), g, WL)
-    want = Magnifier(-0.5).apply(fld)
-    assert k.grid_out == want.grid
-    assert np.allclose(k.K @ fld.amp, want.amp, rtol=1e-14)
-
-
 def test_two_f_kernel_shares_chirp_guard():
     g = Grid1D(64, 2e-4)  # coarse enough to alias the quadratic phase
     with pytest.raises(SamplingError):
@@ -415,6 +405,78 @@ def test_forward_young_matches_dense_kernel_chain(n, finite_slits):
     dense = coincidence_diagonal(state)
     assert det == state.grid
     assert np.abs(curve - dense / dense.max()).max() <= 1e-13
+
+
+# A 64-sample grid whose focal-length relays keep its spacing: f wl/(n dx) = dx
+SYSTEM_GRID = Grid1D(64, float(np.sqrt(F * WL / 64)))
+
+
+@st.composite
+def forward_systems(draw):
+    """A 1-D forward system of 1-5 elements, drawn from lenses, free paths,
+    double slits and chirp screens, that ends in a lens. Each slit sits 6 or
+    10 cells off axis on the grid of its plane, a delta or 4 cells wide; each
+    chirp keeps within 95% of its aliasing guard there."""
+    kinds = draw(st.lists(st.sampled_from(["lens", "path", "slit", "chirp"]),
+                          max_size=4)) + ["lens"]
+    g, system = SYSTEM_GRID, []
+    for kind in kinds:
+        dist = F * draw(st.floats(0.5, 2.0))
+        if kind == "lens":
+            e = FourierLens(dist)
+        elif kind == "path":
+            e = FreeSpaceFourier(dist)
+        elif kind == "slit":
+            e = DoubleSlit((draw(st.sampled_from([6, 10])) + 0.25) * g.dx,
+                           draw(st.sampled_from([None, 4 * g.dx])))
+        else:
+            z_max = float(dist ** 2 * WL / (2 * np.abs(g.coords).max() * g.dx))
+            e = OffsetChirp(dist, draw(st.floats(-0.95, 0.95)) * z_max)
+        system.append(e)
+        g = e.axis_op(g, WL)[0]
+    return tuple(system)
+
+
+# derandomized: the share of kept draws is a statistic of the draws, and
+# 1500 single draws kept 96% (the rest 2% ill-conditioned, 2% dark); not
+# shrunk: a failure names its system, and shrinking 60 of them takes minutes
+@settings(max_examples=3, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
+@given(systems=st.lists(forward_systems(), min_size=60, max_size=60))
+def test_forward_pairs_is_the_reversed_train_run_forwards(systems):
+    # The time-reversal rule on any 1-D forward system: the pair fringe is
+    # the pinhole reading of the system read backwards (looped run_train
+    # from a point source on each detection sample), and the diagonal of
+    # the dense K psi K^T chain, to 1e-12 of the peak. A draw is kept where
+    # the system passes more than rounding noise and its fringe does not
+    # cancel: c, the peak of |sum_k A[u,k]^2| over that of sum_k |A[u,k]|^2,
+    # is at least 1e-3; below it, rounding dominates the peak-normalized
+    # fringe. At least 90% of the draws are kept.
+    kept = 0
+    for system in systems:
+        dense = open_ = np.eye(SYSTEM_GRID.n, dtype=complex)
+        g = SYSTEM_GRID
+        for e in system:
+            k = kernel_of(e, g, WL)
+            g, dense = k.grid_out, k.K @ dense
+            if not isinstance(e, DoubleSlit):
+                open_ = k.K @ open_
+        power = (np.abs(dense) ** 2).sum(axis=1).max()
+        if power <= 1e-20 * (np.abs(open_) ** 2).sum(axis=1).max():
+            continue  # passes nothing, or rounding noise only
+        pairs = (dense ** 2).sum(axis=1)
+        if np.abs(pairs).max() < 1e-3 * power:
+            continue
+        det, curve = forward.forward_pairs(system, SYSTEM_GRID, WL)
+        train = elements._time_reversed(system, 0.25, 0.5, True, 0.0)
+        rev = np.array([run_train(point_source(det, x, 1.0, WL), train)
+                        for x in det.coords])
+        assert det.dx == pytest.approx(g.dx, rel=1e-12), system
+        assert np.abs(curve - rev / rev.max()).max() <= 1e-12, system
+        want = np.abs(pairs) ** 2
+        assert np.abs(curve - want / want.max()).max() <= 1e-12, system
+        kept += 1
+    assert kept >= 0.9 * len(systems)
 
 
 def test_forward_young_rejects_unresolved_fringe():
@@ -701,7 +763,7 @@ def test_batched_train_rejects_what_it_cannot_run():
     g, g2 = Grid1D(32, 1e-5), Grid2D(8, 8, 1e-6, 1e-6)
     focus = reversed_focus_train(F, 12.7e-3, 0.0, 0.25, 0.5).elements
     screen_first = OpticalTrain((focus[1], focus[0]) + focus[2:])
-    for train in (OpticalTrain((Magnifier(2.0), PinholeSample())),
+    for train in (OpticalTrain((CircularAperture(1e-3), PinholeSample())),
                   OpticalTrain((FourierLens(F),)),
                   screen_first):
         with pytest.raises(UnsupportedElementError):
@@ -723,7 +785,7 @@ def test_closed_form_young_readings_reject_what_they_cannot_read():
         reversed_young_train(p.f, p.x1, 0.25, 0.5, slit_width=4 * g.dx,
                              second_harmonic=False),
         reversed_focus_train(p.f, 12.7e-3, 0.0, 0.25, 0.5),
-        OpticalTrain(e[:4] + (Magnifier(2.0),) + e[4:]),
+        OpticalTrain(e[:4] + (FourierLens(F),) + e[4:]),
         OpticalTrain(e[:2] + e[3:]),
         OpticalTrain((PinholeSample(),)),
         OpticalTrain((FourierLens(F),)),
@@ -768,7 +830,7 @@ def test_batch_nonfinite_stage_in_one_chunk_raises(monkeypatch):
     layout = block_layout(g.n, forward._block_rows(g.n))
     tail = layout[-1]
     assert layout == [16] * 18 + [12] and tail == 12
-    relay = forward._spectral_axis
+    relay = gridmod._spectral_axis
 
     def poisoned(amp, phase, axis, out=None):
         out = relay(amp, phase, axis, out=out)
@@ -776,7 +838,7 @@ def test_batch_nonfinite_stage_in_one_chunk_raises(monkeypatch):
             out[0, 0] = np.nan
         return out
 
-    monkeypatch.setattr(forward, "_spectral_axis", poisoned)
+    monkeypatch.setattr(gridmod, "_spectral_axis", poisoned)
     with pytest.raises(ValueError, match="pair amplitudes must be finite"):
         forward_young(p, g, slit_width)
 

@@ -15,7 +15,7 @@ test kills them:
 - in ``analytic.spot_offaxis_two_photon``, ``c = 2 pi z/(f^2 wavelength)``
   changed to ``2 pi z/(f wavelength)/0.05``: the scaled focus_axial,
   focus_compare and focus_map ``two_photon`` columns change;
-- in ``elements._axis_chirps``, ``scale = chirp_scale(f, wl)`` (f**2 * wl)
+- in ``elements.OffsetChirp.axis_op``, ``scale = chirp_scale(self.f, wl)`` (f**2 * wl)
   changed to ``f * wl * 0.05``: the scaled focus_compare ``reversed``
   column changes and its compare fails.
 

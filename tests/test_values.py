@@ -19,7 +19,6 @@ from biphoton.elements import (
     DoubleSlit,
     FourierLens,
     FreeSpaceFourier,
-    Magnifier,
     OpticalTrain,
     OffsetChirp,
     PinholeSample,
@@ -55,7 +54,6 @@ VALUES = [
     (OffsetChirp, {"f": 0.05, "z": 1e-5}, {}, True),
     (DoubleSlit, {"x1": 5e-4}, {"slit_width": None}, True),
     (CircularAperture, {"D": 0.0127}, {}, True),
-    (Magnifier, {"M": -0.2}, {}, True),
     (SHG, {}, {}, True),
     (PinholeSample, {}, {"radius": 0.0}, True),
     (OpticalTrain, {"elements": (FourierLens(0.05), SHG())}, {}, True),
