@@ -19,14 +19,20 @@ shares the generic methods below, with the semantics of
   with ``class C(Value, eq=False)``, identity (array-holding classes);
 - ``repr`` is ``Name(field=value, ...)``.
 
-:func:`fields` and :func:`asdict` stand in for their ``dataclasses``
-namesakes. :func:`lazy_oracles` keeps the test oracles, which no run uses,
+:class:`Numbers` is the base of the input classes whose fields are all
+numbers (the elements, the geometry and the grid) and holds their one
+finite-number rule. :func:`fields` and :func:`asdict` stand in for their
+``dataclasses`` namesakes. :func:`lazy_oracles` keeps the test oracles, which no run uses,
 off the import path while the few old module names ``perfbench`` reaches
 still resolve.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Callable
+
+from .errors import ConfigurationError
 
 MISSING = object()  # the default of a field that has none
 
@@ -98,6 +104,25 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a frozen value")
+
+
+class Numbers(Value):
+    """An input value whose fields are all numbers. Each field holds a finite
+    real number, not a bool, or None where None is its default; that rule is
+    checked first, then the class's own ``_validate``."""
+
+    def __post_init__(self):
+        for f in self._fields:
+            value = getattr(self, f.name)
+            if not ((value is None and f.default is None) or (
+                    isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value))):
+                raise ConfigurationError(f"{type(self).__name__}.{f.name} must be "
+                                         f"a finite real number, got {value!r}")
+        self._validate()
+
+    def _validate(self):
+        """Range rules of one class; none by default."""
 
 
 def fields(value) -> tuple:

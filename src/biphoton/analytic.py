@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._value import Value, fields, lazy_oracles
+from ._value import Numbers, fields, lazy_oracles
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -99,10 +99,11 @@ def j1(x):
     return float(out) if out.ndim == 0 else out
 
 
-class _PositiveParams(Value):
-    """Rule of the geometry classes: every field is > 0, checked in order."""
+class _PositiveParams(Numbers):
+    """Rule of the geometry classes: every field is a finite number > 0,
+    checked in order."""
 
-    def __post_init__(self):
+    def _validate(self):
         for f in fields(self):
             if not getattr(self, f.name) > 0:
                 raise ConfigurationError(f"{f.name} must be > 0, got {getattr(self, f.name)}")

@@ -30,13 +30,11 @@ pinholes included, runs through looped ``run_train``.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from typing import Optional, Union
 
 import numpy as np
 
-from ._value import Value, fields
+from ._value import Numbers, Value
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -59,23 +57,8 @@ from .grid import (
 
 # ---------------------------------------------------------------- element types
 
-class _Element(Value):
-    """Rule shared by every element, checked before the class's ``_validate``:
-    each field holds a finite real number, or None where None is its default.
-    """
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not ((value is None and f.default is None) or (
-                    isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value))):
-                raise ConfigurationError(f"{type(self).__name__}.{f.name} must be "
-                                         f"a finite real number, got {value!r}")
-        self._validate()
-
-    def _validate(self):
-        """Rules of one element class; none by default."""
+class _Element(Numbers):
+    """Base of every element: its fields are finite numbers (``Numbers``)."""
 
 
 class _Separable(_Element):

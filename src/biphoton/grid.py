@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._value import Value
+from ._value import Numbers, Value
 from .errors import ConfigurationError, DomainError, GridMismatchError
 
 
@@ -26,13 +26,13 @@ def _axis_ends(n: int, d: float) -> tuple:
     return (0 - n // 2) * d, (n - 1 - n // 2) * d
 
 
-class Grid1D(Value):
+class Grid1D(Numbers):
     """Uniform 1-D sampling grid. Lengths are in meters."""
 
     n: int
     dx: float
 
-    def __post_init__(self):
+    def _validate(self):
         if self.n < 2:
             raise ConfigurationError(f"grid needs n >= 2 samples, got {self.n}")
         if not self.dx > 0:
@@ -93,17 +93,14 @@ class Grid2D(Value):
     dy: float
 
     def __post_init__(self):
-        for n in (self.nx, self.ny):
-            if n < 2:
-                raise ConfigurationError(f"grid needs n >= 2 samples per axis, got {n}")
-        for d in (self.dx, self.dy):
-            if not d > 0:
-                raise ConfigurationError(f"grid spacing must be > 0, got {d}")
+        # each axis checks its own samples and spacing
+        x = Grid1D(self.nx, self.dx)
+        object.__setattr__(self, "_axes", (Grid1D(self.ny, self.dy), x))
 
     @property
     def axes(self) -> tuple:
         """The 1-D axes in array-axis order: ``(y, x)``."""
-        return Grid1D(self.ny, self.dy), Grid1D(self.nx, self.dx)
+        return self._axes
 
     @property
     def xs(self) -> np.ndarray:

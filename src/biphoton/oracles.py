@@ -1,16 +1,19 @@
 """Test oracles: slow or scalar references that no run uses.
 
-Each one checks a fast path that runs take, and shares no arithmetic with
-it. They live here, off the import path of the ``biphoton`` command, so no
-run compiles them or imports scipy, which only this module needs (the
-``test`` extra installs it):
+Each one checks a fast path that runs take, and computes its values by
+other arithmetic. They live here, off the import path of the ``biphoton``
+command, so no run compiles them or imports scipy, which only this module
+needs (the ``test`` extra installs it):
 
 - the scalar disk transform on composite Gauss-Legendre panels over
   scipy's Cephes J0, the reference of ``analytic.disk_transform_table``,
   and the closed-form stage-by-stage fields of the two pinhole-readout
   trains;
 - the dense pair-state chain (``TwoPhotonAmplitude``, ``kernel_of``,
-  ``evolve``), O(n^3), the reference of ``forward.forward_young``;
+  ``evolve``), O(n^3), the reference of ``forward.forward_pairs``:
+  ``kernel_of`` reads each element through its own ``axis_op``, so the
+  chain lands on the field path's grids exactly, but builds a relay as the
+  dense ``exp(-2 pi i x' x/(dist wl))`` matrix, not by FFT;
 - the scalar detection probabilities and reversed intensities of the mode
   check and their random instances, the reference of the stacked
   arithmetic of ``modes.time_reversal_audit``.
@@ -29,13 +32,7 @@ from scipy.special import j0  # noqa: F401  (analytic.j0 resolves to it)
 from . import analytic
 from ._value import Value, asdict
 from .analytic import FocusParams, YoungParams, _disk_arguments
-from .elements import (
-    DoubleSlit,
-    FourierLens,
-    FreeSpaceFourier,
-    OffsetChirp,
-    OpticalElement,
-)
+from .elements import OpticalElement
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -211,10 +208,6 @@ def focus_stage_field(stage: int, r, r0, z0: float, p: FocusParams,
 
 # ---------------------------------------------------------------- dense pair chain
 
-# Elements that are one far-field relay over their one length
-_RELAYS = (FourierLens, FreeSpaceFourier)
-
-
 class TwoPhotonAmplitude(Value, eq=False):
     """Symmetric pair amplitude psi(x_i, x_j) on a 1-D grid (units 1/m).
 
@@ -265,33 +258,28 @@ def spdc_initial(grid: Grid1D) -> TwoPhotonAmplitude:
     return TwoPhotonAmplitude(grid, np.eye(grid.n, dtype=complex) / grid.dx)
 
 
-def _relay_kernel(grid: Grid1D, dist: float, wavelength: float):
-    dx_out = dist * wavelength / (grid.n * grid.dx)
-    grid_out = Grid1D(grid.n, dx_out)
-    x_out = grid_out.coords
-    K = np.exp(-2j * np.pi * np.outer(x_out, grid.coords) / (dist * wavelength)) \
-        * (grid.dx / np.sqrt(dist * wavelength))
-    return grid_out, K
-
-
 def kernel_of(element: OpticalElement, grid: Grid1D,
               wavelength: float) -> SingleParticleKernel:
-    """Sampled matrix of a linear element on a 1-D grid.
-
-    Integral kernels carry the dx quadrature weight, so ``K @ amp``
-    reproduces the corresponding field operation. Nonlinear or terminal
-    elements (SHG, PinholeSample) and inherently 2-D ones have no 1-D
-    matrix and are rejected.
+    """Sampled matrix of a linear element on a 1-D grid, read through the
+    element's ``axis_op``: ``diag(gain * step)`` for a diagonal element;
+    for a relay over its one length ``dist``, the dense kernel
+    ``exp(-2 pi i x' x/(dist wl)) dx/sqrt(dist wl)`` on the output grid
+    ``axis_op`` gives, so ``K @ amp`` reproduces the field operation.
+    Nonlinear or terminal elements (SHG, PinholeSample) and inherently 2-D
+    ones have no 1-D matrix and are rejected.
     """
-    if isinstance(element, _RELAYS):
+    axis_op = getattr(element, "axis_op", None)
+    if axis_op is None:
+        raise UnsupportedElementError(
+            f"no 1-D single-particle matrix for {type(element).__name__}")
+    grid_out, step = axis_op(grid, wavelength)
+    if element.spectral:
         (dist,) = asdict(element).values()
-        grid_out, K = _relay_kernel(grid, dist, wavelength)
-        return SingleParticleKernel(grid, grid_out, K)
-    if isinstance(element, (DoubleSlit, OffsetChirp)):  # diagonal
-        diag = element.gain * element.axis_op(grid, wavelength)[1]
-        return SingleParticleKernel(grid, grid, np.diag(diag).astype(complex))
-    raise UnsupportedElementError(
-        f"no 1-D single-particle matrix for {type(element).__name__}")
+        K = np.exp(-2j * np.pi * np.outer(grid_out.coords, grid.coords)
+                   / (dist * wavelength)) * (grid.dx / np.sqrt(dist * wavelength))
+    else:
+        K = np.diag(element.gain * step).astype(complex)
+    return SingleParticleKernel(grid, grid_out, K)
 
 
 def evolve(state: TwoPhotonAmplitude, k: SingleParticleKernel) -> TwoPhotonAmplitude:

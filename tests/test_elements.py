@@ -877,6 +877,23 @@ def test_run_train_batch_2d_nonfinite_stage_raises(monkeypatch, value):
     (FourierLens, (True,)),
     (DoubleSlit, (None,)),
     (DoubleSlit, (np.inf,)),
+    # the geometry and the grids keep the elements' number rule
+    (YoungParams, (np.inf, F, WL)),
+    (YoungParams, (0.5e-3, -np.inf, WL)),
+    (YoungParams, (0.5e-3, F, np.nan)),
+    (YoungParams, (True, F, WL)),
+    (FocusParams, (np.inf, F, WL)),
+    (FocusParams, (0.01, np.nan, WL)),
+    (FocusParams, (0.01, F, -np.inf)),
+    (FocusParams, (0.01, True, WL)),
+    (Grid1D, (np.inf, 1e-6)),
+    (Grid1D, (64, -np.inf)),
+    (Grid1D, (64, np.nan)),
+    (Grid1D, (True, 1e-6)),
+    (Grid2D, (np.nan, 64, 1e-6, 1e-6)),
+    (Grid2D, (64, 64, np.inf, 1e-6)),
+    (Grid2D, (64, 64, 1e-6, -np.inf)),
+    (Grid2D, (64, True, 1e-6, 1e-6)),
 ])
 def test_elements_reject_nonfinite_parameters(cls, args):
     with pytest.raises(ConfigurationError, match="finite"):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import biphoton.elements as elements
@@ -290,6 +290,21 @@ def test_two_f_kernel_shares_chirp_guard():
         kernel_of(OffsetChirp(F, 5e-3), g, WL)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(2, 300), dx=st.floats(1e-7, 1e-3), dist=st.floats(1e-3, 10.0))
+@example(n=64, dx=float(np.sqrt(0.05 * WL / 64)), dist=0.05)
+def test_kernel_grids_are_the_axis_op_grids(n, dx, dist):
+    # The dense oracle lands on the grids the field and pair paths build,
+    # bit for bit: a relay on its axis_op's conjugate grid, a diagonal
+    # element on its input grid.
+    g = Grid1D(n, dx)
+    for e in (FourierLens(dist), FreeSpaceFourier(dist)):
+        assert kernel_of(e, g, WL).grid_out == e.axis_op(g, WL)[0], e
+    z = 0.5 * dist ** 2 * WL / (2 * np.abs(g.coords).max() * dx)  # half the alias limit
+    for e in (DoubleSlit(dx, dx), OffsetChirp(dist, z)):
+        assert kernel_of(e, g, WL).grid_out == g, e
+
+
 @pytest.mark.parametrize("element", [SHG(), PinholeSample(0.0), CircularAperture(0.01)])
 def test_kernel_of_rejects_nonmatrix_elements(element):
     with pytest.raises(UnsupportedElementError):
@@ -438,11 +453,14 @@ def forward_systems(draw):
 
 
 # derandomized: the share of kept draws is a statistic of the draws, and
-# 1500 single draws kept 96% (the rest 2% ill-conditioned, 2% dark); not
-# shrunk: a failure names its system, and shrinking 60 of them takes minutes
+# 3000 single draws kept 94.8% (the rest 2.4% ill-conditioned, 2.7% dark),
+# so a list of 150 falls below 90% kept for about 0.5% of seeds (a list of
+# 60 for 3.6%); hypothesis re-seeds a derandomized test whenever its source
+# changes. Not shrunk: a failure names its system, and shrinking 150 of
+# them takes minutes
 @settings(max_examples=3, deadline=None, derandomize=True,
           phases=[Phase.explicit, Phase.generate])
-@given(systems=st.lists(forward_systems(), min_size=60, max_size=60))
+@given(systems=st.lists(forward_systems(), min_size=150, max_size=150))
 def test_forward_pairs_is_the_reversed_train_run_forwards(systems):
     # The time-reversal rule on any 1-D forward system: the pair fringe is
     # the pinhole reading of the system read backwards (looped run_train
@@ -471,7 +489,7 @@ def test_forward_pairs_is_the_reversed_train_run_forwards(systems):
         train = elements._time_reversed(system, 0.25, 0.5, True, 0.0)
         rev = np.array([run_train(point_source(det, x, 1.0, WL), train)
                         for x in det.coords])
-        assert det.dx == pytest.approx(g.dx, rel=1e-12), system
+        assert det == g, system
         assert np.abs(curve - rev / rev.max()).max() <= 1e-12, system
         want = np.abs(pairs) ** 2
         assert np.abs(curve - want / want.max()).max() <= 1e-12, system
